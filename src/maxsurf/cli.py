@@ -20,13 +20,13 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import catalog, verify, weierstrass
-from .bjorling import (AdaptiveSimpson, GaussLegendre, QuadratureError,
-                       SurfacePatch, solve_bjorling)
+from .bjorling import (GaussLegendre, QuadratureError, SurfacePatch,
+                       solve_bjorling)
 from .lorentz import lorentz_cross
 from .verify import CheckResult, Grid
 
@@ -73,7 +73,8 @@ _TOP_KEYS = frozenset((
     "tolerances", "out", "formats", "report", "suite", "perturb", "fd_step",
     "annulus", "curvature_grid", "u0", "thetas"))
 
-_GRID_KEYS = frozenset(("u_min", "u_max", "v_min", "v_max", "nu", "nv"))
+_GRID_BOUNDS = ("u_min", "u_max", "v_min", "v_max")
+_GRID_KEYS = frozenset(_GRID_BOUNDS + ("nu", "nv"))
 
 
 class ConfigError(ValueError):
@@ -87,8 +88,8 @@ class JobConfig:
     lam: float | None
     cubic: float | None
     offset: float | None
-    grid: Grid | None
-    quadrature: object | None
+    grid: dict
+    quadrature: GaussLegendre
     tolerances: dict
     out: str | None
     formats: tuple
@@ -114,46 +115,41 @@ def _integer(value, where):
     return value
 
 
-def _build_grid(raw) -> Grid:
+def _build_grid(raw) -> dict:
+    """Typed grid fields, to be laid over the command's default grid.
+
+    The four bounds describe one rectangle and come all or none; nu and nv
+    may each be given alone.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"grid must be an object, got {raw!r}")
     unknown = set(raw) - _GRID_KEYS
     if unknown:
         raise ConfigError(f"unknown grid field {sorted(unknown)[0]!r}")
-    missing = _GRID_KEYS - set(raw)
-    if missing:
+    missing = set(_GRID_BOUNDS) - set(raw)
+    if 0 < len(missing) < len(_GRID_BOUNDS):
         raise ConfigError(f"grid is missing field {sorted(missing)[0]!r}")
-    try:
-        return Grid(u_min=_number(raw["u_min"], "grid.u_min"),
-                    u_max=_number(raw["u_max"], "grid.u_max"),
-                    v_min=_number(raw["v_min"], "grid.v_min"),
-                    v_max=_number(raw["v_max"], "grid.v_max"),
-                    nu=_integer(raw["nu"], "grid.nu"),
-                    nv=_integer(raw["nv"], "grid.nv"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    return {k: (_integer if k in ("nu", "nv") else _number)(v, f"grid.{k}")
+            for k, v in raw.items()}
 
 
-def _build_quadrature(raw):
+def _build_quadrature(raw) -> GaussLegendre:
     if raw is None:
-        return None
+        return GaussLegendre()
     if not isinstance(raw, dict) or "rule" not in raw:
         raise ConfigError("quadrature must be an object with a 'rule' field")
-    rule = raw["rule"]
-    extra = set(raw) - {"rule", "nodes", "tol"}
+    if raw["rule"] != "gauss-legendre":
+        raise ConfigError(f"unknown quadrature rule {raw['rule']!r}; the "
+                          "only rule is 'gauss-legendre'")
+    extra = set(raw) - {"rule", "nodes"}
     if extra:
-        raise ConfigError(f"unknown quadrature field {sorted(extra)[0]!r}")
+        raise ConfigError(f"unknown quadrature field {sorted(extra)[0]!r}; "
+                          "the only rule is 'gauss-legendre', with 'nodes'")
     try:
-        if rule == "gauss-legendre":
-            return GaussLegendre(nodes=_integer(raw.get("nodes", 64),
-                                                "quadrature.nodes"))
-        if rule == "adaptive-simpson":
-            return AdaptiveSimpson(tol=_number(raw.get("tol", 1e-10),
-                                               "quadrature.tol"))
+        return GaussLegendre(nodes=_integer(raw.get("nodes", 64),
+                                            "quadrature.nodes"))
     except ValueError as exc:
         raise ConfigError(f"quadrature: {exc}") from exc
-    raise ConfigError(f"unknown quadrature rule {rule!r}; "
-                      "use 'gauss-legendre' or 'adaptive-simpson'")
 
 
 def _build_tolerances(raw) -> dict:
@@ -221,7 +217,7 @@ def build_job_config(raw: dict) -> JobConfig:
         lam=opt["lambda"],
         cubic=opt["cubic"],
         offset=opt["offset"],
-        grid=None if raw.get("grid") is None else _build_grid(raw["grid"]),
+        grid={} if raw.get("grid") is None else _build_grid(raw["grid"]),
         quadrature=_build_quadrature(raw.get("quadrature")),
         tolerances=_build_tolerances(raw.get("tolerances")),
         out=raw.get("out"),
@@ -275,13 +271,18 @@ def _patch_for(surface, cfg: JobConfig) -> SurfacePatch:
 
 
 def _default_grid(cfg: JobConfig, fam: str, for_sample: bool) -> Grid:
-    if cfg.grid is not None:
-        return cfg.grid
+    """The command's default grid for the family, with the config's grid
+    fields laid over it."""
     if for_sample:
-        return Grid.from_domain(catalog.DEFAULT_DOMAINS[fam], nu=64, nv=16)
-    if fam == catalog.ENNEPER_SECOND_KIND:
-        return Grid.from_domain(catalog.DEFAULT_DOMAINS[fam], nu=21, nv=21)
-    return Grid(-1.0, 1.0, -1.0, 1.0, nu=21, nv=21)
+        grid = Grid.from_domain(catalog.DEFAULT_DOMAINS[fam], nu=64, nv=16)
+    elif fam == catalog.ENNEPER_SECOND_KIND:
+        grid = Grid.from_domain(catalog.DEFAULT_DOMAINS[fam], nu=21, nv=21)
+    else:
+        grid = Grid(-1.0, 1.0, -1.0, 1.0, nu=21, nv=21)
+    try:
+        return replace(grid, **cfg.grid)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _thread_count() -> int:
@@ -585,21 +586,14 @@ def cmd_verify(cfg: JobConfig) -> int:
         parameters["a"] = surface.a
         if surface.family in catalog._LAM_FAMILIES:
             parameters["lambda"] = surface.lam
-    quad = cfg.quadrature
-    if quad is None:
-        quad_desc = {"rule": "gauss-legendre", "nodes": 64,
-                     "fallback": "adaptive-simpson for |Im z| > 2"}
-    elif isinstance(quad, GaussLegendre):
-        quad_desc = {"rule": "gauss-legendre", "nodes": quad.nodes}
-    else:
-        quad_desc = {"rule": "adaptive-simpson", "tol": quad.tol}
     report = {
         "schema": SCHEMA,
         "surface": {"family": surface.family, "parameters": parameters},
         "suite": cfg.suite,
         "grid": grid.describe(),
         "fd_step": cfg.fd_step,
-        "quadrature": quad_desc,
+        "quadrature": {"rule": "gauss-legendre",
+                       "nodes": cfg.quadrature.nodes},
         "checks": [c.to_dict() for c in checks],
         "skipped": skipped,
         "passed": passed,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bjorling import QuadratureError
+from .bjorling import QuadratureError, _gauss_legendre
 from .catalog import (BENDING_SPACELIKE, BENDING_TIMELIKE, CatalogSurface,
                       HELICOIDAL_SPACELIKE_I, HELICOIDAL_SPACELIKE_II,
                       HELICOIDAL_TIMELIKE, LIGHTLIKE_ROTATIONAL)
@@ -491,12 +491,5 @@ def integrate_forms(triple: FormTriple, z, z0=0.0, nodes: int = 64):
     Returns a (..., 3) complex array; on the exp chart its real part is the
     surface displacement X(z) - X(z0) of the matching family.
     """
-    x, wt = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (x + 1.0)
-    wts = 0.5 * wt
-    z = np.asarray(z, dtype=complex)
-    span = z - z0
-    pts = z0 + span[..., None] * t
-    vals = triple(pts)
-    acc = np.einsum("k,...kj->...j", wts, vals)
-    return acc * span[..., None]
+    span = np.asarray(z, dtype=complex) - z0
+    return _gauss_legendre(triple, z0, span, nodes)[0] * span[..., None]

@@ -1,29 +1,33 @@
 """Numerical construction of surface patches from curve plus normal field."""
 
+import json
+
 import numpy as np
 import pytest
 
 from maxsurf import catalog, frames
-from maxsurf.bjorling import (AdaptiveSimpson, GaussLegendre, QuadratureError,
-                              SurfacePatch, reference_normal, segment_integral,
+from maxsurf.bjorling import (GaussLegendre, QuadratureError, SurfacePatch,
+                              reference_normal, segment_integral,
                               solve_bjorling)
+from maxsurf.cli import main
 from maxsurf.frames import AnalyticMap, BjorlingData
-from maxsurf.lorentz import lorentz_dot, vec3
+from maxsurf.lorentz import lorentz_cross, lorentz_dot, vec3
 
 
-def _exp_data():
+def _exp_data(field=None):
     # alpha(z) = (e^z, 0, 0) gives a segment integrand with an exact
-    # antiderivative to pin quadrature behavior against.
+    # antiderivative to pin quadrature behavior against.  `field` replaces
+    # the constant normal (0, 0, 1).
     return BjorlingData(
         alpha=AnalyticMap(
             lambda z: vec3(np.exp(z), np.zeros_like(np.asarray(z, complex)),
                            np.zeros_like(np.asarray(z, complex))),
             lambda z: vec3(np.exp(z), np.zeros_like(np.asarray(z, complex)),
                            np.zeros_like(np.asarray(z, complex)))),
-        normal_field=AnalyticMap(
+        normal_field=AnalyticMap(field or (
             lambda z: vec3(np.zeros_like(np.asarray(z, complex)),
                            np.zeros_like(np.asarray(z, complex)),
-                           np.ones_like(np.asarray(z, complex)))),
+                           np.ones_like(np.asarray(z, complex))))),
         u0=0.0, family=None, spec=None)
 
 
@@ -37,22 +41,95 @@ def test_gauss_legendre_segment_integral_is_machine_accurate():
     assert np.max(np.abs(value - direct)) < 1e-13
 
 
-def test_adaptive_simpson_matches_gauss_legendre():
-    z = np.array(0.7 + 1.9j)
-    a = segment_integral(_exp_data(), z, GaussLegendre(64))
-    b = segment_integral(_exp_data(), z, AdaptiveSimpson(tol=1e-12))
-    assert np.max(np.abs(a - b)) < 1e-10
+def test_near_axis_points_get_the_plain_rule_bit_for_bit():
+    # a point that one 64-node panel resolves keeps exactly the bytes of a
+    # plain Gauss-Legendre pass
+    x, w = np.polynomial.legendre.leggauss(64)
+    U, V = np.meshgrid(np.linspace(-1, 1, 12), np.linspace(-1, 1, 12),
+                       indexing="ij")
+    z = U + 1j * V
+    for surface in (catalog.bending_timelike(1.3),
+                    catalog.bending_spacelike(0.7),
+                    catalog.lightlike_rotational(0.5),
+                    catalog.helicoidal_timelike(1.2, 0.6),
+                    catalog.helicoidal_spacelike_i(0.8, 2.0),
+                    catalog.helicoidal_spacelike_ii(1.4, 1.0)):
+        data = catalog.bjorling_data_for(surface)
+        span = z - data.u0
+        pts = data.u0 + 0.5 * (x + 1.0) * span[..., None]
+        vals = lorentz_cross(data.normal_field(pts), data.alpha.d(pts))
+        plain = span[..., None] * np.einsum("k,...kj->...j", 0.5 * w, vals)
+        assert np.array_equal(segment_integral(data, z), plain)
+
+
+def _counting_normal(counts, nan_where=None):
+    """Constant normal (0, 0, 1) recording how many points it is asked
+    for; NaN at the points where `nan_where` holds."""
+    def field(z):
+        z = np.asarray(z, complex)
+        counts.append(z.size)
+        ones = np.where(nan_where(z), np.nan, 1.0) if nan_where else 1.0
+        return vec3(np.zeros_like(z), np.zeros_like(z), ones * np.ones_like(z))
+    return field
+
+
+def test_far_point_is_split_into_panels_and_stays_accurate():
+    counts = []
+    data = _exp_data(_counting_normal(counts))
+    near = 0.3 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+    segment_integral(data, near)
+    assert counts == [64 * near.size]
+    counts.clear()
+    z = 300j
+    value = segment_integral(data, np.array(z))
+    # V x alpha' = (0, e^w, 0) for V = (0, 0, 1), alpha' = (e^w, 0, 0)
+    exact = np.exp(z) - 1.0
+    assert abs(value[1] - exact) <= 1e-11 * abs(exact)
+    assert sum(counts) > 64
+
+
+def test_non_finite_integrand_raises_at_its_point():
+    data = _exp_data(_counting_normal([], nan_where=lambda w: w.imag > 1.5))
+    z = np.array([0.5 + 0.5j, 0.2 + 2.0j, -0.3 + 0.1j])
+    with pytest.raises(QuadratureError) as info:
+        segment_integral(data, z)
+    assert info.value.z == z[1]
+    assert np.isnan(info.value.estimate)
+    assert str(z[1]) in str(info.value)
+
+
+def test_panel_cap_raises_with_point_estimate_and_tolerance():
+    # e^w oscillates 1e5 / (2 pi) times along the segment: more than 1024
+    # panels of 64 nodes would be needed
+    z = np.array([0.5j, 1e5j])
+    with pytest.raises(QuadratureError) as info:
+        segment_integral(_exp_data(), z)
+    err = info.value
+    assert err.z == z[1]
+    assert np.isfinite(err.estimate) and err.estimate > err.tol > 0.0
+    message = str(err)
+    assert "1024 panel(s)" in message and str(z[1]) in message
+    assert f"{err.estimate:.3g}" in message and f"{err.tol:.3g}" in message
+
+
+@pytest.mark.parametrize("quadrature", [
+    {"rule": "adaptive-simpson"},
+    {"rule": "gauss-legendre", "tol": 1e-10},
+])
+def test_cli_rejects_the_removed_simpson_rule(tmp_path, capsys, quadrature):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"family": "bending-timelike",
+                               "quadrature": quadrature}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "the only rule is 'gauss-legendre'" in err
+    assert "Traceback" not in err
 
 
 def test_gauss_legendre_node_floor():
     with pytest.raises(ValueError):
         GaussLegendre(3)
     GaussLegendre(4)
-
-
-def test_adaptive_simpson_tol_validation():
-    with pytest.raises(ValueError):
-        AdaptiveSimpson(tol=0.0)
 
 
 def test_quadrature_error_carries_location():
@@ -90,8 +167,8 @@ def test_patch_broadcasts_grids():
 
 
 def test_far_field_fallback_remains_accurate():
-    # beyond |Im z| = 2 the solver switches integration rule; values must
-    # stay consistent with a high-order fixed rule
+    # far from the real axis the default rule must stay consistent with a
+    # higher-order one
     data = catalog.bjorling_data_for(catalog.lightlike_rotational(0.5))
     patch = solve_bjorling(data)
     forced = solve_bjorling(data, GaussLegendre(192))

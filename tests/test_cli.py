@@ -209,6 +209,18 @@ def test_set_overrides_reach_nested_fields(tmp_path, capsys):
     assert sum(1 for l in obj if l.startswith("v ")) == 48
 
 
+def test_partial_grid_override_merges_onto_the_default_grid(tmp_path,
+                                                            capsys):
+    assert main(["sample", "--family", "bending-timelike",
+                 "--out", str(tmp_path / "m"), "--set", "grid.nu=8"]) == 0
+    assert "wrote " + str(tmp_path / "m.obj") + ": 128 vertices" \
+        in capsys.readouterr().out
+    report = tmp_path / "r.json"
+    assert main(["verify", "--family", "bending-timelike", "--suite", "h",
+                 "--report", str(report), "--set", "grid.nv=5"]) == 0
+    assert json.loads(report.read_text())["grid"] == "[-1,1]x[-1,1] 21x5"
+
+
 def test_set_override_rejects_bad_path(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", family="bending-spacelike")
     assert main(["verify", "--config", cfg, "--set", "a.b=1"]) == 2

@@ -389,6 +389,18 @@ def test_integrated_forms_reproduce_the_surface():
     assert np.max(np.abs(holo.real - expected)) < 1e-12
 
 
+def test_integrate_forms_is_one_plain_gauss_legendre_pass():
+    triple = W.forms_for(catalog.lightlike_rotational(0.5))
+    zs = np.array([[0.3 + 0.2j, -0.5 + 1.1j], [0.8 - 2.3j, 1.5 + 0.4j]])
+    z0 = 0.1 + 0.2j
+    x, w = np.polynomial.legendre.leggauss(64)
+    span = zs - z0
+    vals = triple(z0 + span[..., None] * (0.5 * (x + 1.0)))
+    acc = np.einsum("k,...kj->...j", 0.5 * w, vals)
+    assert np.array_equal(W.integrate_forms(triple, zs, z0),
+                          acc * span[..., None])
+
+
 def test_cpow_integer_exponents_cross_the_branch_cut():
     z = np.array([-1.0 + 1e-12j, -1.0 - 1e-12j])
     assert np.max(np.abs(W.cpow(z, 3) - (-1.0))) < 1e-11
