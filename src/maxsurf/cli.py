@@ -8,18 +8,17 @@ Subcommands:
 
 Configuration is one JSON document; every flag overrides a config field and
 `--set path=value` reaches any nested field.  Outputs are deterministic:
-identical configs produce byte-identical files.  `MAXSURF_THREADS` caps the
-sampling parallelism.  Exit codes: 0 ok, 1 check failure, 2 config error,
-3 I/O error.
+identical configs produce byte-identical files.  Exit codes: 0 ok, 1 check
+failure, 2 config error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,8 +103,10 @@ class JobConfig:
 
 
 def _number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    # abs(nan) <= max is False; an int above max has no float to become.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -205,10 +206,17 @@ def build_job_config(raw: dict) -> JobConfig:
     thetas = raw.get("thetas", [-1.0, -0.3, 0.3, 1.0])
     if not isinstance(thetas, list) or not thetas:
         raise ConfigError(f"thetas must be a non-empty list, got {thetas!r}")
+    for key in ("out", "report"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a path string or null, "
+                              f"got {raw[key]!r}")
     annulus = _build_pair(raw.get("annulus", [1e-3, 1e3]), "annulus", float)
-    if not 0 < annulus[0] < annulus[1]:
-        raise ConfigError(f"annulus radii must satisfy 0 < r_in < r_out, "
-                          f"got {annulus}")
+    curvature_grid = _build_pair(raw.get("curvature_grid", [400, 256]),
+                                 "curvature_grid", int)
+    try:
+        weierstrass.check_curvature_domain(annulus, curvature_grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     opt = {k: (None if raw.get(k) is None else _number(raw[k], k))
            for k in ("a", "lambda", "cubic", "offset")}
     return JobConfig(
@@ -227,8 +235,7 @@ def build_job_config(raw: dict) -> JobConfig:
         perturb=_number(raw.get("perturb", 0.0), "perturb"),
         fd_step=fd_step,
         annulus=annulus,
-        curvature_grid=_build_pair(raw.get("curvature_grid", [400, 256]),
-                                   "curvature_grid", int),
+        curvature_grid=curvature_grid,
         u0=_number(raw.get("u0", 0.0), "u0"),
         thetas=tuple(_number(t, "thetas") for t in thetas),
     )
@@ -285,6 +292,7 @@ def _default_grid(cfg: JobConfig, fam: str, for_sample: bool) -> Grid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
+# Unused by `sample`; bench/run.py still records and calibrates with it.
 def _thread_count() -> int:
     raw = os.environ.get("MAXSURF_THREADS")
     if raw is None:
@@ -299,59 +307,39 @@ def _thread_count() -> int:
     return min(n, 64)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _format_floats(values) -> list:
+    """Every value of a float array as '%.17g' text, in C order."""
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return ("%.17g " * len(flat) % tuple(flat)).split()
 
 
-def _sample_mesh(patch: SurfacePatch, grid: Grid, threads: int):
-    us, vs = grid.axes()
-
-    def row(i):
-        return patch(np.full(grid.nv, us[i]), vs)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(grid.nu)))
-    else:
-        rows = [row(i) for i in range(grid.nu)]
-    return us, vs, np.stack(rows)
-
-
-def _write_obj(path, label, grid: Grid, points, mask):
-    nu, nv = grid.nu, grid.nv
-    lines = ["# maxsurf mesh", f"# surface {label}",
-             f"# grid {grid.describe()}"]
-    for i in range(nu):
-        for j in range(nv):
-            p = points[i, j]
-            lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    bad = np.argwhere(~mask)
-    if bad.size:
-        lines.append("# vertices outside the spacelike region "
-                     "(1-based indices):")
-        for i, j in bad:
-            lines.append(f"# nonspacelike {i * nv + j + 1}")
-    faces = 0
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            k = i * nv + j + 1
-            lines.append(f"f {k} {k + nv} {k + nv + 1} {k + 1}")
-            faces += 1
+def _write_obj(path, label, grid: Grid, coords, mask):
+    """Quads over the grid; `coords` are the vertex coordinates as text."""
+    nv = grid.nv
+    k = np.arange(1, grid.nu * nv + 1).reshape(grid.nu, nv)[:-1, :-1].ravel()
+    quads = np.stack((k, k + nv, k + nv + 1, k + 1), axis=-1).ravel().tolist()
+    bad = (np.flatnonzero(~mask) + 1).tolist()
+    parts = [f"# maxsurf mesh\n# surface {label}\n# grid {grid.describe()}\n",
+             "v %s %s %s\n" * (len(coords) // 3) % tuple(coords)]
+    if bad:
+        parts += ["# vertices outside the spacelike region "
+                  "(1-based indices):\n",
+                  "# nonspacelike %d\n" * len(bad) % tuple(bad)]
+    parts.append("f %d %d %d %d\n" * k.size % tuple(quads))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return faces
+        fh.writelines(parts)
+    return k.size
 
 
-def _write_csv(path, grid: Grid, us, vs, points, mask):
-    lines = ["u,v,x,y,z,spacelike"]
-    for i in range(grid.nu):
-        for j in range(grid.nv):
-            p = points[i, j]
-            lines.append(",".join((_fmt(us[i]), _fmt(vs[j]), _fmt(p[0]),
-                                   _fmt(p[1]), _fmt(p[2]),
-                                   "1" if mask[i, j] else "0")))
+def _write_csv(path, grid: Grid, coords, mask):
+    us, vs = (_format_floats(axis) for axis in grid.axes())
+    flags = np.where(mask, "1", "0").ravel().tolist()
+    rows = zip([u for u in us for _ in vs], vs * grid.nu, coords[0::3],
+               coords[1::3], coords[2::3], flags)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("u,v,x,y,z,spacelike\n")
+        fh.write("%s,%s,%s,%s,%s,%s\n" * len(flags)
+                 % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _output_paths(out: str, formats):
@@ -368,15 +356,15 @@ def cmd_sample(cfg: JobConfig) -> int:
     surface = surface_from_config(cfg)
     grid = _default_grid(cfg, surface.family, for_sample=True)
     patch = _patch_for(surface, cfg)
-    us, vs, points = _sample_mesh(patch, grid, _thread_count())
+    coords = _format_floats(patch(*grid.mesh()))
     mask = verify.spacelike_region(patch, grid, h=cfg.fd_step)
     paths = _output_paths(cfg.out or "mesh", cfg.formats)
     for fmt, path in paths.items():
         if fmt == "obj":
-            faces = _write_obj(path, patch.label, grid, points, mask)
+            faces = _write_obj(path, patch.label, grid, coords, mask)
             print(f"wrote {path}: {grid.nu * grid.nv} vertices, {faces} faces")
         else:
-            _write_csv(path, grid, us, vs, points, mask)
+            _write_csv(path, grid, coords, mask)
             print(f"wrote {path}: {grid.nu * grid.nv} rows")
     return 0
 

@@ -449,6 +449,16 @@ def _spherical_density(w: WeierstrassData, z):
     return dens
 
 
+def check_curvature_domain(annulus, grid):
+    """Raise ValueError unless 0 < r_in < r_out and both grid sides are even
+    (for the half-resolution restriction) and at least 8."""
+    if not 0 < annulus[0] < annulus[1]:
+        raise ValueError(f"annulus needs 0 < r_in < r_out, got {annulus}")
+    if any(n < 8 or n % 2 for n in grid):
+        raise ValueError(f"curvature grid sides must be even and at least 8, "
+                         f"got {grid}")
+
+
 def total_curvature(w: WeierstrassData, annulus, grid=(400, 256),
                     rel_tol: float = 0.05) -> float:
     """Total curvature -4 * integral of the spherical density over an annulus.
@@ -458,12 +468,9 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256),
     restriction and must agree to rel_tol.  For a meromorphic g of degree d
     the value tends to -4 pi d as the annulus exhausts the plane.
     """
+    check_curvature_domain(annulus, grid)
     r_in, r_out = annulus
-    if not 0 < r_in < r_out:
-        raise ValueError(f"need 0 < r_in < r_out, got {annulus}")
     nr, nth = grid
-    if nr < 8 or nth < 8 or nr % 2 or nth % 2:
-        raise ValueError(f"grid sides must be even and at least 8, got {grid}")
     s = np.linspace(np.log(r_in), np.log(r_out), nr + 1)
     th = 2.0 * np.pi * np.arange(nth) / nth
     z = np.exp(s[:, None] + 1j * th[None, :])

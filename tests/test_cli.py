@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxsurf import catalog, verify
 from maxsurf.cli import main
+from maxsurf.verify import Grid
 
 
 def write_config(path, **fields):
@@ -86,22 +88,57 @@ def test_sample_is_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "c.json", family="hyperbolic-catenoid",
-                       a=1.0)
-    monkeypatch.setenv("MAXSURF_THREADS", "1")
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "t1")]) == 0
-    monkeypatch.setenv("MAXSURF_THREADS", "7")
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "t7")]) == 0
-    assert (tmp_path / "t1.obj").read_bytes() == (tmp_path / "t7.obj").read_bytes()
+def _reference_mesh_text(patch, grid):
+    """OBJ and CSV text from per-row sampling and per-element formatting,
+    the writers that the bulk ones replaced."""
+    us, vs = grid.axes()
+    points = np.stack([patch(np.full(grid.nv, u), vs) for u in us])
+    mask = verify.spacelike_region(patch, grid, h=1e-3)
+    nu, nv = grid.nu, grid.nv
+    obj = ["# maxsurf mesh", f"# surface {patch.label}",
+           f"# grid {grid.describe()}"]
+    for i in range(nu):
+        for j in range(nv):
+            p = points[i, j]
+            obj.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
+    bad = np.argwhere(~mask)
+    if bad.size:
+        obj.append("# vertices outside the spacelike region "
+                   "(1-based indices):")
+        for i, j in bad:
+            obj.append(f"# nonspacelike {i * nv + j + 1}")
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            k = i * nv + j + 1
+            obj.append(f"f {k} {k + nv} {k + nv + 1} {k + 1}")
+    csv = ["u,v,x,y,z,spacelike"]
+    for i in range(nu):
+        for j in range(nv):
+            p = points[i, j]
+            csv.append(",".join((f"{us[i]:.17g}", f"{vs[j]:.17g}",
+                                 f"{p[0]:.17g}", f"{p[1]:.17g}",
+                                 f"{p[2]:.17g}", "1" if mask[i, j] else "0")))
+    return "\n".join(obj) + "\n", "\n".join(csv) + "\n"
 
 
-def test_thread_env_validation(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path / "c.json", family="bending-timelike")
-    monkeypatch.setenv("MAXSURF_THREADS", "zero")
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    monkeypatch.setenv("MAXSURF_THREADS", "0")
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize("family, a, lam, grid", [
+    ("lightlike-rotational", 0.0, None, Grid(-1.0, 1.0, 0.0, 1.0, 5, 3)),
+    ("helicoidal-timelike", 2.3, 0.4, Grid(-1.0, 2.0, -0.5, 0.25, 7, 4)),
+])
+def test_sample_bytes_match_the_per_element_writers(tmp_path, family, a, lam,
+                                                    grid):
+    cfg = write_config(tmp_path / "c.json", family=family, a=a,
+                       **{"lambda": lam},
+                       grid={"u_min": grid.u_min, "u_max": grid.u_max,
+                             "v_min": grid.v_min, "v_max": grid.v_max,
+                             "nu": grid.nu, "nv": grid.nv},
+                       formats=["obj", "csv"], out=str(tmp_path / "m"))
+    assert main(["sample", "--config", cfg]) == 0
+    surface = catalog.CatalogSurface(family, a=a, lam=lam or 0.0)
+    obj, csv = _reference_mesh_text(catalog.patch(surface), grid)
+    assert (tmp_path / "m.obj").read_bytes() == obj.encode()
+    assert (tmp_path / "m.csv").read_bytes() == csv.encode()
+    assert ("# nonspacelike" in obj) == (family == "lightlike-rotational")
 
 
 def test_verify_report_schema_and_status(tmp_path, capsys):
@@ -171,7 +208,7 @@ def test_injected_failure_returns_one(tmp_path, capsys):
     assert out.strip().endswith("FAILED")
 
 
-def test_config_error_paths(tmp_path, capsys):
+def test_config_error_paths(tmp_path, capsys, monkeypatch):
     bad_family = write_config(tmp_path / "a.json", family="moebius")
     assert main(["verify", "--config", bad_family]) == 2
     unknown_key = write_config(tmp_path / "b.json",
@@ -190,6 +227,20 @@ def test_config_error_paths(tmp_path, capsys):
     bad_lam = write_config(tmp_path / "f.json", family="helicoidal-timelike",
                            a=1.0)
     assert main(["verify", "--config", bad_lam, "--lambda", "3.0"]) == 2
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for args in (["sample", "--set", "out=5"],
+                 ["verify", "--set", "report=1"],
+                 ["verify", "--suite", "curvature",
+                  "--set", "curvature_grid=[1,1]"],
+                 ["verify", "--suite", "curvature",
+                  "--set", "curvature_grid=[400,255]"],
+                 ["sample", "--set", "fd_step=1e400"],
+                 ["verify", "--set", "tolerances.oracle=1e400"],
+                 ["verify", "--set", "a=NaN"],
+                 ["verify", "--set", "a=1" + "0" * 400]):
+        assert main(args + ["--family", "bending-spacelike"]) == 2, args
+        assert "config error" in capsys.readouterr().err
 
 
 def test_io_error_paths(tmp_path, capsys):
