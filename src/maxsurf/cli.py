@@ -656,6 +656,8 @@ def _parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as exc:  # e.g. an integer over Python's digit limit
+        raise ConfigError(f"override {path!r}: {exc}") from exc
     return path, value
 
 
@@ -676,13 +678,16 @@ def _load_raw_config(args) -> dict:
     if args.config is None:
         raw = {}
     else:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config} is not valid JSON: "
                                   f"line {exc.lineno}, column {exc.colno}: "
                                   f"{exc.msg}") from exc
+            except ValueError as exc:  # not UTF-8, or an over-long integer
+                raise ConfigError(f"{args.config} is not valid JSON: "
+                                  f"{exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config} must hold a JSON object")
     for text in args.overrides:

@@ -30,8 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from .lorentz import vec3
-
 CIRCLE_TIMELIKE = "circle-timelike"
 CIRCLE_SPACELIKE = "circle-spacelike"
 CIRCLE_LIGHTLIKE = "circle-lightlike"
@@ -195,131 +193,183 @@ class BjorlingData:
     spec: NormalFieldSpec | None = None
 
 
-def make_curve(family: CurveFamily) -> AnalyticMap:
-    """Analytic extension of the core curve, with its exact derivative."""
+def _sin_cos(z):
+    """(sin z, cos z), for complex z from four real ufunc passes:
+
+        sin(x + iy) = sin x cosh y + i cos x sinh y
+        cos(x + iy) = cos x cosh y - i sin x sinh y
+
+    numpy's complex sin and cos each cost several times a real pass and
+    share no work.  Real input goes straight to the real ufuncs, so it keeps
+    its exact values and dtype.
+    """
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        return np.sin(z), np.cos(z)
+    sx, cx = np.sin(z.real), np.cos(z.real)
+    shy, chy = np.sinh(z.imag), np.cosh(z.imag)
+    sin, cos = np.empty_like(z), np.empty_like(z)
+    np.multiply(sx, chy, out=sin.real)
+    np.multiply(cx, shy, out=sin.imag)
+    np.multiply(cx, chy, out=cos.real)
+    np.multiply(-sx, shy, out=cos.imag)
+    return sin, cos
+
+
+def _sinh_cosh(z):
+    """(sinh z, cosh z), for complex z from four real ufunc passes:
+
+        sinh(x + iy) = sinh x cos y + i cosh x sin y
+        cosh(x + iy) = cosh x cos y + i sinh x sin y
+
+    Real input goes straight to the real ufuncs, so it keeps its exact
+    values and dtype.
+    """
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        return np.sinh(z), np.cosh(z)
+    shx, chx = np.sinh(z.real), np.cosh(z.real)
+    sy, cy = np.sin(z.imag), np.cos(z.imag)
+    sinh, cosh = np.empty_like(z), np.empty_like(z)
+    np.multiply(shx, cy, out=sinh.real)
+    np.multiply(chx, sy, out=sinh.imag)
+    np.multiply(chx, cy, out=cosh.real)
+    np.multiply(shx, sy, out=cosh.imag)
+    return sinh, cosh
+
+
+def _vec(z, comps):
+    """Components (arrays shaped like z, or constants) as one (..., 3) array."""
+    out = np.empty(z.shape + (3,), np.result_type(z, *comps))
+    for k, comp in enumerate(comps):
+        out[..., k] = comp
+    return out
+
+
+@dataclass(frozen=True)
+class _Formulas:
+    """The formulas of one family.  `kernel` maps z to the pair (f, g) that
+    the others are written in; `alpha` and `deriv` map (z, f, g) to the
+    components of the curve and of its derivative, and `legs` to those of
+    the stored (normal, binormal) frame legs.  Constant components are
+    floats."""
+
+    kernel: Callable
+    alpha: Callable
+    deriv: Callable
+    legs: Callable
+
+
+def _formulas(family: CurveFamily) -> _Formulas:
     tag = family.tag
     if tag == CIRCLE_TIMELIKE:
-        return AnalyticMap(
-            lambda z: vec3(np.cos(z), np.sin(z), np.zeros_like(np.asarray(z))),
-            lambda z: vec3(-np.sin(z), np.cos(z), np.zeros_like(np.asarray(z))),
-        )
+        return _Formulas(_sin_cos,
+                         lambda z, s, c: (c, s, 0.0),
+                         lambda z, s, c: (-s, c, 0.0),
+                         lambda z, s, c: ((-c, -s, 0.0), (0.0, 0.0, 1.0)))
     if tag == CIRCLE_SPACELIKE:
-        return AnalyticMap(
-            lambda z: vec3(np.zeros_like(np.asarray(z)), np.sinh(z), np.cosh(z)),
-            lambda z: vec3(np.zeros_like(np.asarray(z)), np.cosh(z), np.sinh(z)),
-        )
+        return _Formulas(_sinh_cosh,
+                         lambda z, sh, ch: (0.0, sh, ch),
+                         lambda z, sh, ch: (0.0, ch, sh),
+                         lambda z, sh, ch: ((0.0, sh, ch), (1.0, 0.0, 0.0)))
     if tag == CIRCLE_LIGHTLIKE:
-        return AnalyticMap(
-            lambda z: vec3(np.asarray(z) ** 2 / 2 - 1.0, np.asarray(z), np.asarray(z) ** 2 / 2),
-            lambda z: vec3(np.asarray(z), np.ones_like(np.asarray(z)), np.asarray(z)),
-        )
-    lam = family.lam
+        return _Formulas(lambda z: (z, z**2),
+                         lambda z, _, z2: (z2 / 2 - 1.0, z, z2 / 2),
+                         lambda z, _, z2: (z, 1.0, z),
+                         lambda z, _, z2: ((0.5, 0.0, 0.5),
+                                           ((z2 - 1.0) / 2, z, (z2 + 1.0) / 2)))
+    lam, mu = family.lam, family.mu
+    k = lam / mu
     if tag == HELIX_TIMELIKE:
-        return AnalyticMap(
-            lambda z: vec3(np.cos(z), np.sin(z), lam * np.asarray(z)),
-            lambda z: vec3(-np.sin(z), np.cos(z), lam * np.ones_like(np.asarray(z))),
-        )
+        return _Formulas(_sin_cos,
+                         lambda z, s, c: (c, s, lam * z),
+                         lambda z, s, c: (-s, c, lam),
+                         lambda z, s, c: ((-c, -s, 0.0),
+                                          (k * s, -k * c, -1.0 / mu)))
     if tag == HELIX_SPACELIKE_I:
-        return AnalyticMap(
-            lambda z: vec3(lam * np.asarray(z), np.cosh(z), np.sinh(z)),
-            lambda z: vec3(lam * np.ones_like(np.asarray(z)), np.sinh(z), np.cosh(z)),
-        )
+        return _Formulas(_sinh_cosh,
+                         lambda z, sh, ch: (lam * z, ch, sh),
+                         lambda z, sh, ch: (lam, sh, ch),
+                         lambda z, sh, ch: ((0.0, ch, sh),
+                                            (-1.0 / mu, -k * sh, -k * ch)))
     # helix-spacelike-ii
-    return AnalyticMap(
-        lambda z: vec3(lam * np.asarray(z), np.sinh(z), np.cosh(z)),
-        lambda z: vec3(lam * np.ones_like(np.asarray(z)), np.cosh(z), np.sinh(z)),
-    )
+    return _Formulas(_sinh_cosh,
+                     lambda z, sh, ch: (lam * z, sh, ch),
+                     lambda z, sh, ch: (lam, ch, sh),
+                     lambda z, sh, ch: ((0.0, sh, ch),
+                                        (1.0 / mu, -k * ch, -k * sh)))
+
+
+def _null_to_orthonormal(n, b):
+    """Lightlike circle: its null legs n, b as e2 = n - b (spacelike, unit)
+    and e3 = n + b (timelike, unit), componentwise."""
+    return (tuple(nk - bk for nk, bk in zip(n, b)),
+            tuple(nk + bk for nk, bk in zip(n, b)))
+
+
+def _evaluator(kernel, formula):
+    """z -> (..., 3) array of the components formula(z, *kernel(z))."""
+    def evaluate(z):
+        z = np.asarray(z)
+        return _vec(z, formula(z, *kernel(z)))
+    return evaluate
+
+
+def make_curve(family: CurveFamily) -> AnalyticMap:
+    """Analytic extension of the core curve, with its exact derivative."""
+    form = _formulas(family)
+    return AnalyticMap(_evaluator(form.kernel, form.alpha),
+                       _evaluator(form.kernel, form.deriv))
 
 
 def make_frame(family: CurveFamily) -> FrameField:
     """Adapted frame evaluators (unit tangent; frame vectors as stored)."""
-    tag = family.tag
-    if tag == CIRCLE_TIMELIKE:
-        return FrameField(
-            tangent=lambda z: vec3(-np.sin(z), np.cos(z), np.zeros_like(np.asarray(z))),
-            normal=lambda z: vec3(-np.cos(z), -np.sin(z), np.zeros_like(np.asarray(z))),
-            binormal=lambda z: vec3(np.zeros_like(np.asarray(z)),
-                                    np.zeros_like(np.asarray(z)),
-                                    np.ones_like(np.asarray(z))),
-        )
-    if tag == CIRCLE_SPACELIKE:
-        return FrameField(
-            tangent=lambda z: vec3(np.zeros_like(np.asarray(z)), np.cosh(z), np.sinh(z)),
-            normal=lambda z: vec3(np.zeros_like(np.asarray(z)), np.sinh(z), np.cosh(z)),
-            binormal=lambda z: vec3(np.ones_like(np.asarray(z)),
-                                    np.zeros_like(np.asarray(z)),
-                                    np.zeros_like(np.asarray(z))),
-        )
-    if tag == CIRCLE_LIGHTLIKE:
-        def n_null(z):
-            z = np.asarray(z)
-            half = 0.5 * np.ones_like(z)
-            return vec3(half, np.zeros_like(z), half)
+    form = _formulas(family)
+    deriv = _evaluator(form.kernel, form.deriv)
+    speed = family.mu or 1.0  # circles have unit speed
 
-        def b_null(z):
-            z = np.asarray(z)
-            return vec3((z**2 - 1.0) / 2, z, (z**2 + 1.0) / 2)
+    def leg(pick):
+        return _evaluator(form.kernel, lambda *args: pick(form.legs(*args)))
 
-        return FrameField(
-            tangent=lambda z: vec3(np.asarray(z), np.ones_like(np.asarray(z)), np.asarray(z)),
-            normal=n_null,
-            binormal=b_null,
-            e2=lambda z: n_null(z) - b_null(z),
-            e3=lambda z: n_null(z) + b_null(z),
-        )
-    lam, mu = family.lam, family.mu
-    if tag == HELIX_TIMELIKE:
-        return FrameField(
-            tangent=lambda z: vec3(-np.sin(z) / mu, np.cos(z) / mu,
-                                   (lam / mu) * np.ones_like(np.asarray(z))),
-            normal=lambda z: vec3(-np.cos(z), -np.sin(z), np.zeros_like(np.asarray(z))),
-            binormal=lambda z: vec3((lam / mu) * np.sin(z), -(lam / mu) * np.cos(z),
-                                    (-1.0 / mu) * np.ones_like(np.asarray(z))),
-        )
-    if tag == HELIX_SPACELIKE_I:
-        return FrameField(
-            tangent=lambda z: vec3((lam / mu) * np.ones_like(np.asarray(z)),
-                                   np.sinh(z) / mu, np.cosh(z) / mu),
-            normal=lambda z: vec3(np.zeros_like(np.asarray(z)), np.cosh(z), np.sinh(z)),
-            binormal=lambda z: vec3((-1.0 / mu) * np.ones_like(np.asarray(z)),
-                                    -(lam / mu) * np.sinh(z), -(lam / mu) * np.cosh(z)),
-        )
-    # helix-spacelike-ii
-    return FrameField(
-        tangent=lambda z: vec3((lam / mu) * np.ones_like(np.asarray(z)),
-                               np.cosh(z) / mu, np.sinh(z) / mu),
-        normal=lambda z: vec3(np.zeros_like(np.asarray(z)), np.sinh(z), np.cosh(z)),
-        binormal=lambda z: vec3((1.0 / mu) * np.ones_like(np.asarray(z)),
-                                -(lam / mu) * np.cosh(z), -(lam / mu) * np.sinh(z)),
-    )
+    def tangent(z):
+        return deriv(z) / speed
+
+    e2 = e3 = None
+    if family.tag == CIRCLE_LIGHTLIKE:
+        e2 = leg(lambda nb: _null_to_orthonormal(*nb)[0])
+        e3 = leg(lambda nb: _null_to_orthonormal(*nb)[1])
+    return FrameField(tangent, leg(lambda nb: nb[0]), leg(lambda nb: nb[1]),
+                      e2, e3)
 
 
 # Which frame leg is spacelike vs timelike decides where sinh(phi) and
-# cosh(phi) attach; <V, V> = -1 requires cosh on the timelike leg.
-_SINH_ON_NORMAL = {CIRCLE_TIMELIKE, HELIX_TIMELIKE, HELIX_SPACELIKE_I}
+# cosh(phi) attach; <V, V> = -1 requires cosh on the timelike leg.  These
+# families carry cosh on the normal; the others, and the lightlike circle
+# on (e2, e3), carry sinh there.
 _COSH_ON_NORMAL = {CIRCLE_SPACELIKE, HELIX_SPACELIKE_II}
 
 
 def make_normal_field(family: CurveFamily, spec: NormalFieldSpec) -> AnalyticMap:
     """Unit timelike analytic field V with <V, alpha'> = 0 and <V, V> = -1."""
-    frame = make_frame(family)
-    if family.tag == CIRCLE_LIGHTLIKE:
-        if spec.kind != "constant":
-            raise ValueError(
-                "the lightlike circle supports a constant twist only; "
-                "a parameter-dependent angle does not combine with its null frame "
-                "into an integrable normal field")
-        sh, ch = np.sinh(spec.a), np.cosh(spec.a)
-        return AnalyticMap(lambda z: sh * frame.e2(z) + ch * frame.e3(z))
-    if family.tag in _SINH_ON_NORMAL:
-        def field(z):
-            p = spec.phi(z)
-            return np.sinh(p)[..., None] * frame.normal(z) + np.cosh(p)[..., None] * frame.binormal(z)
-    else:
-        assert family.tag in _COSH_ON_NORMAL
-        def field(z):
-            p = spec.phi(z)
-            return np.cosh(p)[..., None] * frame.normal(z) + np.sinh(p)[..., None] * frame.binormal(z)
+    form = _formulas(family)
+    null = family.tag == CIRCLE_LIGHTLIKE
+    if null and spec.kind != "constant":
+        raise ValueError(
+            "the lightlike circle supports a constant twist only; "
+            "a parameter-dependent angle does not combine with its null frame "
+            "into an integrable normal field")
+    constant = _sinh_cosh(spec.a) if spec.kind == "constant" else None
+    sinh_on_normal = family.tag not in _COSH_ON_NORMAL
+
+    def field(z):
+        z = np.asarray(z)
+        n, b = form.legs(z, *form.kernel(z))
+        if null:
+            n, b = _null_to_orthonormal(n, b)
+        sh, ch = constant if constant is not None else _sinh_cosh(spec.phi(z))
+        p, q = (sh, ch) if sinh_on_normal else (ch, sh)
+        return _vec(z, tuple(p * nk + q * bk for nk, bk in zip(n, b)))
+
     return AnalyticMap(field)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from maxsurf import catalog, frames
+from maxsurf import bjorling, catalog, frames
 from maxsurf.bjorling import (GaussLegendre, QuadratureError, SurfacePatch,
                               reference_normal, segment_integral,
                               solve_bjorling)
@@ -60,6 +60,29 @@ def test_near_axis_points_get_the_plain_rule_bit_for_bit():
         vals = lorentz_cross(data.normal_field(pts), data.alpha.d(pts))
         plain = span[..., None] * np.einsum("k,...kj->...j", 0.5 * w, vals)
         assert np.array_equal(segment_integral(data, z), plain)
+
+
+def test_pass_size_does_not_change_the_solve(monkeypatch):
+    # every value is computed pointwise, so the split into passes changes no
+    # bit: 40x40 points of six families take several passes of the default
+    # size, and far points of e^z, redone on 2 to 16 panels, are split
+    # differently in those rounds too
+    U, V = np.meshgrid(np.linspace(-1, 1, 40), np.linspace(-3, 3, 40),
+                       indexing="ij")
+    surfaces = (catalog.bending_timelike(1.3),
+                catalog.bending_spacelike(0.7),
+                catalog.lightlike_rotational(0.5),
+                catalog.helicoidal_timelike(1.2, 0.6),
+                catalog.helicoidal_spacelike_i(0.8, 2.0),
+                catalog.helicoidal_spacelike_ii(1.4, 1.0))
+    cases = [(catalog.bjorling_data_for(s), U + 1j * V) for s in surfaces]
+    far = np.linspace(-1, 1, 20)[:, None] + 1j * np.linspace(50, 300, 20)
+    cases.append((_exp_data(), far))
+    assert U.size * 64 > bjorling._PASS_POINTS
+    default = [segment_integral(data, z) for data, z in cases]
+    monkeypatch.setattr(bjorling, "_PASS_POINTS", 1 << 16)
+    for (data, z), got in zip(cases, default):
+        assert np.array_equal(segment_integral(data, z), got)
 
 
 def _counting_normal(counts, nan_where=None):

@@ -227,6 +227,16 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     bad_lam = write_config(tmp_path / "f.json", family="helicoidal-timelike",
                            a=1.0)
     assert main(["verify", "--config", bad_lam, "--lambda", "3.0"]) == 2
+    huge_int = tmp_path / "g.json"
+    huge_int.write_text('{"family": "bending-timelike", "a": 1'
+                        + "0" * 5000 + "}")
+    not_utf8 = tmp_path / "h.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    for path in (huge_int, not_utf8):
+        assert main(["verify", "--config", str(path)]) == 2, path
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     for args in (["sample", "--set", "out=5"],
@@ -238,7 +248,8 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                  ["sample", "--set", "fd_step=1e400"],
                  ["verify", "--set", "tolerances.oracle=1e400"],
                  ["verify", "--set", "a=NaN"],
-                 ["verify", "--set", "a=1" + "0" * 400]):
+                 ["verify", "--set", "a=1" + "0" * 400],
+                 ["verify", "--set", "a=1" + "0" * 5000]):
         assert main(args + ["--family", "bending-spacelike"]) == 2, args
         assert "config error" in capsys.readouterr().err
 

@@ -17,6 +17,29 @@ ORTHONORMAL_FAMILIES = [
 ]
 
 
+@pytest.mark.parametrize("kernel,refs", [
+    (frames._sin_cos, (np.sin, np.cos)),
+    (frames._sinh_cosh, (np.sinh, np.cosh)),
+], ids=["sin-cos", "sinh-cosh"])
+def test_trig_kernels_match_numpy(kernel, refs):
+    # complex input: within 4 eps of numpy's complex ufuncs, relative to
+    # max(1, |f|), out to |Re z| = 700 and |Im z| = 300 (no overflow there)
+    small = np.linspace(-3.0, 3.0, 31)
+    x = np.concatenate([np.linspace(-700.0, 700.0, 141), small])
+    y = np.concatenate([np.linspace(-300.0, 300.0, 61), small])
+    z = x[:, None] + 1j * y[None, :]
+    eps = np.finfo(float).eps
+    for got, ref in zip(kernel(z), refs):
+        want = ref(z)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * eps * np.maximum(1.0, np.abs(want)))
+    # real input goes straight to the real ufuncs
+    for real in (x, small.astype(np.float32), np.float64(0.3)):
+        for got, ref in zip(kernel(real), refs):
+            want = ref(real)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("family", ORTHONORMAL_FAMILIES,
                          ids=lambda f: f.tag)
 def test_frame_is_lorentz_orthonormal(family):
