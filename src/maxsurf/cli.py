@@ -369,13 +369,6 @@ def cmd_sample(cfg: JobConfig) -> int:
     return 0
 
 
-def _sample_ring(n: int = 100):
-    # Sample points for the form identities: a ring staying clear of both
-    # the real axis zeros of omega and the punctured-chart origin.
-    k = np.arange(n)
-    return 0.8 * np.exp(2j * np.pi * k / n) + 0.07j
-
-
 def _expected_real_periods(surface) -> dict:
     n = round(surface.a)
     if n != 1:
@@ -488,7 +481,7 @@ def _verify_checks(cfg: JobConfig, surface, patch, grid):
 
     if suite == "all" and fam in _FORM_FAMILIES:
         triple = weierstrass.forms_for(surface)
-        zs = _sample_ring()
+        zs = weierstrass.probe_ring(100)
         checks.append(_check("null-condition",
                              float(np.max(triple.null_residual(zs))),
                              tols["null_condition"], "ring |z-0.07i|=0.8"))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bjorling import QuadratureError, _gauss_legendre
+from .bjorling import _PASS_POINTS, QuadratureError, _gauss_legendre
 from .catalog import (BENDING_SPACELIKE, BENDING_TIMELIKE, CatalogSurface,
                       HELICOIDAL_SPACELIKE_I, HELICOIDAL_SPACELIKE_II,
                       HELICOIDAL_TIMELIKE, LIGHTLIKE_ROTATIONAL)
@@ -117,18 +117,23 @@ def _forms_bending_spacelike_exp(a):
 
 
 def _forms_bending_spacelike_punctured(a):
+    # Every power of z comes from z^a and z^2: on the principal branch all
+    # of them share Log z, so z^(2a) = z^a z^a, z^(a+2) = z^a z^2 and so on.
     def p1(z):
-        return -1j * (cpow(z, 2 * a) + 1.0) / (2.0 * cpow(z, a + 1))
+        za = cpow(z, a)
+        return -1j * (za * za + 1.0) / (2.0 * (za * z))
 
     def p2(z):
-        return (-1j * cpow(z, 2 * a + 2) + 1j * cpow(z, 2 * a)
-                + 2.0 * cpow(z, a + 2) + 2.0 * cpow(z, a)
-                + 1j * z * z - 1j) / (4.0 * cpow(z, a + 2))
+        za, z2 = cpow(z, a), z * z
+        return (-1j * (za * za * z2) + 1j * (za * za)
+                + 2.0 * (za * z2) + 2.0 * za
+                + 1j * z2 - 1j) / (4.0 * (za * z2))
 
     def p3(z):
-        return (-1j * cpow(z, 2 * a + 2) - 1j * cpow(z, 2 * a)
-                + 2.0 * cpow(z, a + 2) - 2.0 * cpow(z, a)
-                + 1j * z * z + 1j) / (4.0 * cpow(z, a + 2))
+        za, z2 = cpow(z, a), z * z
+        return (-1j * (za * za * z2) - 1j * (za * za)
+                + 2.0 * (za * z2) - 2.0 * za
+                + 1j * z2 + 1j) / (4.0 * (za * z2))
 
     return p1, p2, p3
 
@@ -180,20 +185,20 @@ def _forms_helicoidal_spacelike_i_exp(a, lam, mu):
 
 def _forms_helicoidal_spacelike_i_punctured(a, lam, mu):
     def p1(z):
-        return (1j * cpow(z, 2 * a) + 2.0 * lam * cpow(z, a) - 1j) \
-            / (2.0 * cpow(z, a + 1))
+        za = cpow(z, a)
+        return (1j * (za * za) + 2.0 * lam * za - 1j) / (2.0 * (za * z))
 
     def p2(z):
-        return (1j * (lam - mu) * (cpow(z, 2 * a + 2) + 1.0)
-                - 1j * (lam + mu) * (cpow(z, 2 * a) + z * z)
-                + 2.0 * cpow(z, a + 2) - 2.0 * cpow(z, a)) \
-            / (4.0 * cpow(z, a + 2))
+        za, z2 = cpow(z, a), z * z
+        return (1j * (lam - mu) * (za * za * z2 + 1.0)
+                - 1j * (lam + mu) * (za * za + z2)
+                + 2.0 * (za * z2) - 2.0 * za) / (4.0 * (za * z2))
 
     def p3(z):
-        return (1j * (lam - mu) * (cpow(z, 2 * a + 2) - 1.0)
-                + 1j * (lam + mu) * (cpow(z, 2 * a) - z * z)
-                + 2.0 * cpow(z, a + 2) + 2.0 * cpow(z, a)) \
-            / (4.0 * cpow(z, a + 2))
+        za, z2 = cpow(z, a), z * z
+        return (1j * (lam - mu) * (za * za * z2 - 1.0)
+                + 1j * (lam + mu) * (za * za - z2)
+                + 2.0 * (za * z2) + 2.0 * za) / (4.0 * (za * z2))
 
     return p1, p2, p3
 
@@ -215,20 +220,20 @@ def _forms_helicoidal_spacelike_ii_exp(a, lam, mu):
 
 def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu):
     def p1(z):
-        return (-1j * cpow(z, 2 * a) + 2.0 * lam * cpow(z, a) - 1j) \
-            / (2.0 * cpow(z, a + 1))
+        za = cpow(z, a)
+        return (-1j * (za * za) + 2.0 * lam * za - 1j) / (2.0 * (za * z))
 
     def p2(z):
-        return (1j * (lam - mu) * (cpow(z, 2 * a + 2) + 1.0)
-                + 1j * (lam + mu) * (cpow(z, 2 * a) + z * z)
-                + 2.0 * cpow(z, a + 2) + 2.0 * cpow(z, a)) \
-            / (4.0 * cpow(z, a + 2))
+        za, z2 = cpow(z, a), z * z
+        return (1j * (lam - mu) * (za * za * z2 + 1.0)
+                + 1j * (lam + mu) * (za * za + z2)
+                + 2.0 * (za * z2) + 2.0 * za) / (4.0 * (za * z2))
 
     def p3(z):
-        return (1j * (lam - mu) * (cpow(z, 2 * a + 2) - 1.0)
-                - 1j * (lam + mu) * (cpow(z, 2 * a) - z * z)
-                + 2.0 * cpow(z, a + 2) - 2.0 * cpow(z, a)) \
-            / (4.0 * cpow(z, a + 2))
+        za, z2 = cpow(z, a), z * z
+        return (1j * (lam - mu) * (za * za * z2 - 1.0)
+                - 1j * (lam + mu) * (za * za - z2)
+                + 2.0 * (za * z2) - 2.0 * za) / (4.0 * (za * z2))
 
     return p1, p2, p3
 
@@ -274,8 +279,14 @@ def forms_for(surface: CatalogSurface, chart: str = EXP_CHART) -> FormTriple:
     return FormTriple(comps, chart=EXP_CHART, label=f"forms:{fam}:exp")
 
 
-# Fixed probe ring used to detect an identically vanishing omega.
-_PROBE = tuple(0.8 * np.exp(2j * np.pi * k / 7.0) + 0.07j for k in range(7))
+def probe_ring(n: int):
+    """n equally spaced points on the circle |z - 0.07i| = 0.8.
+
+    The ring stays clear of the real-axis zeros of omega and of the
+    punctured-chart origin; form identities are sampled on it.
+    """
+    k = np.arange(n)
+    return 0.8 * np.exp(2j * np.pi * k / n) + 0.07j
 
 
 def weierstrass_pair(triple: FormTriple) -> WeierstrassData:
@@ -290,8 +301,7 @@ def weierstrass_pair(triple: FormTriple) -> WeierstrassData:
     def f(z):
         return p1(z) - 1j * p2(z)
 
-    probe = np.array([f(z) for z in _PROBE])
-    if np.max(np.abs(probe)) < 1e-13:
+    if np.max(np.abs(f(probe_ring(7)))) < 1e-13:
         raise ValueError("omega vanishes identically; the pair is undefined")
 
     def g(z):
@@ -431,22 +441,19 @@ def _spherical_density(w: WeierstrassData, z):
 
     Where |g| > 1 the same density is computed from 1/g, which is analytic
     across the poles of g, keeping the finite differences well conditioned.
+    One stencil serves both: each Richardson point evaluates g once and
+    takes the reciprocal only where |g(z)| > 1.
     """
     gz = np.asarray(w.g(z))
-    dens = np.empty(gz.shape, dtype=float)
     big = np.abs(gz) > 1.0
-    small = ~big
-    if np.any(small):
-        d = complex_derivative(w.g, z[small])
-        dens[small] = np.abs(d) ** 2 / (1.0 + np.abs(gz[small]) ** 2) ** 2
-    if np.any(big):
-        def inv(zz):
-            return 1.0 / w.g(zz)
 
-        d = complex_derivative(inv, z[big])
-        hz = 1.0 / gz[big]
-        dens[big] = np.abs(d) ** 2 / (1.0 + np.abs(hz) ** 2) ** 2
-    return dens
+    def g_or_inv(gv):
+        # g where |g(z)| <= 1 and 1/g where |g(z)| > 1, at z or a stencil
+        # point around it
+        return np.divide(1.0, gv, out=np.array(gv, dtype=complex), where=big)
+
+    d = complex_derivative(lambda zz: g_or_inv(w.g(zz)), z)
+    return np.abs(d) ** 2 / (1.0 + np.abs(g_or_inv(gz)) ** 2) ** 2
 
 
 def check_curvature_domain(annulus, grid):
@@ -467,14 +474,23 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256),
     trapezoid grid; the value is checked against its own half-resolution
     restriction and must agree to rel_tol.  For a meromorphic g of degree d
     the value tends to -4 pi d as the annulus exhausts the plane.
+
+    The density is evaluated in blocks of whole grid rows, at most
+    _PASS_POINTS points each (one row when a row holds more), so that the
+    stencil's arrays stay in cache.
+    Each point's density depends on that point alone and the sums run over
+    the assembled grid, so the block size changes no bit of the result.
     """
     check_curvature_domain(annulus, grid)
     r_in, r_out = annulus
     nr, nth = grid
     s = np.linspace(np.log(r_in), np.log(r_out), nr + 1)
     th = 2.0 * np.pi * np.arange(nth) / nth
-    z = np.exp(s[:, None] + 1j * th[None, :])
-    dens = _spherical_density(w, z)
+    dens = np.empty((nr + 1, nth))
+    rows = max(1, _PASS_POINTS // nth)
+    for i in range(0, nr + 1, rows):
+        z = np.exp(s[i:i + rows, None] + 1j * th[None, :])
+        dens[i:i + rows] = _spherical_density(w, z)
     radial = dens * np.exp(2.0 * s)[:, None]
 
     def trapezoid(block, ds, dth):

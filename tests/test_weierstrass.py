@@ -262,6 +262,68 @@ def test_complex_derivative_matches_analytic_dual_gauss_map():
     assert np.max(np.abs(fd - exact)) < 1e-8
 
 
+# The punctured-chart forms as printed, one cpow call per power of z; the
+# implementation builds every power from z^a and z^2 instead.
+def _bending_spacelike_direct(z, a, lam, mu):
+    cp = W.cpow
+    return (-1j * (cp(z, 2 * a) + 1.0) / (2.0 * cp(z, a + 1)),
+            (-1j * cp(z, 2 * a + 2) + 1j * cp(z, 2 * a)
+             + 2.0 * cp(z, a + 2) + 2.0 * cp(z, a)
+             + 1j * z * z - 1j) / (4.0 * cp(z, a + 2)),
+            (-1j * cp(z, 2 * a + 2) - 1j * cp(z, 2 * a)
+             + 2.0 * cp(z, a + 2) - 2.0 * cp(z, a)
+             + 1j * z * z + 1j) / (4.0 * cp(z, a + 2)))
+
+
+def _helicoidal_spacelike_i_direct(z, a, lam, mu):
+    cp = W.cpow
+    return ((1j * cp(z, 2 * a) + 2.0 * lam * cp(z, a) - 1j)
+            / (2.0 * cp(z, a + 1)),
+            (1j * (lam - mu) * (cp(z, 2 * a + 2) + 1.0)
+             - 1j * (lam + mu) * (cp(z, 2 * a) + z * z)
+             + 2.0 * cp(z, a + 2) - 2.0 * cp(z, a)) / (4.0 * cp(z, a + 2)),
+            (1j * (lam - mu) * (cp(z, 2 * a + 2) - 1.0)
+             + 1j * (lam + mu) * (cp(z, 2 * a) - z * z)
+             + 2.0 * cp(z, a + 2) + 2.0 * cp(z, a)) / (4.0 * cp(z, a + 2)))
+
+
+def _helicoidal_spacelike_ii_direct(z, a, lam, mu):
+    cp = W.cpow
+    return ((-1j * cp(z, 2 * a) + 2.0 * lam * cp(z, a) - 1j)
+            / (2.0 * cp(z, a + 1)),
+            (1j * (lam - mu) * (cp(z, 2 * a + 2) + 1.0)
+             + 1j * (lam + mu) * (cp(z, 2 * a) + z * z)
+             + 2.0 * cp(z, a + 2) + 2.0 * cp(z, a)) / (4.0 * cp(z, a + 2)),
+            (1j * (lam - mu) * (cp(z, 2 * a + 2) - 1.0)
+             - 1j * (lam + mu) * (cp(z, 2 * a) - z * z)
+             + 2.0 * cp(z, a + 2) - 2.0 * cp(z, a)) / (4.0 * cp(z, a + 2)))
+
+
+_PUNCTURED_DIRECT = [
+    (lambda a: catalog.bending_spacelike(a), _bending_spacelike_direct),
+    (lambda a: catalog.helicoidal_spacelike_i(a, 2.0),
+     _helicoidal_spacelike_i_direct),
+    (lambda a: catalog.helicoidal_spacelike_ii(a, 1.0),
+     _helicoidal_spacelike_ii_direct),
+]
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 4.0, 1.5, 2.3])
+@pytest.mark.parametrize("make,direct", _PUNCTURED_DIRECT,
+                         ids=["bending-spacelike", "helicoidal-spacelike-i",
+                              "helicoidal-spacelike-ii"])
+def test_punctured_forms_match_the_direct_power_formulas(make, direct, a):
+    # a ring around -0.6 crosses the negative real axis, the branch cut of
+    # z^a for non-integer a, at -1.1 and -0.1
+    z = -0.6 + 0.5 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    surface = make(a)
+    mu = surface.mu if surface.family != catalog.BENDING_SPACELIKE else 0.0
+    triple = W.forms_for(surface, W.PUNCTURED_CHART)
+    for comp, ref in zip(triple.components, direct(z, a, surface.lam, mu)):
+        assert np.all(np.abs(comp(z) - ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
 # --- the hyperboloid and sphere valued normal maps ---------------------------
 
 def test_gauss_map_lies_on_the_unit_hyperboloid():
@@ -375,6 +437,68 @@ def test_total_curvature_validates_annulus_and_grid():
         W.total_curvature(wd, (1.0, 0.5))
     with pytest.raises(ValueError):
         W.total_curvature(wd, (1e-3, 1e3), grid=(7, 16))
+
+
+def _gathered_spherical_density(w, z):
+    # Reference: g and 1/g differentiated on separate gathers of the points
+    # where |g| <= 1 and |g| > 1, the whole grid in one pass.
+    gz = np.asarray(w.g(z))
+    dens = np.empty(gz.shape, dtype=float)
+    big = np.abs(gz) > 1.0
+    small = ~big
+    if np.any(small):
+        d = W.complex_derivative(w.g, z[small])
+        dens[small] = np.abs(d) ** 2 / (1.0 + np.abs(gz[small]) ** 2) ** 2
+    if np.any(big):
+        def inv(zz):
+            return 1.0 / w.g(zz)
+
+        d = W.complex_derivative(inv, z[big])
+        hz = 1.0 / gz[big]
+        dens[big] = np.abs(d) ** 2 / (1.0 + np.abs(hz) ** 2) ** 2
+    return dens
+
+
+def _dual_pair(surface, chart):
+    return W.weierstrass_pair(W.dualize(W.forms_for(surface, chart)))
+
+
+def _degree_one_model(z0, label):
+    return W.WeierstrassData(g=lambda z: z - z0,
+                             f=lambda z: np.ones_like(np.asarray(z, complex)),
+                             chart=W.PUNCTURED_CHART, signature=W.EUCLID,
+                             singularities=(), label=label)
+
+
+_DEFAULT_S = np.linspace(np.log(1e-3), np.log(1e3), 401)
+
+_DENSITY_PAIRS = [
+    _dual_pair(catalog.lightlike_rotational(1.0), W.EXP_CHART),
+    _dual_pair(catalog.lightlike_rotational(2.0), W.EXP_CHART),
+    _dual_pair(catalog.bending_spacelike(2.0), W.PUNCTURED_CHART),
+    _degree_one_model(0.0, "model"),
+    # g vanishes exactly at one grid node, where 1/g must not be taken
+    _degree_one_model(np.exp(_DEFAULT_S[200] + 0j), "model:zero-on-grid"),
+]
+
+
+@pytest.mark.parametrize("w", _DENSITY_PAIRS, ids=lambda w: w.label)
+def test_blocked_density_is_bit_identical_to_the_gathered_one(w, monkeypatch):
+    # the default grid: 401 x 256 points, so 16 384-point blocks of 64 rows
+    # end in a block of 17
+    th = 2.0 * np.pi * np.arange(256) / 256
+    z = np.exp(_DEFAULT_S[:, None] + 1j * th[None, :])
+    rows = W._PASS_POINTS // 256
+    blocked = np.concatenate([W._spherical_density(w, z[i:i + rows])
+                              for i in range(0, 401, rows)])
+    assert np.array_equal(blocked, _gathered_spherical_density(w, z))
+
+    value = W.total_curvature(w, (1e-3, 1e3))
+    for points in (1 << 10, 1 << 20):
+        monkeypatch.setattr(W, "_PASS_POINTS", points)
+        assert W.total_curvature(w, (1e-3, 1e3)) == value
+    monkeypatch.setattr(W, "_spherical_density", _gathered_spherical_density)
+    assert W.total_curvature(w, (1e-3, 1e3)) == value
 
 
 # --- integration of forms ----------------------------------------------------
