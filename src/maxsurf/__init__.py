@@ -28,8 +28,7 @@ from .motions import (MotionGroup, isometry_defect, rotation_lightlike_axis,
                       screw_timelike_axis)
 from .verify import (CheckResult, FundamentalForms, Grid, VerificationReport,
                      bjorling_recovery, conformality_residual, equivariance,
-                     fundamental_forms, mean_curvature_residual,
-                     mean_curvature_scan, spacelike_region)
+                     fundamental_forms, mean_curvature_scan, spacelike_region)
 from .weierstrass import (FormTriple, Loop, WeierstrassData, dualize,
                           forms_for, gauss_map, integrate_forms, period,
                           reconstruct_forms, total_curvature,
@@ -56,7 +55,7 @@ __all__ = [
     "isometry_defect", "lightlike_rotational", "linear_twist",
     "lorentz_cross", "lorentz_dot", "lorentz_norm", "make_bjorling_data",
     "make_curve", "make_frame", "make_normal_field",
-    "mean_curvature_residual", "mean_curvature_scan", "patch", "period",
+    "mean_curvature_scan", "patch", "period",
     "reconstruct_forms", "reference_normal", "rotation_lightlike_axis",
     "rotation_spacelike_axis", "rotation_timelike_axis",
     "screw_timelike_axis", "segment_integral", "solve_bjorling",

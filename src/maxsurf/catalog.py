@@ -26,10 +26,11 @@ branch, which coincides with the separately printed a = 1 parametrizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import frames
+from . import frames, motions
 from .bjorling import SurfacePatch
 from .lorentz import vec3
 
@@ -47,34 +48,52 @@ ENNEPER_SECOND_KIND = "enneper-second-kind"
 # Half-width of the removable-singularity window around a = 1.
 UNIT_TWIST_WINDOW = 1e-6
 
-# family -> (needs a, needs lam, lam range description)
-FAMILY_INFO = {
-    BENDING_TIMELIKE: dict(params=("a",), a="a > 0"),
-    BENDING_SPACELIKE: dict(params=("a",), a="a > 0"),
-    LIGHTLIKE_ROTATIONAL: dict(params=("a",), a="a >= 0"),
-    HELICOIDAL_TIMELIKE: dict(params=("a", "lam"), a="a > 0", lam="0 < lam < 1"),
-    HELICOIDAL_SPACELIKE_I: dict(params=("a", "lam"), a="a > 0", lam="lam > 1"),
-    HELICOIDAL_SPACELIKE_II: dict(params=("a", "lam"), a="a > 0", lam="lam > 0"),
-    ELLIPTIC_CATENOID: dict(params=("a",), a="a >= 0"),
-    HYPERBOLIC_CATENOID: dict(params=("a",), a="a >= 0"),
-    HELICOIDAL_TIMELIKE_CONSTANT: dict(params=("a", "lam"), a="a >= 0", lam="0 < lam < 1"),
-    ENNEPER_SECOND_KIND: dict(params=("cubic", "offset"), cubic="cubic > 0"),
-}
 
-# Strips on which each surface stays regular for the default parameters;
-# advisory metadata for patches and CLI grids.
-DEFAULT_DOMAINS = {
-    BENDING_TIMELIKE: (-np.pi, np.pi, -0.35, 0.35),
-    BENDING_SPACELIKE: (-1.2, 1.2, -0.4, 0.4),
-    LIGHTLIKE_ROTATIONAL: (-1.0, 1.0, -0.9, 0.9),
-    HELICOIDAL_TIMELIKE: (-np.pi, np.pi, -0.35, 0.35),
-    HELICOIDAL_SPACELIKE_I: (-1.2, 1.2, -0.4, 0.4),
-    HELICOIDAL_SPACELIKE_II: (-1.2, 1.2, -0.4, 0.4),
-    ELLIPTIC_CATENOID: (-np.pi, np.pi, -0.5, 0.5),
-    HYPERBOLIC_CATENOID: (-1.0, 1.0, -0.5, 0.5),
-    HELICOIDAL_TIMELIKE_CONSTANT: (-np.pi, np.pi, -0.6, 0.6),
-    ENNEPER_SECOND_KIND: (-1.0, 1.0, -1.0, -0.1),
-}
+@dataclass(frozen=True)
+class Param:
+    """A CatalogSurface field that a family reads: its range as text and as
+    a test, and the value `maxsurf` uses when none is given."""
+
+    name: str
+    text: str = "real"
+    test: Callable[[float], bool] = lambda value: True
+    default: float | None = None
+
+    def check(self, family: str, value):
+        if not self.test(value):
+            raise ValueError(f"{family} needs {self.text}, got {value}")
+
+
+@dataclass(frozen=True)
+class Family:
+    """The geometry facts of one family.
+
+    curve and twist name its Björling data, a frames curve tag and a
+    normal-field kind (None for the orbit surface).  group maps a surface
+    to the motion group that acts on it by a shift in u.  orbit_of is the
+    lightlike twist an orbit surface can be derived from.
+    """
+
+    params: tuple
+    domain: tuple
+    evaluate: Callable
+    curve: str | None = None
+    twist: str | None = None
+    group: Callable | None = None
+    orbit_of: Param | None = None
+    verify_domain: tuple | None = None  # None: the domain
+
+
+def _bjorling(curve, twist, domain, evaluate, lam=None, group=None):
+    """A family of Björling surfaces, with lam the default helix pitch."""
+    params = (Param("a", *frames.TWIST_RANGES[twist], 1.0),)
+    if lam is not None:
+        params += (Param("lam", *frames.PITCH_RANGES[curve], lam),)
+    return Family(params, domain, evaluate, curve, twist, group,
+                  verify_domain=(-1.0, 1.0, -1.0, 1.0))
+
+
+_CUBIC = Param("cubic", "cubic > 0", lambda cubic: cubic > 0)
 
 
 @dataclass(frozen=True)
@@ -90,36 +109,16 @@ class CatalogSurface:
     def __post_init__(self):
         if self.family not in FAMILY_INFO:
             raise ValueError(f"unknown catalog family {self.family!r}")
-        f = self.family
-        if f in (BENDING_TIMELIKE, BENDING_SPACELIKE, HELICOIDAL_TIMELIKE,
-                 HELICOIDAL_SPACELIKE_I, HELICOIDAL_SPACELIKE_II):
-            if not self.a > 0:
-                raise ValueError(f"{f} needs a > 0, got {self.a}")
-        elif f != ENNEPER_SECOND_KIND:
-            if not self.a >= 0:
-                raise ValueError(f"{f} needs a >= 0, got {self.a}")
-        if f in (HELICOIDAL_TIMELIKE, HELICOIDAL_TIMELIKE_CONSTANT):
-            if not 0.0 < self.lam < 1.0:
-                raise ValueError(f"{f} needs 0 < lam < 1, got {self.lam}")
-        elif f == HELICOIDAL_SPACELIKE_I:
-            if not self.lam > 1.0:
-                raise ValueError(f"{f} needs lam > 1, got {self.lam}")
-        elif f == HELICOIDAL_SPACELIKE_II:
-            if not self.lam > 0.0:
-                raise ValueError(f"{f} needs lam > 0, got {self.lam}")
-        if f == ENNEPER_SECOND_KIND and not self.cubic > 0:
-            raise ValueError(f"{f} needs cubic > 0, got {self.cubic}")
+        for p in FAMILY_INFO[self.family].params:
+            p.check(self.family, getattr(self, p.name))
 
     @property
     def mu(self) -> float:
         """Helix speed for the helicoidal families."""
-        if self.family in (HELICOIDAL_TIMELIKE, HELICOIDAL_TIMELIKE_CONSTANT):
-            return float(np.sqrt(1.0 - self.lam**2))
-        if self.family == HELICOIDAL_SPACELIKE_I:
-            return float(np.sqrt(self.lam**2 - 1.0))
-        if self.family == HELICOIDAL_SPACELIKE_II:
-            return float(np.sqrt(self.lam**2 + 1.0))
-        raise ValueError(f"{self.family} has no helix speed")
+        tag = FAMILY_INFO[self.family].curve
+        if tag not in frames.HELIX_TAGS:
+            raise ValueError(f"{self.family} has no helix speed")
+        return frames.CurveFamily(tag, self.lam).mu
 
 
 def bending_timelike(a: float) -> CatalogSurface:
@@ -321,8 +320,7 @@ class GeneratingCurve:
     offset: float
 
     def __post_init__(self):
-        if not self.cubic > 0:
-            raise ValueError(f"generating curve needs cubic > 0, got {self.cubic}")
+        _CUBIC.check("generating curve", self.cubic)
 
     def height(self, v):
         return self.cubic * np.asarray(v, dtype=float) ** 3 + self.offset
@@ -389,22 +387,54 @@ def lightlike_identification_check(a: float, u, v) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the matching Björling data
+# the family registry
 
-_CURVE_MAKERS = {
-    BENDING_TIMELIKE: (frames.circle_timelike, frames.linear_twist),
-    BENDING_SPACELIKE: (frames.circle_spacelike, frames.linear_twist),
-    LIGHTLIKE_ROTATIONAL: (frames.circle_lightlike, frames.constant_twist),
-    HELICOIDAL_TIMELIKE: (frames.helix_timelike, frames.linear_twist),
-    HELICOIDAL_SPACELIKE_I: (frames.helix_spacelike_i, frames.linear_twist),
-    HELICOIDAL_SPACELIKE_II: (frames.helix_spacelike_ii, frames.linear_twist),
-    ELLIPTIC_CATENOID: (frames.circle_timelike, frames.constant_twist),
-    HYPERBOLIC_CATENOID: (frames.circle_spacelike, frames.constant_twist),
-    HELICOIDAL_TIMELIKE_CONSTANT: (frames.helix_timelike, frames.constant_twist),
+FAMILY_INFO = {
+    BENDING_TIMELIKE: _bjorling(
+        frames.CIRCLE_TIMELIKE, "linear", (-np.pi, np.pi, -0.35, 0.35),
+        lambda s, u, v: _eval_bending_timelike(s.a, u, v)),
+    BENDING_SPACELIKE: _bjorling(
+        frames.CIRCLE_SPACELIKE, "linear", (-1.2, 1.2, -0.4, 0.4),
+        lambda s, u, v: _eval_bending_spacelike(s.a, u, v)),
+    LIGHTLIKE_ROTATIONAL: _bjorling(
+        frames.CIRCLE_LIGHTLIKE, "constant", (-1.0, 1.0, -0.9, 0.9),
+        lambda s, u, v: _eval_lightlike_rotational(s.a, u, v),
+        group=lambda s: motions.rotation_lightlike_axis()),
+    HELICOIDAL_TIMELIKE: _bjorling(
+        frames.HELIX_TIMELIKE, "linear", (-np.pi, np.pi, -0.35, 0.35),
+        lambda s, u, v: _eval_helicoidal_timelike(s.a, s.lam, s.mu, u, v),
+        lam=0.6),
+    HELICOIDAL_SPACELIKE_I: _bjorling(
+        frames.HELIX_SPACELIKE_I, "linear", (-1.2, 1.2, -0.4, 0.4),
+        lambda s, u, v: _eval_helicoidal_spacelike_i(s.a, s.lam, s.mu, u, v),
+        lam=2.0),
+    HELICOIDAL_SPACELIKE_II: _bjorling(
+        frames.HELIX_SPACELIKE_II, "linear", (-1.2, 1.2, -0.4, 0.4),
+        lambda s, u, v: _eval_helicoidal_spacelike_ii(s.a, s.lam, s.mu, u, v),
+        lam=1.0),
+    ELLIPTIC_CATENOID: _bjorling(
+        frames.CIRCLE_TIMELIKE, "constant", (-np.pi, np.pi, -0.5, 0.5),
+        lambda s, u, v: _eval_elliptic_catenoid(s.a, u, v),
+        group=lambda s: motions.rotation_timelike_axis()),
+    HYPERBOLIC_CATENOID: _bjorling(
+        frames.CIRCLE_SPACELIKE, "constant", (-1.0, 1.0, -0.5, 0.5),
+        lambda s, u, v: _eval_hyperbolic_catenoid(s.a, u, v),
+        group=lambda s: motions.rotation_spacelike_axis()),
+    HELICOIDAL_TIMELIKE_CONSTANT: _bjorling(
+        frames.HELIX_TIMELIKE, "constant", (-np.pi, np.pi, -0.6, 0.6),
+        lambda s, u, v: _eval_helicoidal_timelike_constant(s.a, s.lam, s.mu,
+                                                           u, v),
+        lam=0.6, group=lambda s: motions.screw_timelike_axis(s.lam)),
+    ENNEPER_SECOND_KIND: Family(
+        (_CUBIC, Param("offset", default=0.0)), (-1.0, 1.0, -1.0, -0.1),
+        lambda s, u, v: _eval_enneper_second_kind(s.cubic, s.offset, u, v),
+        group=lambda s: motions.rotation_lightlike_axis(),
+        orbit_of=Param("a", *frames.TWIST_RANGES["constant"], 0.0)),
 }
 
-_LAM_FAMILIES = frozenset(f for f, info in FAMILY_INFO.items()
-                          if "lam" in info["params"])
+# Strips on which each surface stays regular for the default parameters;
+# advisory metadata for patches and CLI grids.
+DEFAULT_DOMAINS = {f: info.domain for f, info in FAMILY_INFO.items()}
 
 
 def bjorling_data_for(surface: CatalogSurface, u0: float = 0.0):
@@ -414,16 +444,15 @@ def bjorling_data_for(surface: CatalogSurface, u0: float = 0.0):
     coordinates; it is tied to the lightlike family by
     lightlike_identification_check instead.
     """
-    if surface.family == ENNEPER_SECOND_KIND:
-        raise ValueError("enneper-second-kind is parametrized as a group "
+    info = FAMILY_INFO[surface.family]
+    if info.curve is None:
+        raise ValueError(f"{surface.family} is parametrized as a group "
                          "orbit; it carries no Björling data in these "
                          "coordinates")
-    curve_maker, twist_maker = _CURVE_MAKERS[surface.family]
-    if surface.family in _LAM_FAMILIES:
-        family = curve_maker(surface.lam)
-    else:
-        family = curve_maker()
-    return frames.make_bjorling_data(family, twist_maker(surface.a), u0=u0)
+    lam = surface.lam if info.curve in frames.HELIX_TAGS else None
+    return frames.make_bjorling_data(
+        frames.CurveFamily(info.curve, lam),
+        frames.NormalFieldSpec(info.twist, surface.a), u0=u0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,41 +462,16 @@ def eval_surface(surface: CatalogSurface, u, v) -> np.ndarray:
     """Evaluate the closed-form parametrization, broadcasting over (u, v)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    f = surface.family
-    if f == BENDING_TIMELIKE:
-        return _eval_bending_timelike(surface.a, u, v)
-    if f == BENDING_SPACELIKE:
-        return _eval_bending_spacelike(surface.a, u, v)
-    if f == HELICOIDAL_TIMELIKE:
-        return _eval_helicoidal_timelike(surface.a, surface.lam, surface.mu, u, v)
-    if f == HELICOIDAL_SPACELIKE_I:
-        return _eval_helicoidal_spacelike_i(surface.a, surface.lam, surface.mu, u, v)
-    if f == HELICOIDAL_SPACELIKE_II:
-        return _eval_helicoidal_spacelike_ii(surface.a, surface.lam, surface.mu, u, v)
-    if f == ELLIPTIC_CATENOID:
-        return _eval_elliptic_catenoid(surface.a, u, v)
-    if f == HYPERBOLIC_CATENOID:
-        return _eval_hyperbolic_catenoid(surface.a, u, v)
-    if f == HELICOIDAL_TIMELIKE_CONSTANT:
-        return _eval_helicoidal_timelike_constant(surface.a, surface.lam, surface.mu, u, v)
-    if f == LIGHTLIKE_ROTATIONAL:
-        return _eval_lightlike_rotational(surface.a, u, v)
-    assert f == ENNEPER_SECOND_KIND
-    return _eval_enneper_second_kind(surface.cubic, surface.offset, u, v)
+    return FAMILY_INFO[surface.family].evaluate(surface, u, v)
 
 
 def patch(surface: CatalogSurface, domain=None) -> SurfacePatch:
     """Wrap a catalog surface as a SurfacePatch."""
     if domain is None:
         domain = DEFAULT_DOMAINS[surface.family]
-    parts = [surface.family]
-    if surface.family == ENNEPER_SECOND_KIND:
-        parts.append(f"cubic={surface.cubic:g}")
-        parts.append(f"offset={surface.offset:g}")
-    else:
-        parts.append(f"a={surface.a:g}")
-        if "lam" in FAMILY_INFO[surface.family]["params"]:
-            parts.append(f"lam={surface.lam:g}")
+    label = ":".join([surface.family] + [
+        f"{p.name}={getattr(surface, p.name):g}"
+        for p in FAMILY_INFO[surface.family].params])
     return SurfacePatch(func=lambda u, v: eval_surface(surface, u, v),
                         domain=tuple(float(x) for x in domain),
-                        label=":".join(parts))
+                        label=label)

@@ -34,22 +34,6 @@ SCHEMA = "maxsurf-report/1"
 _SUITES = ("all", "h", "periods", "curvature", "equivariance")
 _FORMATS = ("obj", "csv")
 
-_FORM_FAMILIES = frozenset((
-    catalog.BENDING_TIMELIKE, catalog.BENDING_SPACELIKE,
-    catalog.LIGHTLIKE_ROTATIONAL, catalog.HELICOIDAL_TIMELIKE,
-    catalog.HELICOIDAL_SPACELIKE_I, catalog.HELICOIDAL_SPACELIKE_II))
-
-_PUNCTURED_FAMILIES = frozenset((
-    catalog.BENDING_SPACELIKE, catalog.HELICOIDAL_SPACELIKE_I,
-    catalog.HELICOIDAL_SPACELIKE_II))
-
-_DEFAULT_LAM = {
-    catalog.HELICOIDAL_TIMELIKE: 0.6,
-    catalog.HELICOIDAL_TIMELIKE_CONSTANT: 0.6,
-    catalog.HELICOIDAL_SPACELIKE_I: 2.0,
-    catalog.HELICOIDAL_SPACELIKE_II: 1.0,
-}
-
 _DEFAULT_TOLERANCES = {
     "oracle": 1e-8,
     "mean_curvature": 1e-5,
@@ -241,21 +225,36 @@ def build_job_config(raw: dict) -> JobConfig:
     )
 
 
+def _key(name: str) -> str:
+    """The config field of a CatalogSurface field."""
+    return "lambda" if name == "lam" else name
+
+
 def surface_from_config(cfg: JobConfig) -> catalog.CatalogSurface:
+    """The surface the config names.  A family takes the fields of its
+    params, or, without those that have no default, its orbit_of field."""
     fam = cfg.family
+    info = catalog.FAMILY_INFO[fam]
+    given = [p for p in ("a", "lam", "cubic", "offset")
+             if getattr(cfg, p) is not None]
+    own = [p.name for p in info.params]
+    derive = info.orbit_of is not None and not any(
+        p.default is None and p.name in given for p in info.params)
+    if set(given) - set([info.orbit_of.name] if derive else own):
+        alone = f", or {info.orbit_of.name} alone" if info.orbit_of else ""
+        raise ConfigError(
+            f"{fam} takes {' and '.join(map(_key, own))}{alone}; "
+            f"got {' and '.join(map(_key, given))}")
     try:
-        if fam == catalog.ENNEPER_SECOND_KIND:
-            if cfg.cubic is not None:
-                return catalog.enneper_second_kind(
-                    cfg.cubic, cfg.offset if cfg.offset is not None else 0.0)
-            curve = catalog.generating_curve_for(
-                cfg.a if cfg.a is not None else 0.0)
-            return catalog.enneper_second_kind(curve.cubic, curve.offset)
-        a = cfg.a if cfg.a is not None else 1.0
-        if fam in _DEFAULT_LAM:
-            lam = cfg.lam if cfg.lam is not None else _DEFAULT_LAM[fam]
-            return catalog.CatalogSurface(fam, a=a, lam=lam)
-        return catalog.CatalogSurface(fam, a=a)
+        if derive:
+            a = info.orbit_of.default if cfg.a is None else cfg.a
+            info.orbit_of.check(fam, a)
+            curve = catalog.generating_curve_for(a)
+            return catalog.CatalogSurface(fam, cubic=curve.cubic,
+                                          offset=curve.offset)
+        return catalog.CatalogSurface(fam, **{
+            p.name: p.default if getattr(cfg, p.name) is None
+            else getattr(cfg, p.name) for p in info.params})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -280,12 +279,12 @@ def _patch_for(surface, cfg: JobConfig) -> SurfacePatch:
 def _default_grid(cfg: JobConfig, fam: str, for_sample: bool) -> Grid:
     """The command's default grid for the family, with the config's grid
     fields laid over it."""
+    info = catalog.FAMILY_INFO[fam]
     if for_sample:
-        grid = Grid.from_domain(catalog.DEFAULT_DOMAINS[fam], nu=64, nv=16)
-    elif fam == catalog.ENNEPER_SECOND_KIND:
-        grid = Grid.from_domain(catalog.DEFAULT_DOMAINS[fam], nu=21, nv=21)
+        grid = Grid.from_domain(info.domain, nu=64, nv=16)
     else:
-        grid = Grid(-1.0, 1.0, -1.0, 1.0, nu=21, nv=21)
+        grid = Grid.from_domain(info.verify_domain or info.domain,
+                                nu=21, nv=21)
     try:
         return replace(grid, **cfg.grid)
     except ValueError as exc:
@@ -369,187 +368,198 @@ def cmd_sample(cfg: JobConfig) -> int:
     return 0
 
 
-def _expected_real_periods(surface) -> dict:
-    n = round(surface.a)
-    if n != 1:
-        return {1: 0.0, 2: 0.0, 3: 0.0}
-    if surface.family == catalog.BENDING_SPACELIKE:
-        second = -np.pi
-    elif surface.family == catalog.HELICOIDAL_SPACELIKE_I:
-        second = np.pi * (surface.lam + surface.mu)
-    else:
-        second = -np.pi * (surface.lam + surface.mu)
-    return {1: 0.0, 2: second, 3: 0.0}
-
-
-_ROTATION_GROUPS = {
-    catalog.ELLIPTIC_CATENOID:
-        lambda s: verify.rotation_timelike_axis(),
-    catalog.HYPERBOLIC_CATENOID:
-        lambda s: verify.rotation_spacelike_axis(),
-    catalog.LIGHTLIKE_ROTATIONAL:
-        lambda s: verify.rotation_lightlike_axis(),
-    catalog.ENNEPER_SECOND_KIND:
-        lambda s: verify.rotation_lightlike_axis(),
-    catalog.HELICOIDAL_TIMELIKE_CONSTANT:
-        lambda s: verify.screw_timelike_axis(s.lam),
-}
-
-
 def _check(name, residual, tolerance, grid="", flagged=(), note=""):
     return CheckResult(name, float(residual), float(tolerance),
                        bool(residual < tolerance), grid, tuple(flagged), note)
 
 
+@dataclass(frozen=True)
+class _Job:
+    """What the checks of one `verify` run read."""
+
+    cfg: JobConfig
+    surface: catalog.CatalogSurface
+    patch: SurfacePatch
+    grid: Grid
+    info: catalog.Family
+    rep: weierstrass.Representation
+
+
+# (name, suites, rule, run) of each check, in the order they run.
+# rule(job) is True when the check runs, False when it does not apply, or
+# the reason it is skipped; run(job) returns its CheckResults.
+_CHECKS = []
+
+
+def _verifies(name, suites, rule=lambda job: True):
+    def register(run):
+        _CHECKS.append((name, ("all",) + suites, rule, run))
+        return run
+    return register
+
+
+def _has_data(why):
+    # Björling solutions are conformal; the orbit parameters are not.
+    return lambda job: job.info.curve is not None or why
+
+
+@_verifies("oracle-agreement", (), _has_data(
+    "orbit parametrization has no Björling data in these coordinates"))
+def _oracle(job):
+    tol = job.cfg.tolerances["oracle"]
+    data = catalog.bjorling_data_for(job.surface, u0=job.cfg.u0)
+    numeric = solve_bjorling(data, job.cfg.quadrature)
+    U, V = job.grid.mesh()
+    note = ""
+    try:
+        res = float(np.max(np.abs(job.patch(U, V) - numeric(U, V))))
+    except QuadratureError as exc:
+        res, note = float("inf"), str(exc)
+    return [_check("oracle-agreement", res, tol, job.grid.describe(),
+                   note=note)]
+
+
+@_verifies("mean-curvature", ("h",))
+def _mean_curvature(job):
+    value, flagged = verify.mean_curvature_scan(job.patch, job.grid,
+                                                h=job.cfg.fd_step)
+    return [_check("mean-curvature", value,
+                   job.cfg.tolerances["mean_curvature"], job.grid.describe(),
+                   flagged=flagged)]
+
+
+@_verifies("conformality", ("h",),
+           _has_data("orbit parameters are not conformal"))
+def _conformality(job):
+    res = verify.conformality_residual(job.patch, job.grid, h=job.cfg.fd_step)
+    return [_check("conformality", res, job.cfg.tolerances["conformality"],
+                   job.grid.describe())]
+
+
+@_verifies("generating-curve-ode", ("h",),
+           lambda job: job.info.orbit_of is not None)
+def _ode(job):
+    s = job.surface
+    curve = catalog.GeneratingCurve(cubic=s.cubic, offset=s.offset)
+    vg = np.linspace(-2.0, 2.0, 81)
+    res = float(np.max(catalog.ode_residual(curve, s.cubic / 4.0,
+                                            -2.0 * s.offset, vg)))
+    return [_check("generating-curve-ode", res, job.cfg.tolerances["ode"],
+                   "v in [-2,2], 81 samples")]
+
+
+@_verifies("orbit-identification", ("h",),
+           lambda job: job.info.orbit_of is not None and job.cfg.a is not None)
+def _identification(job):
+    res = catalog.lightlike_identification_check(
+        job.cfg.a, np.linspace(-2.0, 2.0, 21), np.linspace(-1.0, 1.0, 21))
+    return [_check("orbit-identification", res,
+                   job.cfg.tolerances["identification"])]
+
+
+@_verifies("bjorling-recovery", (),
+           _has_data("no Björling data (see oracle note)"))
+def _recovery(job):
+    tols = job.cfg.tolerances
+    data = catalog.bjorling_data_for(job.surface, u0=job.cfg.u0)
+    ug = np.linspace(job.grid.u_min, job.grid.u_max, 21)
+    return verify.bjorling_recovery(
+        job.patch, data, ug, position_tol=tols["recovery_position"],
+        normal_tol=tols["recovery_normal"]).checks
+
+
+@_verifies("equivariance", ("equivariance",),
+           lambda job: job.info.group is not None
+           or f"{job.surface.family} is not invariant under a motion group "
+              "acting by parameter shift")
+def _equivariance(job):
+    group = job.info.group(job.surface)
+    rep = verify.equivariance(job.patch, group, job.cfg.thetas, job.grid,
+                              tol=job.cfg.tolerances["equivariance"])
+    return [*rep.checks, verify.group_isometry_check(
+        group, job.cfg.thetas, tol=job.cfg.tolerances["isometry"])]
+
+
+@_verifies("forms", (), lambda job: job.rep.exp is not None)
+def _forms(job):
+    tols = job.cfg.tolerances
+    triple = weierstrass.forms_for(job.surface)
+    zs = weierstrass.probe_ring(100)
+    ring = "ring |z-0.07i|=0.8"
+    checks = [_check("null-condition", float(np.max(triple.null_residual(zs))),
+                     tols["null_condition"], ring)]
+    data = catalog.bjorling_data_for(job.surface, u0=job.cfg.u0)
+    direct = data.alpha.d(zs) \
+        + 1j * lorentz_cross(data.normal_field(zs), data.alpha.d(zs))
+    res = float(np.max(np.abs(triple(zs) - direct)))
+    checks.append(_check("forms-match-data", res, tols["forms_data"], ring))
+    rec = weierstrass.reconstruct_forms(weierstrass.weierstrass_pair(triple))
+    res = float(np.max(np.abs(rec(zs) - triple(zs))))
+    checks.append(_check("pair-reconstruction", res, tols["reconstruction"],
+                         ring))
+    return checks
+
+
+def _periods_rule(job):
+    if job.rep.punctured is None:
+        return f"{job.surface.family} has no punctured chart"
+    return (weierstrass.integer_twist(job.surface)
+            or "forms are meromorphic only for integer twist rate")
+
+
+@_verifies("periods", ("periods",), _periods_rule)
+def _periods(job):
+    s = job.surface
+    tol = job.cfg.tolerances["period"]
+    triple = weierstrass.forms_for(s, weierstrass.PUNCTURED_CHART)
+    loop = weierstrass.Loop(0j, 1.0)
+    second = job.rep.unit_period(s) if round(s.a) == 1 else 0.0
+    checks = []
+    for k, expected in zip((1, 2, 3), (0.0, second, 0.0)):
+        try:
+            value = weierstrass.period(triple, k, loop)
+            note = f"value {value.real:.12g}{value.imag:+.12g}i, " \
+                   f"expected real part {expected:.12g}"
+            checks.append(_check(f"period-phi{k}", abs(value.real - expected),
+                                 tol, "unit loop", note=note))
+        except QuadratureError as exc:
+            checks.append(_check(f"period-phi{k}", float("inf"), tol,
+                                 "unit loop", note=str(exc)))
+    return checks
+
+
+@_verifies("total-curvature", ("curvature",),
+           lambda job: job.rep.curvature(job.surface) is not None
+           or f"no closed-form total curvature target for "
+              f"{job.surface.family} here")
+def _total_curvature(job):
+    cfg = job.cfg
+    tol = cfg.tolerances["total_curvature_rel"]
+    chart, target = job.rep.curvature(job.surface)
+    triple = weierstrass.forms_for(job.surface, chart)
+    w = weierstrass.weierstrass_pair(weierstrass.dualize(triple))
+    try:
+        value = weierstrass.total_curvature(w, cfg.annulus,
+                                            cfg.curvature_grid)
+    except QuadratureError as exc:
+        return [_check("total-curvature", float("inf"), tol, note=str(exc))]
+    return [_check("total-curvature", abs(value - target) / abs(target), tol,
+                   f"annulus {cfg.annulus}, grid {cfg.curvature_grid}",
+                   note=f"value {value:.9g}, target {target:.9g}")]
+
+
 def _verify_checks(cfg: JobConfig, surface, patch, grid):
     """Run the requested suites; returns (checks, skipped notes)."""
+    job = _Job(cfg, surface, patch, grid, catalog.FAMILY_INFO[surface.family],
+               weierstrass.REPRESENTATIONS[surface.family])
     checks = []
     skipped = []
-    tols = cfg.tolerances
-    fam = surface.family
-    suite = cfg.suite
-
-    def skip(name, why):
-        skipped.append({"name": name, "reason": why})
-
-    if suite == "all":
-        if fam == catalog.ENNEPER_SECOND_KIND:
-            skip("oracle-agreement", "orbit parametrization has no Björling "
-                                     "data in these coordinates")
-        else:
-            data = catalog.bjorling_data_for(surface, u0=cfg.u0)
-            numeric = solve_bjorling(data, cfg.quadrature)
-            U, V = grid.mesh()
-            try:
-                res = float(np.max(np.abs(patch(U, V) - numeric(U, V))))
-                checks.append(_check("oracle-agreement", res, tols["oracle"],
-                                     grid.describe()))
-            except QuadratureError as exc:
-                checks.append(_check("oracle-agreement", float("inf"),
-                                     tols["oracle"], grid.describe(),
-                                     note=str(exc)))
-
-    if suite in ("all", "h"):
-        value, flagged = verify.mean_curvature_scan(patch, grid,
-                                                    h=cfg.fd_step)
-        checks.append(_check("mean-curvature", value, tols["mean_curvature"],
-                             grid.describe(), flagged=flagged))
-        if fam == catalog.ENNEPER_SECOND_KIND:
-            skip("conformality", "orbit parameters are not conformal")
-        else:
-            res = verify.conformality_residual(patch, grid, h=cfg.fd_step)
-            checks.append(_check("conformality", res, tols["conformality"],
-                                 grid.describe()))
-        if fam == catalog.ENNEPER_SECOND_KIND:
-            curve = catalog.GeneratingCurve(cubic=surface.cubic,
-                                            offset=surface.offset)
-            vg = np.linspace(-2.0, 2.0, 81)
-            res = float(np.max(catalog.ode_residual(
-                curve, surface.cubic / 4.0, -2.0 * surface.offset, vg)))
-            checks.append(_check("generating-curve-ode", res, tols["ode"],
-                                 "v in [-2,2], 81 samples"))
-            if cfg.a is not None and cfg.cubic is None:
-                ug = np.linspace(-2.0, 2.0, 21)
-                res = catalog.lightlike_identification_check(
-                    cfg.a, ug, np.linspace(-1.0, 1.0, 21))
-                checks.append(_check("orbit-identification", res,
-                                     tols["identification"]))
-
-    if suite == "all":
-        if fam == catalog.ENNEPER_SECOND_KIND:
-            skip("bjorling-recovery", "no Björling data (see oracle note)")
-        else:
-            data = catalog.bjorling_data_for(surface, u0=cfg.u0)
-            ug = np.linspace(grid.u_min, grid.u_max, 21)
-            rep = verify.bjorling_recovery(
-                patch, data, ug, position_tol=tols["recovery_position"],
-                normal_tol=tols["recovery_normal"])
-            checks.extend(rep.checks)
-
-    if suite in ("all", "equivariance"):
-        maker = _ROTATION_GROUPS.get(fam)
-        if maker is None:
-            skip("equivariance", f"{fam} is not invariant under a motion "
-                                 "group acting by parameter shift")
-        else:
-            group = maker(surface)
-            rep = verify.equivariance(patch, group, cfg.thetas, grid,
-                                      tol=tols["equivariance"])
-            checks.extend(rep.checks)
-            checks.append(verify.group_isometry_check(
-                group, cfg.thetas, tol=tols["isometry"]))
-
-    if suite == "all" and fam in _FORM_FAMILIES:
-        triple = weierstrass.forms_for(surface)
-        zs = weierstrass.probe_ring(100)
-        checks.append(_check("null-condition",
-                             float(np.max(triple.null_residual(zs))),
-                             tols["null_condition"], "ring |z-0.07i|=0.8"))
-        data = catalog.bjorling_data_for(surface, u0=cfg.u0)
-        direct = data.alpha.d(zs) \
-            + 1j * lorentz_cross(data.normal_field(zs), data.alpha.d(zs))
-        res = float(np.max(np.abs(triple(zs) - direct)))
-        checks.append(_check("forms-match-data", res, tols["forms_data"],
-                             "ring |z-0.07i|=0.8"))
-        pair = weierstrass.weierstrass_pair(triple)
-        rec = weierstrass.reconstruct_forms(pair)
-        res = float(np.max(np.abs(rec(zs) - triple(zs))))
-        checks.append(_check("pair-reconstruction", res,
-                             tols["reconstruction"], "ring |z-0.07i|=0.8"))
-
-    if suite in ("all", "periods"):
-        if fam not in _PUNCTURED_FAMILIES:
-            skip("periods", f"{fam} has no punctured chart")
-        elif abs(surface.a - round(surface.a)) > 1e-9:
-            skip("periods", "forms are meromorphic only for integer twist "
-                            "rate")
-        else:
-            triple = weierstrass.forms_for(surface,
-                                           weierstrass.PUNCTURED_CHART)
-            loop = weierstrass.Loop(0j, 1.0)
-            expected = _expected_real_periods(surface)
-            for k in (1, 2, 3):
-                try:
-                    value = weierstrass.period(triple, k, loop)
-                    res = abs(value.real - expected[k])
-                    note = f"value {value.real:.12g}{value.imag:+.12g}i, " \
-                           f"expected real part {expected[k]:.12g}"
-                    checks.append(_check(f"period-phi{k}", res, tols["period"],
-                                         "unit loop", note=note))
-                except QuadratureError as exc:
-                    checks.append(_check(f"period-phi{k}", float("inf"),
-                                         tols["period"], "unit loop",
-                                         note=str(exc)))
-
-    if suite in ("all", "curvature"):
-        target = None
-        if (fam == catalog.BENDING_SPACELIKE
-                and abs(surface.a - round(surface.a)) <= 1e-9):
-            triple = weierstrass.forms_for(surface,
-                                           weierstrass.PUNCTURED_CHART)
-            target = -4.0 * np.pi * (round(surface.a) + 1)
-        elif fam == catalog.LIGHTLIKE_ROTATIONAL:
-            triple = weierstrass.forms_for(surface)
-            target = -4.0 * np.pi
-        if target is None:
-            skip("total-curvature", f"no closed-form total curvature target "
-                                    f"for {fam} here")
-        else:
-            w = weierstrass.weierstrass_pair(weierstrass.dualize(triple))
-            try:
-                value = weierstrass.total_curvature(w, cfg.annulus,
-                                                    cfg.curvature_grid)
-                res = abs(value - target) / abs(target)
-                note = f"value {value:.9g}, target {target:.9g}"
-                checks.append(_check("total-curvature", res,
-                                     tols["total_curvature_rel"],
-                                     f"annulus {cfg.annulus}, grid "
-                                     f"{cfg.curvature_grid}", note=note))
-            except QuadratureError as exc:
-                checks.append(_check("total-curvature", float("inf"),
-                                     tols["total_curvature_rel"],
-                                     note=str(exc)))
-
+    for name, suites, rule, run in _CHECKS:
+        verdict = cfg.suite in suites and rule(job)
+        if isinstance(verdict, str):
+            skipped.append({"name": name, "reason": verdict})
+        elif verdict:
+            checks.extend(run(job))
     return checks, skipped
 
 
@@ -559,14 +569,8 @@ def cmd_verify(cfg: JobConfig) -> int:
     patch = _patch_for(surface, cfg)
     checks, skipped = _verify_checks(cfg, surface, patch, grid)
     passed = all(c.passed for c in checks)
-    parameters = {}
-    if surface.family == catalog.ENNEPER_SECOND_KIND:
-        parameters["cubic"] = surface.cubic
-        parameters["offset"] = surface.offset
-    else:
-        parameters["a"] = surface.a
-        if surface.family in catalog._LAM_FAMILIES:
-            parameters["lambda"] = surface.lam
+    parameters = {_key(p.name): getattr(surface, p.name)
+                  for p in catalog.FAMILY_INFO[surface.family].params}
     report = {
         "schema": SCHEMA,
         "surface": {"family": surface.family, "parameters": parameters},
@@ -599,12 +603,14 @@ def _family_lines():
     lines = []
     width = max(len(f) for f in catalog.FAMILY_INFO)
     for fam, info in catalog.FAMILY_INFO.items():
-        parts = [f"{p}: {info[p]}" if p in info else f"{p}: real"
-                 for p in info["params"]]
+        parts = [f"{p.name}: {p.text}" for p in info.params]
         lines.append(f"{fam:<{width}}  {'; '.join(parts)}")
     lines.append("")
-    lines.append("enneper-second-kind also accepts a >= 0, from which cubic "
-                 "and offset are derived")
+    for fam, info in catalog.FAMILY_INFO.items():
+        if info.orbit_of is not None:
+            names = " and ".join(p.name for p in info.params)
+            lines.append(f"{fam} also accepts {info.orbit_of.text}, from "
+                         f"which {names} are derived")
     return lines
 
 
@@ -689,7 +695,7 @@ def _load_raw_config(args) -> dict:
     for key in ("family", "a", "lam", "out", "suite", "report"):
         value = getattr(args, key, None)
         if value is not None:
-            raw["lambda" if key == "lam" else key] = value
+            raw[_key(key)] = value
     return raw
 
 

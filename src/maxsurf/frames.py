@@ -41,6 +41,18 @@ CIRCLE_TAGS = (CIRCLE_TIMELIKE, CIRCLE_SPACELIKE, CIRCLE_LIGHTLIKE)
 HELIX_TAGS = (HELIX_TIMELIKE, HELIX_SPACELIKE_I, HELIX_SPACELIKE_II)
 ALL_TAGS = CIRCLE_TAGS + HELIX_TAGS
 
+# Parameter ranges as (text, test): the pitch that keeps each helix
+# spacelike, and the twist rate of each kind of normal field.
+PITCH_RANGES = {
+    HELIX_TIMELIKE: ("0 < lam < 1", lambda lam: 0.0 < lam < 1.0),
+    HELIX_SPACELIKE_I: ("lam > 1", lambda lam: lam > 1.0),
+    HELIX_SPACELIKE_II: ("lam > 0", lambda lam: lam > 0.0),
+}
+TWIST_RANGES = {
+    "constant": ("a >= 0", lambda a: a >= 0.0),
+    "linear": ("a > 0", lambda a: a > 0.0),
+}
+
 
 @dataclass(frozen=True)
 class AnalyticMap:
@@ -66,9 +78,8 @@ class AnalyticMap:
 class CurveFamily:
     """One of the six core-curve families, with the helix pitch when needed.
 
-    The pitch `lam` must be None for circles.  Ranges enforcing a spacelike
-    curve: 0 < lam < 1 (helix-timelike), lam > 1 (helix-spacelike-i),
-    lam > 0 (helix-spacelike-ii).
+    The pitch `lam` must be None for circles, and in PITCH_RANGES for
+    helices.
     """
 
     tag: str
@@ -84,12 +95,10 @@ class CurveFamily:
         if self.lam is None:
             raise ValueError(f"{self.tag} requires a pitch lam")
         lam = float(self.lam)
-        if self.tag == HELIX_TIMELIKE and not 0.0 < lam < 1.0:
-            raise ValueError(f"helix-timelike needs 0 < lam < 1 for a spacelike curve, got {lam}")
-        if self.tag == HELIX_SPACELIKE_I and not lam > 1.0:
-            raise ValueError(f"helix-spacelike-i needs lam > 1 for a spacelike curve, got {lam}")
-        if self.tag == HELIX_SPACELIKE_II and not lam > 0.0:
-            raise ValueError(f"helix-spacelike-ii needs lam > 0, got {lam}")
+        text, test = PITCH_RANGES[self.tag]
+        if not test(lam):
+            raise ValueError(f"{self.tag} needs {text} for a spacelike "
+                             f"curve, got {lam}")
 
     @property
     def mu(self) -> float | None:
@@ -139,12 +148,11 @@ class NormalFieldSpec:
     a: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "linear"):
+        if self.kind not in TWIST_RANGES:
             raise ValueError(f"normal field kind must be 'constant' or 'linear', got {self.kind!r}")
-        if self.kind == "constant" and not self.a >= 0.0:
-            raise ValueError(f"constant twist needs a >= 0, got {self.a}")
-        if self.kind == "linear" and not self.a > 0.0:
-            raise ValueError(f"linear twist needs a > 0 (use constant(0) for no twist), got {self.a}")
+        text, test = TWIST_RANGES[self.kind]
+        if not test(self.a):
+            raise ValueError(f"{self.kind} twist needs {text}, got {self.a}")
 
     def phi(self, t):
         if self.kind == "constant":

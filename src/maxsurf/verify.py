@@ -15,18 +15,13 @@ import numpy as np
 
 from .bjorling import SurfacePatch, reference_normal
 from .lorentz import lorentz_cross, lorentz_dot
-from .motions import (MotionGroup, isometry_defect, rotation_lightlike_axis,
-                      rotation_spacelike_axis, rotation_timelike_axis,
-                      screw_timelike_axis)
+from .motions import MotionGroup, isometry_defect
 
 __all__ = [
     "Grid", "FundamentalForms", "CheckResult", "VerificationReport",
-    "fundamental_forms", "mean_curvature_residual", "mean_curvature_scan",
-    "conformality_residual", "spacelike_region", "bjorling_recovery",
-    "equivariance", "group_isometry_check",
-    "MotionGroup", "isometry_defect", "rotation_timelike_axis",
-    "rotation_spacelike_axis", "rotation_lightlike_axis",
-    "screw_timelike_axis",
+    "fundamental_forms", "mean_curvature_scan", "conformality_residual",
+    "spacelike_region", "bjorling_recovery", "equivariance",
+    "group_isometry_check",
 ]
 
 
@@ -158,12 +153,6 @@ def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
                     for i, j in zip(*np.nonzero(~kept)))
     value = float(np.max(residual[kept])) if np.any(kept) else float("nan")
     return value, flagged
-
-
-def mean_curvature_residual(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
-                            exclude_tol: float = 1e-4) -> float:
-    """Max |e G - 2 f F + g2 E| / (2 |E G - F^2|) over the kept grid nodes."""
-    return mean_curvature_scan(patch, grid, h=h, exclude_tol=exclude_tol)[0]
 
 
 def conformality_residual(patch: SurfacePatch, grid: Grid,

@@ -19,13 +19,13 @@ where residues and period integrals live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import catalog
 from .bjorling import _PASS_POINTS, QuadratureError, _gauss_legendre
-from .catalog import (BENDING_SPACELIKE, BENDING_TIMELIKE, CatalogSurface,
-                      HELICOIDAL_SPACELIKE_I, HELICOIDAL_SPACELIKE_II,
-                      HELICOIDAL_TIMELIKE, LIGHTLIKE_ROTATIONAL)
+from .catalog import CatalogSurface
 from .lorentz import vec3
 
 EXP_CHART = "exp"
@@ -33,18 +33,14 @@ PUNCTURED_CHART = "punctured"
 LORENTZ = "lorentz"
 EUCLID = "euclid"
 
-# Families whose forms are implemented; the constant-twist rotational
-# surfaces reach their forms through the lightlike family only.
-_PUNCTURED_FAMILIES = (BENDING_SPACELIKE, HELICOIDAL_SPACELIKE_I,
-                       HELICOIDAL_SPACELIKE_II)
-
 
 def cpow(z, a):
-    """Principal-branch power with an exact path for integer exponents."""
+    """Principal-branch power with an exact path for integer exponents
+    (z itself for 1, which numpy would send through its general loop)."""
     z = np.asarray(z, dtype=complex)
     n = round(a)
     if abs(a - n) < 1e-12:
-        return z ** int(n)
+        return z if n == 1 else z ** int(n)
     return z ** a
 
 
@@ -238,45 +234,71 @@ def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu):
     return p1, p2, p3
 
 
-def forms_for(surface: CatalogSurface, chart: str = EXP_CHART) -> FormTriple:
-    """Holomorphic form triple of a Björling-derived catalog surface.
+def integer_twist(surface: CatalogSurface) -> bool:
+    """Whether the twist rate is integral (punctured forms are rational)."""
+    return abs(surface.a - round(surface.a)) <= 1e-9
 
-    The constant-twist rotational catenoids and the constant-twist helicoid
-    are not covered (their closed forms are reached directly); ask for the
-    lightlike or twisted families.  The punctured chart exists for the
-    spacelike-axis families only.
-    """
+
+@dataclass(frozen=True)
+class Representation:
+    """The holomorphic facts of one family, as functions of the surface:
+    the form components on each chart (the constant-twist rotational
+    surfaces have theirs through the lightlike family only); the real part
+    of the phi2 period around the unit circle at twist rate 1, the only
+    nonzero real period at integer rate; and the chart and total curvature
+    of the dual surface, or None where there is no closed-form target."""
+
+    exp: Callable | None = None
+    punctured: Callable | None = None
+    unit_period: Callable | None = None
+    curvature: Callable = lambda s: None
+
+
+REPRESENTATIONS = {
+    catalog.BENDING_TIMELIKE: Representation(
+        lambda s: _forms_bending_timelike(s.a)),
+    catalog.BENDING_SPACELIKE: Representation(
+        lambda s: _forms_bending_spacelike_exp(s.a),
+        lambda s: _forms_bending_spacelike_punctured(s.a),
+        unit_period=lambda s: -np.pi,
+        curvature=lambda s: (
+            (PUNCTURED_CHART, -4.0 * np.pi * (round(s.a) + 1))
+            if integer_twist(s) else None)),
+    catalog.LIGHTLIKE_ROTATIONAL: Representation(
+        lambda s: _forms_lightlike(s.a),
+        curvature=lambda s: (EXP_CHART, -4.0 * np.pi)),
+    catalog.HELICOIDAL_TIMELIKE: Representation(
+        lambda s: _forms_helicoidal_timelike(s.a, s.lam, s.mu)),
+    catalog.HELICOIDAL_SPACELIKE_I: Representation(
+        lambda s: _forms_helicoidal_spacelike_i_exp(s.a, s.lam, s.mu),
+        lambda s: _forms_helicoidal_spacelike_i_punctured(s.a, s.lam, s.mu),
+        unit_period=lambda s: np.pi * (s.lam + s.mu)),
+    catalog.HELICOIDAL_SPACELIKE_II: Representation(
+        lambda s: _forms_helicoidal_spacelike_ii_exp(s.a, s.lam, s.mu),
+        lambda s: _forms_helicoidal_spacelike_ii_punctured(s.a, s.lam, s.mu),
+        unit_period=lambda s: -np.pi * (s.lam + s.mu)),
+    catalog.ELLIPTIC_CATENOID: Representation(),
+    catalog.HYPERBOLIC_CATENOID: Representation(),
+    catalog.HELICOIDAL_TIMELIKE_CONSTANT: Representation(),
+    catalog.ENNEPER_SECOND_KIND: Representation(),
+}
+
+
+def forms_for(surface: CatalogSurface, chart: str = EXP_CHART) -> FormTriple:
+    """Holomorphic form triple of a catalog surface on a chart, for the
+    families and charts that REPRESENTATIONS covers."""
     fam = surface.family
     if chart not in (EXP_CHART, PUNCTURED_CHART):
         raise ValueError(f"unknown chart {chart!r}")
-    if chart == PUNCTURED_CHART:
-        if fam not in _PUNCTURED_FAMILIES:
-            raise ValueError(f"{fam} has no punctured-chart forms")
-        if fam == BENDING_SPACELIKE:
-            comps = _forms_bending_spacelike_punctured(surface.a)
-        elif fam == HELICOIDAL_SPACELIKE_I:
-            comps = _forms_helicoidal_spacelike_i_punctured(
-                surface.a, surface.lam, surface.mu)
-        else:
-            comps = _forms_helicoidal_spacelike_ii_punctured(
-                surface.a, surface.lam, surface.mu)
-        return FormTriple(comps, chart=PUNCTURED_CHART, singularities=(0j,),
-                          label=f"forms:{fam}:punctured")
-    if fam == BENDING_TIMELIKE:
-        comps = _forms_bending_timelike(surface.a)
-    elif fam == BENDING_SPACELIKE:
-        comps = _forms_bending_spacelike_exp(surface.a)
-    elif fam == LIGHTLIKE_ROTATIONAL:
-        comps = _forms_lightlike(surface.a)
-    elif fam == HELICOIDAL_TIMELIKE:
-        comps = _forms_helicoidal_timelike(surface.a, surface.lam, surface.mu)
-    elif fam == HELICOIDAL_SPACELIKE_I:
-        comps = _forms_helicoidal_spacelike_i_exp(surface.a, surface.lam, surface.mu)
-    elif fam == HELICOIDAL_SPACELIKE_II:
-        comps = _forms_helicoidal_spacelike_ii_exp(surface.a, surface.lam, surface.mu)
-    else:
-        raise ValueError(f"{fam} has no holomorphic form triple here")
-    return FormTriple(comps, chart=EXP_CHART, label=f"forms:{fam}:exp")
+    rep = REPRESENTATIONS[fam]
+    maker = rep.exp if chart == EXP_CHART else rep.punctured
+    if maker is None:
+        raise ValueError(f"{fam} has no punctured-chart forms"
+                         if chart == PUNCTURED_CHART else
+                         f"{fam} has no holomorphic form triple here")
+    return FormTriple(maker(surface), chart=chart,
+                      singularities=(0j,) if chart == PUNCTURED_CHART else (),
+                      label=f"forms:{fam}:{chart}")
 
 
 def probe_ring(n: int):

@@ -90,6 +90,26 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         catalog.CatalogSurface("no-such-family")
 
+    # (just inside, just outside) each side of each range in the registry
+    def up(x):
+        return np.nextafter(x, np.inf)
+
+    def down(x):
+        return np.nextafter(x, -np.inf)
+
+    sides = {"a > 0": [(up(0.0), 0.0)], "a >= 0": [(0.0, down(0.0))],
+             "0 < lam < 1": [(up(0.0), 0.0), (down(1.0), 1.0)],
+             "lam > 1": [(up(1.0), 1.0)], "lam > 0": [(up(0.0), 0.0)],
+             "cubic > 0": [(up(0.0), 0.0)], "real": []}
+    for fam, info in catalog.FAMILY_INFO.items():
+        valid = {p.name: sides[p.text][0][0] if sides[p.text] else 0.0
+                 for p in info.params}
+        for p in info.params:
+            for inside, outside in sides[p.text]:
+                catalog.CatalogSurface(fam, **{**valid, p.name: inside})
+                with pytest.raises(ValueError):
+                    catalog.CatalogSurface(fam, **{**valid, p.name: outside})
+
 
 def test_helix_speed_property():
     assert catalog.helicoidal_timelike(1.0, 0.6).mu == pytest.approx(0.8)

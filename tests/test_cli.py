@@ -198,6 +198,144 @@ def test_verify_curvature_suite_skips_without_target(tmp_path, capsys):
     assert "SKIP total-curvature" in capsys.readouterr().out
 
 
+# Skip reasons of `maxsurf verify`, by code; {fam} is the family id.
+_SKIP_REASONS = {
+    "motion": "{fam} is not invariant under a motion group acting by "
+              "parameter shift",
+    "chart": "{fam} has no punctured chart",
+    "target": "no closed-form total curvature target for {fam} here",
+    "orbit": "orbit parametrization has no Björling data in these "
+             "coordinates",
+    "conformal": "orbit parameters are not conformal",
+    "data": "no Björling data (see oracle note)",
+}
+
+# (family, suite) -> (the checks run, in order; the skipped checks, in
+# order, as name=reason code), at the family's default parameters.
+_VERIFY_TABLE = {
+    ("bending-timelike", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field null-condition forms-match-data pair-reconstruction",
+        "equivariance=motion periods=chart total-curvature=target"),
+    ("bending-timelike", "h"): ("mean-curvature conformality", ""),
+    ("bending-timelike", "periods"): ("", "periods=chart"),
+    ("bending-timelike", "curvature"): ("", "total-curvature=target"),
+    ("bending-timelike", "equivariance"): ("", "equivariance=motion"),
+    ("bending-spacelike", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field null-condition forms-match-data pair-reconstruction "
+        "period-phi1 period-phi2 period-phi3 total-curvature",
+        "equivariance=motion"),
+    ("bending-spacelike", "h"): ("mean-curvature conformality", ""),
+    ("bending-spacelike", "periods"): (
+        "period-phi1 period-phi2 period-phi3",
+        ""),
+    ("bending-spacelike", "curvature"): ("total-curvature", ""),
+    ("bending-spacelike", "equivariance"): ("", "equivariance=motion"),
+    ("lightlike-rotational", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field equivariance isometry:rotation-lightlike-axis "
+        "null-condition forms-match-data pair-reconstruction "
+        "total-curvature",
+        "periods=chart"),
+    ("lightlike-rotational", "h"): ("mean-curvature conformality", ""),
+    ("lightlike-rotational", "periods"): ("", "periods=chart"),
+    ("lightlike-rotational", "curvature"): ("total-curvature", ""),
+    ("lightlike-rotational", "equivariance"): (
+        "equivariance isometry:rotation-lightlike-axis",
+        ""),
+    ("helicoidal-timelike", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field null-condition forms-match-data pair-reconstruction",
+        "equivariance=motion periods=chart total-curvature=target"),
+    ("helicoidal-timelike", "h"): ("mean-curvature conformality", ""),
+    ("helicoidal-timelike", "periods"): ("", "periods=chart"),
+    ("helicoidal-timelike", "curvature"): ("", "total-curvature=target"),
+    ("helicoidal-timelike", "equivariance"): ("", "equivariance=motion"),
+    ("helicoidal-spacelike-i", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field null-condition forms-match-data pair-reconstruction "
+        "period-phi1 period-phi2 period-phi3",
+        "equivariance=motion total-curvature=target"),
+    ("helicoidal-spacelike-i", "h"): ("mean-curvature conformality", ""),
+    ("helicoidal-spacelike-i", "periods"): (
+        "period-phi1 period-phi2 period-phi3",
+        ""),
+    ("helicoidal-spacelike-i", "curvature"): ("", "total-curvature=target"),
+    ("helicoidal-spacelike-i", "equivariance"): ("", "equivariance=motion"),
+    ("helicoidal-spacelike-ii", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field null-condition forms-match-data pair-reconstruction "
+        "period-phi1 period-phi2 period-phi3",
+        "equivariance=motion total-curvature=target"),
+    ("helicoidal-spacelike-ii", "h"): ("mean-curvature conformality", ""),
+    ("helicoidal-spacelike-ii", "periods"): (
+        "period-phi1 period-phi2 period-phi3",
+        ""),
+    ("helicoidal-spacelike-ii", "curvature"): ("", "total-curvature=target"),
+    ("helicoidal-spacelike-ii", "equivariance"): ("", "equivariance=motion"),
+    ("elliptic-catenoid", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field equivariance isometry:rotation-timelike-axis",
+        "periods=chart total-curvature=target"),
+    ("elliptic-catenoid", "h"): ("mean-curvature conformality", ""),
+    ("elliptic-catenoid", "periods"): ("", "periods=chart"),
+    ("elliptic-catenoid", "curvature"): ("", "total-curvature=target"),
+    ("elliptic-catenoid", "equivariance"): (
+        "equivariance isometry:rotation-timelike-axis",
+        ""),
+    ("hyperbolic-catenoid", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field equivariance isometry:rotation-spacelike-axis",
+        "periods=chart total-curvature=target"),
+    ("hyperbolic-catenoid", "h"): ("mean-curvature conformality", ""),
+    ("hyperbolic-catenoid", "periods"): ("", "periods=chart"),
+    ("hyperbolic-catenoid", "curvature"): ("", "total-curvature=target"),
+    ("hyperbolic-catenoid", "equivariance"): (
+        "equivariance isometry:rotation-spacelike-axis",
+        ""),
+    ("helicoidal-timelike-constant", "all"): (
+        "oracle-agreement mean-curvature conformality core-curve "
+        "normal-field equivariance isometry:screw-timelike-axis",
+        "periods=chart total-curvature=target"),
+    ("helicoidal-timelike-constant", "h"): ("mean-curvature conformality", ""),
+    ("helicoidal-timelike-constant", "periods"): ("", "periods=chart"),
+    ("helicoidal-timelike-constant", "curvature"): (
+        "",
+        "total-curvature=target"),
+    ("helicoidal-timelike-constant", "equivariance"): (
+        "equivariance isometry:screw-timelike-axis",
+        ""),
+    ("enneper-second-kind", "all"): (
+        "mean-curvature generating-curve-ode equivariance "
+        "isometry:rotation-lightlike-axis",
+        "oracle-agreement=orbit conformality=conformal "
+        "bjorling-recovery=data periods=chart total-curvature=target"),
+    ("enneper-second-kind", "h"): (
+        "mean-curvature generating-curve-ode",
+        "conformality=conformal"),
+    ("enneper-second-kind", "periods"): ("", "periods=chart"),
+    ("enneper-second-kind", "curvature"): ("", "total-curvature=target"),
+    ("enneper-second-kind", "equivariance"): (
+        "equivariance isometry:rotation-lightlike-axis",
+        ""),
+}
+
+
+@pytest.mark.parametrize("family, suite", list(_VERIFY_TABLE))
+def test_verify_runs_and_skips_the_tabled_checks(tmp_path, capsys, family,
+                                                 suite):
+    report = tmp_path / "r.json"
+    main(["verify", "--family", family, "--suite", suite,
+          "--report", str(report)])
+    got = json.loads(report.read_text())
+    names, skips = _VERIFY_TABLE[family, suite]
+    assert [c["name"] for c in got["checks"]] == names.split()
+    assert [(s["name"], s["reason"]) for s in got["skipped"]] == [
+        (name, _SKIP_REASONS[code].format(fam=family))
+        for name, code in (s.split("=") for s in skips.split())]
+
+
 def test_injected_failure_returns_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", family="bending-timelike", a=1.0,
                        perturb=0.05)
@@ -252,6 +390,18 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                  ["verify", "--set", "a=1" + "0" * 5000]):
         assert main(args + ["--family", "bending-spacelike"]) == 2, args
         assert "config error" in capsys.readouterr().err
+    # parameters the family does not take
+    for args in (["--family", "bending-timelike", "--lambda", "0.5"],
+                 ["--family", "helicoidal-timelike", "--set", "cubic=2"],
+                 ["--family", "elliptic-catenoid", "--set", "offset=0.5"],
+                 ["--family", "enneper-second-kind", "--a", "1",
+                  "--set", "cubic=2"],
+                 ["--family", "enneper-second-kind", "--set", "offset=0.5"],
+                 ["--family", "enneper-second-kind", "--a", "-3"]):
+        assert main(["verify", "--suite", "h"] + args) == 2, args
+        assert "config error" in capsys.readouterr().err
+    assert main(["verify", "--suite", "h", "--family", "bending-timelike",
+                 "--set", "lambda=null"]) == 0
 
 
 def test_io_error_paths(tmp_path, capsys):
