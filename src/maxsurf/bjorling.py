@@ -29,10 +29,11 @@ _RTOL = 1e-11
 _MAX_PANELS = 1024
 # Integrand points per pass.  At 16 384 points a (..., 3) complex array is
 # 768 KB, so one pass's arrays fit a core's L2 (2 MB on the 2-vCPU Xeon
-# measured).  There, of 1<<12 ... 1<<16, 1<<13 and 1<<14 were the fastest:
-# 1<<13 by about 7 % on 32x32 solves, 1<<14 by about 3 % on verify's
-# throughput, and both 25-30 % ahead of 1<<16.  The split changes no bit of
-# the result, since every value is computed pointwise.
+# measured).  There, with 64-node panels, of 1<<12 ... 1<<16, 1<<13 and
+# 1<<14 were the fastest: 1<<13 by about 7 % on 32x32 solves, 1<<14 by
+# about 3 % on verify's throughput, and both 25-30 % ahead of 1<<16.  The
+# split changes no bit of the result, since every value is computed
+# pointwise.
 _PASS_POINTS = 1 << 14
 
 
@@ -52,7 +53,7 @@ class QuadratureError(RuntimeError):
 class GaussLegendre:
     """Gauss-Legendre rule of `nodes` points on the segment and each panel."""
 
-    nodes: int = 64
+    nodes: int = 32
 
     def __post_init__(self):
         if self.nodes < 4:
@@ -102,7 +103,7 @@ def _gauss_legendre(f, a, span, nodes):
 def segment_integral(data: BjorlingData, z, quadrature=None):
     """Integral of V x alpha' from u0 to z (straight segment), vectorized.
 
-    One Gauss-Legendre pass (default 64 nodes) covers every point, split
+    One Gauss-Legendre pass (default 32 nodes) covers every point, split
     into passes of at most _PASS_POINTS integrand points.  Its error
     estimate, |span| times the null-rule coefficients of the largest
     real or imaginary part, must be within _RTOL of max |integral|, or else

@@ -131,8 +131,8 @@ def _build_quadrature(raw) -> GaussLegendre:
         raise ConfigError(f"unknown quadrature field {sorted(extra)[0]!r}; "
                           "the only rule is 'gauss-legendre', with 'nodes'")
     try:
-        return GaussLegendre(nodes=_integer(raw.get("nodes", 64),
-                                            "quadrature.nodes"))
+        return GaussLegendre(nodes=_integer(
+            raw.get("nodes", GaussLegendre().nodes), "quadrature.nodes"))
     except ValueError as exc:
         raise ConfigError(f"quadrature: {exc}") from exc
 

@@ -533,8 +533,11 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256),
 def integrate_forms(triple: FormTriple, z, z0=0.0, nodes: int = 64):
     """Gauss-Legendre integral of the triple along the segment z0 -> z.
 
-    Returns a (..., 3) complex array; on the exp chart its real part is the
-    surface displacement X(z) - X(z0) of the matching family.
+    One plain pass of `nodes` nodes, with no error estimate and no panel
+    splitting (unlike bjorling.segment_integral), so `nodes` must resolve
+    the segment.  Returns a (..., 3) complex array; on the exp chart its
+    real part is the surface displacement X(z) - X(z0) of the matching
+    family.
     """
     span = np.asarray(z, dtype=complex) - z0
     return _gauss_legendre(triple, z0, span, nodes)[0] * span[..., None]

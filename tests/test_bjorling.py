@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from maxsurf import bjorling, catalog, frames
+from maxsurf import bjorling, catalog, frames, verify
 from maxsurf.bjorling import (GaussLegendre, QuadratureError, SurfacePatch,
                               reference_normal, segment_integral,
                               solve_bjorling)
-from maxsurf.cli import main
+from maxsurf.cli import _build_quadrature, main
 from maxsurf.frames import AnalyticMap, BjorlingData
 from maxsurf.lorentz import lorentz_cross, lorentz_dot, vec3
 
@@ -41,25 +41,47 @@ def test_gauss_legendre_segment_integral_is_machine_accurate():
     assert np.max(np.abs(value - direct)) < 1e-13
 
 
-def test_near_axis_points_get_the_plain_rule_bit_for_bit():
-    # a point that one 64-node panel resolves keeps exactly the bytes of a
-    # plain Gauss-Legendre pass
-    x, w = np.polynomial.legendre.leggauss(64)
+NEAR_SURFACES = (catalog.bending_timelike(1.3),
+                 catalog.bending_spacelike(0.7),
+                 catalog.lightlike_rotational(0.5),
+                 catalog.helicoidal_timelike(1.2, 0.6),
+                 catalog.helicoidal_spacelike_i(0.8, 2.0),
+                 catalog.helicoidal_spacelike_ii(1.4, 1.0))
+
+
+def _near_axis_cases():
+    """Björling data and a 12x12 grid of points on [-1, 1]^2 that one
+    panel of the default rule resolves."""
     U, V = np.meshgrid(np.linspace(-1, 1, 12), np.linspace(-1, 1, 12),
                        indexing="ij")
-    z = U + 1j * V
-    for surface in (catalog.bending_timelike(1.3),
-                    catalog.bending_spacelike(0.7),
-                    catalog.lightlike_rotational(0.5),
-                    catalog.helicoidal_timelike(1.2, 0.6),
-                    catalog.helicoidal_spacelike_i(0.8, 2.0),
-                    catalog.helicoidal_spacelike_ii(1.4, 1.0)):
-        data = catalog.bjorling_data_for(surface)
-        span = z - data.u0
-        pts = data.u0 + 0.5 * (x + 1.0) * span[..., None]
-        vals = lorentz_cross(data.normal_field(pts), data.alpha.d(pts))
-        plain = span[..., None] * np.einsum("k,...kj->...j", 0.5 * w, vals)
-        assert np.array_equal(segment_integral(data, z), plain)
+    return [(catalog.bjorling_data_for(s), U + 1j * V) for s in NEAR_SURFACES]
+
+
+def _plain_pass(data, z, nodes):
+    """One plain Gauss-Legendre pass of `nodes` nodes from u0 to z."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    span = z - data.u0
+    pts = data.u0 + 0.5 * (x + 1.0) * span[..., None]
+    vals = lorentz_cross(data.normal_field(pts), data.alpha.d(pts))
+    return span[..., None] * np.einsum("k,...kj->...j", 0.5 * w, vals)
+
+
+def test_near_axis_points_get_the_plain_rule_bit_for_bit():
+    # a point that one panel of the default rule resolves keeps exactly the
+    # bytes of a plain Gauss-Legendre pass
+    nodes = GaussLegendre().nodes
+    for data, z in _near_axis_cases():
+        assert np.array_equal(segment_integral(data, z),
+                              _plain_pass(data, z, nodes))
+
+
+def test_configured_64_nodes_reproduce_the_plain_gl64_pass():
+    # a config asking for 64 nodes gets one plain 64-node pass, bit for bit
+    quadrature = _build_quadrature({"rule": "gauss-legendre", "nodes": 64})
+    assert quadrature == GaussLegendre(64)
+    for data, z in _near_axis_cases():
+        assert np.array_equal(segment_integral(data, z, quadrature),
+                              _plain_pass(data, z, 64))
 
 
 def test_pass_size_does_not_change_the_solve(monkeypatch):
@@ -69,16 +91,11 @@ def test_pass_size_does_not_change_the_solve(monkeypatch):
     # differently in those rounds too
     U, V = np.meshgrid(np.linspace(-1, 1, 40), np.linspace(-3, 3, 40),
                        indexing="ij")
-    surfaces = (catalog.bending_timelike(1.3),
-                catalog.bending_spacelike(0.7),
-                catalog.lightlike_rotational(0.5),
-                catalog.helicoidal_timelike(1.2, 0.6),
-                catalog.helicoidal_spacelike_i(0.8, 2.0),
-                catalog.helicoidal_spacelike_ii(1.4, 1.0))
-    cases = [(catalog.bjorling_data_for(s), U + 1j * V) for s in surfaces]
+    cases = [(catalog.bjorling_data_for(s), U + 1j * V)
+             for s in NEAR_SURFACES]
     far = np.linspace(-1, 1, 20)[:, None] + 1j * np.linspace(50, 300, 20)
     cases.append((_exp_data(), far))
-    assert U.size * 64 > bjorling._PASS_POINTS
+    assert U.size * GaussLegendre().nodes > bjorling._PASS_POINTS
     default = [segment_integral(data, z) for data, z in cases]
     monkeypatch.setattr(bjorling, "_PASS_POINTS", 1 << 16)
     for (data, z), got in zip(cases, default):
@@ -101,14 +118,15 @@ def test_far_point_is_split_into_panels_and_stays_accurate():
     data = _exp_data(_counting_normal(counts))
     near = 0.3 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
     segment_integral(data, near)
-    assert counts == [64 * near.size]
+    nodes = GaussLegendre().nodes
+    assert counts == [nodes * near.size]
     counts.clear()
     z = 300j
     value = segment_integral(data, np.array(z))
     # V x alpha' = (0, e^w, 0) for V = (0, 0, 1), alpha' = (e^w, 0, 0)
     exact = np.exp(z) - 1.0
     assert abs(value[1] - exact) <= 1e-11 * abs(exact)
-    assert sum(counts) > 64
+    assert sum(counts) > nodes
 
 
 def test_non_finite_integrand_raises_at_its_point():
@@ -123,7 +141,7 @@ def test_non_finite_integrand_raises_at_its_point():
 
 def test_panel_cap_raises_with_point_estimate_and_tolerance():
     # e^w oscillates 1e5 / (2 pi) times along the segment: more than 1024
-    # panels of 64 nodes would be needed
+    # panels of GaussLegendre().nodes nodes would be needed
     z = np.array([0.5j, 1e5j])
     with pytest.raises(QuadratureError) as info:
         segment_integral(_exp_data(), z)
@@ -199,6 +217,28 @@ def test_far_field_fallback_remains_accurate():
     v = np.full_like(u, 2.4)
     assert np.max(np.abs(np.asarray(patch(u, v)) -
                          np.asarray(forced(u, v)))) < 1e-9
+
+
+@pytest.mark.parametrize("family", [s.family for s in NEAR_SURFACES])
+def test_default_rule_matches_closed_form_across_twists_and_grids(family):
+    # The default rule against the closed form for each twist, on 21x21
+    # grids: verify's default grid, the strip |u| <= pi, |v| <= 1 and the
+    # wide strip |u| <= 3, |v| <= 6.  At 64 and at 32 nodes the worst error
+    # measured is 2.5e-14 of max |X|, so the bound leaves a 4x margin: a
+    # cheaper default rule that trades accuracy away fails here.
+    info = catalog.FAMILY_INFO[family]
+    lam = {p.name: p.default for p in info.params}.get("lam") or 0.0
+    grids = [verify.Grid.from_domain(d).mesh()
+             for d in (info.verify_domain, (-np.pi, np.pi, -1.0, 1.0),
+                       (-3.0, 3.0, -6.0, 6.0))]
+    for a in (0.3, 1.0, 1.7, 2.0, 3.0, 5.0):
+        surface = catalog.CatalogSurface(family, a=a, lam=lam)
+        numeric = solve_bjorling(catalog.bjorling_data_for(surface))
+        exact = catalog.patch(surface)
+        for U, V in grids:
+            X = numeric(U, V)
+            assert (np.max(np.abs(X - exact(U, V)))
+                    <= 1e-13 * np.max(np.abs(X))), (a, U.max(), V.max())
 
 
 def test_reference_normal_matches_prescribed_field():
