@@ -20,21 +20,23 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .frames import BjorlingData
+from .frames import WORK_PLANES, BjorlingData
 from .lorentz import lorentz_cross, lorentz_dot
 
 # Relative tolerance of a segment integral, and panel count at which a
 # point still missing it raises.
 _RTOL = 1e-11
 _MAX_PANELS = 1024
-# Integrand points per pass.  At 16 384 points a (..., 3) complex array is
-# 768 KB, so one pass's arrays fit a core's L2 (2 MB on the 2-vCPU Xeon
-# measured).  There, with 64-node panels, of 1<<12 ... 1<<16, 1<<13 and
-# 1<<14 were the fastest: 1<<13 by about 7 % on 32x32 solves, 1<<14 by
-# about 3 % on verify's throughput, and both 25-30 % ahead of 1<<16.  The
-# split changes no bit of the result, since every value is computed
-# pointwise.
-_PASS_POINTS = 1 << 14
+# Integrand points per pass.  segment_integral holds one block of
+# 4 + WORK_PLANES = 13 complex planes of this many points, 1.7 MB at 1<<13,
+# within a core's L2 (2 MB on the 2-vCPU Xeon measured).  There, with
+# 32-node panels, 1<<12 / 1<<13 / 1<<14 gave bench/run.py's bjorling-solve
+# op_p50_ms 7.0 / 6.3 / 6.1 and verify-catalog peak_rss_mb 44.6 / 45.3 /
+# 46.9 (46.0 with the allocating passes at 1<<14): 1<<13 is the largest
+# size that does not raise peak memory.  weierstrass.total_curvature's
+# blocks use the same size.  The split changes no bit of the result, since
+# every value is computed pointwise.
+_PASS_POINTS = 1 << 13
 
 
 class QuadratureError(RuntimeError):
@@ -112,23 +114,33 @@ def segment_integral(data: BjorlingData, z, quadrature=None):
     the estimate is not finite or still misses at _MAX_PANELS panels.
     """
     nodes = (quadrature or GaussLegendre()).nodes
-    _, wt, null = _rule(nodes)
-
-    def f(w):
-        return lorentz_cross(data.normal_field(w), data.alpha.d(w))
-
+    s, wt, null = _rule(nodes)
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     span = flat - data.u0
     out = np.empty(flat.shape + (3,), dtype=complex)
+    block = np.empty(0, dtype=complex)
     todo, panels = np.arange(flat.size), 1
     while todo.size:
         left = []
         rows = max(1, _PASS_POINTS // (panels * nodes))
+        # One block holds a pass's integrand values, nodes and work planes;
+        # it is replaced only when a round's passes outgrow it.
+        need = (4 + WORK_PLANES) * min(rows, todo.size) * panels * nodes
+        if block.size < need:
+            block = np.empty(need, dtype=complex)
         for idx in np.split(todo, range(rows, todo.size, rows)):
+            shape = (idx.size, panels, nodes)
+            n = idx.size * panels * nodes
+            vals = block[:3 * n].reshape(shape + (3,))
+            w = block[3 * n:4 * n].reshape(shape)
+            work = block[4 * n:(4 + WORK_PLANES) * n].reshape(
+                (WORK_PLANES,) + shape)
             h = span[idx, None] / panels
-            mean, vals = _gauss_legendre(
-                f, (data.u0 + np.arange(panels) * h)[..., None], h, nodes)
+            np.add((data.u0 + np.arange(panels) * h)[..., None],
+                   np.multiply(s, h[..., None], out=w[:, :1]), out=w)
+            data.integrand(w, out=vals, work=work)
+            mean = np.einsum("k,...kj->...j", wt, vals)
             total = np.sum(h[..., None] * mean, axis=-2)
             coef = np.abs(null @ np.ascontiguousarray(vals, complex).view(float))
             err = np.sum(np.abs(h) * np.max(coef[..., 0, :] + coef[..., 1, :],

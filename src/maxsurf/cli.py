@@ -26,7 +26,6 @@ import numpy as np
 from . import catalog, verify, weierstrass
 from .bjorling import (GaussLegendre, QuadratureError, SurfacePatch,
                        solve_bjorling)
-from .lorentz import lorentz_cross
 from .verify import CheckResult, Grid
 
 SCHEMA = "maxsurf-report/1"
@@ -489,8 +488,7 @@ def _forms(job):
     checks = [_check("null-condition", float(np.max(triple.null_residual(zs))),
                      tols["null_condition"], ring)]
     data = catalog.bjorling_data_for(job.surface, u0=job.cfg.u0)
-    direct = data.alpha.d(zs) \
-        + 1j * lorentz_cross(data.normal_field(zs), data.alpha.d(zs))
+    direct = data.alpha.d(zs) + 1j * data.integrand(zs)
     res = float(np.max(np.abs(triple(zs) - direct)))
     checks.append(_check("forms-match-data", res, tols["forms_data"], ring))
     rec = weierstrass.reconstruct_forms(weierstrass.weierstrass_pair(triple))

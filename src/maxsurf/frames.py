@@ -30,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from .lorentz import _cross_into, lorentz_cross
+
 CIRCLE_TIMELIKE = "circle-timelike"
 CIRCLE_SPACELIKE = "circle-spacelike"
 CIRCLE_LIGHTLIKE = "circle-lightlike"
@@ -154,10 +156,10 @@ class NormalFieldSpec:
         if not test(self.a):
             raise ValueError(f"{self.kind} twist needs {text}, got {self.a}")
 
-    def phi(self, t):
+    def phi(self, t, out=None):
         if self.kind == "constant":
             return self.a * np.ones_like(np.asarray(t))
-        return self.a * np.asarray(t)
+        return np.multiply(self.a, t, out=out)
 
 
 def constant_twist(a: float) -> NormalFieldSpec:
@@ -200,8 +202,36 @@ class BjorlingData:
     family: CurveFamily | None = None
     spec: NormalFieldSpec | None = None
 
+    def integrand(self, w, out=None, work=None):
+        """The Björling integrand V(w) x alpha'(w), as a (..., 3) array.
 
-def _sin_cos(z):
+        If the normal field and the curve derivative are one built-in
+        family's, as make_bjorling_data builds them, and w is complex, the
+        kernel and the twist are evaluated once and V, alpha' and their
+        product are written with out= ufuncs: the product into `out`, the
+        rest into `work`, WORK_PLANES complex planes shaped like w (either
+        is allocated when not given).  The pair is recognized by the maps'
+        own evaluators, never by `family` or `spec`, so a swapped map is
+        always the one evaluated.  Other data takes
+        lorentz_cross(normal_field(w), alpha.d(w), out=out).  Both ways
+        give the same bits.
+        """
+        w = np.asarray(w)
+        field, deriv = self.normal_field.func, self.alpha.deriv
+        if not (isinstance(field, _NormalField)
+                and isinstance(deriv, _Components) and w.dtype == complex
+                and (deriv.form, deriv.terms) == (field.form,
+                                                   field.form.deriv)):
+            return lorentz_cross(self.normal_field(w), self.alpha.d(w),
+                                 out=out)
+        if out is None:
+            out = np.empty(w.shape + (3,), complex)
+        if work is None:
+            work = np.empty((WORK_PLANES,) + w.shape, complex)
+        return field.cross_derivative(w, out, work)
+
+
+def _sin_cos(z, out=None, work=None):
     """(sin z, cos z), for complex z from four real ufunc passes:
 
         sin(x + iy) = sin x cosh y + i cos x sinh y
@@ -209,41 +239,51 @@ def _sin_cos(z):
 
     numpy's complex sin and cos each cost several times a real pass and
     share no work.  Real input goes straight to the real ufuncs, so it keeps
-    its exact values and dtype.
+    its exact values and dtype.  For complex z, `out` may hold the two
+    complex results and `work` four real arrays shaped like z.
     """
     z = np.asarray(z)
     if not np.iscomplexobj(z):
         return np.sin(z), np.cos(z)
-    sx, cx = np.sin(z.real), np.cos(z.real)
-    shy, chy = np.sinh(z.imag), np.cosh(z.imag)
-    sin, cos = np.empty_like(z), np.empty_like(z)
+    sx, cx, shy, chy = work or (None,) * 4
+    sx, cx = np.sin(z.real, out=sx), np.cos(z.real, out=cx)
+    shy, chy = np.sinh(z.imag, out=shy), np.cosh(z.imag, out=chy)
+    sin, cos = out or (np.empty_like(z), np.empty_like(z))
     np.multiply(sx, chy, out=sin.real)
     np.multiply(cx, shy, out=sin.imag)
     np.multiply(cx, chy, out=cos.real)
-    np.multiply(-sx, shy, out=cos.imag)
+    np.multiply(np.negative(sx, out=sx if work else None), shy, out=cos.imag)
     return sin, cos
 
 
-def _sinh_cosh(z):
+def _sinh_cosh(z, out=None, work=None):
     """(sinh z, cosh z), for complex z from four real ufunc passes:
 
         sinh(x + iy) = sinh x cos y + i cosh x sin y
         cosh(x + iy) = cosh x cos y + i sinh x sin y
 
     Real input goes straight to the real ufuncs, so it keeps its exact
-    values and dtype.
+    values and dtype.  `out` and `work` are as for _sin_cos; z is read in
+    full before `out` is written, so `out` may share z's memory.
     """
     z = np.asarray(z)
     if not np.iscomplexobj(z):
         return np.sinh(z), np.cosh(z)
-    shx, chx = np.sinh(z.real), np.cosh(z.real)
-    sy, cy = np.sin(z.imag), np.cos(z.imag)
-    sinh, cosh = np.empty_like(z), np.empty_like(z)
+    shx, chx, sy, cy = work or (None,) * 4
+    shx, chx = np.sinh(z.real, out=shx), np.cosh(z.real, out=chx)
+    sy, cy = np.sin(z.imag, out=sy), np.cos(z.imag, out=cy)
+    sinh, cosh = out or (np.empty_like(z), np.empty_like(z))
     np.multiply(shx, cy, out=sinh.real)
     np.multiply(chx, sy, out=sinh.imag)
     np.multiply(chx, cy, out=cosh.real)
     np.multiply(shx, sy, out=cosh.imag)
     return sinh, cosh
+
+
+def _z_square(z, out=None, work=None):
+    """(z, z^2): the lightlike circle's kernel.  np.square is what z**2
+    runs."""
+    return z, np.square(z, out=None if out is None else out[1])
 
 
 def _vec(z, comps):
@@ -254,100 +294,135 @@ def _vec(z, comps):
     return out
 
 
+# A term is one component of a formula: a float constant, a symbol, or
+# (ufunc, *terms), the ufunc applied to the values of the terms.  The
+# symbols are the argument z, the family's kernel pair (f, g) of z, and the
+# normal field's twist pair (p, q).
+_Z, _F, _G, _P, _Q = "z", "f", "g", "p", "q"
+
+
+def _neg(term):
+    return (np.negative, term)
+
+
+def _times(c, term):
+    return (np.multiply, c, term)
+
+
+def _value(term, env, bufs=()):
+    """The value of a term, with the symbols bound by `env`.
+
+    Without `bufs` each operation allocates its result, as numpy's
+    operators do.  With `bufs`, an operation that yields an array writes
+    it into bufs[0]; its operands that are operations are evaluated first,
+    in order, into bufs[0], bufs[1], ..., each with the buffers after its
+    own as scratch.  Operations on scalars alone give scalars either way.
+    """
+    if isinstance(term, str):
+        return env[term]
+    if not isinstance(term, tuple):
+        return term
+    ufunc, *args = term
+    vals, used = [], 0
+    for arg in args:
+        val = _value(arg, env, bufs[used:])
+        if bufs and isinstance(arg, tuple) and _ndim(val):
+            used += 1
+        vals.append(val)
+    if bufs and any(_ndim(val) for val in vals):
+        return ufunc(*vals, out=bufs[0])
+    return ufunc(*vals)
+
+
+def _ndim(value):
+    return getattr(value, "ndim", 0)
+
+
 @dataclass(frozen=True)
 class _Formulas:
-    """The formulas of one family.  `kernel` maps z to the pair (f, g) that
-    the others are written in; `alpha` and `deriv` map (z, f, g) to the
-    components of the curve and of its derivative, and `legs` to those of
-    the stored (normal, binormal) frame legs.  Constant components are
-    floats."""
+    """The formulas of one family, as data.  `kernel` maps z to the pair
+    (f, g) the terms are written in (with optional `out` and `work` as for
+    _sin_cos); `alpha` and `deriv` are the terms of the curve and of its
+    derivative, `normal` and `binormal` those of the stored frame legs."""
 
     kernel: Callable
-    alpha: Callable
-    deriv: Callable
-    legs: Callable
+    alpha: tuple
+    deriv: tuple
+    normal: tuple
+    binormal: tuple
 
 
 def _formulas(family: CurveFamily) -> _Formulas:
     tag = family.tag
     if tag == CIRCLE_TIMELIKE:
-        return _Formulas(_sin_cos,
-                         lambda z, s, c: (c, s, 0.0),
-                         lambda z, s, c: (-s, c, 0.0),
-                         lambda z, s, c: ((-c, -s, 0.0), (0.0, 0.0, 1.0)))
+        return _Formulas(_sin_cos, (_G, _F, 0.0), (_neg(_F), _G, 0.0),
+                         (_neg(_G), _neg(_F), 0.0), (0.0, 0.0, 1.0))
     if tag == CIRCLE_SPACELIKE:
-        return _Formulas(_sinh_cosh,
-                         lambda z, sh, ch: (0.0, sh, ch),
-                         lambda z, sh, ch: (0.0, ch, sh),
-                         lambda z, sh, ch: ((0.0, sh, ch), (1.0, 0.0, 0.0)))
+        return _Formulas(_sinh_cosh, (0.0, _F, _G), (0.0, _G, _F),
+                         (0.0, _F, _G), (1.0, 0.0, 0.0))
     if tag == CIRCLE_LIGHTLIKE:
-        return _Formulas(lambda z: (z, z**2),
-                         lambda z, _, z2: (z2 / 2 - 1.0, z, z2 / 2),
-                         lambda z, _, z2: (z, 1.0, z),
-                         lambda z, _, z2: ((0.5, 0.0, 0.5),
-                                           ((z2 - 1.0) / 2, z, (z2 + 1.0) / 2)))
+        half = (np.divide, _G, 2)
+        return _Formulas(_z_square, ((np.subtract, half, 1.0), _F, half),
+                         (_F, 1.0, _F), (0.5, 0.0, 0.5),
+                         ((np.divide, (np.subtract, _G, 1.0), 2), _F,
+                          (np.divide, (np.add, _G, 1.0), 2)))
     lam, mu = family.lam, family.mu
     k = lam / mu
     if tag == HELIX_TIMELIKE:
-        return _Formulas(_sin_cos,
-                         lambda z, s, c: (c, s, lam * z),
-                         lambda z, s, c: (-s, c, lam),
-                         lambda z, s, c: ((-c, -s, 0.0),
-                                          (k * s, -k * c, -1.0 / mu)))
+        return _Formulas(_sin_cos, (_G, _F, _times(lam, _Z)),
+                         (_neg(_F), _G, lam), (_neg(_G), _neg(_F), 0.0),
+                         (_times(k, _F), _times(-k, _G), -1.0 / mu))
     if tag == HELIX_SPACELIKE_I:
-        return _Formulas(_sinh_cosh,
-                         lambda z, sh, ch: (lam * z, ch, sh),
-                         lambda z, sh, ch: (lam, sh, ch),
-                         lambda z, sh, ch: ((0.0, ch, sh),
-                                            (-1.0 / mu, -k * sh, -k * ch)))
+        return _Formulas(_sinh_cosh, (_times(lam, _Z), _G, _F),
+                         (lam, _F, _G), (0.0, _G, _F),
+                         (-1.0 / mu, _times(-k, _F), _times(-k, _G)))
     # helix-spacelike-ii
-    return _Formulas(_sinh_cosh,
-                     lambda z, sh, ch: (lam * z, sh, ch),
-                     lambda z, sh, ch: (lam, ch, sh),
-                     lambda z, sh, ch: ((0.0, sh, ch),
-                                        (1.0 / mu, -k * ch, -k * sh)))
+    return _Formulas(_sinh_cosh, (_times(lam, _Z), _F, _G), (lam, _G, _F),
+                     (0.0, _F, _G),
+                     (1.0 / mu, _times(-k, _G), _times(-k, _F)))
 
 
 def _null_to_orthonormal(n, b):
-    """Lightlike circle: its null legs n, b as e2 = n - b (spacelike, unit)
-    and e3 = n + b (timelike, unit), componentwise."""
-    return (tuple(nk - bk for nk, bk in zip(n, b)),
-            tuple(nk + bk for nk, bk in zip(n, b)))
+    """Lightlike circle: the terms of its null legs n, b as those of
+    e2 = n - b (spacelike, unit) and e3 = n + b (timelike, unit)."""
+    return (tuple((np.subtract, nk, bk) for nk, bk in zip(n, b)),
+            tuple((np.add, nk, bk) for nk, bk in zip(n, b)))
 
 
-def _evaluator(kernel, formula):
-    """z -> (..., 3) array of the components formula(z, *kernel(z))."""
-    def evaluate(z):
+class _Components:
+    """Evaluator z -> (..., 3) array of three terms of one family."""
+
+    def __init__(self, form: _Formulas, terms: tuple):
+        self.form, self.terms = form, terms
+
+    def __call__(self, z):
         z = np.asarray(z)
-        return _vec(z, formula(z, *kernel(z)))
-    return evaluate
+        f, g = self.form.kernel(z)
+        return _vec(z, [_value(t, {_Z: z, _F: f, _G: g}) for t in self.terms])
 
 
 def make_curve(family: CurveFamily) -> AnalyticMap:
     """Analytic extension of the core curve, with its exact derivative."""
     form = _formulas(family)
-    return AnalyticMap(_evaluator(form.kernel, form.alpha),
-                       _evaluator(form.kernel, form.deriv))
+    return AnalyticMap(_Components(form, form.alpha),
+                       _Components(form, form.deriv))
 
 
 def make_frame(family: CurveFamily) -> FrameField:
     """Adapted frame evaluators (unit tangent; frame vectors as stored)."""
     form = _formulas(family)
-    deriv = _evaluator(form.kernel, form.deriv)
+    deriv = _Components(form, form.deriv)
     speed = family.mu or 1.0  # circles have unit speed
-
-    def leg(pick):
-        return _evaluator(form.kernel, lambda *args: pick(form.legs(*args)))
 
     def tangent(z):
         return deriv(z) / speed
 
     e2 = e3 = None
     if family.tag == CIRCLE_LIGHTLIKE:
-        e2 = leg(lambda nb: _null_to_orthonormal(*nb)[0])
-        e3 = leg(lambda nb: _null_to_orthonormal(*nb)[1])
-    return FrameField(tangent, leg(lambda nb: nb[0]), leg(lambda nb: nb[1]),
-                      e2, e3)
+        e2, e3 = (_Components(form, legs) for legs in
+                  _null_to_orthonormal(form.normal, form.binormal))
+    return FrameField(tangent, _Components(form, form.normal),
+                      _Components(form, form.binormal), e2, e3)
 
 
 # Which frame leg is spacelike vs timelike decides where sinh(phi) and
@@ -356,29 +431,78 @@ def make_frame(family: CurveFamily) -> FrameField:
 # on (e2, e3), carry sinh there.
 _COSH_ON_NORMAL = {CIRCLE_SPACELIKE, HELIX_SPACELIKE_II}
 
+# Complex planes of an integrand's work array: the kernel pair, V, a
+# scratch plane, then the twist pair and one more, which take alpha' once
+# V is done.  V's planes also serve as the kernels' real scratch.
+WORK_PLANES = 9
+
+
+class _NormalField:
+    """Evaluator of V = p n + q b on the frame legs (n, b), or (e2, e3)
+    for the lightlike circle, where (p, q) is (sinh phi, cosh phi), swapped
+    on the families that carry cosh on the normal; `terms` are V's."""
+
+    def __init__(self, form: _Formulas, spec: NormalFieldSpec,
+                 sinh_on_normal: bool, terms: tuple):
+        self.form, self.spec = form, spec
+        self.sinh_on_normal, self.terms = sinh_on_normal, terms
+
+    def twist(self, z, out=None, work=None):
+        """(p, q) at z: scalars for a constant twist, else arrays (in
+        `out` when given, with `work` as for _sinh_cosh)."""
+        if self.spec.kind == "constant":
+            sh, ch = _sinh_cosh(self.spec.a)
+        else:
+            phi = self.spec.phi(z, out=None if out is None else out[0])
+            sh, ch = _sinh_cosh(phi, out=out, work=work)
+        return (sh, ch) if self.sinh_on_normal else (ch, sh)
+
+    def __call__(self, z):
+        z = np.asarray(z)
+        f, g = self.form.kernel(z)
+        p, q = self.twist(z)
+        env = {_Z: z, _F: f, _G: g, _P: p, _Q: q}
+        return _vec(z, [_value(t, env) for t in self.terms])
+
+    def cross_derivative(self, w, out, work):
+        """V(w) x alpha'(w) into `out`, through the planes of `work`: the
+        kernel and the twist once, then V, alpha' and the cross product by
+        the same operations as the evaluators and lorentz_cross."""
+        # work[k, ...] stays an array view when w is 0-d
+        f, g, v0, v1, v2, tmp, p, q, x = (work[k, ...]
+                                          for k in range(WORK_PLANES))
+        real = [half.reshape(w.shape) for plane in (v0, v1)
+                for half in plane.reshape(-1).view(float).reshape(2, -1)]
+        f, g = self.form.kernel(w, out=(f, g), work=real)
+        env = {_Z: w, _F: f, _G: g}
+        env[_P], env[_Q] = self.twist(w, out=(p, q), work=real)
+        field = [_value(t, env, (plane, tmp))
+                 for t, plane in zip(self.terms, (v0, v1, v2))]
+        # the twist is spent: its planes take alpha'
+        deriv = [_value(t, env, (plane,))
+                 for t, plane in zip(self.form.deriv, (p, q, x))]
+        # constants enter the product as complex, as _vec stores them
+        _cross_into([c if _ndim(c) else np.complex128(c) for c in field],
+                    [c if _ndim(c) else np.complex128(c) for c in deriv],
+                    [out[..., k] for k in range(3)], tmp)
+        return out
+
 
 def make_normal_field(family: CurveFamily, spec: NormalFieldSpec) -> AnalyticMap:
     """Unit timelike analytic field V with <V, alpha'> = 0 and <V, V> = -1."""
     form = _formulas(family)
-    null = family.tag == CIRCLE_LIGHTLIKE
-    if null and spec.kind != "constant":
-        raise ValueError(
-            "the lightlike circle supports a constant twist only; "
-            "a parameter-dependent angle does not combine with its null frame "
-            "into an integrable normal field")
-    constant = _sinh_cosh(spec.a) if spec.kind == "constant" else None
-    sinh_on_normal = family.tag not in _COSH_ON_NORMAL
-
-    def field(z):
-        z = np.asarray(z)
-        n, b = form.legs(z, *form.kernel(z))
-        if null:
-            n, b = _null_to_orthonormal(n, b)
-        sh, ch = constant if constant is not None else _sinh_cosh(spec.phi(z))
-        p, q = (sh, ch) if sinh_on_normal else (ch, sh)
-        return _vec(z, tuple(p * nk + q * bk for nk, bk in zip(n, b)))
-
-    return AnalyticMap(field)
+    legs = (form.normal, form.binormal)
+    if family.tag == CIRCLE_LIGHTLIKE:
+        if spec.kind != "constant":
+            raise ValueError(
+                "the lightlike circle supports a constant twist only; "
+                "a parameter-dependent angle does not combine with its null "
+                "frame into an integrable normal field")
+        legs = _null_to_orthonormal(*legs)
+    terms = tuple((np.add, (np.multiply, _P, n), (np.multiply, _Q, b))
+                  for n, b in zip(*legs))
+    return AnalyticMap(_NormalField(form, spec,
+                                    family.tag not in _COSH_ON_NORMAL, terms))
 
 
 def make_bjorling_data(family: CurveFamily, spec: NormalFieldSpec,

@@ -1,5 +1,6 @@
 """Numerical construction of surface patches from curve plus normal field."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -84,22 +85,88 @@ def test_configured_64_nodes_reproduce_the_plain_gl64_pass():
                               _plain_pass(data, z, 64))
 
 
-def test_pass_size_does_not_change_the_solve(monkeypatch):
+@pytest.mark.parametrize("points", [1 << 16, 48])
+def test_pass_size_does_not_change_the_solve(monkeypatch, points):
     # every value is computed pointwise, so the split into passes changes no
     # bit: 40x40 points of six families take several passes of the default
     # size, and far points of e^z, redone on 2 to 16 panels, are split
-    # differently in those rounds too
+    # differently in those rounds too.  At 48 points a pass holds one
+    # point, and from 2 panels on one row is wider than the pass.
     U, V = np.meshgrid(np.linspace(-1, 1, 40), np.linspace(-3, 3, 40),
                        indexing="ij")
     cases = [(catalog.bjorling_data_for(s), U + 1j * V)
              for s in NEAR_SURFACES]
     far = np.linspace(-1, 1, 20)[:, None] + 1j * np.linspace(50, 300, 20)
     cases.append((_exp_data(), far))
-    assert U.size * GaussLegendre().nodes > bjorling._PASS_POINTS
+    nodes = GaussLegendre().nodes
+    assert U.size * nodes > bjorling._PASS_POINTS
+    assert points < 2 * nodes or points > U.size * nodes
+    if points < 2 * nodes:
+        # one point per pass: keep the case short
+        cases = [(data, z[::8, ::8]) for data, z in cases]
     default = [segment_integral(data, z) for data, z in cases]
-    monkeypatch.setattr(bjorling, "_PASS_POINTS", 1 << 16)
+    monkeypatch.setattr(bjorling, "_PASS_POINTS", points)
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data, z), got)
+
+
+def _generic(data):
+    """The same Björling data, with its normal field behind a wrapper, so
+    that the integrand takes the generic lorentz_cross path."""
+    field = data.normal_field
+    return dataclasses.replace(
+        data, normal_field=AnalyticMap(lambda z: field(z), field.deriv))
+
+
+BJORLING_FAMILIES = [f for f, info in catalog.FAMILY_INFO.items()
+                     if info.curve is not None]
+
+
+@pytest.mark.parametrize("family", BJORLING_FAMILIES)
+def test_fused_solves_equal_generic_path_solves(family):
+    # the bench grids: near 32x32 on [-1, 1]^2, far 2x4 out to |v| = 3
+    near = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32),
+                       indexing="ij")
+    far = np.meshgrid([-1.0, 1.0], [-3.0, -1.0, 1.0, 3.0], indexing="ij")
+    info = catalog.FAMILY_INFO[family]
+    lam = {p.name: p.default for p in info.params}.get("lam") or 0.0
+    for a in (0.3, 1.7):
+        data = catalog.bjorling_data_for(
+            catalog.CatalogSurface(family, a=a, lam=lam))
+        fused, generic = solve_bjorling(data), solve_bjorling(_generic(data))
+        for U, V in (near, far):
+            assert np.array_equal(fused(U, V), generic(U, V))
+
+
+def test_a_swapped_normal_field_is_evaluated():
+    # a counting field swapped in by dataclasses.replace sees every node
+    # of the near-axis pass, and the solve keeps its bits
+    nodes = GaussLegendre().nodes
+    for data, z in _near_axis_cases():
+        counts = []
+        field = data.normal_field
+
+        def counting(w):
+            counts.append(np.size(w))
+            return field(w)
+
+        swapped = dataclasses.replace(
+            data, normal_field=AnalyticMap(counting, field.deriv))
+        assert np.array_equal(segment_integral(swapped, z),
+                              segment_integral(data, z))
+        assert sum(counts) == z.size * nodes
+
+
+def test_a_swapped_curve_is_evaluated():
+    # another family's curve under the same normal field changes the
+    # integrand: the solve is the generic pass of the swapped maps
+    nodes = GaussLegendre().nodes
+    data, z = _near_axis_cases()[0]
+    other = catalog.bjorling_data_for(catalog.bending_spacelike(0.7))
+    swapped = dataclasses.replace(data, alpha=other.alpha)
+    got = segment_integral(swapped, z)
+    assert not np.array_equal(got, segment_integral(data, z))
+    assert np.array_equal(got, _plain_pass(swapped, z, nodes))
 
 
 def _counting_normal(counts, nan_where=None):

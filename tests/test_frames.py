@@ -1,10 +1,12 @@
 """Core curves, printed frames, and the twisting normal fields."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from maxsurf import frames
-from maxsurf.lorentz import lorentz_dot
+from maxsurf.lorentz import lorentz_cross, lorentz_dot
 
 U_SAMPLES = np.linspace(-2.0, 2.0, 9)
 
@@ -188,3 +190,61 @@ def test_bjorling_data_bundles_curve_and_field():
     assert np.allclose(pt, [np.cos(0.3), np.sin(0.3), 0.0])
     V = data.normal_field(np.array(0.3))
     assert abs(lorentz_dot(V, V) + 1.0) < 1e-12
+
+
+# Every curve family with each twist it admits: the lightlike circle takes
+# a constant twist only.
+BJORLING_PAIRS = [
+    (family, spec)
+    for family in ORTHONORMAL_FAMILIES + [frames.circle_lightlike()]
+    for spec in (frames.constant_twist(0.0), frames.constant_twist(1.3),
+                 frames.linear_twist(0.7), frames.linear_twist(2.0))
+    if family.tag != frames.CIRCLE_LIGHTLIKE or spec.kind == "constant"]
+
+
+@pytest.mark.parametrize("family,spec", BJORLING_PAIRS,
+                         ids=lambda x: getattr(x, "tag", None) or
+                         f"{x.kind}-{x.a}")
+def test_fused_integrand_matches_the_generic_cross_product(family, spec,
+                                                          monkeypatch):
+    # The fused integrand runs the generic formula's operations, so every
+    # value keeps its bits, overflow included: cosh and sinh overflow past
+    # |Re z| or |Im z| = 710, and the inf and nan that follow land in the
+    # same places.  It never falls back to lorentz_cross.
+    data = frames.make_bjorling_data(family, spec)
+    x = np.concatenate([np.linspace(-720.0, 720.0, 37),
+                        np.linspace(-2.0, 2.0, 9)])
+    z = x[:, None] + 1j * x[None, :]
+    out = np.empty(z.shape + (3,), complex)
+    work = np.empty((frames.WORK_PLANES,) + z.shape, complex)
+    with np.errstate(all="ignore"):
+        generic = lorentz_cross(data.normal_field(z), data.alpha.d(z))
+        monkeypatch.setattr(frames, "lorentz_cross", None)
+        fused = data.integrand(z)
+        assert data.integrand(z, out=out, work=work) is out
+        # one point, as a 0-d array
+        point = np.asarray(z[40, 43])
+        at_point = lorentz_cross(data.normal_field(point), data.alpha.d(point))
+        assert np.array_equal(data.integrand(point), at_point)
+    for got in (fused, out):
+        assert np.array_equal(got, generic, equal_nan=True)
+        assert np.array_equal(got.view(np.uint64), generic.view(np.uint64))
+
+
+def test_fused_integrand_allocates_no_pass_sized_array():
+    # with `out` and `work` given, a pass of 16 384 points allocates a few
+    # small objects only; the generic product allocates megabytes
+    data = frames.make_bjorling_data(frames.helix_timelike(0.6),
+                                     frames.linear_twist(0.7))
+    w = np.linspace(-1.0, 1.0, 512)[:, None, None] * (1.0 + 0.3j) \
+        * np.linspace(0.0, 1.0, 32)
+    out = np.empty(w.shape + (3,), complex)
+    work = np.empty((frames.WORK_PLANES,) + w.shape, complex)
+    data.integrand(w, out=out, work=work)
+    tracemalloc.start()
+    try:
+        data.integrand(w, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes // 16

@@ -484,7 +484,7 @@ _DENSITY_PAIRS = [
 
 @pytest.mark.parametrize("w", _DENSITY_PAIRS, ids=lambda w: w.label)
 def test_blocked_density_is_bit_identical_to_the_gathered_one(w, monkeypatch):
-    # the default grid: 401 x 256 points, so 16 384-point blocks of 64 rows
+    # the default grid: 401 x 256 points, so 8 192-point blocks of 32 rows
     # end in a block of 17
     th = 2.0 * np.pi * np.arange(256) / 256
     z = np.exp(_DEFAULT_S[:, None] + 1j * th[None, :])
