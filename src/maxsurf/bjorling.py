@@ -66,15 +66,19 @@ class GaussLegendre:
 class SurfacePatch:
     """A parametrized surface piece: evaluator plus domain metadata.
 
-    `func` maps broadcastable real arrays (u, v) to a (..., 3) array of
-    coordinates; `domain` = (u_min, u_max, v_min, v_max) records the strip
-    the patch is meant for (evaluation outside is allowed, accuracy is the
-    caller's concern); `label` identifies the construction.
+    `func` maps real arrays (u, v) of one shape to an array of that shape
+    with a trailing axis of 3 coordinates; `domain` = (u_min, u_max, v_min,
+    v_max) records the strip the patch is meant for (evaluation outside is
+    allowed, accuracy is the caller's concern); `label` identifies the
+    construction.  `broadcasts` declares that `func` also broadcasts u of
+    shape (nu, 1) against v of shape (1, nv) to a (nu, nv, 3) result, so
+    grid scans may hand it a sparse mesh.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: tuple[float, float, float, float] = (-np.pi, np.pi, -1.0, 1.0)
     label: str = ""
+    broadcasts: bool = False
 
     def __call__(self, u, v):
         return self.func(u, v)

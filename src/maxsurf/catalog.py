@@ -474,4 +474,4 @@ def patch(surface: CatalogSurface, domain=None) -> SurfacePatch:
         for p in FAMILY_INFO[surface.family].params])
     return SurfacePatch(func=lambda u, v: eval_surface(surface, u, v),
                         domain=tuple(float(x) for x in domain),
-                        label=label)
+                        label=label, broadcasts=True)

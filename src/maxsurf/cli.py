@@ -272,7 +272,8 @@ def _patch_for(surface, cfg: JobConfig) -> SurfacePatch:
         return pts
 
     return SurfacePatch(func=func, domain=base.domain,
-                        label=base.label + f":perturb={eps:g}")
+                        label=base.label + f":perturb={eps:g}",
+                        broadcasts=base.broadcasts)
 
 
 def _default_grid(cfg: JobConfig, fam: str, for_sample: bool) -> Grid:
@@ -305,20 +306,20 @@ def _thread_count() -> int:
     return min(n, 64)
 
 
-def _format_floats(values) -> list:
-    """Every value of a float array as '%.17g' text, in C order."""
-    flat = np.asarray(values, dtype=float).ravel().tolist()
-    return ("%.17g " * len(flat) % tuple(flat)).split()
+def _xyz_lines(points) -> str:
+    """One '%.17g %.17g %.17g' line per point of a (..., 3) array, C order."""
+    flat = np.asarray(points, dtype=float).ravel().tolist()
+    return "%.17g %.17g %.17g\n" * (len(flat) // 3) % tuple(flat)
 
 
-def _write_obj(path, label, grid: Grid, coords, mask):
-    """Quads over the grid; `coords` are the vertex coordinates as text."""
+def _write_obj(path, label, grid: Grid, lines, mask):
+    """Quads over the grid; `lines` are the vertex coordinates as text."""
     nv = grid.nv
     k = np.arange(1, grid.nu * nv + 1).reshape(grid.nu, nv)[:-1, :-1].ravel()
     quads = np.stack((k, k + nv, k + nv + 1, k + 1), axis=-1).ravel().tolist()
     bad = (np.flatnonzero(~mask) + 1).tolist()
     parts = [f"# maxsurf mesh\n# surface {label}\n# grid {grid.describe()}\n",
-             "v %s %s %s\n" * (len(coords) // 3) % tuple(coords)]
+             "v " + lines.replace("\n", "\nv ")[:-2]]
     if bad:
         parts += ["# vertices outside the spacelike region "
                   "(1-based indices):\n",
@@ -329,15 +330,14 @@ def _write_obj(path, label, grid: Grid, coords, mask):
     return k.size
 
 
-def _write_csv(path, grid: Grid, coords, mask):
-    us, vs = (_format_floats(axis) for axis in grid.axes())
-    flags = np.where(mask, "1", "0").ravel().tolist()
-    rows = zip([u for u in us for _ in vs], vs * grid.nu, coords[0::3],
-               coords[1::3], coords[2::3], flags)
+def _write_csv(path, grid: Grid, lines, mask):
+    us, vs = (["%.17g," % x for x in axis.tolist()] for axis in grid.axes())
+    rows = zip([u + v for u in us for v in vs],
+               lines.replace(" ", ",").split("\n"),
+               np.where(mask, ",1\n", ",0\n").ravel().tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write("u,v,x,y,z,spacelike\n")
-        fh.write("%s,%s,%s,%s,%s,%s\n" * len(flags)
-                 % tuple(itertools.chain.from_iterable(rows)))
+        fh.write("".join(itertools.chain.from_iterable(rows)))
 
 
 def _output_paths(out: str, formats):
@@ -354,15 +354,25 @@ def cmd_sample(cfg: JobConfig) -> int:
     surface = surface_from_config(cfg)
     grid = _default_grid(cfg, surface.family, for_sample=True)
     patch = _patch_for(surface, cfg)
-    coords = _format_floats(patch(*grid.mesh()))
-    mask = verify.spacelike_region(patch, grid, h=cfg.fd_step)
+    with np.errstate(all="ignore"):
+        points = patch(*grid.mesh(sparse=patch.broadcasts))
+        finite = np.isfinite(points).all(axis=-1)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            us, vs = grid.axes()
+            raise ConfigError(
+                f"{patch.label} has non-finite coordinates at grid node "
+                f"[{i}, {j}], (u, v) = ({float(us[i])!r}, {float(vs[j])!r}); "
+                "choose a grid on which the surface is finite")
+        mask = verify.spacelike_region(patch, grid, h=cfg.fd_step)
+    lines = _xyz_lines(points)
     paths = _output_paths(cfg.out or "mesh", cfg.formats)
     for fmt, path in paths.items():
         if fmt == "obj":
-            faces = _write_obj(path, patch.label, grid, coords, mask)
+            faces = _write_obj(path, patch.label, grid, lines, mask)
             print(f"wrote {path}: {grid.nu * grid.nv} vertices, {faces} faces")
         else:
-            _write_csv(path, grid, coords, mask)
+            _write_csv(path, grid, lines, mask)
             print(f"wrote {path}: {grid.nu * grid.nv} rows")
     return 0
 

@@ -53,9 +53,11 @@ class Grid:
         return (np.linspace(self.u_min, self.u_max, self.nu),
                 np.linspace(self.v_min, self.v_max, self.nv))
 
-    def mesh(self):
+    def mesh(self, sparse: bool = False):
+        """Node coordinates (U, V), indexed [i, j]; sparse gives U as
+        (nu, 1) and V as (1, nv), for patches that broadcast them."""
         us, vs = self.axes()
-        return np.meshgrid(us, vs, indexing="ij")
+        return np.meshgrid(us, vs, indexing="ij", sparse=sparse)
 
     def describe(self) -> str:
         return (f"[{self.u_min:g},{self.u_max:g}]x[{self.v_min:g},{self.v_max:g}] "
@@ -142,13 +144,14 @@ def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
     residual is dominated by roundoff amplification, not by curvature.  The
     default exclusion is matched to the h = 1e-3 Richardson error.
     """
-    U, V = grid.mesh()
+    U, V = grid.mesh(sparse=patch.broadcasts)
     ff = fundamental_forms(patch, U, V, h=h, degenerate_tol=exclude_tol)
     det = ff.E * ff.G - ff.F * ff.F
     kept = ~ff.degenerate
     num = np.abs(ff.e * ff.G - 2.0 * ff.f * ff.F + ff.g2 * ff.E)
     den = 2.0 * np.abs(np.where(kept, det, 1.0))
     residual = np.where(kept, num / den, 0.0)
+    U, V = np.broadcast_arrays(U, V)
     flagged = tuple((float(U[i, j]), float(V[i, j]))
                     for i, j in zip(*np.nonzero(~kept)))
     value = float(np.max(residual[kept])) if np.any(kept) else float("nan")
@@ -158,7 +161,7 @@ def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
 def conformality_residual(patch: SurfacePatch, grid: Grid,
                           h: float = 1e-3) -> float:
     """Max of |E - G| and |F| over the grid; zero for conformal parameters."""
-    U, V = grid.mesh()
+    U, V = grid.mesh(sparse=patch.broadcasts)
     xu, xv = _first_derivatives(patch, U, V, h)
     E = lorentz_dot(xu, xu)
     F = lorentz_dot(xu, xv)
@@ -168,7 +171,7 @@ def conformality_residual(patch: SurfacePatch, grid: Grid,
 
 def spacelike_region(patch: SurfacePatch, grid: Grid, h: float = 1e-3):
     """Boolean mask: E > 0 and E G - F^2 > 0 at each grid node."""
-    U, V = grid.mesh()
+    U, V = grid.mesh(sparse=patch.broadcasts)
     xu, xv = _first_derivatives(patch, U, V, h)
     E = lorentz_dot(xu, xu)
     F = lorentz_dot(xu, xv)
@@ -252,7 +255,7 @@ def bjorling_recovery(patch: SurfacePatch, data, u_grid,
 def equivariance(patch: SurfacePatch, group: MotionGroup, thetas, grid: Grid,
                  tol: float = 1e-9) -> VerificationReport:
     """Check Psi(theta) X(u, v) = X(u + theta, v) over a theta set and grid."""
-    U, V = grid.mesh()
+    U, V = grid.mesh(sparse=patch.broadcasts)
     base = patch(U, V)
     worst = 0.0
     for theta in thetas:

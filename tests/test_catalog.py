@@ -8,13 +8,14 @@ with the trigonometric evaluators.
 import numpy as np
 import pytest
 
-from maxsurf import catalog
+from maxsurf import catalog, cli
 from maxsurf.bjorling import solve_bjorling
 from maxsurf.catalog import (_eval_bending_spacelike,
                              _eval_helicoidal_spacelike_i,
                              _eval_helicoidal_spacelike_ii, _kernel_pair,
                              _kernels, _kernels_unit)
 from maxsurf.lorentz import lorentz_dot
+from maxsurf.verify import Grid
 
 _POINT_ORACLES = [
     (catalog.bending_timelike(1.0), 0.7, 0.3,
@@ -132,11 +133,61 @@ def test_bjorling_data_rejects_orbit_family():
             catalog.enneper_second_kind(4.0 / 3.0, -1.0 / 3.0))
 
 
+# Ends of each helix pitch range (open ranges, so just inside them).
+_LAMBDA_ENDS = {
+    catalog.HELICOIDAL_TIMELIKE: (1e-3, 0.999),
+    catalog.HELICOIDAL_SPACELIKE_I: (1.001, 50.0),
+    catalog.HELICOIDAL_SPACELIKE_II: (1e-3, 50.0),
+    catalog.HELICOIDAL_TIMELIKE_CONSTANT: (1e-3, 0.999),
+}
+
+
+def _broadcast_cases(family):
+    """Surfaces of a family at a inside the unit-twist window, at integer
+    and non-integer a, and at both ends of its lambda range."""
+    info = catalog.FAMILY_INFO[family]
+    names = [p.name for p in info.params]
+    cases = []
+    for a in (1.0 + 1e-7, 2.0, 1.7):
+        if family == catalog.ENNEPER_SECOND_KIND:
+            curve = catalog.generating_curve_for(a)
+            cases.append(catalog.enneper_second_kind(curve.cubic,
+                                                     curve.offset))
+            continue
+        lams = [info.params[1].default] if "lam" in names else [0.0]
+        if a == 1.7:
+            lams += list(_LAMBDA_ENDS.get(family, ()))
+        cases += [catalog.CatalogSurface(family, a=a, lam=lam)
+                  for lam in lams]
+    return cases
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64),
+                                                 y.view(np.uint64))
+
+
 def test_eval_broadcasts():
+    # For every family, a sparse mesh gives the bits of the dense one, on
+    # the benchmark's 160x160 grid and on the grids the spacelike mask
+    # shifts by +-h and +-h/2; the perturbed patch of `maxsurf` keeps the
+    # declaration.
+    shifts = [(0.0, 0.0)] + [(s, 0.0) for s in (1e-3, -1e-3, 5e-4, -5e-4)] \
+        + [(0.0, s) for s in (1e-3, -1e-3, 5e-4, -5e-4)]
+    for family in catalog.FAMILY_INFO:
+        grid = Grid.from_domain(catalog.DEFAULT_DOMAINS[family], 160, 160)
+        dense, sparse = grid.mesh(), grid.mesh(sparse=True)
+        assert sparse[0].shape == (160, 1) and sparse[1].shape == (1, 160)
+        surfaces = _broadcast_cases(family)
+        perturbed = cli._patch_for(surfaces[0], cli.build_job_config(
+            {"family": family, "perturb": 0.01}))
+        for patch in [catalog.patch(s) for s in surfaces] + [perturbed]:
+            assert patch.broadcasts, patch.label
+            for du, dv in shifts:
+                want = patch(dense[0] + du, dense[1] + dv)
+                got = patch(sparse[0] + du, sparse[1] + dv)
+                assert _same_bits(got, want), (patch.label, du, dv)
     s = catalog.bending_timelike(1.0)
-    U, V = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-0.3, 0.3, 4),
-                       indexing="ij")
-    assert catalog.eval_surface(s, U, V).shape == (5, 4, 3)
     assert catalog.eval_surface(s, 0.1, 0.2).shape == (3,)
 
 

@@ -5,13 +5,14 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxsurf import catalog, verify
-from maxsurf.cli import main
+from maxsurf.cli import build_job_config, main, surface_from_config
 from maxsurf.verify import Grid
 
 
@@ -139,6 +140,63 @@ def test_sample_bytes_match_the_per_element_writers(tmp_path, family, a, lam,
     assert (tmp_path / "m.obj").read_bytes() == obj.encode()
     assert (tmp_path / "m.csv").read_bytes() == csv.encode()
     assert ("# nonspacelike" in obj) == (family == "lightlike-rotational")
+
+
+def _token_mesh_text(patch, grid, mask):
+    """OBJ and CSV text from a list of '%.17g' tokens laid into '%s'
+    templates, the writers that the line writers replaced."""
+    def tokens(values):
+        flat = np.asarray(values, dtype=float).ravel().tolist()
+        return ("%.17g " * len(flat) % tuple(flat)).split()
+
+    coords = tokens(patch(*grid.mesh()))
+    nu, nv = grid.nu, grid.nv
+    k = np.arange(1, nu * nv + 1).reshape(nu, nv)[:-1, :-1].ravel()
+    quads = np.stack((k, k + nv, k + nv + 1, k + 1), axis=-1).ravel().tolist()
+    bad = (np.flatnonzero(~mask) + 1).tolist()
+    obj = (f"# maxsurf mesh\n# surface {patch.label}\n"
+           f"# grid {grid.describe()}\n"
+           + "v %s %s %s\n" * (len(coords) // 3) % tuple(coords))
+    if bad:
+        obj += ("# vertices outside the spacelike region (1-based indices):\n"
+                + "# nonspacelike %d\n" * len(bad) % tuple(bad))
+    obj += "f %d %d %d %d\n" * k.size % tuple(quads)
+    us, vs = (tokens(axis) for axis in grid.axes())
+    flags = np.where(mask, "1", "0").ravel().tolist()
+    rows = zip([u for u in us for _ in vs], vs * nu, coords[0::3],
+               coords[1::3], coords[2::3], flags)
+    csv = "u,v,x,y,z,spacelike\n" + "%s,%s,%s,%s,%s,%s\n" * len(flags) \
+        % tuple(x for row in rows for x in row)
+    return obj, csv
+
+
+@pytest.mark.parametrize("family, a, grid, formats", [
+    ("bending-timelike", 1.0, Grid(-1.0, 1.0, -0.3, 0.3, 2, 2),
+     ["obj", "csv"]),
+    ("lightlike-rotational", 0.0, Grid(-1.0, 1.0, 0.0, 1.0, 6, 5),
+     ["obj", "csv"]),
+    ("helicoidal-spacelike-ii", 2.3, Grid(-1.2, 1.2, -0.4, 0.4, 9, 4),
+     ["obj"]),
+    ("enneper-second-kind", 1.0, Grid(-1.0, 1.0, -1.0, -0.1, 4, 7), ["csv"]),
+])
+def test_sample_bytes_match_the_token_writers(tmp_path, family, a, grid,
+                                              formats):
+    raw = {"family": family, "a": a, "formats": formats,
+           "out": str(tmp_path / "m"),
+           "grid": {"u_min": grid.u_min, "u_max": grid.u_max,
+                    "v_min": grid.v_min, "v_max": grid.v_max,
+                    "nu": grid.nu, "nv": grid.nv}}
+    assert main(["sample", "--config", write_config(tmp_path / "c.json",
+                                                    **raw)]) == 0
+    patch = catalog.patch(surface_from_config(build_job_config(raw)))
+    mask = verify.spacelike_region(patch, grid, h=1e-3)
+    obj, csv = _token_mesh_text(patch, grid, mask)
+    assert ("# nonspacelike" in obj) == (family == "lightlike-rotational")
+    for fmt, text in (("obj", obj), ("csv", csv)):
+        path = tmp_path / f"m.{fmt}"
+        assert path.exists() == (fmt in formats)
+        if fmt in formats:
+            assert path.read_bytes() == text.encode()
 
 
 def test_verify_report_schema_and_status(tmp_path, capsys):
@@ -402,6 +460,18 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         assert "config error" in capsys.readouterr().err
     assert main(["verify", "--suite", "h", "--family", "bending-timelike",
                  "--set", "lambda=null"]) == 0
+    # a sample grid on which the surface overflows writes nothing
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sample", "--family", "bending-timelike", "--out",
+                     "overflow", "--set", 'formats=["obj","csv"]', "--set",
+                     'grid={"u_min":700,"u_max":720,"v_min":-1,"v_max":1,'
+                     '"nu":3,"nv":3}']) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "(u, v) = (710.0, -1.0)" in err
+    assert caught == [] and "Warning" not in err
+    assert not list(tmp_path.glob("overflow*"))
 
 
 def test_io_error_paths(tmp_path, capsys):

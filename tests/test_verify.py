@@ -199,3 +199,47 @@ def test_check_result_serialization():
     rep = verify.VerificationReport("label", (c,))
     assert rep.passed
     assert rep.to_dict()["checks"][0]["name"] == "demo"
+
+
+def _four_scans(patch, grid, group):
+    """What each grid scan reports for a patch."""
+    return (verify.mean_curvature_scan(patch, grid),
+            verify.conformality_residual(patch, grid),
+            verify.spacelike_region(patch, grid).tolist(),
+            verify.equivariance(patch, group, (-0.3, 1.0), grid).to_dict())
+
+
+@pytest.mark.parametrize("surface, group", [
+    # the v = 1 row is degenerate, so mean_curvature_scan flags nodes
+    (catalog.lightlike_rotational(0.0), motions.rotation_lightlike_axis()),
+    (catalog.hyperbolic_catenoid(1.3), motions.rotation_spacelike_axis()),
+    (catalog.helicoidal_timelike_constant(0.7, 0.6),
+     motions.screw_timelike_axis(0.6)),
+])
+def test_scans_on_sparse_and_dense_meshes_agree(surface, group):
+    declared = catalog.patch(surface)
+    undeclared = SurfacePatch(declared.func, declared.domain, declared.label)
+    assert declared.broadcasts and not undeclared.broadcasts
+    grid = Grid(-1, 1, -1, 1, 11, 13)
+    sparse = _four_scans(declared, grid, group)
+    assert sparse == _four_scans(undeclared, grid, group)
+    if surface.family == catalog.LIGHTLIKE_ROTATIONAL:
+        assert len(sparse[0][1]) >= 11
+
+
+def test_scans_run_a_patch_that_needs_equal_shapes():
+    def graph(u, v):
+        u = np.asarray(u, float)
+        v = np.asarray(v, float)
+        return np.stack([u, v, 0.3 * (u * u + v * v)], axis=-1)
+
+    grid = Grid(-1, 1, -1, 1, 11, 11)
+    with pytest.raises(ValueError):
+        graph(*grid.mesh(sparse=True))
+    patch = SurfacePatch(func=graph, domain=(-1, 1, -1, 1), label="graph")
+    (value, flagged), conformality, mask, equivariance = _four_scans(
+        patch, grid, motions.rotation_timelike_axis())
+    assert value > 0.1 and flagged == ()
+    assert conformality > 0.1
+    assert np.all(mask)
+    assert not equivariance["passed"]
