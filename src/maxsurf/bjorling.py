@@ -72,7 +72,8 @@ class SurfacePatch:
     allowed, accuracy is the caller's concern); `label` identifies the
     construction.  `broadcasts` declares that `func` also broadcasts u of
     shape (nu, 1) against v of shape (1, nv) to a (nu, nv, 3) result, so
-    grid scans may hand it a sparse mesh.
+    grid scans may hand it a sparse mesh.  `func` also takes shifted_values'
+    leading stack axis: (k, nu, 1) against (k, 1, nv) with `broadcasts`.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -82,6 +83,45 @@ class SurfacePatch:
 
     def __call__(self, u, v):
         return self.func(u, v)
+
+
+def shifted_values(patch: SurfacePatch, u, v, offsets):
+    """Patch values at (u + du, v + dv) for each (du, dv) in offsets: the
+    shifted meshes stacked on a leading axis, as many per call as fit in
+    _PASS_POINTS points, or one per call, unstacked, for a mesh of more than
+    half a pass.  Values are pointwise, so the split changes no bit."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if not patch.broadcasts or u.ndim != v.ndim:
+        u, v = np.broadcast_arrays(u, v)
+    step = max(1, _PASS_POINTS // np.broadcast(u, v).size)
+    out = []
+    for i in range(0, len(offsets), step):
+        part = [(u + du if du else u, v + dv if dv else v)
+                for du, dv in offsets[i:i + step]]
+        out.extend([patch(*part[0])] if step == 1
+                   else patch(*map(np.stack, zip(*part))))
+    return out
+
+
+def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
+    """Richardson-extrapolated central differences of the patch at (u, v):
+    (xu, xv) from 8 shifted values or, with `second`, (xu, xv, xuu, xuv,
+    xvv, x) from 17, x being the value at (u, v), in one shifted_values."""
+    units = ((1, 0), (-1, 0), (0, 1), (0, -1)) + (
+        ((1, 1), (1, -1), (-1, 1), (-1, -1)) if second else ())
+    offsets = [(a * s, b * s) for s in (h, h / 2.0) for a, b in units]
+    vals = shifted_values(patch, u, v, offsets + [(0.0, 0.0)] * second)
+    levels = []
+    for k, s in enumerate((h, h / 2.0)):
+        up, um, vp, vm, *mixed = vals[k * len(units):(k + 1) * len(units)]
+        levels.append([(up - um) / (2.0 * s), (vp - vm) / (2.0 * s)])
+        if second:
+            x, (pp, pm, mp, mm) = vals[-1], mixed
+            levels[-1] += [(up - 2.0 * x + um) / s**2,
+                           (pp - pm - mp + mm) / (4.0 * s**2),
+                           (vp - 2.0 * x + vm) / s**2]
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(*levels)) + tuple(
+        vals[len(offsets):])
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,21 +237,9 @@ def reference_normal(patch: SurfacePatch, u, h: float = 1e-4):
     overall sign is whatever the (u, v) orientation produces.  Raises
     ValueError where the tangent plane degenerates (lightlike normal).
     """
-    u = np.asarray(u, dtype=float)
-
-    def derivs(step):
-        xu = (patch(u + step, 0.0) - patch(u - step, 0.0)) / (2.0 * step)
-        xv = (patch(u, step) - patch(u, -step)) / (2.0 * step)
-        return xu, xv
-
-    xu1, xv1 = derivs(h)
-    xu2, xv2 = derivs(h / 2.0)
-    xu = (4.0 * xu2 - xu1) / 3.0
-    xv = (4.0 * xv2 - xv1) / 3.0
-    n = lorentz_cross(xu, xv)
+    n = lorentz_cross(*richardson(patch, u, 0.0, h))
     q = lorentz_dot(n, n)
-    scale = np.sum(n * n, axis=-1)
-    if np.any(np.abs(q) <= 1e-10 * (1.0 + scale)):
-        bad = np.argwhere(np.abs(q) <= 1e-10 * (1.0 + scale))
+    bad = np.argwhere(np.abs(q) <= 1e-10 * (1.0 + np.sum(n * n, axis=-1)))
+    if bad.size:
         raise ValueError(f"degenerate tangent plane along the core curve at index {bad[0]}")
     return n / np.sqrt(np.abs(q))[..., None]

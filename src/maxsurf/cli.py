@@ -350,20 +350,25 @@ def _output_paths(out: str, formats):
     return {fmt: base + "." + fmt for fmt in formats}
 
 
+def _require_finite(patch, grid: Grid, points):
+    """Refuse a grid with a non-finite point, naming the first such node."""
+    finite = np.isfinite(points).all(axis=-1)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        us, vs = grid.axes()
+        raise ConfigError(
+            f"{patch.label} has non-finite coordinates at grid node "
+            f"[{i}, {j}], (u, v) = ({float(us[i])!r}, {float(vs[j])!r}); "
+            "choose a grid on which the surface is finite")
+
+
 def cmd_sample(cfg: JobConfig) -> int:
     surface = surface_from_config(cfg)
     grid = _default_grid(cfg, surface.family, for_sample=True)
     patch = _patch_for(surface, cfg)
     with np.errstate(all="ignore"):
         points = patch(*grid.mesh(sparse=patch.broadcasts))
-        finite = np.isfinite(points).all(axis=-1)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            us, vs = grid.axes()
-            raise ConfigError(
-                f"{patch.label} has non-finite coordinates at grid node "
-                f"[{i}, {j}], (u, v) = ({float(us[i])!r}, {float(vs[j])!r}); "
-                "choose a grid on which the surface is finite")
+        _require_finite(patch, grid, points)
         mask = verify.spacelike_region(patch, grid, h=cfg.fd_step)
     lines = _xyz_lines(points)
     paths = _output_paths(cfg.out or "mesh", cfg.formats)
@@ -392,6 +397,7 @@ class _Job:
     grid: Grid
     info: catalog.Family
     rep: weierstrass.Representation
+    stencil: tuple  # verify.grid_stencil, shared by the grid scans
 
 
 # (name, suites, rule, run) of each check, in the order they run.
@@ -430,8 +436,8 @@ def _oracle(job):
 
 @_verifies("mean-curvature", ("h",))
 def _mean_curvature(job):
-    value, flagged = verify.mean_curvature_scan(job.patch, job.grid,
-                                                h=job.cfg.fd_step)
+    value, flagged = verify.mean_curvature_scan(
+        job.patch, job.grid, h=job.cfg.fd_step, stencil=job.stencil)
     return [_check("mean-curvature", value,
                    job.cfg.tolerances["mean_curvature"], job.grid.describe(),
                    flagged=flagged)]
@@ -440,7 +446,8 @@ def _mean_curvature(job):
 @_verifies("conformality", ("h",),
            _has_data("orbit parameters are not conformal"))
 def _conformality(job):
-    res = verify.conformality_residual(job.patch, job.grid, h=job.cfg.fd_step)
+    res = verify.conformality_residual(job.patch, job.grid, h=job.cfg.fd_step,
+                                       stencil=job.stencil)
     return [_check("conformality", res, job.cfg.tolerances["conformality"],
                    job.grid.describe())]
 
@@ -558,8 +565,11 @@ def _total_curvature(job):
 
 def _verify_checks(cfg: JobConfig, surface, patch, grid):
     """Run the requested suites; returns (checks, skipped notes)."""
+    with np.errstate(all="ignore"):
+        stencil = verify.grid_stencil(patch, grid, cfg.fd_step)
+        _require_finite(patch, grid, stencil[-1])
     job = _Job(cfg, surface, patch, grid, catalog.FAMILY_INFO[surface.family],
-               weierstrass.REPRESENTATIONS[surface.family])
+               weierstrass.REPRESENTATIONS[surface.family], stencil)
     checks = []
     skipped = []
     for name, suites, rule, run in _CHECKS:

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bjorling import SurfacePatch, reference_normal
+from .bjorling import (SurfacePatch, reference_normal, richardson,
+                       shifted_values)
 from .lorentz import lorentz_cross, lorentz_dot
 from .motions import MotionGroup, isometry_defect
 
 __all__ = [
     "Grid", "FundamentalForms", "CheckResult", "VerificationReport",
     "fundamental_forms", "mean_curvature_scan", "conformality_residual",
-    "spacelike_region", "bjorling_recovery", "equivariance",
+    "spacelike_region", "grid_stencil", "bjorling_recovery", "equivariance",
     "group_isometry_check",
 ]
 
@@ -81,30 +82,28 @@ class FundamentalForms:
     degenerate: np.ndarray
 
 
-def _first_derivatives(func, u, v, h):
-    def diff(step):
-        du = (func(u + step, v) - func(u - step, v)) / (2.0 * step)
-        dv = (func(u, v + step) - func(u, v - step)) / (2.0 * step)
-        return du, dv
-
-    du1, dv1 = diff(h)
-    du2, dv2 = diff(h / 2.0)
-    return (4.0 * du2 - du1) / 3.0, (4.0 * dv2 - dv1) / 3.0
+def _first_form(stencil):
+    xu, xv = stencil[:2]
+    return lorentz_dot(xu, xu), lorentz_dot(xu, xv), lorentz_dot(xv, xv)
 
 
-def _second_derivatives(func, u, v, h):
-    center = func(u, v)
+def _forms(stencil, degenerate_tol):
+    xu, xv, xuu, xuv, xvv, _ = stencil
+    E, F, G = _first_form(stencil)
+    nn = lorentz_cross(xu, xv)
+    q = np.abs(lorentz_dot(nn, nn))
+    scale = np.sqrt(np.where(q > 0.0, q, 1.0))
+    normal = nn / scale[..., None]
+    return FundamentalForms(E=E, F=F, G=G,
+                            e=lorentz_dot(xuu, normal),
+                            f=lorentz_dot(xuv, normal),
+                            g2=lorentz_dot(xvv, normal),
+                            degenerate=E * G - F * F <= degenerate_tol)
 
-    def diff(step):
-        uu = (func(u + step, v) - 2.0 * center + func(u - step, v)) / step**2
-        vv = (func(u, v + step) - 2.0 * center + func(u, v - step)) / step**2
-        uv = (func(u + step, v + step) - func(u + step, v - step)
-              - func(u - step, v + step) + func(u - step, v - step)) / (4.0 * step**2)
-        return uu, uv, vv
 
-    one = diff(h)
-    two = diff(h / 2.0)
-    return tuple((4.0 * b - a) / 3.0 for a, b in zip(one, two))
+def grid_stencil(patch: SurfacePatch, grid: Grid, h=1e-3, second=True):
+    """bjorling.richardson at the grid nodes, for the scans to share."""
+    return richardson(patch, *grid.mesh(sparse=patch.broadcasts), h, second)
 
 
 def fundamental_forms(patch: SurfacePatch, u, v, h: float = 1e-3,
@@ -115,43 +114,26 @@ def fundamental_forms(patch: SurfacePatch, u, v, h: float = 1e-3,
     square root of |<n, n>|; for a spacelike patch it is the unit timelike
     normal.  Works on scalars or broadcastable arrays.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    xu, xv = _first_derivatives(patch, u, v, h)
-    xuu, xuv, xvv = _second_derivatives(patch, u, v, h)
-    E = lorentz_dot(xu, xu)
-    F = lorentz_dot(xu, xv)
-    G = lorentz_dot(xv, xv)
-    det = E * G - F * F
-    degenerate = det <= degenerate_tol
-    nn = lorentz_cross(xu, xv)
-    q = np.abs(lorentz_dot(nn, nn))
-    scale = np.sqrt(np.where(q > 0.0, q, 1.0))
-    normal = nn / scale[..., None]
-    return FundamentalForms(E=E, F=F, G=G,
-                            e=lorentz_dot(xuu, normal),
-                            f=lorentz_dot(xuv, normal),
-                            g2=lorentz_dot(xvv, normal),
-                            degenerate=degenerate)
+    return _forms(richardson(patch, u, v, h, second=True), degenerate_tol)
 
 
 def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
-                        exclude_tol: float = 1e-4):
+                        exclude_tol: float = 1e-4, stencil=None):
     """Mean curvature residual over a grid, with the excluded nodes.
 
     Returns (max residual over kept nodes, list of excluded (u, v)).  Nodes
     where E G - F^2 <= exclude_tol are excluded: there the finite-difference
     residual is dominated by roundoff amplification, not by curvature.  The
     default exclusion is matched to the h = 1e-3 Richardson error.
+    `stencil`, if given, is grid_stencil(patch, grid, h), computed once.
     """
-    U, V = grid.mesh(sparse=patch.broadcasts)
-    ff = fundamental_forms(patch, U, V, h=h, degenerate_tol=exclude_tol)
+    ff = _forms(stencil or grid_stencil(patch, grid, h), exclude_tol)
     det = ff.E * ff.G - ff.F * ff.F
     kept = ~ff.degenerate
     num = np.abs(ff.e * ff.G - 2.0 * ff.f * ff.F + ff.g2 * ff.E)
     den = 2.0 * np.abs(np.where(kept, det, 1.0))
     residual = np.where(kept, num / den, 0.0)
-    U, V = np.broadcast_arrays(U, V)
+    U, V = grid.mesh()
     flagged = tuple((float(U[i, j]), float(V[i, j]))
                     for i, j in zip(*np.nonzero(~kept)))
     value = float(np.max(residual[kept])) if np.any(kept) else float("nan")
@@ -159,23 +141,16 @@ def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
 
 
 def conformality_residual(patch: SurfacePatch, grid: Grid,
-                          h: float = 1e-3) -> float:
-    """Max of |E - G| and |F| over the grid; zero for conformal parameters."""
-    U, V = grid.mesh(sparse=patch.broadcasts)
-    xu, xv = _first_derivatives(patch, U, V, h)
-    E = lorentz_dot(xu, xu)
-    F = lorentz_dot(xu, xv)
-    G = lorentz_dot(xv, xv)
+                          h: float = 1e-3, stencil=None) -> float:
+    """Max of |E - G| and |F| over the grid; zero for conformal parameters.
+    `stencil`, if given, is grid_stencil(patch, grid, h), computed once."""
+    E, F, G = _first_form(stencil or grid_stencil(patch, grid, h, False))
     return float(max(np.max(np.abs(E - G)), np.max(np.abs(F))))
 
 
 def spacelike_region(patch: SurfacePatch, grid: Grid, h: float = 1e-3):
     """Boolean mask: E > 0 and E G - F^2 > 0 at each grid node."""
-    U, V = grid.mesh(sparse=patch.broadcasts)
-    xu, xv = _first_derivatives(patch, U, V, h)
-    E = lorentz_dot(xu, xu)
-    F = lorentz_dot(xu, xv)
-    G = lorentz_dot(xv, xv)
+    E, F, G = _first_form(grid_stencil(patch, grid, h, second=False))
     return (E > 0.0) & (E * G - F * F > 0.0)
 
 
@@ -255,12 +230,12 @@ def bjorling_recovery(patch: SurfacePatch, data, u_grid,
 def equivariance(patch: SurfacePatch, group: MotionGroup, thetas, grid: Grid,
                  tol: float = 1e-9) -> VerificationReport:
     """Check Psi(theta) X(u, v) = X(u + theta, v) over a theta set and grid."""
-    U, V = grid.mesh(sparse=patch.broadcasts)
-    base = patch(U, V)
+    base, *targets = shifted_values(
+        patch, *grid.mesh(sparse=patch.broadcasts),
+        [(0.0, 0.0)] + [(theta, 0.0) for theta in thetas])
     worst = 0.0
-    for theta in thetas:
+    for theta, target in zip(thetas, targets):
         moved = group.apply(theta, base)
-        target = patch(U + theta, V)
         worst = max(worst, float(np.max(np.abs(moved - target))))
     check = CheckResult("equivariance", worst, tol, worst < tol,
                         grid.describe(),
