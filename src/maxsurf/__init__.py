@@ -7,8 +7,8 @@ residuals, conformality, motion-group equivariance, period integrals,
 and total curvature of the associated Euclidean minimal surfaces.
 """
 
-from .bjorling import (GaussLegendre, QuadratureError, SurfacePatch,
-                       reference_normal, segment_integral, solve_bjorling)
+from .bjorling import (QuadratureError, SurfacePatch, reference_normal,
+                       segment_integral, solve_bjorling)
 from .catalog import (CatalogSurface, DEFAULT_DOMAINS, FAMILY_INFO,
                       GeneratingCurve, bending_spacelike, bending_timelike,
                       bjorling_data_for, elliptic_catenoid,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BjorlingData", "CatalogSurface", "CausalCharacter",
     "CheckResult", "CurveFamily", "DEFAULT_DOMAINS", "ETA", "FAMILY_INFO",
-    "FormTriple", "FrameField", "FundamentalForms", "GaussLegendre",
+    "FormTriple", "FrameField", "FundamentalForms",
     "GeneratingCurve", "Grid", "Loop", "MotionGroup", "NormalFieldSpec",
     "QuadratureError", "SurfacePatch", "VerificationReport",
     "WeierstrassData", "bending_spacelike", "bending_timelike",

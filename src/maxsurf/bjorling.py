@@ -13,7 +13,6 @@ is vectorized over all points (see segment_integral).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,10 +22,19 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .frames import WORK_PLANES, BjorlingData
 from .lorentz import lorentz_cross, lorentz_dot
 
-# Relative tolerance of a segment integral, and panel count at which a
-# point still missing it raises.
+# Gauss-Legendre nodes per panel, relative tolerance of a segment integral,
+# and panel count at which a point still missing it raises.
+NODES = 32
 _RTOL = 1e-11
 _MAX_PANELS = 1024
+# The rule's nodes and weights on [0, 1], and the (2, NODES) null rule
+# giving the discrete Legendre coefficients of degree NODES - 2 and
+# NODES - 1 (Berntsen & Espelid, ACM TOMS 17, 1991); read-only.
+_X, _W = leggauss(NODES)
+_S, _WT = 0.5 * (_X + 1.0), 0.5 * _W
+_NULL = ((np.arange(NODES - 2, NODES)[:, None] + 0.5) * _W
+         * legvander(_X, NODES - 1)[:, -2:].T)
+_S.flags.writeable = _WT.flags.writeable = _NULL.flags.writeable = False
 # Integrand points per pass.  segment_integral holds one block of
 # 4 + WORK_PLANES = 13 complex planes of this many points, 1.7 MB at 1<<13,
 # within a core's L2 (2 MB on the 2-vCPU Xeon measured).  There, with
@@ -49,17 +57,6 @@ class QuadratureError(RuntimeError):
         self.z = z
         self.estimate = estimate
         self.tol = tol
-
-
-@dataclass(frozen=True)
-class GaussLegendre:
-    """Gauss-Legendre rule of `nodes` points on the segment and each panel."""
-
-    nodes: int = 32
-
-    def __post_init__(self):
-        if self.nodes < 4:
-            raise ValueError(f"need at least 4 quadrature nodes, got {self.nodes}")
 
 
 @dataclass(frozen=True)
@@ -124,41 +121,18 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
         vals[len(offsets):])
 
 
-@functools.lru_cache(maxsize=16)
-def _rule(nodes):
-    """Nodes and weights on [0, 1], and the (2, nodes) null rule giving the
-    discrete Legendre coefficients of degree nodes - 2 and nodes - 1
-    (Berntsen & Espelid, ACM TOMS 17, 1991).  The arrays are shared."""
-    x, w = leggauss(nodes)
-    degree = np.arange(nodes - 2, nodes)[:, None]
-    null = (degree + 0.5) * w * legvander(x, nodes - 1)[:, -2:].T
-    rule = (0.5 * (x + 1.0), 0.5 * w, null)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
-
-
-def _gauss_legendre(f, a, span, nodes):
-    """Gauss-Legendre mean (..., 3) of f on the segments a -> a + span,
-    which times span is the integral, and the values (..., nodes, 3)."""
-    s, wt, _ = _rule(nodes)
-    vals = f(a + s * span[..., None])
-    return np.einsum("k,...kj->...j", wt, vals), vals
-
-
-def segment_integral(data: BjorlingData, z, quadrature=None):
+def segment_integral(data: BjorlingData, z):
     """Integral of V x alpha' from u0 to z (straight segment), vectorized.
 
-    One Gauss-Legendre pass (default 32 nodes) covers every point, split
+    One pass of the NODES-point Gauss-Legendre rule covers every point, split
     into passes of at most _PASS_POINTS integrand points.  Its error
     estimate, |span| times the null-rule coefficients of the largest
     real or imaginary part, must be within _RTOL of max |integral|, or else
     of the integrand's size (QUADPACK's resabs); the points that miss are
     redone on 2, 4, 8, ... equal panels, and raise QuadratureError where
     the estimate is not finite or still misses at _MAX_PANELS panels.
+    Of `data` only u0 and integrand(w, out, work) are read.
     """
-    nodes = (quadrature or GaussLegendre()).nodes
-    s, wt, null = _rule(nodes)
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     span = flat - data.u0
@@ -167,32 +141,32 @@ def segment_integral(data: BjorlingData, z, quadrature=None):
     todo, panels = np.arange(flat.size), 1
     while todo.size:
         left = []
-        rows = max(1, _PASS_POINTS // (panels * nodes))
+        rows = max(1, _PASS_POINTS // (panels * NODES))
         # One block holds a pass's integrand values, nodes and work planes;
         # it is replaced only when a round's passes outgrow it.
-        need = (4 + WORK_PLANES) * min(rows, todo.size) * panels * nodes
+        need = (4 + WORK_PLANES) * min(rows, todo.size) * panels * NODES
         if block.size < need:
             block = np.empty(need, dtype=complex)
         for idx in np.split(todo, range(rows, todo.size, rows)):
-            shape = (idx.size, panels, nodes)
-            n = idx.size * panels * nodes
+            shape = (idx.size, panels, NODES)
+            n = idx.size * panels * NODES
             vals = block[:3 * n].reshape(shape + (3,))
             w = block[3 * n:4 * n].reshape(shape)
             work = block[4 * n:(4 + WORK_PLANES) * n].reshape(
                 (WORK_PLANES,) + shape)
             h = span[idx, None] / panels
             np.add((data.u0 + np.arange(panels) * h)[..., None],
-                   np.multiply(s, h[..., None], out=w[:, :1]), out=w)
+                   np.multiply(_S, h[..., None], out=w[:, :1]), out=w)
             data.integrand(w, out=vals, work=work)
-            mean = np.einsum("k,...kj->...j", wt, vals)
+            mean = np.einsum("k,...kj->...j", _WT, vals)
             total = np.sum(h[..., None] * mean, axis=-2)
-            coef = np.abs(null @ np.ascontiguousarray(vals, complex).view(float))
+            coef = np.abs(_NULL @ np.ascontiguousarray(vals).view(float))
             err = np.sum(np.abs(h) * np.max(coef[..., 0, :] + coef[..., 1, :],
                                             axis=-1), axis=-1)
             tol = _RTOL * np.max(np.abs(total), axis=-1)
             low = ~(err <= tol)
             tol[low] = _RTOL * np.sum(np.abs(h[low]) * (
-                np.max(np.abs(vals[low]), axis=-1) @ wt), axis=-1)
+                np.max(np.abs(vals[low]), axis=-1) @ _WT), axis=-1)
             ok = np.isfinite(err) & (err <= tol)
             out[idx[ok]] = total[ok]
             stuck = ~ok & (~np.isfinite(err) | (panels >= _MAX_PANELS))
@@ -209,7 +183,7 @@ def segment_integral(data: BjorlingData, z, quadrature=None):
     return out.reshape(z.shape + (3,))
 
 
-def solve_bjorling(data: BjorlingData, quadrature=None,
+def solve_bjorling(data: BjorlingData,
                    domain=(-np.pi, np.pi, -1.0, 1.0)) -> SurfacePatch:
     """Surface patch evaluating the Björling integral numerically."""
 
@@ -217,7 +191,7 @@ def solve_bjorling(data: BjorlingData, quadrature=None,
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         z = u + 1j * v
-        integral = segment_integral(data, z, quadrature)
+        integral = segment_integral(data, z)
         return np.real(data.alpha(z) + 1j * integral)
 
     label = "bjorling"
@@ -239,7 +213,9 @@ def reference_normal(patch: SurfacePatch, u, h: float = 1e-4):
     """
     n = lorentz_cross(*richardson(patch, u, 0.0, h))
     q = lorentz_dot(n, n)
-    bad = np.argwhere(np.abs(q) <= 1e-10 * (1.0 + np.sum(n * n, axis=-1)))
-    if bad.size:
-        raise ValueError(f"degenerate tangent plane along the core curve at index {bad[0]}")
+    bad = np.abs(q) <= 1e-10 * (1.0 + np.sum(n * n, axis=-1))
+    if np.any(bad):
+        at = np.broadcast_to(u, bad.shape)[bad].flat[0]
+        raise ValueError(f"degenerate tangent plane along the core curve "
+                         f"at u={float(at)!r}")
     return n / np.sqrt(np.abs(q))[..., None]

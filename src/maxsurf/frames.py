@@ -104,13 +104,14 @@ class CurveFamily:
 
     @property
     def mu(self) -> float | None:
-        """Speed of the helix, sqrt(|lam^2 -+ 1|); None for circles."""
+        """Speed of the helix, sqrt(|lam^2 -+ 1|); None for circles.  lam *
+        lam is inf past overflow, where lam**2 would raise."""
         if self.tag == HELIX_TIMELIKE:
-            return float(np.sqrt(1.0 - self.lam**2))
+            return float(np.sqrt(1.0 - self.lam * self.lam))
         if self.tag == HELIX_SPACELIKE_I:
-            return float(np.sqrt(self.lam**2 - 1.0))
+            return float(np.sqrt(self.lam * self.lam - 1.0))
         if self.tag == HELIX_SPACELIKE_II:
-            return float(np.sqrt(self.lam**2 + 1.0))
+            return float(np.sqrt(self.lam * self.lam + 1.0))
         return None
 
 

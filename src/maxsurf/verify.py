@@ -145,7 +145,7 @@ def conformality_residual(patch: SurfacePatch, grid: Grid,
     """Max of |E - G| and |F| over the grid; zero for conformal parameters.
     `stencil`, if given, is grid_stencil(patch, grid, h), computed once."""
     E, F, G = _first_form(stencil or grid_stencil(patch, grid, h, False))
-    return float(max(np.max(np.abs(E - G)), np.max(np.abs(F))))
+    return float(np.max([np.max(np.abs(E - G)), np.max(np.abs(F))]))
 
 
 def spacelike_region(patch: SurfacePatch, grid: Grid, h: float = 1e-3):
@@ -208,20 +208,23 @@ def bjorling_recovery(patch: SurfacePatch, data, u_grid,
     alpha = np.real(np.asarray(data.alpha(us)))
     pos_res = float(np.max(np.abs(core - alpha)))
 
-    normals = reference_normal(patch, us, h=h)
-    field = np.real(np.asarray(data.normal_field(us)))
-    d_plus = float(np.max(np.abs(normals - field)))
-    d_minus = float(np.max(np.abs(normals + field)))
-    sign = 1 if d_plus <= d_minus else -1
-    normal_res = min(d_plus, d_minus)
+    try:
+        normals = reference_normal(patch, us, h=h)
+    except ValueError as exc:
+        normal_res, note = float("inf"), str(exc)
+    else:
+        field = np.real(np.asarray(data.normal_field(us)))
+        d_plus = float(np.max(np.abs(normals - field)))
+        d_minus = float(np.max(np.abs(normals + field)))
+        normal_res = min(d_plus, d_minus)
+        note = f"sign {1 if d_plus <= d_minus else -1:+d}"
 
     grid_desc = f"u in [{us.min():g},{us.max():g}], {us.size} samples"
     checks = (
         CheckResult("core-curve", pos_res, position_tol,
                     pos_res < position_tol, grid_desc),
         CheckResult("normal-field", normal_res, normal_tol,
-                    normal_res < normal_tol, grid_desc,
-                    note=f"sign {sign:+d}"),
+                    normal_res < normal_tol, grid_desc, note=note),
     )
     return VerificationReport(label=patch.label or "bjorling-recovery",
                               checks=checks)
@@ -233,10 +236,9 @@ def equivariance(patch: SurfacePatch, group: MotionGroup, thetas, grid: Grid,
     base, *targets = shifted_values(
         patch, *grid.mesh(sparse=patch.broadcasts),
         [(0.0, 0.0)] + [(theta, 0.0) for theta in thetas])
-    worst = 0.0
-    for theta, target in zip(thetas, targets):
-        moved = group.apply(theta, base)
-        worst = max(worst, float(np.max(np.abs(moved - target))))
+    # np.max, unlike max, keeps a NaN residual, which then fails
+    worst = float(np.max([np.max(np.abs(group.apply(theta, base) - target))
+                          for theta, target in zip(thetas, targets)]))
     check = CheckResult("equivariance", worst, tol, worst < tol,
                         grid.describe(),
                         note=f"thetas {[float(t) for t in thetas]}")
@@ -247,6 +249,6 @@ def equivariance(patch: SurfacePatch, group: MotionGroup, thetas, grid: Grid,
 def group_isometry_check(group: MotionGroup, thetas,
                          tol: float = 1e-12) -> CheckResult:
     """Largest metric defect of the group matrices over a theta set."""
-    worst = max(isometry_defect(group, float(t)) for t in thetas)
+    worst = float(np.max([isometry_defect(group, float(t)) for t in thetas]))
     return CheckResult(f"isometry:{group.tag}", worst, tol, worst < tol,
                        note=f"thetas {[float(t) for t in thetas]}")

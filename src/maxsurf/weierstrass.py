@@ -19,12 +19,13 @@ where residues and period integrals live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from . import catalog
-from .bjorling import _PASS_POINTS, QuadratureError, _gauss_legendre
+from .bjorling import _PASS_POINTS, QuadratureError, segment_integral
 from .catalog import CatalogSurface
 from .lorentz import vec3
 
@@ -32,6 +33,12 @@ EXP_CHART = "exp"
 PUNCTURED_CHART = "punctured"
 LORENTZ = "lorentz"
 EUCLID = "euclid"
+
+# period's first trapezoid node count, agreement of two successive passes
+# and doublings before it raises; total_curvature's relative agreement with
+# its half-resolution grid.
+_PERIOD_NODES, _PERIOD_TOL, _PERIOD_DOUBLINGS = 256, 1e-10, 6
+_CURVATURE_RTOL = 0.05
 
 
 def cpow(z, a):
@@ -411,13 +418,13 @@ class Loop:
             raise ValueError(f"loop radius must be positive, got {self.radius}")
 
 
-def period(triple: FormTriple, k: int, loop: Loop, nodes: int = 256,
-           tol: float = 1e-10, max_doublings: int = 6) -> complex:
+def period(triple: FormTriple, k: int, loop: Loop) -> complex:
     """Contour integral of the k-th component (1-based) around the loop.
 
-    Trapezoidal rule on the circle, node count doubled until two successive
-    values agree to tol; spectrally accurate for the rational forms the
-    punctured chart produces at integer twist rate.
+    Trapezoidal rule on the circle, node count doubled from _PERIOD_NODES
+    until two successive values agree to _PERIOD_TOL; spectrally accurate
+    for the rational forms the punctured chart produces at integer twist
+    rate.
     """
     if triple.chart != PUNCTURED_CHART:
         raise ValueError("periods are taken on the punctured chart")
@@ -434,12 +441,12 @@ def period(triple: FormTriple, k: int, loop: Loop, nodes: int = 256,
         dz = 1j * (z - loop.center)
         return np.sum(comp(z) * dz) * (2.0 * np.pi / n)
 
-    val = contour(nodes)
-    n = nodes
-    for _ in range(max_doublings):
+    n = _PERIOD_NODES
+    val = contour(n)
+    for _ in range(_PERIOD_DOUBLINGS):
         n *= 2
         nxt = contour(n)
-        if abs(nxt - val) <= tol * (1.0 + abs(nxt)):
+        if abs(nxt - val) <= _PERIOD_TOL * (1.0 + abs(nxt)):
             return complex(nxt)
         val = nxt
     raise QuadratureError(
@@ -488,14 +495,13 @@ def check_curvature_domain(annulus, grid):
                          f"got {grid}")
 
 
-def total_curvature(w: WeierstrassData, annulus, grid=(400, 256),
-                    rel_tol: float = 0.05) -> float:
+def total_curvature(w: WeierstrassData, annulus, grid=(400, 256)) -> float:
     """Total curvature -4 * integral of the spherical density over an annulus.
 
     The annulus (r_in, r_out) is centered at 0 and sampled on a log-radial
     trapezoid grid; the value is checked against its own half-resolution
-    restriction and must agree to rel_tol.  For a meromorphic g of degree d
-    the value tends to -4 pi d as the annulus exhausts the plane.
+    restriction and must agree to _CURVATURE_RTOL.  For a meromorphic g of
+    degree d the value tends to -4 pi d as the annulus exhausts the plane.
 
     The density is evaluated in blocks of whole grid rows, at most
     _PASS_POINTS points each (one row when a row holds more), so that the
@@ -524,20 +530,21 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256),
     dth = 2.0 * np.pi / nth
     fine = trapezoid(radial, ds, dth)
     coarse = trapezoid(radial[::2, ::2], 2.0 * ds, 2.0 * dth)
-    if abs(fine - coarse) > rel_tol * (abs(fine) + 1e-12):
+    if abs(fine - coarse) > _CURVATURE_RTOL * (abs(fine) + 1e-12):
         raise QuadratureError("curvature grid too coarse for the requested "
                               f"tolerance ({coarse:g} vs {fine:g})")
     return -4.0 * fine
 
 
-def integrate_forms(triple: FormTriple, z, z0=0.0, nodes: int = 64):
-    """Gauss-Legendre integral of the triple along the segment z0 -> z.
+def integrate_forms(triple: FormTriple, z, z0=0.0):
+    """Integral of the triple along the segment z0 -> z.
 
-    One plain pass of `nodes` nodes, with no error estimate and no panel
-    splitting (unlike bjorling.segment_integral), so `nodes` must resolve
-    the segment.  Returns a (..., 3) complex array; on the exp chart its
-    real part is the surface displacement X(z) - X(z0) of the matching
-    family.
+    The error-controlled Gauss-Legendre panels of bjorling.segment_integral,
+    which raise QuadratureError where they miss their tolerance.  Returns a
+    (..., 3) complex array; on the exp chart its real part is the surface
+    displacement X(z) - X(z0) of the matching family.
     """
-    span = np.asarray(z, dtype=complex) - z0
-    return _gauss_legendre(triple, z0, span, nodes)[0] * span[..., None]
+    def integrand(w, out, work):
+        out[...] = triple(w)
+
+    return segment_integral(SimpleNamespace(u0=z0, integrand=integrand), z)

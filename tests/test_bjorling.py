@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from maxsurf import bjorling, catalog, frames, verify
-from maxsurf.bjorling import (GaussLegendre, QuadratureError, SurfacePatch,
+from maxsurf.bjorling import (NODES, QuadratureError, SurfacePatch,
                               reference_normal, segment_integral,
                               solve_bjorling)
-from maxsurf.cli import _build_quadrature, main
+from maxsurf.cli import main
 from maxsurf.frames import AnalyticMap, BjorlingData
 from maxsurf.lorentz import lorentz_cross, lorentz_dot, vec3
 
@@ -34,11 +34,11 @@ def _exp_data(field=None):
 
 def test_gauss_legendre_segment_integral_is_machine_accurate():
     z = 1.0 + 1.0j
-    value = segment_integral(_exp_data(), np.array(z), GaussLegendre(64))
+    value = segment_integral(_exp_data(), np.array(z))
     # integral of i V x alpha' from 0 to z; first component picks up
     # i * (e^z - 1) times the constant cross factor
     assert np.all(np.isfinite(value))
-    direct = segment_integral(_exp_data(), np.array(z), GaussLegendre(96))
+    direct = _plain_pass(_exp_data(), np.array(z), 96)
     assert np.max(np.abs(value - direct)) < 1e-13
 
 
@@ -70,19 +70,9 @@ def _plain_pass(data, z, nodes):
 def test_near_axis_points_get_the_plain_rule_bit_for_bit():
     # a point that one panel of the default rule resolves keeps exactly the
     # bytes of a plain Gauss-Legendre pass
-    nodes = GaussLegendre().nodes
     for data, z in _near_axis_cases():
         assert np.array_equal(segment_integral(data, z),
-                              _plain_pass(data, z, nodes))
-
-
-def test_configured_64_nodes_reproduce_the_plain_gl64_pass():
-    # a config asking for 64 nodes gets one plain 64-node pass, bit for bit
-    quadrature = _build_quadrature({"rule": "gauss-legendre", "nodes": 64})
-    assert quadrature == GaussLegendre(64)
-    for data, z in _near_axis_cases():
-        assert np.array_equal(segment_integral(data, z, quadrature),
-                              _plain_pass(data, z, 64))
+                              _plain_pass(data, z, NODES))
 
 
 @pytest.mark.parametrize("points", [1 << 16, 48])
@@ -98,10 +88,9 @@ def test_pass_size_does_not_change_the_solve(monkeypatch, points):
              for s in NEAR_SURFACES]
     far = np.linspace(-1, 1, 20)[:, None] + 1j * np.linspace(50, 300, 20)
     cases.append((_exp_data(), far))
-    nodes = GaussLegendre().nodes
-    assert U.size * nodes > bjorling._PASS_POINTS
-    assert points < 2 * nodes or points > U.size * nodes
-    if points < 2 * nodes:
+    assert U.size * NODES > bjorling._PASS_POINTS
+    assert points < 2 * NODES or points > U.size * NODES
+    if points < 2 * NODES:
         # one point per pass: keep the case short
         cases = [(data, z[::8, ::8]) for data, z in cases]
     default = [segment_integral(data, z) for data, z in cases]
@@ -141,7 +130,6 @@ def test_fused_solves_equal_generic_path_solves(family):
 def test_a_swapped_normal_field_is_evaluated():
     # a counting field swapped in by dataclasses.replace sees every node
     # of the near-axis pass, and the solve keeps its bits
-    nodes = GaussLegendre().nodes
     for data, z in _near_axis_cases():
         counts = []
         field = data.normal_field
@@ -154,19 +142,18 @@ def test_a_swapped_normal_field_is_evaluated():
             data, normal_field=AnalyticMap(counting, field.deriv))
         assert np.array_equal(segment_integral(swapped, z),
                               segment_integral(data, z))
-        assert sum(counts) == z.size * nodes
+        assert sum(counts) == z.size * NODES
 
 
 def test_a_swapped_curve_is_evaluated():
     # another family's curve under the same normal field changes the
     # integrand: the solve is the generic pass of the swapped maps
-    nodes = GaussLegendre().nodes
     data, z = _near_axis_cases()[0]
     other = catalog.bjorling_data_for(catalog.bending_spacelike(0.7))
     swapped = dataclasses.replace(data, alpha=other.alpha)
     got = segment_integral(swapped, z)
     assert not np.array_equal(got, segment_integral(data, z))
-    assert np.array_equal(got, _plain_pass(swapped, z, nodes))
+    assert np.array_equal(got, _plain_pass(swapped, z, NODES))
 
 
 def _counting_normal(counts, nan_where=None):
@@ -185,15 +172,14 @@ def test_far_point_is_split_into_panels_and_stays_accurate():
     data = _exp_data(_counting_normal(counts))
     near = 0.3 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
     segment_integral(data, near)
-    nodes = GaussLegendre().nodes
-    assert counts == [nodes * near.size]
+    assert counts == [NODES * near.size]
     counts.clear()
     z = 300j
     value = segment_integral(data, np.array(z))
     # V x alpha' = (0, e^w, 0) for V = (0, 0, 1), alpha' = (e^w, 0, 0)
     exact = np.exp(z) - 1.0
     assert abs(value[1] - exact) <= 1e-11 * abs(exact)
-    assert sum(counts) > nodes
+    assert sum(counts) > NODES
 
 
 def test_non_finite_integrand_raises_at_its_point():
@@ -208,7 +194,7 @@ def test_non_finite_integrand_raises_at_its_point():
 
 def test_panel_cap_raises_with_point_estimate_and_tolerance():
     # e^w oscillates 1e5 / (2 pi) times along the segment: more than 1024
-    # panels of GaussLegendre().nodes nodes would be needed
+    # panels of NODES nodes would be needed
     z = np.array([0.5j, 1e5j])
     with pytest.raises(QuadratureError) as info:
         segment_integral(_exp_data(), z)
@@ -225,19 +211,14 @@ def test_panel_cap_raises_with_point_estimate_and_tolerance():
     {"rule": "gauss-legendre", "tol": 1e-10},
 ])
 def test_cli_rejects_the_removed_simpson_rule(tmp_path, capsys, quadrature):
+    # the rule has no setting: a quadrature field is an unknown field
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"family": "bending-timelike",
                                "quadrature": quadrature}))
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "the only rule is 'gauss-legendre'" in err
+    assert "unknown config field 'quadrature'" in err
     assert "Traceback" not in err
-
-
-def test_gauss_legendre_node_floor():
-    with pytest.raises(ValueError):
-        GaussLegendre(3)
-    GaussLegendre(4)
 
 
 def test_quadrature_error_carries_location():
@@ -279,11 +260,11 @@ def test_far_field_fallback_remains_accurate():
     # higher-order one
     data = catalog.bjorling_data_for(catalog.lightlike_rotational(0.5))
     patch = solve_bjorling(data)
-    forced = solve_bjorling(data, GaussLegendre(192))
     u = np.linspace(-0.5, 0.5, 5)
     v = np.full_like(u, 2.4)
-    assert np.max(np.abs(np.asarray(patch(u, v)) -
-                         np.asarray(forced(u, v)))) < 1e-9
+    z = u + 1j * v
+    forced = np.real(data.alpha(z) + 1j * _plain_pass(data, z, 192))
+    assert np.max(np.abs(np.asarray(patch(u, v)) - forced)) < 1e-9
 
 
 @pytest.mark.parametrize("family", [s.family for s in NEAR_SURFACES])

@@ -474,6 +474,44 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("overflow*"))
 
 
+@pytest.mark.parametrize("args, code, line", [
+    # a NaN residual fails its check instead of reading as PASS
+    (["verify", "--family", "lightlike-rotational", "--set",
+      "thetas=[0.3,1e200]", "--suite", "equivariance"], 1,
+     "FAIL equivariance: residual nan"),
+    (["verify", "--family", "hyperbolic-catenoid", "--set",
+      "thetas=[0.3,800]", "--suite", "equivariance"], 1,
+     "FAIL equivariance: residual nan"),
+    # a degenerate core-curve normal fails normal-field, not with a traceback
+    (["verify", "--family", "helicoidal-timelike", "--lambda",
+      "0.999999999999"], 1, "FAIL normal-field: residual inf"),
+    (["verify", "--family", "helicoidal-timelike-constant", "--lambda",
+      "0.999999999999"], 1, "FAIL normal-field: residual inf"),
+    (["verify", "--family", "helicoidal-spacelike-i", "--lambda",
+      "1.000000000001"], 1, "FAIL normal-field: residual inf"),
+    # a pitch whose square overflows is a surface that is not finite
+    (["verify", "--family", "helicoidal-spacelike-ii", "--lambda", "1e200"],
+     2, "config error: helicoidal-spacelike-ii:a=1:lam=1e+200 has non-finite"),
+    (["sample", "--family", "helicoidal-spacelike-ii", "--lambda", "1e200"],
+     2, "config error: helicoidal-spacelike-ii:a=1:lam=1e+200 has non-finite"),
+])
+def test_edge_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, args, code,
+                                  line):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == code
+    out, err = capsys.readouterr()
+    assert line in (out if code == 1 else err)
+    assert "Traceback" not in err and caught == []
+    if code == 1:
+        # the report is written, with every other check still run
+        assert '"passed": false' in out and out.strip().endswith("FAILED")
+    if "normal-field" in line:
+        assert "PASS core-curve" in out
+    assert not list(tmp_path.iterdir())
+
+
 def test_io_error_paths(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 3
     cfg = write_config(tmp_path / "c.json", family="bending-timelike")

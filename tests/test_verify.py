@@ -172,6 +172,30 @@ def test_equivariance_fails_for_the_wrong_group():
     assert rep.checks[0].residual > 0.01
 
 
+def test_equivariance_fails_on_a_nan_residual():
+    # a NaN residual at one theta does not read as a pass
+    s = catalog.hyperbolic_catenoid(1.0)
+    base = catalog.patch(s)
+
+    def func(u, v):
+        x = np.array(base(u, v), dtype=float)
+        x[np.asarray(u + 0.0 * v) > 10.0] = np.nan
+        return x
+
+    rep = verify.equivariance(SurfacePatch(func=func),
+                              motions.rotation_spacelike_axis(),
+                              (0.3, 20.0, 1.0), Grid(-1, 1, -1, 1, 5, 5))
+    assert not rep.passed
+    assert np.isnan(rep.checks[0].residual)
+
+
+def test_group_isometry_check_fails_on_overflow():
+    with np.errstate(all="ignore"):  # as under `maxsurf verify`
+        result = verify.group_isometry_check(
+            motions.rotation_lightlike_axis(), (0.3, 1e200))
+    assert not result.passed
+
+
 def test_group_isometry_check():
     for group in (motions.rotation_timelike_axis(),
                   motions.rotation_spacelike_axis(),

@@ -513,16 +513,20 @@ def test_integrated_forms_reproduce_the_surface():
     assert np.max(np.abs(holo.real - expected)) < 1e-12
 
 
-def test_integrate_forms_is_one_plain_gauss_legendre_pass():
-    triple = W.forms_for(catalog.lightlike_rotational(0.5))
-    zs = np.array([[0.3 + 0.2j, -0.5 + 1.1j], [0.8 - 2.3j, 1.5 + 0.4j]])
-    z0 = 0.1 + 0.2j
-    x, w = np.polynomial.legendre.leggauss(64)
-    span = zs - z0
-    vals = triple(z0 + span[..., None] * (0.5 * (x + 1.0)))
-    acc = np.einsum("k,...kj->...j", 0.5 * w, vals)
-    assert np.array_equal(W.integrate_forms(triple, zs, z0),
-                          acc * span[..., None])
+@pytest.mark.parametrize("surface", [
+    catalog.bending_timelike(0.01),
+    catalog.helicoidal_timelike(0.01, 0.6),
+])
+def test_integrate_forms_controls_its_error_on_a_long_segment(surface):
+    # 200 units out along the axis, one plain 64-node pass is off by 9.1e-6
+    # (bending) and 1.2e-7 (helicoid) of max |X|; the error-controlled
+    # panels stay near 1e-13
+    triple = W.forms_for(surface)
+    data = catalog.bjorling_data_for(surface)
+    z = np.array([200.0 + 0.2j])
+    X = (W.integrate_forms(triple, z) + data.alpha(0.0)).real
+    expected = catalog.eval_surface(surface, z.real, z.imag)
+    assert np.max(np.abs(X - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_cpow_integer_exponents_cross_the_branch_cut():
