@@ -336,9 +336,14 @@ def eval_generating_curve(curve: GeneratingCurve, v):
 def generating_curve_for(a: float) -> GeneratingCurve:
     """Constants matching the orbit surface to the lightlike-axis Björling
     surface with constant twist a: the orbit through v = -1/2 is then the
-    core circle and the surface normal along it is the prescribed field."""
-    offset = -(np.cosh(a) - 2.0 * np.sinh(a)) * (np.sinh(a) + np.cosh(a)) / 3.0
-    cubic = 8.0 * offset + 4.0
+    core circle and the surface normal along it is the prescribed field.
+    Raises ValueError where they overflow (a above about 354.9)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = -(np.cosh(a) - 2.0 * np.sinh(a)) * (np.sinh(a) + np.cosh(a)) / 3.0
+        cubic = 8.0 * offset + 4.0
+    if not (np.isfinite(offset) and np.isfinite(cubic)):
+        raise ValueError(f"generating curve overflows at a={a:g}: "
+                         f"cubic={cubic:g}, offset={offset:g}")
     return GeneratingCurve(cubic=float(cubic), offset=float(offset))
 
 

@@ -52,7 +52,7 @@ _DEFAULT_TOLERANCES = {
 _TOP_KEYS = frozenset((
     "family", "a", "lambda", "cubic", "offset", "grid", "tolerances", "out",
     "formats", "report", "suite", "perturb", "fd_step", "annulus",
-    "curvature_grid", "u0", "thetas"))
+    "curvature_grid", "thetas"))
 
 _GRID_BOUNDS = ("u_min", "u_max", "v_min", "v_max")
 _GRID_KEYS = frozenset(_GRID_BOUNDS + ("nu", "nv"))
@@ -79,7 +79,6 @@ class JobConfig:
     fd_step: float
     annulus: tuple
     curvature_grid: tuple
-    u0: float
     thetas: tuple
 
 
@@ -197,7 +196,6 @@ def build_job_config(raw: dict) -> JobConfig:
         fd_step=fd_step,
         annulus=annulus,
         curvature_grid=curvature_grid,
-        u0=_number(raw.get("u0", 0.0), "u0"),
         thetas=tuple(_number(t, "thetas") for t in thetas),
     )
 
@@ -400,7 +398,7 @@ def _has_data(why):
     "orbit parametrization has no Björling data in these coordinates"))
 def _oracle(job):
     tol = job.cfg.tolerances["oracle"]
-    data = catalog.bjorling_data_for(job.surface, u0=job.cfg.u0)
+    data = catalog.bjorling_data_for(job.surface)
     numeric = solve_bjorling(data)
     U, V = job.grid.mesh()
     note = ""
@@ -455,7 +453,7 @@ def _identification(job):
            _has_data("no Björling data (see oracle note)"))
 def _recovery(job):
     tols = job.cfg.tolerances
-    data = catalog.bjorling_data_for(job.surface, u0=job.cfg.u0)
+    data = catalog.bjorling_data_for(job.surface)
     ug = np.linspace(job.grid.u_min, job.grid.u_max, 21)
     return verify.bjorling_recovery(
         job.patch, data, ug, position_tol=tols["recovery_position"],
@@ -482,7 +480,7 @@ def _forms(job):
     ring = "ring |z-0.07i|=0.8"
     checks = [_check("null-condition", float(np.max(triple.null_residual(zs))),
                      tols["null_condition"], ring)]
-    data = catalog.bjorling_data_for(job.surface, u0=job.cfg.u0)
+    data = catalog.bjorling_data_for(job.surface)
     direct = data.alpha.d(zs) + 1j * data.integrand(zs)
     res = float(np.max(np.abs(triple(zs) - direct)))
     checks.append(_check("forms-match-data", res, tols["forms_data"], ring))

@@ -2,11 +2,12 @@
 
 Each Björling family carries a triple of holomorphic 1-form coefficients
 phi_k (the forms are phi_k dz) satisfying the Lorentzian null condition
-phi1^2 + phi2^2 - phi3^2 = 0.  From the triple the Weierstrass pair
-(g, omega) follows as g = phi3/(phi1 - i phi2), omega = (phi1 - i phi2) dz,
-and the triple is recovered from the pair.  Multiplying the first two
-components by i turns a Lorentzian triple into a Euclidean-minimal one (the
-dual surface); the pair transforms as (g, omega) -> (-i g, i omega).
+phi1^2 + phi2^2 - phi3^2 = 0, held as one function z -> (phi1, phi2, phi3).
+From the triple the Weierstrass pair (g, omega) follows as
+g = phi3/(phi1 - i phi2), omega = (phi1 - i phi2) dz, and the triple is
+recovered from the pair.  Multiplying phi1 and phi2 by i turns a Lorentzian
+triple into a Euclidean-minimal one (the dual surface); the pair transforms
+as (g, omega) -> (-i g, i omega).
 
 Charts.  The "exp" chart uses the complexified curve parameter, where the
 forms of the circle families are 2 pi periodic in the real direction.  For
@@ -55,13 +56,14 @@ def cpow(z, a):
 class FormTriple:
     """Three analytic 1-form coefficients sharing a chart and a signature.
 
-    components holds callables z -> complex; signature says which null
-    condition the triple satisfies ("lorentz": +,+,-; "euclid": +,+,+);
-    singularities lists the points of the chart where the coefficients are
-    not analytic (period loops must avoid them).
+    func maps a complex array z to the tuple (phi1, phi2, phi3) of
+    coefficients at z; signature says which null condition the triple
+    satisfies ("lorentz": +,+,-; "euclid": +,+,+); singularities lists the
+    points of the chart where the coefficients are not analytic (period
+    loops must avoid them).
     """
 
-    components: tuple
+    func: Callable
     chart: str = EXP_CHART
     signature: str = LORENTZ
     singularities: tuple = ()
@@ -69,16 +71,16 @@ class FormTriple:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        return np.stack(
-            [np.asarray(c(z), dtype=complex) for c in self.components], axis=-1)
+        return np.stack([np.asarray(c, dtype=complex) for c in self.func(z)],
+                        axis=-1)
 
     def null_residual(self, z):
         """Pointwise defect of the null condition for this signature."""
-        p = self(z)
-        q = p[..., 0] ** 2 + p[..., 1] ** 2
+        p1, p2, p3 = self.func(np.asarray(z, dtype=complex))
+        q = p1 ** 2 + p2 ** 2
         if self.signature == LORENTZ:
-            return np.abs(q - p[..., 2] ** 2)
-        return np.abs(q + p[..., 2] ** 2)
+            return np.abs(q - p3 ** 2)
+        return np.abs(q + p3 ** 2)
 
 
 @dataclass(frozen=True)
@@ -94,151 +96,108 @@ class WeierstrassData:
 
 
 def _forms_bending_timelike(a):
-    def p1(z):
-        return -np.sin(z) - 1j * np.cos(z) * np.cosh(a * z)
+    def forms(z):
+        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
+        return -s - 1j * c * ch, c - 1j * s * ch, 1j * np.sinh(a * z)
 
-    def p2(z):
-        return np.cos(z) - 1j * np.sin(z) * np.cosh(a * z)
-
-    def p3(z):
-        return 1j * np.sinh(a * z)
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_bending_spacelike_exp(a):
-    def p1(z):
-        return -1j * np.cosh(a * z)
+    def forms(z):
+        ch, sh, sha = np.cosh(z), np.sinh(z), np.sinh(a * z)
+        return (-1j * np.cosh(a * z), ch - 1j * sh * sha,
+                sh - 1j * ch * sha)
 
-    def p2(z):
-        return np.cosh(z) - 1j * np.sinh(z) * np.sinh(a * z)
-
-    def p3(z):
-        return np.sinh(z) - 1j * np.cosh(z) * np.sinh(a * z)
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_bending_spacelike_punctured(a):
     # Every power of z comes from z^a and z^2: on the principal branch all
     # of them share Log z, so z^(2a) = z^a z^a, z^(a+2) = z^a z^2 and so on.
-    def p1(z):
-        za = cpow(z, a)
-        return -1j * (za * za + 1.0) / (2.0 * (za * z))
-
-    def p2(z):
+    def forms(z):
         za, z2 = cpow(z, a), z * z
-        return (-1j * (za * za * z2) + 1j * (za * za)
-                + 2.0 * (za * z2) + 2.0 * za
-                + 1j * z2 - 1j) / (4.0 * (za * z2))
+        zaa, zaz2 = za * za, za * z2
+        return (-1j * (zaa + 1.0) / (2.0 * (za * z)),
+                (-1j * (zaa * z2) + 1j * zaa + 2.0 * zaz2 + 2.0 * za
+                 + 1j * z2 - 1j) / (4.0 * zaz2),
+                (-1j * (zaa * z2) - 1j * zaa + 2.0 * zaz2 - 2.0 * za
+                 + 1j * z2 + 1j) / (4.0 * zaz2))
 
-    def p3(z):
-        za, z2 = cpow(z, a), z * z
-        return (-1j * (za * za * z2) - 1j * (za * za)
-                + 2.0 * (za * z2) - 2.0 * za
-                + 1j * z2 + 1j) / (4.0 * (za * z2))
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_lightlike(a):
     ca, sa = np.cosh(a), np.sinh(a)
 
-    def p1(z):
-        return z + 0.5j * ((z * z - 2.0) * ca - z * z * sa)
+    def forms(z):
+        z2 = z * z
+        return (z + 0.5j * ((z2 - 2.0) * ca - z2 * sa),
+                1.0 + 1j * z * (ca - sa),
+                z + 0.5j * (z2 * ca - (z2 + 2.0) * sa))
 
-    def p2(z):
-        return 1.0 + 1j * z * (ca - sa)
-
-    def p3(z):
-        return z + 0.5j * (z * z * ca - (z * z + 2.0) * sa)
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_helicoidal_timelike(a, lam, mu):
-    def p1(z):
-        return 1j * mu * np.cos(z) * np.cosh(a * z) \
-            - np.sin(z) * (1.0 + 1j * lam * np.sinh(a * z))
+    def forms(z):
+        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
+        sh = np.sinh(a * z)
+        t = 1.0 + 1j * lam * sh
+        return (1j * mu * c * ch - s * t, c * t + 1j * mu * s * ch,
+                lam + 1j * sh)
 
-    def p2(z):
-        return np.cos(z) * (1.0 + 1j * lam * np.sinh(a * z)) \
-            + 1j * mu * np.sin(z) * np.cosh(a * z)
-
-    def p3(z):
-        return lam + 1j * np.sinh(a * z)
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_helicoidal_spacelike_i_exp(a, lam, mu):
-    def p1(z):
-        return lam + 1j * np.sinh(a * z)
+    def forms(z):
+        ch, sh = np.cosh(z), np.sinh(z)
+        cha, sha = np.cosh(a * z), np.sinh(a * z)
+        return (lam + 1j * sha, sh + 1j * (lam * sh * sha - mu * ch * cha),
+                ch + 1j * (lam * ch * sha - mu * sh * cha))
 
-    def p2(z):
-        return np.sinh(z) + 1j * (lam * np.sinh(z) * np.sinh(a * z)
-                                  - mu * np.cosh(z) * np.cosh(a * z))
-
-    def p3(z):
-        return np.cosh(z) + 1j * (lam * np.cosh(z) * np.sinh(a * z)
-                                  - mu * np.sinh(z) * np.cosh(a * z))
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_helicoidal_spacelike_i_punctured(a, lam, mu):
-    def p1(z):
-        za = cpow(z, a)
-        return (1j * (za * za) + 2.0 * lam * za - 1j) / (2.0 * (za * z))
-
-    def p2(z):
+    def forms(z):
         za, z2 = cpow(z, a), z * z
-        return (1j * (lam - mu) * (za * za * z2 + 1.0)
-                - 1j * (lam + mu) * (za * za + z2)
-                + 2.0 * (za * z2) - 2.0 * za) / (4.0 * (za * z2))
+        zaa, zaz2 = za * za, za * z2
+        return ((1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
+                (1j * (lam - mu) * (zaa * z2 + 1.0)
+                 - 1j * (lam + mu) * (zaa + z2)
+                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2),
+                (1j * (lam - mu) * (zaa * z2 - 1.0)
+                 + 1j * (lam + mu) * (zaa - z2)
+                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2))
 
-    def p3(z):
-        za, z2 = cpow(z, a), z * z
-        return (1j * (lam - mu) * (za * za * z2 - 1.0)
-                + 1j * (lam + mu) * (za * za - z2)
-                + 2.0 * (za * z2) + 2.0 * za) / (4.0 * (za * z2))
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_helicoidal_spacelike_ii_exp(a, lam, mu):
-    def p1(z):
-        return lam - 1j * np.cosh(a * z)
+    def forms(z):
+        ch, sh = np.cosh(z), np.sinh(z)
+        cha, sha = np.cosh(a * z), np.sinh(a * z)
+        return (lam - 1j * cha, ch + 1j * (lam * ch * cha - mu * sh * sha),
+                sh + 1j * (lam * sh * cha - mu * ch * sha))
 
-    def p2(z):
-        return np.cosh(z) + 1j * (lam * np.cosh(z) * np.cosh(a * z)
-                                  - mu * np.sinh(z) * np.sinh(a * z))
-
-    def p3(z):
-        return np.sinh(z) + 1j * (lam * np.sinh(z) * np.cosh(a * z)
-                                  - mu * np.cosh(z) * np.sinh(a * z))
-
-    return p1, p2, p3
+    return forms
 
 
 def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu):
-    def p1(z):
-        za = cpow(z, a)
-        return (-1j * (za * za) + 2.0 * lam * za - 1j) / (2.0 * (za * z))
-
-    def p2(z):
+    def forms(z):
         za, z2 = cpow(z, a), z * z
-        return (1j * (lam - mu) * (za * za * z2 + 1.0)
-                + 1j * (lam + mu) * (za * za + z2)
-                + 2.0 * (za * z2) + 2.0 * za) / (4.0 * (za * z2))
+        zaa, zaz2 = za * za, za * z2
+        return ((-1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
+                (1j * (lam - mu) * (zaa * z2 + 1.0)
+                 + 1j * (lam + mu) * (zaa + z2)
+                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2),
+                (1j * (lam - mu) * (zaa * z2 - 1.0)
+                 - 1j * (lam + mu) * (zaa - z2)
+                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2))
 
-    def p3(z):
-        za, z2 = cpow(z, a), z * z
-        return (1j * (lam - mu) * (za * za * z2 - 1.0)
-                - 1j * (lam + mu) * (za * za - z2)
-                + 2.0 * (za * z2) - 2.0 * za) / (4.0 * (za * z2))
-
-    return p1, p2, p3
+    return forms
 
 
 def integer_twist(surface: CatalogSurface) -> bool:
@@ -249,7 +208,7 @@ def integer_twist(surface: CatalogSurface) -> bool:
 @dataclass(frozen=True)
 class Representation:
     """The holomorphic facts of one family, as functions of the surface:
-    the form components on each chart (the constant-twist rotational
+    the form map on each chart (the constant-twist rotational
     surfaces have theirs through the lightlike family only); the real part
     of the phi2 period around the unit circle at twist rate 1, the only
     nonzero real period at integer rate; and the chart and total curvature
@@ -325,16 +284,18 @@ def weierstrass_pair(triple: FormTriple) -> WeierstrassData:
     for the Euclidean flavor.  Raises when omega vanishes on the whole probe
     ring (planar degenerate triple).
     """
-    p1, p2, p3 = triple.components
+    forms = triple.func
 
     def f(z):
-        return p1(z) - 1j * p2(z)
+        p1, p2, _ = forms(z)
+        return p1 - 1j * p2
 
     if np.max(np.abs(f(probe_ring(7)))) < 1e-13:
         raise ValueError("omega vanishes identically; the pair is undefined")
 
     def g(z):
-        return p3(z) / f(z)
+        p1, p2, p3 = forms(z)
+        return p3 / (p1 - 1j * p2)
 
     return WeierstrassData(g=g, f=f, chart=triple.chart,
                            signature=triple.signature,
@@ -343,25 +304,17 @@ def weierstrass_pair(triple: FormTriple) -> WeierstrassData:
 
 
 def reconstruct_forms(w: WeierstrassData) -> FormTriple:
-    """Form triple built back from a Weierstrass pair."""
-    gg, ff = w.g, w.f
-    if w.signature == LORENTZ:
-        def p1(z):
-            return 0.5 * (1.0 + gg(z) ** 2) * ff(z)
+    """Form triple built back from a Weierstrass pair: (1 + g^2, i(1 - g^2),
+    2g) f/2 for Lorentzian data, and the same with -g^2 for Euclidean."""
+    lorentz = w.signature == LORENTZ
 
-        def p2(z):
-            return 0.5j * (1.0 - gg(z) ** 2) * ff(z)
-    else:
-        def p1(z):
-            return 0.5 * (1.0 - gg(z) ** 2) * ff(z)
+    def forms(z):
+        g, f = w.g(z), w.f(z)
+        # negation is exact, so 1 + (-g^2) has the bits of 1 - g^2
+        g2 = g ** 2 if lorentz else -(g ** 2)
+        return 0.5 * (1.0 + g2) * f, 0.5j * (1.0 - g2) * f, g * f
 
-        def p2(z):
-            return 0.5j * (1.0 + gg(z) ** 2) * ff(z)
-
-    def p3(z):
-        return gg(z) * ff(z)
-
-    return FormTriple((p1, p2, p3), chart=w.chart, signature=w.signature,
+    return FormTriple(forms, chart=w.chart, signature=w.signature,
                       singularities=w.singularities,
                       label=w.label + ":reconstructed")
 
@@ -391,18 +344,17 @@ def dualize(t: FormTriple) -> FormTriple:
     back, so dualize(dualize(t)) reproduces t.  On Weierstrass pairs this
     is (g, omega) -> (-i g, i omega).
     """
-    p1, p2, p3 = t.components
-    if t.signature == LORENTZ:
-        comps = (lambda z: 1j * p1(z), lambda z: 1j * p2(z), p3)
-        sig = EUCLID
-    else:
-        comps = (lambda z: -1j * p1(z), lambda z: -1j * p2(z), p3)
-        sig = LORENTZ
+    unit, sig = (1j, EUCLID) if t.signature == LORENTZ else (-1j, LORENTZ)
+
+    def forms(z):
+        p1, p2, p3 = t.func(z)
+        return unit * p1, unit * p2, p3
+
     if t.label.endswith(":dual"):
         label = t.label[:-len(":dual")]
     else:
         label = t.label + ":dual"
-    return FormTriple(comps, chart=t.chart, signature=sig,
+    return FormTriple(forms, chart=t.chart, signature=sig,
                       singularities=t.singularities, label=label)
 
 
@@ -433,13 +385,13 @@ def period(triple: FormTriple, k: int, loop: Loop) -> complex:
     for s in triple.singularities:
         if abs(abs(s - loop.center) - loop.radius) < 1e-9 * (1.0 + loop.radius):
             raise ValueError(f"loop passes through the singularity at {s}")
-    comp = triple.components[k - 1]
+    forms = triple.func
 
     def contour(n):
         th = 2.0 * np.pi * np.arange(n) / n
         z = loop.center + loop.radius * np.exp(1j * th)
         dz = 1j * (z - loop.center)
-        return np.sum(comp(z) * dz) * (2.0 * np.pi / n)
+        return np.sum(forms(z)[k - 1] * dz) * (2.0 * np.pi / n)
 
     n = _PERIOD_NODES
     val = contour(n)

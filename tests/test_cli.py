@@ -448,6 +448,10 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                  ["verify", "--set", "a=1" + "0" * 5000]):
         assert main(args + ["--family", "bending-spacelike"]) == 2, args
         assert "config error" in capsys.readouterr().err
+    # the Björling surface does not depend on its anchor, so none is taken
+    assert main(["verify", "--family", "bending-spacelike",
+                 "--set", "u0=0.5"]) == 2
+    assert "unknown config field 'u0'" in capsys.readouterr().err
     # parameters the family does not take
     for args in (["--family", "bending-timelike", "--lambda", "0.5"],
                  ["--family", "helicoidal-timelike", "--set", "cubic=2"],
@@ -494,6 +498,13 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
      2, "config error: helicoidal-spacelike-ii:a=1:lam=1e+200 has non-finite"),
     (["sample", "--family", "helicoidal-spacelike-ii", "--lambda", "1e200"],
      2, "config error: helicoidal-spacelike-ii:a=1:lam=1e+200 has non-finite"),
+    # a twist past about 354.9 overflows the generating curve's constants
+    (["verify", "--family", "enneper-second-kind", "--a", "400"], 2,
+     "config error: generating curve overflows at a=400: cubic=inf, "
+     "offset=inf"),
+    (["verify", "--family", "enneper-second-kind", "--a", "800"], 2,
+     "config error: generating curve overflows at a=800: cubic=nan, "
+     "offset=nan"),
 ])
 def test_edge_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, args, code,
                                   line):
