@@ -3,12 +3,14 @@
 A maximal surface through a spacelike curve alpha with prescribed unit
 timelike normal V along it is
 
-    X(u, v) = Re( alpha(z) + i * Integral_{u0}^{z} V(w) x alpha'(w) dw ),
+    X(u, v) = Re( alpha(z) + i * Integral_{0}^{z} V(w) x alpha'(w) dw ),
 
-z = u + iv, with the Lorentzian cross product.  The integrand is entire for
-every built-in curve family, so the integral is taken along the straight
-segment from u0 to z, by error-controlled Gauss-Legendre quadrature that
-is vectorized over all points (see segment_integral).
+z = u + iv, with the Lorentzian cross product.  Any real start point gives
+the same surface: the integral along the real axis is real, so it drops out
+of Re(i * ...).  The integrand is entire for every built-in curve family,
+so the integral is taken along the straight segment from 0 to z, by
+error-controlled Gauss-Legendre quadrature that is vectorized over all
+points (see segment_integral).
 """
 
 from __future__ import annotations
@@ -121,8 +123,12 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
         vals[len(offsets):])
 
 
-def segment_integral(data: BjorlingData, z):
-    """Integral of V x alpha' from u0 to z (straight segment), vectorized.
+def segment_integral(integrand, z):
+    """Integral of `integrand` from 0 to z (straight segment), vectorized.
+
+    integrand(w, out=, work=) writes its (..., 3) values at the complex
+    nodes w into `out`, with `work` its WORK_PLANES scratch planes shaped
+    like w, as BjorlingData.integrand does.
 
     One pass of the NODES-point Gauss-Legendre rule covers every point, split
     into passes of at most _PASS_POINTS integrand points.  Its error
@@ -131,11 +137,9 @@ def segment_integral(data: BjorlingData, z):
     of the integrand's size (QUADPACK's resabs); the points that miss are
     redone on 2, 4, 8, ... equal panels, and raise QuadratureError where
     the estimate is not finite or still misses at _MAX_PANELS panels.
-    Of `data` only u0 and integrand(w, out, work) are read.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    span = flat - data.u0
     out = np.empty(flat.shape + (3,), dtype=complex)
     block = np.empty(0, dtype=complex)
     todo, panels = np.arange(flat.size), 1
@@ -154,10 +158,10 @@ def segment_integral(data: BjorlingData, z):
             w = block[3 * n:4 * n].reshape(shape)
             work = block[4 * n:(4 + WORK_PLANES) * n].reshape(
                 (WORK_PLANES,) + shape)
-            h = span[idx, None] / panels
-            np.add((data.u0 + np.arange(panels) * h)[..., None],
+            h = flat[idx, None] / panels
+            np.add((np.arange(panels) * h)[..., None],
                    np.multiply(_S, h[..., None], out=w[:, :1]), out=w)
-            data.integrand(w, out=vals, work=work)
+            integrand(w, out=vals, work=work)
             mean = np.einsum("k,...kj->...j", _WT, vals)
             total = np.sum(h[..., None] * mean, axis=-2)
             coef = np.abs(_NULL @ np.ascontiguousarray(vals).view(float))
@@ -183,25 +187,17 @@ def segment_integral(data: BjorlingData, z):
     return out.reshape(z.shape + (3,))
 
 
-def solve_bjorling(data: BjorlingData,
-                   domain=(-np.pi, np.pi, -1.0, 1.0)) -> SurfacePatch:
+def solve_bjorling(data: BjorlingData) -> SurfacePatch:
     """Surface patch evaluating the Björling integral numerically."""
 
     def func(u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         z = u + 1j * v
-        integral = segment_integral(data, z)
+        integral = segment_integral(data.integrand, z)
         return np.real(data.alpha(z) + 1j * integral)
 
-    label = "bjorling"
-    if data.family is not None:
-        label += f":{data.family.tag}"
-        if data.family.lam is not None:
-            label += f":lam={data.family.lam:g}"
-    if data.spec is not None:
-        label += f":{data.spec.kind}:a={data.spec.a:g}"
-    return SurfacePatch(func=func, domain=tuple(float(x) for x in domain), label=label)
+    return SurfacePatch(func=func, label="bjorling")
 
 
 def reference_normal(patch: SurfacePatch, u, h: float = 1e-4):

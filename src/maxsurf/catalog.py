@@ -442,7 +442,7 @@ FAMILY_INFO = {
 DEFAULT_DOMAINS = {f: info.domain for f, info in FAMILY_INFO.items()}
 
 
-def bjorling_data_for(surface: CatalogSurface, u0: float = 0.0):
+def bjorling_data_for(surface: CatalogSurface):
     """Core curve and normal field whose Björling solution the entry equals.
 
     The orbit surface is the one entry without such data in these
@@ -457,7 +457,7 @@ def bjorling_data_for(surface: CatalogSurface, u0: float = 0.0):
     lam = surface.lam if info.curve in frames.HELIX_TAGS else None
     return frames.make_bjorling_data(
         frames.CurveFamily(info.curve, lam),
-        frames.NormalFieldSpec(info.twist, surface.a), u0=u0)
+        frames.NormalFieldSpec(info.twist, surface.a))
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +470,11 @@ def eval_surface(surface: CatalogSurface, u, v) -> np.ndarray:
     return FAMILY_INFO[surface.family].evaluate(surface, u, v)
 
 
-def patch(surface: CatalogSurface, domain=None) -> SurfacePatch:
-    """Wrap a catalog surface as a SurfacePatch."""
-    if domain is None:
-        domain = DEFAULT_DOMAINS[surface.family]
+def patch(surface: CatalogSurface) -> SurfacePatch:
+    """Wrap a catalog surface as a SurfacePatch on its default domain."""
     label = ":".join([surface.family] + [
         f"{p.name}={getattr(surface, p.name):g}"
         for p in FAMILY_INFO[surface.family].params])
     return SurfacePatch(func=lambda u, v: eval_surface(surface, u, v),
-                        domain=tuple(float(x) for x in domain),
+                        domain=DEFAULT_DOMAINS[surface.family],
                         label=label, broadcasts=True)

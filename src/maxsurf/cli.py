@@ -148,7 +148,7 @@ def build_job_config(raw: dict) -> JobConfig:
     family = raw.get("family")
     if family is None:
         raise ConfigError("config needs a 'family' (see `maxsurf families`)")
-    if family not in catalog.FAMILY_INFO:
+    if not isinstance(family, str) or family not in catalog.FAMILY_INFO:
         raise ConfigError(f"unknown family {family!r} "
                           f"(see `maxsurf families`)")
     suite = raw.get("suite", "all")
@@ -711,6 +711,9 @@ def main(argv=None) -> int:
         return cmd_verify(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Core curves, adapted frames, and normal fields for the Björling construction.
+"""Core curves and normal fields for the Björling construction.
 
 Six curve families are supported, named by the causal character of the core
 curve (and, for helices, of the rotation axis):
@@ -15,12 +15,13 @@ spacelike and lightlike cases are a hyperbola and a parabola in Euclidean
 eyes.  Every evaluator extends analytically: it accepts real or complex
 arguments of any shape and returns a (..., 3) array.
 
-Along each curve an adapted orthonormal frame (t, n, b) is stored (for the
-lightlike circle, a null frame with <n, n> = <b, b> = 0 and <n, b> = -1/2).
-A normal field V(t) = analytic unit timelike field orthogonal to the curve is
-built by boosting within the normal plane: the hyperbolic angle phi(t) is
-either constant or linear in t, and sinh(phi) attaches to the spacelike
-normal direction, cosh(phi) to the timelike one, so that <V, V> = -1.
+Along each curve two normal legs (n, b) are stored, Lorentz orthonormal
+with one of them timelike (for the lightlike circle, null legs with
+<n, n> = <b, b> = 0 and <n, b> = -1/2).  A normal field V(t) = analytic
+unit timelike field orthogonal to the curve is built by boosting within
+the normal plane: the hyperbolic angle phi(t) is either constant or
+linear in t, and sinh(phi) attaches to the spacelike normal direction,
+cosh(phi) to the timelike one, so that <V, V> = -1.
 """
 
 from __future__ import annotations
@@ -115,30 +116,6 @@ class CurveFamily:
         return None
 
 
-def circle_timelike() -> CurveFamily:
-    return CurveFamily(CIRCLE_TIMELIKE)
-
-
-def circle_spacelike() -> CurveFamily:
-    return CurveFamily(CIRCLE_SPACELIKE)
-
-
-def circle_lightlike() -> CurveFamily:
-    return CurveFamily(CIRCLE_LIGHTLIKE)
-
-
-def helix_timelike(lam: float) -> CurveFamily:
-    return CurveFamily(HELIX_TIMELIKE, lam)
-
-
-def helix_spacelike_i(lam: float) -> CurveFamily:
-    return CurveFamily(HELIX_SPACELIKE_I, lam)
-
-
-def helix_spacelike_ii(lam: float) -> CurveFamily:
-    return CurveFamily(HELIX_SPACELIKE_II, lam)
-
-
 @dataclass(frozen=True)
 class NormalFieldSpec:
     """Hyperbolic rotation angle phi of the normal field: constant or linear.
@@ -163,34 +140,9 @@ class NormalFieldSpec:
         return np.multiply(self.a, t, out=out)
 
 
-def constant_twist(a: float) -> NormalFieldSpec:
-    return NormalFieldSpec("constant", a)
-
-
-def linear_twist(a: float) -> NormalFieldSpec:
-    return NormalFieldSpec("linear", a)
-
-
-@dataclass(frozen=True)
-class FrameField:
-    """Adapted frame along a core curve, as analytic evaluators.
-
-    For the five non-degenerate families (t, n, b) is orthonormal with one
-    timelike member.  For the lightlike circle n and b are null with
-    <n, b> = -1/2, and the combinations e2 = n - b (spacelike, unit) and
-    e3 = n + b (timelike, unit) are also provided.
-    """
-
-    tangent: Callable
-    normal: Callable
-    binormal: Callable
-    e2: Callable | None = None
-    e3: Callable | None = None
-
-
 @dataclass(frozen=True)
 class BjorlingData:
-    """A core curve with a normal field along it, anchored at parameter u0.
+    """A core curve with a normal field along it, as the solve reads them.
 
     alpha maps C -> C^3 and restricts to the spacelike curve on the real
     axis; normal_field restricts to a unit timelike field orthogonal to
@@ -199,9 +151,6 @@ class BjorlingData:
 
     alpha: AnalyticMap
     normal_field: AnalyticMap
-    u0: float = 0.0
-    family: CurveFamily | None = None
-    spec: NormalFieldSpec | None = None
 
     def integrand(self, w, out=None, work=None):
         """The Björling integrand V(w) x alpha'(w), as a (..., 3) array.
@@ -212,10 +161,9 @@ class BjorlingData:
         product are written with out= ufuncs: the product into `out`, the
         rest into `work`, WORK_PLANES complex planes shaped like w (either
         is allocated when not given).  The pair is recognized by the maps'
-        own evaluators, never by `family` or `spec`, so a swapped map is
-        always the one evaluated.  Other data takes
-        lorentz_cross(normal_field(w), alpha.d(w), out=out).  Both ways
-        give the same bits.
+        own evaluators, so a swapped map is always the one evaluated.  Other
+        data takes lorentz_cross(normal_field(w), alpha.d(w), out=out).
+        Both ways give the same bits.
         """
         w = np.asarray(w)
         field, deriv = self.normal_field.func, self.alpha.deriv
@@ -409,23 +357,6 @@ def make_curve(family: CurveFamily) -> AnalyticMap:
                        _Components(form, form.deriv))
 
 
-def make_frame(family: CurveFamily) -> FrameField:
-    """Adapted frame evaluators (unit tangent; frame vectors as stored)."""
-    form = _formulas(family)
-    deriv = _Components(form, form.deriv)
-    speed = family.mu or 1.0  # circles have unit speed
-
-    def tangent(z):
-        return deriv(z) / speed
-
-    e2 = e3 = None
-    if family.tag == CIRCLE_LIGHTLIKE:
-        e2, e3 = (_Components(form, legs) for legs in
-                  _null_to_orthonormal(form.normal, form.binormal))
-    return FrameField(tangent, _Components(form, form.normal),
-                      _Components(form, form.binormal), e2, e3)
-
-
 # Which frame leg is spacelike vs timelike decides where sinh(phi) and
 # cosh(phi) attach; <V, V> = -1 requires cosh on the timelike leg.  These
 # families carry cosh on the normal; the others, and the lightlike circle
@@ -506,9 +437,8 @@ def make_normal_field(family: CurveFamily, spec: NormalFieldSpec) -> AnalyticMap
                                     family.tag not in _COSH_ON_NORMAL, terms))
 
 
-def make_bjorling_data(family: CurveFamily, spec: NormalFieldSpec,
-                       u0: float = 0.0) -> BjorlingData:
-    """Assemble curve and normal field into Björling data anchored at u0."""
+def make_bjorling_data(family: CurveFamily,
+                       spec: NormalFieldSpec) -> BjorlingData:
+    """Assemble curve and normal field into Björling data."""
     return BjorlingData(alpha=make_curve(family),
-                        normal_field=make_normal_field(family, spec),
-                        u0=u0, family=family, spec=spec)
+                        normal_field=make_normal_field(family, spec))

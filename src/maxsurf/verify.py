@@ -45,6 +45,9 @@ class Grid:
             raise ValueError(f"grid bounds must be finite, got {bounds}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"grid bounds must be increasing, got {bounds}")
+        spans = (self.u_max - self.u_min, self.v_max - self.v_min)
+        if not all(np.isfinite(s) for s in spans):
+            raise ValueError(f"grid spans must be finite, got {spans}")
 
     @classmethod
     def from_domain(cls, domain, nu: int = 21, nv: int = 21) -> "Grid":

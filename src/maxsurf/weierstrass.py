@@ -20,7 +20,6 @@ where residues and period integrals live.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -488,15 +487,15 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256)) -> float:
     return -4.0 * fine
 
 
-def integrate_forms(triple: FormTriple, z, z0=0.0):
-    """Integral of the triple along the segment z0 -> z.
+def integrate_forms(triple: FormTriple, z):
+    """Integral of the triple along the segment 0 -> z.
 
     The error-controlled Gauss-Legendre panels of bjorling.segment_integral,
     which raise QuadratureError where they miss their tolerance.  Returns a
     (..., 3) complex array; on the exp chart its real part is the surface
-    displacement X(z) - X(z0) of the matching family.
+    displacement X(z) - X(0) of the matching family.
     """
     def integrand(w, out, work):
         out[...] = triple(w)
 
-    return segment_integral(SimpleNamespace(u0=z0, integrand=integrand), z)
+    return segment_integral(integrand, z)

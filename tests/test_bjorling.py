@@ -28,13 +28,12 @@ def _exp_data(field=None):
         normal_field=AnalyticMap(field or (
             lambda z: vec3(np.zeros_like(np.asarray(z, complex)),
                            np.zeros_like(np.asarray(z, complex)),
-                           np.ones_like(np.asarray(z, complex))))),
-        u0=0.0, family=None, spec=None)
+                           np.ones_like(np.asarray(z, complex))))))
 
 
 def test_gauss_legendre_segment_integral_is_machine_accurate():
     z = 1.0 + 1.0j
-    value = segment_integral(_exp_data(), np.array(z))
+    value = segment_integral(_exp_data().integrand, np.array(z))
     # integral of i V x alpha' from 0 to z; first component picks up
     # i * (e^z - 1) times the constant cross factor
     assert np.all(np.isfinite(value))
@@ -59,19 +58,18 @@ def _near_axis_cases():
 
 
 def _plain_pass(data, z, nodes):
-    """One plain Gauss-Legendre pass of `nodes` nodes from u0 to z."""
+    """One plain Gauss-Legendre pass of `nodes` nodes from 0 to z."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    span = z - data.u0
-    pts = data.u0 + 0.5 * (x + 1.0) * span[..., None]
+    pts = 0.5 * (x + 1.0) * z[..., None]
     vals = lorentz_cross(data.normal_field(pts), data.alpha.d(pts))
-    return span[..., None] * np.einsum("k,...kj->...j", 0.5 * w, vals)
+    return z[..., None] * np.einsum("k,...kj->...j", 0.5 * w, vals)
 
 
 def test_near_axis_points_get_the_plain_rule_bit_for_bit():
     # a point that one panel of the default rule resolves keeps exactly the
     # bytes of a plain Gauss-Legendre pass
     for data, z in _near_axis_cases():
-        assert np.array_equal(segment_integral(data, z),
+        assert np.array_equal(segment_integral(data.integrand, z),
                               _plain_pass(data, z, NODES))
 
 
@@ -93,10 +91,10 @@ def test_pass_size_does_not_change_the_solve(monkeypatch, points):
     if points < 2 * NODES:
         # one point per pass: keep the case short
         cases = [(data, z[::8, ::8]) for data, z in cases]
-    default = [segment_integral(data, z) for data, z in cases]
+    default = [segment_integral(data.integrand, z) for data, z in cases]
     monkeypatch.setattr(bjorling, "_PASS_POINTS", points)
     for (data, z), got in zip(cases, default):
-        assert np.array_equal(segment_integral(data, z), got)
+        assert np.array_equal(segment_integral(data.integrand, z), got)
 
 
 def _generic(data):
@@ -140,8 +138,8 @@ def test_a_swapped_normal_field_is_evaluated():
 
         swapped = dataclasses.replace(
             data, normal_field=AnalyticMap(counting, field.deriv))
-        assert np.array_equal(segment_integral(swapped, z),
-                              segment_integral(data, z))
+        assert np.array_equal(segment_integral(swapped.integrand, z),
+                              segment_integral(data.integrand, z))
         assert sum(counts) == z.size * NODES
 
 
@@ -151,8 +149,8 @@ def test_a_swapped_curve_is_evaluated():
     data, z = _near_axis_cases()[0]
     other = catalog.bjorling_data_for(catalog.bending_spacelike(0.7))
     swapped = dataclasses.replace(data, alpha=other.alpha)
-    got = segment_integral(swapped, z)
-    assert not np.array_equal(got, segment_integral(data, z))
+    got = segment_integral(swapped.integrand, z)
+    assert not np.array_equal(got, segment_integral(data.integrand, z))
     assert np.array_equal(got, _plain_pass(swapped, z, NODES))
 
 
@@ -171,11 +169,11 @@ def test_far_point_is_split_into_panels_and_stays_accurate():
     counts = []
     data = _exp_data(_counting_normal(counts))
     near = 0.3 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
-    segment_integral(data, near)
+    segment_integral(data.integrand, near)
     assert counts == [NODES * near.size]
     counts.clear()
     z = 300j
-    value = segment_integral(data, np.array(z))
+    value = segment_integral(data.integrand, np.array(z))
     # V x alpha' = (0, e^w, 0) for V = (0, 0, 1), alpha' = (e^w, 0, 0)
     exact = np.exp(z) - 1.0
     assert abs(value[1] - exact) <= 1e-11 * abs(exact)
@@ -186,7 +184,7 @@ def test_non_finite_integrand_raises_at_its_point():
     data = _exp_data(_counting_normal([], nan_where=lambda w: w.imag > 1.5))
     z = np.array([0.5 + 0.5j, 0.2 + 2.0j, -0.3 + 0.1j])
     with pytest.raises(QuadratureError) as info:
-        segment_integral(data, z)
+        segment_integral(data.integrand, z)
     assert info.value.z == z[1]
     assert np.isnan(info.value.estimate)
     assert str(z[1]) in str(info.value)
@@ -197,7 +195,7 @@ def test_panel_cap_raises_with_point_estimate_and_tolerance():
     # panels of NODES nodes would be needed
     z = np.array([0.5j, 1e5j])
     with pytest.raises(QuadratureError) as info:
-        segment_integral(_exp_data(), z)
+        segment_integral(_exp_data().integrand, z)
     err = info.value
     assert err.z == z[1]
     assert np.isfinite(err.estimate) and err.estimate > err.tol > 0.0
@@ -319,7 +317,15 @@ def test_reference_normal_rejects_degenerate_tangent_plane():
 
 
 def test_surface_patch_label_and_domain_are_kept():
-    patch = solve_bjorling(catalog.bjorling_data_for(
-        catalog.bending_timelike(2.0)), domain=(-2, 2, -1, 1))
+    def func(u, v):
+        return np.stack(np.broadcast_arrays(u, v, 0.0), axis=-1)
+
+    patch = SurfacePatch(func, domain=(-2, 2, -1, 1), label="plane")
     assert patch.domain == (-2, 2, -1, 1)
-    assert patch.label
+    assert patch.label == "plane"
+    # a solved patch carries the default domain
+    solved = solve_bjorling(catalog.bjorling_data_for(
+        catalog.bending_timelike(2.0)))
+    assert solved.label == "bjorling"
+    assert solved.domain == SurfacePatch(func).domain \
+        == (-np.pi, np.pi, -1.0, 1.0)

@@ -448,6 +448,12 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                  ["verify", "--set", "a=1" + "0" * 5000]):
         assert main(args + ["--family", "bending-spacelike"]) == 2, args
         assert "config error" in capsys.readouterr().err
+    # a family that is not a string is an unknown family, not a crash
+    for value in ("[1]", "{}"):
+        assert main(["verify", "--set", f"family={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: unknown family {value}" in err
+        assert "Traceback" not in err
     # the Björling surface does not depend on its anchor, so none is taken
     assert main(["verify", "--family", "bending-spacelike",
                  "--set", "u0=0.5"]) == 2
@@ -505,6 +511,19 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     (["verify", "--family", "enneper-second-kind", "--a", "800"], 2,
      "config error: generating curve overflows at a=800: cubic=nan, "
      "offset=nan"),
+    # a grid whose span overflows is refused before any node is computed
+    (["verify", "--family", "bending-timelike", "--set",
+      'grid={"u_min":-1e308,"u_max":1e308,"v_min":0,"v_max":1}'], 2,
+     "config error: grid: grid spans must be finite, got (inf, 1.0)"),
+    # a job that asks for more than the 128 TiB x86-64 address space fails
+    # at its first large allocation, whatever the overcommit setting, and
+    # touches little memory before it
+    (["sample", "--family", "bending-timelike", "--set", "grid.nu=2",
+      "--set", "grid.nv=100000000000000"], 2,
+     "config error: out of memory: Unable to allocate"),
+    (["verify", "--family", "lightlike-rotational", "--suite", "curvature",
+      "--set", "curvature_grid=[8,100000000000000]"], 2,
+     "config error: out of memory: Unable to allocate"),
 ])
 def test_edge_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, args, code,
                                   line):

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from maxsurf import frames
-from maxsurf.lorentz import lorentz_cross, lorentz_dot
+from maxsurf.frames import CurveFamily, NormalFieldSpec
+from maxsurf.lorentz import lorentz_cross, lorentz_dot, vec3
 
 U_SAMPLES = np.linspace(-2.0, 2.0, 9)
 
 ORTHONORMAL_FAMILIES = [
-    frames.circle_timelike(),
-    frames.circle_spacelike(),
-    frames.helix_timelike(0.6),
-    frames.helix_spacelike_i(2.0),
-    frames.helix_spacelike_ii(1.0),
+    CurveFamily(frames.CIRCLE_TIMELIKE),
+    CurveFamily(frames.CIRCLE_SPACELIKE),
+    CurveFamily(frames.HELIX_TIMELIKE, 0.6),
+    CurveFamily(frames.HELIX_SPACELIKE_I, 2.0),
+    CurveFamily(frames.HELIX_SPACELIKE_II, 1.0),
 ]
+LIGHTLIKE_CIRCLE = CurveFamily(frames.CIRCLE_LIGHTLIKE)
+ALL_FAMILIES = ORTHONORMAL_FAMILIES + [LIGHTLIKE_CIRCLE]
 
 
 @pytest.mark.parametrize("kernel,refs", [
@@ -42,80 +45,77 @@ def test_trig_kernels_match_numpy(kernel, refs):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("family", ORTHONORMAL_FAMILIES,
-                         ids=lambda f: f.tag)
-def test_frame_is_lorentz_orthonormal(family):
-    frame = frames.make_frame(family)
-    t = frame.tangent(U_SAMPLES)
-    n = frame.normal(U_SAMPLES)
-    b = frame.binormal(U_SAMPLES)
-    assert np.max(np.abs(lorentz_dot(t, t) - 1.0)) < 1e-12
-    assert np.max(np.abs(lorentz_dot(t, n))) < 1e-12
-    assert np.max(np.abs(lorentz_dot(t, b))) < 1e-12
-    assert np.max(np.abs(lorentz_dot(n, b))) < 1e-12
-    # one of n, b is timelike and the other spacelike
-    nn = lorentz_dot(n, n)
-    bb = lorentz_dot(b, b)
-    assert np.max(np.abs(nn * bb + 1.0)) < 1e-12
-
-
-def test_lightlike_frame_pairing():
-    # The lightlike-axis circle has no orthonormal frame; the printed null
-    # frame satisfies <n,n> = <b,b> = 0 and <n,b> = -1/2.
-    frame = frames.make_frame(frames.circle_lightlike())
-    n = frame.normal(U_SAMPLES)
-    b = frame.binormal(U_SAMPLES)
-    t = frame.tangent(U_SAMPLES)
-    assert np.max(np.abs(lorentz_dot(n, n))) < 1e-12
-    assert np.max(np.abs(lorentz_dot(b, b))) < 1e-12
-    assert np.max(np.abs(lorentz_dot(n, b) + 0.5)) < 1e-12
-    assert np.max(np.abs(lorentz_dot(t, t) - 1.0)) < 1e-12
-
-
-@pytest.mark.parametrize("family", ORTHONORMAL_FAMILIES,
-                         ids=lambda f: f.tag)
-def test_tangent_matches_curve_derivative(family):
-    curve = frames.make_curve(family)
-    d = curve.d(U_SAMPLES)
-    speed = np.sqrt(np.abs(lorentz_dot(d, d)))[..., None]
-    t = frames.make_frame(family).tangent(U_SAMPLES)
-    assert np.max(np.abs(d / speed - t)) < 1e-12
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
+def test_curve_speed_is_mu_or_one(family):
+    # <alpha', alpha'> = mu^2 for a helix, 1 for a circle
+    d = frames.make_curve(family).d(U_SAMPLES)
+    speed = family.mu or 1.0
+    assert np.max(np.abs(lorentz_dot(d, d) - speed * speed)) < 1e-12
 
 
 def test_curve_derivative_matches_finite_differences():
-    curve = frames.make_curve(frames.helix_timelike(0.6))
+    curve = frames.make_curve(CurveFamily(frames.HELIX_TIMELIKE, 0.6))
     h = 1e-6
     fd = (curve(U_SAMPLES + h) - curve(U_SAMPLES - h)) / (2 * h)
     assert np.max(np.abs(fd - curve.d(U_SAMPLES))) < 1e-9
 
 
-@pytest.mark.parametrize("family", ORTHONORMAL_FAMILIES,
-                         ids=lambda f: f.tag)
-@pytest.mark.parametrize("spec_maker", [
-    lambda: frames.constant_twist(0.8),
-    lambda: frames.linear_twist(0.8),
-], ids=["constant", "linear"])
-def test_normal_field_is_unit_timelike_and_orthogonal(family, spec_maker):
-    field = frames.make_normal_field(family, spec_maker())
-    V = field(U_SAMPLES)
-    frame = frames.make_frame(family)
+# Constant twists 0, 0.8 and 1.7 and a linear one; the lightlike circle
+# takes a constant twist only.
+TWISTS = [NormalFieldSpec("constant", a) for a in (0.0, 0.8, 1.7)] + [
+    NormalFieldSpec("linear", 0.8)]
+
+
+@pytest.mark.parametrize("family,spec", [
+    (family, spec) for family in ALL_FAMILIES for spec in TWISTS
+    if family is not LIGHTLIKE_CIRCLE or spec.kind == "constant"],
+    ids=lambda x: getattr(x, "tag", None) or f"{x.kind}-{x.a}")
+def test_normal_field_is_unit_timelike_and_orthogonal(family, spec):
+    # V = p n + q b with p^2 - q^2 = -1 or +1 on the stored legs (n, b).
+    # <V, V> = -1 at the three constant twists forces the legs to be
+    # Lorentz orthonormal, one of them timelike; for the lightlike circle,
+    # whose V sits on (n - b, n + b), it forces null legs with
+    # <n, b> = -1/2.  <V, alpha'> = 0 at two twists forces both legs
+    # normal to the curve.
+    V = frames.make_normal_field(family, spec)(U_SAMPLES)
+    d = frames.make_curve(family).d(U_SAMPLES)
     assert np.max(np.abs(lorentz_dot(V, V) + 1.0)) < 1e-12
-    assert np.max(np.abs(lorentz_dot(V, frame.tangent(U_SAMPLES)))) < 1e-12
+    assert np.max(np.abs(lorentz_dot(V, d))) < 1e-12
+
+
+def _printed_legs(family, t):
+    """The stored legs (n, b) of a family, as printed."""
+    lam, mu, tag = family.lam, family.mu, family.tag
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    if tag == frames.CIRCLE_TIMELIKE:
+        return vec3(-np.cos(t), -np.sin(t), zero), vec3(zero, zero, one)
+    if tag == frames.CIRCLE_SPACELIKE:
+        return vec3(zero, np.sinh(t), np.cosh(t)), vec3(one, zero, zero)
+    if tag == frames.CIRCLE_LIGHTLIKE:
+        return (vec3(0.5 * one, zero, 0.5 * one),
+                vec3((t * t - 1.0) / 2.0, t, (t * t + 1.0) / 2.0))
+    k = lam / mu
+    if tag == frames.HELIX_TIMELIKE:
+        return (vec3(-np.cos(t), -np.sin(t), zero),
+                vec3(k * np.sin(t), -k * np.cos(t), -one / mu))
+    if tag == frames.HELIX_SPACELIKE_I:
+        return (vec3(zero, np.cosh(t), np.sinh(t)),
+                vec3(-one / mu, -k * np.sinh(t), -k * np.cosh(t)))
+    return (vec3(zero, np.sinh(t), np.cosh(t)),
+            vec3(one / mu, -k * np.cosh(t), -k * np.sinh(t)))
 
 
 @pytest.mark.parametrize("family,comb", [
-    (frames.circle_timelike(), "sinh-normal"),
-    (frames.helix_timelike(0.6), "sinh-normal"),
-    (frames.helix_spacelike_i(2.0), "sinh-normal"),
-    (frames.circle_spacelike(), "cosh-normal"),
-    (frames.helix_spacelike_ii(1.0), "cosh-normal"),
+    (CurveFamily(frames.CIRCLE_TIMELIKE), "sinh-normal"),
+    (CurveFamily(frames.HELIX_TIMELIKE, 0.6), "sinh-normal"),
+    (CurveFamily(frames.HELIX_SPACELIKE_I, 2.0), "sinh-normal"),
+    (CurveFamily(frames.CIRCLE_SPACELIKE), "cosh-normal"),
+    (CurveFamily(frames.HELIX_SPACELIKE_II, 1.0), "cosh-normal"),
 ], ids=lambda x: x if isinstance(x, str) else x.tag)
 def test_twist_attaches_to_the_printed_combination(family, comb):
     a = 0.7
-    field = frames.make_normal_field(family, frames.constant_twist(a))
-    frame = frames.make_frame(family)
-    n = frame.normal(U_SAMPLES)
-    b = frame.binormal(U_SAMPLES)
+    field = frames.make_normal_field(family, NormalFieldSpec("constant", a))
+    n, b = _printed_legs(family, U_SAMPLES)
     if comb == "sinh-normal":
         expected = np.sinh(a) * n + np.cosh(a) * b
     else:
@@ -125,14 +125,12 @@ def test_twist_attaches_to_the_printed_combination(family, comb):
 
 
 def test_lightlike_normal_field_uses_orthonormalized_legs():
-    # The null frame legs combine as e2 = n - b (spacelike) and
-    # e3 = n + b (timelike); the constant twist attaches to those.
+    # The null legs combine as e2 = n - b (spacelike) and e3 = n + b
+    # (timelike); the constant twist attaches to those.
     a = 0.9
-    family = frames.circle_lightlike()
-    field = frames.make_normal_field(family, frames.constant_twist(a))
-    frame = frames.make_frame(family)
-    n = frame.normal(U_SAMPLES)
-    b = frame.binormal(U_SAMPLES)
+    field = frames.make_normal_field(LIGHTLIKE_CIRCLE,
+                                     NormalFieldSpec("constant", a))
+    n, b = _printed_legs(LIGHTLIKE_CIRCLE, U_SAMPLES)
     expected = np.sinh(a) * (n - b) + np.cosh(a) * (n + b)
     V = field(U_SAMPLES)
     assert np.max(np.abs(V - expected)) < 1e-12
@@ -141,51 +139,52 @@ def test_lightlike_normal_field_uses_orthonormalized_legs():
 
 
 def test_circle_normal_fields_point_to_the_future():
-    for family in (frames.circle_timelike(), frames.circle_spacelike(),
-                   frames.circle_lightlike()):
-        field = frames.make_normal_field(family, frames.constant_twist(0.5))
+    for tag in frames.CIRCLE_TAGS:
+        field = frames.make_normal_field(CurveFamily(tag),
+                                         NormalFieldSpec("constant", 0.5))
         assert np.all(field(U_SAMPLES)[..., 2] > 0)
 
 
 def test_linear_twist_rejected_on_lightlike_circle():
     with pytest.raises(ValueError):
-        frames.make_normal_field(frames.circle_lightlike(),
-                                 frames.linear_twist(1.0))
+        frames.make_normal_field(LIGHTLIKE_CIRCLE,
+                                 NormalFieldSpec("linear", 1.0))
 
 
 def test_twist_parameter_validation():
     with pytest.raises(ValueError):
-        frames.constant_twist(-0.1)
+        NormalFieldSpec("constant", -0.1)
     with pytest.raises(ValueError):
-        frames.linear_twist(0.0)
-    frames.constant_twist(0.0)  # boundary allowed for the constant case
+        NormalFieldSpec("linear", 0.0)
+    NormalFieldSpec("constant", 0.0)  # boundary allowed for the constant case
 
 
 def test_twist_phase():
     u = np.linspace(-1, 1, 5)
-    assert np.allclose(frames.constant_twist(0.7).phi(u), 0.7)
-    assert np.allclose(frames.linear_twist(0.7).phi(u), 0.7 * u)
+    assert np.allclose(NormalFieldSpec("constant", 0.7).phi(u), 0.7)
+    assert np.allclose(NormalFieldSpec("linear", 0.7).phi(u), 0.7 * u)
 
 
 def test_helix_pitch_validation():
     with pytest.raises(ValueError):
-        frames.helix_timelike(1.0)  # needs 0 < lam < 1
+        CurveFamily(frames.HELIX_TIMELIKE, 1.0)  # needs 0 < lam < 1
     with pytest.raises(ValueError):
-        frames.helix_spacelike_i(1.0)  # needs lam > 1
+        CurveFamily(frames.HELIX_SPACELIKE_I, 1.0)  # needs lam > 1
     with pytest.raises(ValueError):
-        frames.helix_spacelike_ii(0.0)  # needs lam > 0
+        CurveFamily(frames.HELIX_SPACELIKE_II, 0.0)  # needs lam > 0
 
 
 def test_helix_speed_values():
-    assert frames.helix_timelike(0.6).mu == pytest.approx(0.8)
-    assert frames.helix_spacelike_i(2.0).mu == pytest.approx(np.sqrt(3.0))
-    assert frames.helix_spacelike_ii(1.0).mu == pytest.approx(np.sqrt(2.0))
+    assert CurveFamily(frames.HELIX_TIMELIKE, 0.6).mu == pytest.approx(0.8)
+    assert CurveFamily(frames.HELIX_SPACELIKE_I, 2.0).mu \
+        == pytest.approx(np.sqrt(3.0))
+    assert CurveFamily(frames.HELIX_SPACELIKE_II, 1.0).mu \
+        == pytest.approx(np.sqrt(2.0))
 
 
 def test_bjorling_data_bundles_curve_and_field():
-    data = frames.make_bjorling_data(frames.circle_timelike(),
-                                     frames.linear_twist(1.0), u0=0.25)
-    assert data.u0 == 0.25
+    data = frames.make_bjorling_data(CurveFamily(frames.CIRCLE_TIMELIKE),
+                                     NormalFieldSpec("linear", 1.0))
     pt = data.alpha(np.array(0.3))
     assert np.allclose(pt, [np.cos(0.3), np.sin(0.3), 0.0])
     V = data.normal_field(np.array(0.3))
@@ -196,9 +195,10 @@ def test_bjorling_data_bundles_curve_and_field():
 # a constant twist only.
 BJORLING_PAIRS = [
     (family, spec)
-    for family in ORTHONORMAL_FAMILIES + [frames.circle_lightlike()]
-    for spec in (frames.constant_twist(0.0), frames.constant_twist(1.3),
-                 frames.linear_twist(0.7), frames.linear_twist(2.0))
+    for family in ALL_FAMILIES
+    for spec in (NormalFieldSpec("constant", 0.0),
+                 NormalFieldSpec("constant", 1.3),
+                 NormalFieldSpec("linear", 0.7), NormalFieldSpec("linear", 2.0))
     if family.tag != frames.CIRCLE_LIGHTLIKE or spec.kind == "constant"]
 
 
@@ -234,8 +234,8 @@ def test_fused_integrand_matches_the_generic_cross_product(family, spec,
 def test_fused_integrand_allocates_no_pass_sized_array():
     # with `out` and `work` given, a pass of 16 384 points allocates a few
     # small objects only; the generic product allocates megabytes
-    data = frames.make_bjorling_data(frames.helix_timelike(0.6),
-                                     frames.linear_twist(0.7))
+    data = frames.make_bjorling_data(CurveFamily(frames.HELIX_TIMELIKE, 0.6),
+                                     NormalFieldSpec("linear", 0.7))
     w = np.linspace(-1.0, 1.0, 512)[:, None, None] * (1.0 + 0.3j) \
         * np.linspace(0.0, 1.0, 32)
     out = np.empty(w.shape + (3,), complex)
