@@ -8,9 +8,13 @@ timelike normal V along it is
 z = u + iv, with the Lorentzian cross product.  Any real start point gives
 the same surface: the integral along the real axis is real, so it drops out
 of Re(i * ...).  The integrand is entire for every built-in curve family,
-so the integral is taken along the straight segment from 0 to z, by
-error-controlled Gauss-Legendre quadrature that is vectorized over all
-points (see segment_integral).
+so the integral may follow any path from 0 to z.  segment_integral takes
+the real axis to Re z, then the vertical line to z, and cuts both on a
+fixed lattice of unit panels.  Each panel that any point's path crosses is
+integrated once, by error-controlled Gauss-Legendre quadrature, and shared
+by all the points whose paths cross it; the last, partial panel of a path
+is integrated from the panel's Legendre interpolant.  The cost follows the
+panels crossed, not the number of points, and every value stays pointwise.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .frames import WORK_PLANES, BjorlingData
 from .lorentz import lorentz_cross, lorentz_dot
 
-# Gauss-Legendre nodes per panel, relative tolerance of a segment integral,
-# and panel count at which a point still missing it raises.
+# Gauss-Legendre nodes per panel, relative tolerance of a point's integral,
+# length of a lattice panel, and the cap on the panels along one point's
+# path, each lattice panel counted with the pieces it is cut into.
 NODES = 32
 _RTOL = 1e-11
+_PANEL = 1.0
 _MAX_PANELS = 1024
 # The rule's nodes and weights on [0, 1], and the (2, NODES) null rule
 # giving the discrete Legendre coefficients of degree NODES - 2 and
@@ -36,7 +42,13 @@ _X, _W = leggauss(NODES)
 _S, _WT = 0.5 * (_X + 1.0), 0.5 * _W
 _NULL = ((np.arange(NODES - 2, NODES)[:, None] + 0.5) * _W
          * legvander(_X, NODES - 1)[:, -2:].T)
-_S.flags.writeable = _WT.flags.writeable = _NULL.flags.writeable = False
+# Row n of _ANTI weighs the node values by _WT * P_n / 2, which gives the
+# Legendre coefficient c_n over 2 (2n + 1), so that sum_n J_n(2t - 1)
+# _ANTI[n] weighs them to the interpolant's integral over [0, t]
+# (_interpolant_integral).
+_ANTI = 0.5 * (legvander(_X, NODES - 1) * _WT[:, None]).T
+_S.flags.writeable = _WT.flags.writeable = False
+_NULL.flags.writeable = _ANTI.flags.writeable = False
 # Integrand points per pass.  segment_integral holds one block of
 # 4 + WORK_PLANES = 13 complex planes of this many points, 1.7 MB at 1<<13,
 # within a core's L2 (2 MB on the 2-vCPU Xeon measured).  There, with
@@ -47,6 +59,10 @@ _S.flags.writeable = _WT.flags.writeable = _NULL.flags.writeable = False
 # blocks use the same size.  The split changes no bit of the result, since
 # every value is computed pointwise.
 _PASS_POINTS = 1 << 13
+# Partial panels that _interpolant_integral integrates at a time: their
+# gathered node values fill 3 planes of _PASS_POINTS points, as a pass's
+# integrand values do.
+_PARTIALS = _PASS_POINTS // NODES
 
 
 class QuadratureError(RuntimeError):
@@ -124,76 +140,210 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
 
 
 def segment_integral(integrand, z):
-    """Integral of `integrand` from 0 to z (straight segment), vectorized.
+    """Integral of `integrand` from 0 to z, vectorized over the points z.
 
     integrand(w, out=, work=) writes its (..., 3) values at the complex
     nodes w into `out`, with `work` its WORK_PLANES scratch planes shaped
     like w, as BjorlingData.integrand does.
 
-    One pass of the NODES-point Gauss-Legendre rule covers every point, split
-    into passes of at most _PASS_POINTS integrand points.  Its error
-    estimate, |span| times the null-rule coefficients of the largest
-    real or imaginary part, must be within _RTOL of max |integral|, or else
-    of the integrand's size (QUADPACK's resabs); the points that miss are
-    redone on 2, 4, 8, ... equal panels, and raise QuadratureError where
-    the estimate is not finite or still misses at _MAX_PANELS panels.
+    The path runs along the real axis from 0 to Re z, then vertically to z;
+    for an entire integrand it gives the straight segment's value.  Both
+    legs are cut on a fixed lattice of panels of length _PANEL, counted from
+    0 along the real axis and from the real axis along each column.  Each
+    panel that some point's path crosses is integrated once per round by the
+    NODES-point Gauss-Legendre rule, in passes of at most _PASS_POINTS
+    integrand points, so the cost follows the panels crossed, not the number
+    of points.  A point sums its full panels from 0 outward and adds the
+    integral of the last panel's Legendre interpolant up to the point; a
+    point on a lattice line has no partial panel.  Every step is pointwise:
+    a point's value does not depend on the other points of the call.
+
+    A point's error estimate, the sum over the panels of its path of |span|
+    times the null-rule coefficients of the largest real or imaginary part,
+    must be within _RTOL of max |integral|, or else of the integrand's size
+    along the path (QUADPACK's resabs, by the same largest part).  The
+    points that miss are redone with every panel of their paths cut into 2,
+    4, 8, ... equal pieces, as long as a path holds at most _MAX_PANELS
+    pieces.  QuadratureError names the first point whose estimate is not
+    finite or still misses at that cap, and, before any evaluation, the
+    first point that is not finite or whose path crosses more than
+    _MAX_PANELS panels.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    out = np.empty(flat.shape + (3,), dtype=complex)
-    block = np.empty(0, dtype=complex)
-    todo, panels = np.arange(flat.size), 1
+    bad = ~np.isfinite(flat)
+    if np.any(bad):
+        at = flat[np.flatnonzero(bad)[0]]
+        raise QuadratureError(f"cannot integrate up to the non-finite point "
+                              f"z={at}", z=at)
+    # One leg along the real axis per column (bit pattern of Re z, so -0.0
+    # is a column of its own), then one leg up or down the column per point.
+    # Line 0 / 1 is the positive / negative real axis, line 2 + 2c / 3 + 2c
+    # the upper / lower half of column c; odd lines run toward -1 or -i.
+    x, y = flat.real, flat.imag
+    bits, col = np.unique(x.view(np.int64), return_inverse=True)
+    cols = bits.view(float)
+    line = np.concatenate([np.signbit(cols), 2 + 2 * col + np.signbit(y)])
+    length = np.concatenate([np.abs(cols), np.abs(y)]) / _PANEL
+    origin = np.concatenate([[0.0, 0.0], np.repeat(cols, 2)])
+    crossed = np.ceil(length).astype(np.int64)
+    path = crossed[col] + crossed[cols.size:]
+    far = path > _MAX_PANELS
+    if np.any(far):
+        i = np.flatnonzero(far)[0]
+        raise QuadratureError(
+            f"the path from 0 to z={flat[i]} crosses {path[i]} lattice "
+            f"panels, more than {_MAX_PANELS}", z=flat[i])
+    out = np.empty((flat.size, 3), dtype=complex)
+    todo, pieces = np.arange(flat.size), 1
     while todo.size:
-        left = []
-        rows = max(1, _PASS_POINTS // (panels * NODES))
-        # One block holds a pass's integrand values, nodes and work planes;
-        # it is replaced only when a round's passes outgrow it.
-        need = (4 + WORK_PLANES) * min(rows, todo.size) * panels * NODES
-        if block.size < need:
-            block = np.empty(need, dtype=complex)
-        for idx in np.split(todo, range(rows, todo.size, rows)):
-            shape = (idx.size, panels, NODES)
-            n = idx.size * panels * NODES
-            vals = block[:3 * n].reshape(shape + (3,))
-            w = block[3 * n:4 * n].reshape(shape)
-            work = block[4 * n:(4 + WORK_PLANES) * n].reshape(
-                (WORK_PLANES,) + shape)
-            h = flat[idx, None] / panels
-            np.add((np.arange(panels) * h)[..., None],
-                   np.multiply(_S, h[..., None], out=w[:, :1]), out=w)
-            integrand(w, out=vals, work=work)
-            mean = np.einsum("k,...kj->...j", _WT, vals)
-            total = np.sum(h[..., None] * mean, axis=-2)
-            coef = np.abs(_NULL @ np.ascontiguousarray(vals).view(float))
-            err = np.sum(np.abs(h) * np.max(coef[..., 0, :] + coef[..., 1, :],
-                                            axis=-1), axis=-1)
-            tol = _RTOL * np.max(np.abs(total), axis=-1)
-            low = ~(err <= tol)
-            tol[low] = _RTOL * np.sum(np.abs(h[low]) * (
-                np.max(np.abs(vals[low]), axis=-1) @ _WT), axis=-1)
-            ok = np.isfinite(err) & (err <= tol)
-            out[idx[ok]] = total[ok]
-            stuck = ~ok & (~np.isfinite(err) | (panels >= _MAX_PANELS))
-            if np.any(stuck):
-                i = np.flatnonzero(stuck)[0]
-                raise QuadratureError(
-                    f"Gauss-Legendre quadrature missed its tolerance at "
-                    f"z={flat[idx[i]]} with {panels} panel(s): error "
-                    f"estimate {err[i]:.3g}, tolerance {tol[i]:.3g}",
-                    z=flat[idx[i]], estimate=float(err[i]), tol=float(tol[i]))
-            left.append(idx[~ok])
-        todo = np.concatenate(left)
-        panels *= 2
+        # The legs of the points still to do: their columns' legs along the
+        # real axis, then their own.
+        columns, a = np.unique(col[todo], return_inverse=True)
+        legs = np.concatenate([columns, cols.size + todo])
+        value, err, size = _leg_integrals(integrand, line[legs],
+                                          length[legs], origin, pieces)
+        b = columns.size + np.arange(todo.size)
+        total = value[a] + value[b]
+        err, tol = err[a] + err[b], _RTOL * np.maximum(
+            np.max(np.abs(total), axis=-1), size[a] + size[b])
+        ok = np.isfinite(err) & (err <= tol)
+        out[todo[ok]] = total[ok]
+        stuck = ~ok & (~np.isfinite(err)
+                       | (2 * pieces * path[todo] > _MAX_PANELS))
+        if np.any(stuck):
+            k = np.flatnonzero(stuck)[0]
+            i = todo[k]
+            raise QuadratureError(
+                f"Gauss-Legendre quadrature missed its tolerance at "
+                f"z={flat[i]} on its {path[i]} lattice panel(s) of "
+                f"{pieces} piece(s) each (at most {_MAX_PANELS} pieces "
+                f"along a path): error estimate {err[k]:.3g}, tolerance "
+                f"{tol[k]:.3g}",
+                z=flat[i], estimate=float(err[k]), tol=float(tol[k]))
+        todo, pieces = todo[~ok], 2 * pieces
     return out.reshape(z.shape + (3,))
+
+
+def _leg_integrals(integrand, line, length, origin, pieces):
+    """(value, err, size) of the legs that run `length` panels along the
+    lattice lines `line` (with real parts `origin` by line): each leg's
+    integral, and the sums of the error estimates and of the integrand's
+    size (resabs) over the panels it crosses, its partial panel in full.
+    Each panel crossed is integrated once, cut into `pieces` pieces."""
+    crossed = np.ceil(length).astype(np.int64)
+    whole = np.floor(length).astype(np.int64)
+    frac = length - whole
+    counts = np.zeros(origin.size, dtype=np.int64)
+    np.maximum.at(counts, line, crossed)
+    first = np.concatenate([[0], np.cumsum(counts)])
+    # Panel p is panel k of its line: offsets k to k + 1 along the line.
+    p_line = np.repeat(np.arange(counts.size), counts)
+    p_k = np.arange(first[-1]) - first[p_line]
+    sign = 1.0 - 2.0 * (p_line & 1)
+    upright = p_line >= 2
+    origin = origin[p_line]
+    last = first[line] + whole
+    ends = np.flatnonzero(frac > 0.0)
+    ends = ends[np.argsort(last[ends], kind="stable")]
+    total = np.empty((first[-1], 3), dtype=complex)
+    err, size = np.empty(first[-1]), np.empty(first[-1])
+    part = np.zeros((line.size, 3), dtype=complex)
+    rows = max(1, _PASS_POINTS // (pieces * NODES))
+    # One block holds a pass's integrand values, nodes and work planes.
+    block = np.empty((4 + WORK_PLANES) * min(rows, first[-1]) * pieces
+                     * NODES, dtype=complex)
+    step = _PANEL / pieces
+    for start in range(0, first[-1], rows):
+        idx = np.arange(start, min(start + rows, first[-1]))
+        shape = (idx.size, pieces, NODES)
+        m = idx.size * pieces * NODES
+        vals = block[:3 * m].reshape(shape + (3,))
+        w = block[3 * m:4 * m].reshape(shape)
+        work = block[4 * m:(4 + WORK_PLANES) * m].reshape(
+            (WORK_PLANES,) + shape)
+        up = upright[idx, None, None]
+        pos = sign[idx, None, None] * (p_k[idx, None, None] + (
+            np.arange(pieces)[:, None] + _S) / pieces) * _PANEL
+        w.real = np.where(up, origin[idx, None, None], pos)
+        w.imag = np.where(up, pos, 0.0)
+        integrand(w, out=vals, work=work)
+        h = np.where(upright[idx], 1j, 1.0) * (sign[idx] * step)
+        sums = np.cumsum(h[:, None, None] * np.einsum(
+            "k,...kj->...j", _WT, vals), axis=1)
+        total[idx] = sums[:, -1]
+        coef = np.abs(_NULL @ vals.view(float))
+        err[idx] = step * np.sum(
+            np.max(coef[..., 0, :] + coef[..., 1, :], axis=-1), axis=-1)
+        size[idx] = step * np.sum(
+            np.max(np.abs(vals.view(float)), axis=-1) @ _WT, axis=-1)
+        # The legs that end inside a panel of this pass.
+        lo, hi = np.searchsorted(last[ends], (idx[0], idx[-1] + 1))
+        leg = ends[lo:hi]
+        q = last[leg] - idx[0]
+        tau = frac[leg] * pieces
+        i = np.floor(tau).astype(np.int64)
+        part[leg] = np.where((i > 0)[:, None], sums[q, i - 1], 0.0)
+        inside = tau > i
+        leg, q, i = leg[inside], q[inside], i[inside]
+        if leg.size:
+            # each piece's values as 6 real rows of NODES, written into the
+            # work planes, which the integrand no longer needs
+            lines = work.reshape(-1).view(float)[:6 * m].reshape(
+                -1, 6, NODES)
+            np.copyto(lines, vals.view(float).reshape(-1, NODES, 6)
+                      .transpose(0, 2, 1))
+            part[leg] += h[q, None] * _interpolant_integral(
+                lines, q * pieces + i, tau[inside] - i)
+    # Panels summed from 0 outward along each line, in place.
+    for k in range(1, counts.max(initial=0)):
+        later = first[:-1][counts > k] + k
+        total[later] += total[later - 1]
+        err[later] += err[later - 1]
+        size[later] += size[later - 1]
+    value = np.zeros((line.size, 3), dtype=complex)
+    value[whole > 0] = total[last[whole > 0] - 1]
+    value += part
+    reach = crossed > 0
+    end = first[line[reach]] + crossed[reach] - 1
+    leg_err, leg_size = np.zeros(line.size), np.zeros(line.size)
+    leg_err[reach], leg_size[reach] = err[end], size[end]
+    return value, leg_err, leg_size
+
+
+def _interpolant_integral(lines, piece, t):
+    """Integral over [0, t] of the Legendre interpolant of each `piece` of a
+    pass, for (L,) fractions t in (0, 1) of a unit span; `lines` holds the
+    pieces' node values as (pieces, 6, NODES) real rows.  Pointwise in L.
+
+    The interpolant is sum_n c_n P_n(2s - 1), and the integral of P_n from
+    -1 to x is J_n(x) / (2n + 1), J_0 = x + 1 and J_n = P_{n+1} - P_{n-1}.
+    The weights are formed once per distinct t, and both they and the
+    gathered rows are taken _PARTIALS at a time.
+    """
+    ts, inv = np.unique(t, return_inverse=True)
+    out = np.empty((t.size, 3), dtype=complex)
+    for c in range(0, ts.size, _PARTIALS):
+        p = legvander(2.0 * ts[c:c + _PARTIALS] - 1.0, NODES)
+        j = p[:, 1:] - np.concatenate([-p[:, :1], p[:, :-2]], axis=1)
+        weights = np.einsum("un,nk->uk", j, _ANTI)
+        legs = np.flatnonzero((inv >= c) & (inv < c + _PARTIALS))
+        for r in np.split(legs, range(_PARTIALS, legs.size, _PARTIALS)):
+            out[r] = np.einsum("lk,ljk->lj", weights[inv[r] - c],
+                               lines[piece[r]]).view(complex)
+    return out
 
 
 def solve_bjorling(data: BjorlingData) -> SurfacePatch:
     """Surface patch evaluating the Björling integral numerically."""
 
     def func(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        z = u + 1j * v
+        # z from its parts: u + 1j * v would turn an infinite v into NaN
+        # with a warning, and flip the sign of a zero u
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(v, dtype=float))
+        z = np.empty(u.shape, dtype=complex)
+        z.real, z.imag = u, v
         integral = segment_integral(data.integrand, z)
         return np.real(data.alpha(z) + 1j * integral)
 

@@ -488,14 +488,18 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256)) -> float:
 
 
 def integrate_forms(triple: FormTriple, z):
-    """Integral of the triple along the segment 0 -> z.
+    """Integral of the triple from 0 to z.
 
-    The error-controlled Gauss-Legendre panels of bjorling.segment_integral,
-    which raise QuadratureError where they miss their tolerance.  Returns a
-    (..., 3) complex array; on the exp chart its real part is the surface
-    displacement X(z) - X(0) of the matching family.
+    bjorling.segment_integral's error-controlled Gauss-Legendre panels on its
+    lattice path (along the real axis, then vertically), which gives the
+    straight segment's value for forms analytic on the rectangle between,
+    and raises QuadratureError where a point misses its tolerance.  Each
+    pass writes the triple's three coefficients straight into the pass's
+    value planes.  Returns a (..., 3) complex array; on the exp chart its
+    real part is the surface displacement X(z) - X(0) of the matching family.
     """
     def integrand(w, out, work):
-        out[...] = triple(w)
+        for k, phi in enumerate(triple.func(w)):
+            out[..., k] = phi
 
     return segment_integral(integrand, z)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -65,12 +66,67 @@ def _plain_pass(data, z, nodes):
     return z[..., None] * np.einsum("k,...kj->...j", 0.5 * w, vals)
 
 
-def test_near_axis_points_get_the_plain_rule_bit_for_bit():
-    # a point that one panel of the default rule resolves keeps exactly the
-    # bytes of a plain Gauss-Legendre pass
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(NODES)
+
+
+def _lattice_point(integrand, z):
+    """The lattice rule at the single point z, as a loop over the panels of
+    its path: unit panels from 0 along the real axis to Re z, then from Re z
+    along its column to z, each integrated alone by the NODES-node rule and
+    summed from 0 outward, and, where z is not on a lattice line, the last
+    panel's Legendre interpolant integrated from the panel's start to z.
+    Panels that need halving are outside its scope."""
+    s, wt = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+    anti = 0.5 * (np.polynomial.legendre.legvander(_GL_X, NODES - 1)
+                  * wt[:, None]).T
+    legs = []
+    for upright, length, column in ((False, z.real, 0.0),
+                                    (True, z.imag, z.real)):
+        sign = -1.0 if np.signbit(length) else 1.0
+        h = np.where(upright, 1j, 1.0) * (sign * 1.0)
+
+        def panel_values(k):
+            pos = sign * (k + s)
+            w = np.empty(NODES, dtype=complex)
+            w.real, w.imag = (column, pos) if upright else (pos, 0.0)
+            return integrand(w)
+
+        whole = int(np.floor(abs(length)))
+        full = np.zeros(3, dtype=complex)
+        for k in range(whole):
+            panel = h * np.einsum("k,kj->j", wt, panel_values(k))
+            full = panel if k == 0 else panel + full
+        part = np.zeros(3, dtype=complex)
+        t = abs(length) - whole
+        if t > 0.0:
+            p = np.polynomial.legendre.legvander(2.0 * t - 1.0, NODES)[0]
+            j = p[1:] - np.concatenate([-p[:1], p[:-2]])
+            vals = panel_values(whole)
+            part += h * np.einsum(
+                "k,jk->j", np.einsum("n,nk->k", j, anti),
+                np.ascontiguousarray(vals.view(float).T)).view(complex)
+        legs.append(full + part)
+    return legs[0] + legs[1]
+
+
+def _lattice_reference(integrand, z):
+    return np.array([_lattice_point(integrand, p) for p in z.reshape(-1)]
+                    ).reshape(z.shape + (3,))
+
+
+def test_near_axis_points_get_the_lattice_rule_bit_for_bit():
+    # each point keeps exactly the bytes of its own panels, integrated one
+    # by one: sharing the panels between points changes no bit
     for data, z in _near_axis_cases():
         assert np.array_equal(segment_integral(data.integrand, z),
-                              _plain_pass(data, z, NODES))
+                              _lattice_reference(data.integrand, z))
+
+
+def test_near_axis_points_agree_with_a_96_node_straight_pass():
+    for data, z in _near_axis_cases():
+        got = segment_integral(data.integrand, z)
+        assert (np.max(np.abs(got - _plain_pass(data, z, 96)))
+                <= 1e-13 * np.max(np.abs(got)))
 
 
 @pytest.mark.parametrize("points", [1 << 16, 48])
@@ -93,6 +149,20 @@ def test_pass_size_does_not_change_the_solve(monkeypatch, points):
         cases = [(data, z[::8, ::8]) for data, z in cases]
     default = [segment_integral(data.integrand, z) for data, z in cases]
     monkeypatch.setattr(bjorling, "_PASS_POINTS", points)
+    for (data, z), got in zip(cases, default):
+        assert np.array_equal(segment_integral(data.integrand, z), got)
+
+
+@pytest.mark.parametrize("partials", [1, 7])
+def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, partials):
+    # the partial panels are integrated in chunks of _PARTIALS points, each
+    # pointwise, so the chunk size changes no bit
+    U, V = np.meshgrid(np.linspace(-1.7, 1.7, 15), np.linspace(-2.5, 2.5, 9),
+                       indexing="ij")
+    cases = [(catalog.bjorling_data_for(s), U + 1j * V)
+             for s in NEAR_SURFACES[:3]]
+    default = [segment_integral(data.integrand, z) for data, z in cases]
+    monkeypatch.setattr(bjorling, "_PARTIALS", partials)
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data.integrand, z), got)
 
@@ -140,7 +210,10 @@ def test_a_swapped_normal_field_is_evaluated():
             data, normal_field=AnalyticMap(counting, field.deriv))
         assert np.array_equal(segment_integral(swapped.integrand, z),
                               segment_integral(data.integrand, z))
-        assert sum(counts) == z.size * NODES
+        # 12 columns with points above and below the real axis, none at
+        # u = 0: one panel each way along the axis and up and down each
+        # column
+        assert sum(counts) == (2 + 2 * 12) * NODES
 
 
 def test_a_swapped_curve_is_evaluated():
@@ -151,7 +224,7 @@ def test_a_swapped_curve_is_evaluated():
     swapped = dataclasses.replace(data, alpha=other.alpha)
     got = segment_integral(swapped.integrand, z)
     assert not np.array_equal(got, segment_integral(data.integrand, z))
-    assert np.array_equal(got, _plain_pass(swapped, z, NODES))
+    assert np.array_equal(got, _lattice_reference(swapped.integrand, z))
 
 
 def _counting_normal(counts, nan_where=None):
@@ -170,38 +243,215 @@ def test_far_point_is_split_into_panels_and_stays_accurate():
     data = _exp_data(_counting_normal(counts))
     near = 0.3 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
     segment_integral(data.integrand, near)
-    assert counts == [NODES * near.size]
+    # one pass: a panel each way along the real axis, and one up or down
+    # the column of each point off it (sin pi and sin 2 pi round to
+    # +3.7e-17 and -7.3e-17, so six points are off it, each with its own
+    # column and side)
+    assert counts == [(2 + 6) * NODES]
     counts.clear()
     z = 300j
     value = segment_integral(data.integrand, np.array(z))
     # V x alpha' = (0, e^w, 0) for V = (0, 0, 1), alpha' = (e^w, 0, 0)
     exact = np.exp(z) - 1.0
     assert abs(value[1] - exact) <= 1e-11 * abs(exact)
-    assert sum(counts) > NODES
+    # 300 unit panels up the imaginary axis, in passes of _PASS_POINTS
+    assert sum(counts) == 300 * NODES
+    assert max(counts) <= bjorling._PASS_POINTS
 
 
-def test_non_finite_integrand_raises_at_its_point():
-    data = _exp_data(_counting_normal([], nan_where=lambda w: w.imag > 1.5))
-    z = np.array([0.5 + 0.5j, 0.2 + 2.0j, -0.3 + 0.1j])
+@pytest.mark.parametrize("axis", ["real", "column"])
+def test_non_finite_integrand_raises_at_its_point(axis):
+    # NaN beyond 1.5 along the real axis, or up the columns: the panel from
+    # 1 to 2 (1j to 2j) is not finite; of the two points whose paths cross
+    # it, the first is named, with its path and its NaN estimate
+    if axis == "real":
+        nan_where = lambda w: w.real > 1.5  # noqa: E731
+        z = np.array([0.5 + 0.5j, -0.3 + 0.1j, 2.0 + 0.1j, 1.8 - 0.2j])
+    else:
+        nan_where = lambda w: w.imag > 1.5  # noqa: E731
+        z = np.array([0.5 + 0.5j, -0.3 + 0.1j, 0.2 + 2.0j, 0.2 + 1.8j])
+    data = _exp_data(_counting_normal([], nan_where=nan_where))
     with pytest.raises(QuadratureError) as info:
         segment_integral(data.integrand, z)
-    assert info.value.z == z[1]
-    assert np.isnan(info.value.estimate)
-    assert str(z[1]) in str(info.value)
+    err = info.value
+    assert err.z == z[2]
+    assert np.isnan(err.estimate) and np.isnan(err.tol)
+    message = str(err)
+    assert str(z[2]) in message
+    assert "on its 3 lattice panel(s) of 1 piece(s) each" in message
 
 
 def test_panel_cap_raises_with_point_estimate_and_tolerance():
-    # e^w oscillates 1e5 / (2 pi) times along the segment: more than 1024
-    # panels of NODES nodes would be needed
-    z = np.array([0.5j, 1e5j])
+    # a normal field that oscillates 1e5 / (2 pi) times per unit up the
+    # columns left of the imaginary axis: no path through one is resolved
+    # by 1024 pieces of NODES nodes.  The first point whose path misses is
+    # named when its pieces reach the cap: 2 lattice panels of 512 pieces
+    def field(w):
+        third = np.where(w.real < 0.0, np.exp(1e5j * w.imag), 1.0)
+        zero = np.zeros_like(w)
+        return vec3(zero, zero, third + zero)
+
+    counts = []
+    data = _exp_data(field)
+    swapped = dataclasses.replace(data, normal_field=AnalyticMap(
+        lambda w: (counts.append(np.size(w)), field(w))[1], None))
+    z = np.array([0.5 + 0.5j, -0.5 + 0.5j, -0.5 + 0.7j, -0.2 + 0.1j])
     with pytest.raises(QuadratureError) as info:
-        segment_integral(_exp_data().integrand, z)
+        segment_integral(swapped.integrand, z)
     err = info.value
     assert err.z == z[1]
     assert np.isfinite(err.estimate) and err.estimate > err.tol > 0.0
     message = str(err)
-    assert "1024 panel(s)" in message and str(z[1]) in message
+    assert str(z[1]) in message
+    assert "on its 2 lattice panel(s) of 512 piece(s) each" in message
+    assert "at most 1024 pieces along a path" in message
     assert f"{err.estimate:.3g}" in message and f"{err.tol:.3g}" in message
+    # rounds of 1, 2, ..., 512 pieces per panel: the first takes the 5
+    # panels of the four paths (two points share the column Re z = -0.5),
+    # the later ones the 3 panels of the three paths left of 0
+    assert sum(counts) == (5 + 3 * (2 + 4 + 8 + 16 + 32 + 64 + 128 + 256
+                                    + 512)) * NODES
+
+
+def test_path_cap_refuses_a_point_before_any_evaluation():
+    # a path crosses at most 1024 lattice panels: 24 along the real axis and
+    # 1000 up its column are integrated, half a panel more is refused,
+    # naming the first such point, before the integrand is evaluated
+    counts = []
+    data = _exp_data(_counting_normal(counts))
+    value = segment_integral(data.integrand, np.array(24.0 + 1000j))
+    assert np.all(np.isfinite(value))
+    assert sum(counts) == 1024 * NODES
+    counts.clear()
+    z = np.array([0.5j, 24.5 + 1000j, 1e5j])
+    with pytest.raises(QuadratureError) as info:
+        segment_integral(data.integrand, z)
+    assert counts == []
+    err = info.value
+    assert err.z == z[1] and err.estimate is None and err.tol is None
+    message = str(err)
+    assert str(z[1]) in message
+    assert "crosses 1025 lattice panels, more than 1024" in message
+
+
+NON_FINITE = [complex(np.nan, 0.5), complex(np.inf, 0.5),
+              complex(-np.inf, 0.5), complex(0.5, np.nan),
+              complex(0.5, np.inf), complex(0.5, -np.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+def test_non_finite_point_is_refused_before_any_evaluation(bad):
+    # through segment_integral and solve_bjorling alike: QuadratureError
+    # names the first non-finite point, and numpy warns about nothing
+    counts = []
+    data = _exp_data(_counting_normal(counts))
+    z = np.array([0.5 + 0.5j, bad, complex(np.nan, np.nan), 0.1j])
+    patch = solve_bjorling(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: segment_integral(data.integrand, z),
+                      lambda: patch(z.real, z.imag)):
+            with pytest.raises(QuadratureError) as info:
+                solve()
+            assert np.array_equal(info.value.z, bad, equal_nan=True)
+            assert str(bad) in str(info.value)
+            assert info.value.estimate is None
+    assert counts == []
+
+
+def test_bench_near_grid_takes_66_panels():
+    # 32 columns of 32 points on [-1, 1]^2: one panel each way along the
+    # real axis and up and down each column, 2 112 evaluations for 1 024
+    # points where one pass per point took 32 768
+    counts = []
+    data = catalog.bjorling_data_for(catalog.bending_timelike(1.3))
+    field = data.normal_field
+    swapped = dataclasses.replace(data, normal_field=AnalyticMap(
+        lambda w: (counts.append(np.size(w)), field(w))[1], field.deriv))
+    U, V = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32),
+                       indexing="ij")
+    solve_bjorling(swapped)(U, V)
+    assert sum(counts) == 66 * NODES == 2112
+
+
+def test_a_refined_path_leaves_other_points_bits():
+    # a normal field that oscillates 31 / (2 pi) times per unit up the
+    # column Re z = -1.5 only: its points are redone on halved panels, to
+    # their own tolerance, while every point keeps the bits it gets alone,
+    # next to a point whose integral is 5e8 times larger
+    def field(w):
+        third = np.where(w.real == -1.5, np.exp(30j * w.imag), 1.0)
+        zero = np.zeros_like(w)
+        return vec3(zero, zero, third + zero)
+
+    counts = []
+    data = _exp_data(field)
+    swapped = dataclasses.replace(data, normal_field=AnalyticMap(
+        lambda w: (counts.append(np.size(w)), field(w))[1], None))
+    z = np.array([-1.5 + 0.8j, 0.3 + 0.4j, -1.5 + 1.7j, 20.0 - 0.9j])
+    together = segment_integral(swapped.integrand, z)
+    assert sum(counts) > 26 * NODES  # 26 panels at one piece each
+    for k, p in enumerate(z):
+        assert np.array_equal(together[k],
+                              segment_integral(data.integrand, np.array(p)))
+    # V x alpha' = (0, phi e^w, 0): e^x - 1 along the axis, then
+    # e^x (e^{31 i y} - 1) / 31 up the column
+    x, y = z[[0, 2]].real, z[[0, 2]].imag
+    exact = np.exp(x) - 1.0 + np.exp(x) * (np.exp(31j * y) - 1.0) / 31.0
+    assert np.max(np.abs(together[[0, 2], 1] - exact)) <= 1e-11
+
+
+def test_points_that_share_no_column_take_one_panel_per_unit():
+    # with distinct real parts no column panel is shared: each point takes
+    # ceil|Im z| panels up or down its column, and the real axis one panel
+    # per unit on each side, shared by all
+    u = np.linspace(-0.9, 0.9, 8)
+    for height, column_panels in ((0.5, 1), (1.0, 1), (2.5, 3)):
+        counts = []
+        data = _exp_data(_counting_normal(counts))
+        z = u + 1j * height * np.where(np.arange(8) % 2, 1.0, -1.0)
+        segment_integral(data.integrand, z)
+        assert sum(counts) == (8 * column_panels + 2) * NODES
+
+
+def test_lattice_lines_are_not_evaluated_as_empty_partial_panels():
+    # a point on a lattice line ends with a full panel: z = 0.5 + 1j, 1 + 0.5j
+    # and 1 + 1j take one panel along the axis and one up the column, z = 2j
+    # two up the imaginary axis, z = 1 one along the real axis, z = 0 none
+    counts = []
+    data = _exp_data(_counting_normal(counts))
+    for z, panels in ((0.5 + 1j, 2), (1 + 0.5j, 2), (1 + 1j, 2), (2j, 2),
+                      (1 + 0j, 1), (0j, 0)):
+        counts.clear()
+        value = segment_integral(data.integrand, np.array(z))
+        assert sum(counts) == panels * NODES, z
+        # V x alpha' = (0, e^w, 0): the integral is e^z - 1
+        assert abs(value[1] - (np.exp(z) - 1.0)) <= 1e-15 * abs(np.exp(z))
+
+
+def test_special_points_keep_their_bits_in_any_company():
+    # each point gives the bits it gets when solved alone, whatever shares
+    # the call: zero, points on either axis, a negative zero, a duplicate,
+    # points on lattice lines and points far up or down their columns
+    data = catalog.bjorling_data_for(catalog.helicoidal_timelike(1.2, 0.6))
+    special = [0j, 0.4 + 0j, 0.7j, complex(-0.0, 0.3), complex(-0.0, -0.6),
+               complex(0.0, 0.3), 0.45 - 0.25j, 0.45 - 0.25j, 1j, -1j,
+               1 + 0.5j, -1 - 0.5j, 1 + 1j, -0.3 - 2.6j, 0.45 + 3.0j]
+    rng = np.random.default_rng(7)
+    company = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-3, 3, 40)
+    z = np.concatenate([company[:20], special, company[20:]])
+    together = segment_integral(data.integrand, z)
+    solved = solve_bjorling(data)(z.real, z.imag)
+    patch = solve_bjorling(data)
+    for k, p in enumerate(special):
+        at = 20 + k
+        alone = segment_integral(data.integrand, np.array(p))
+        assert np.array_equal(together[at], alone), p
+        assert np.array_equal(solved[at],
+                              patch(np.array(p.real), np.array(p.imag))), p
+        assert np.array_equal(together[at],
+                              _lattice_point(data.integrand, p)), p
+    assert np.array_equal(together[26], together[27])
 
 
 @pytest.mark.parametrize("quadrature", [

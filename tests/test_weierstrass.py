@@ -605,6 +605,26 @@ def test_integrated_forms_reproduce_the_surface():
     assert np.max(np.abs(holo.real - expected)) < 1e-12
 
 
+def test_integrate_forms_writes_the_triple_into_the_pass(monkeypatch):
+    # the integrand hands segment_integral exactly the values of triple(w)
+    seen = []
+
+    def capture(integrand, z):
+        w = np.asarray(z, dtype=complex)
+        out = np.full(w.shape + (3,), np.nan, dtype=complex)
+        integrand(w, out=out, work=None)
+        seen.append((w, out))
+        return out
+
+    monkeypatch.setattr(W, "segment_integral", capture)
+    w = np.linspace(-1.0, 1.0, 12).reshape(3, 4) + 0.3j
+    for surface in (catalog.bending_timelike(1.3),
+                    catalog.helicoidal_spacelike_ii(1.4, 1.0)):
+        triple = W.forms_for(surface)
+        W.integrate_forms(triple, w)
+        assert np.array_equal(seen[-1][1], triple(w))
+
+
 @pytest.mark.parametrize("surface", [
     catalog.bending_timelike(0.01),
     catalog.helicoidal_timelike(0.01, 0.6),
