@@ -56,8 +56,10 @@ _NULL.flags.writeable = _ANTI.flags.writeable = False
 # op_p50_ms 7.0 / 6.3 / 6.1 and verify-catalog peak_rss_mb 44.6 / 45.3 /
 # 46.9 (46.0 with the allocating passes at 1<<14): 1<<13 is the largest
 # size that does not raise peak memory.  weierstrass.total_curvature's
-# blocks use the same size.  The split changes no bit of the result, since
-# every value is computed pointwise.
+# blocks, verify.spacelike_region's row blocks and, at half the size, the
+# row blocks of the `sample` mesh text (cli._TEXT_NODES) follow it.  The
+# split changes no bit of the result, since every value is computed
+# pointwise.
 _PASS_POINTS = 1 << 13
 # Partial panels that _interpolant_integral integrates at a time: their
 # gathered node values fill 3 planes of _PASS_POINTS points, as a pass's

@@ -15,7 +15,7 @@ failure, 2 config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import os
 import sys
@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import catalog, verify, weierstrass
-from .bjorling import NODES, QuadratureError, SurfacePatch, solve_bjorling
+from .bjorling import (_PASS_POINTS, NODES, QuadratureError, SurfacePatch,
+                       solve_bjorling)
 from .verify import CheckResult, Grid
 
 SCHEMA = "maxsurf-report/1"
@@ -282,38 +283,189 @@ def _thread_count() -> int:
     return min(n, 64)
 
 
-def _xyz_lines(points) -> str:
-    """One '%.17g %.17g %.17g' line per point of a (..., 3) array, C order."""
-    flat = np.asarray(points, dtype=float).ravel().tolist()
-    return "%.17g %.17g %.17g\n" * (len(flat) // 3) % tuple(flat)
+# Mesh text.  '%.17g' of a double x with 1e-4 <= |x| < 1e17 is its
+# fixed-point form: the 17-digit integer D = round-half-even(|x| 10^(16 - E)),
+# E being the decimal exponent of |x|, with the point after digit E (or with
+# "0." and -E - 1 zeros before D when E < 0), and with the trailing zeros of
+# the fraction stripped.  _float_tokens computes D exactly in numpy: 10^k is
+# an exact double for k <= 22, and Dekker's product (Numer. Math. 18, 1971)
+# gives |x| 10^k as an exact sum hi + lo of doubles.  Other values, and the
+# non-finite ones, go through '%.17g' itself.
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 
 
-def _write_obj(path, label, grid: Grid, lines, mask):
-    """Quads over the grid; `lines` are the vertex coordinates as text."""
-    nv = grid.nv
-    k = np.arange(1, grid.nu * nv + 1).reshape(grid.nu, nv)[:-1, :-1].ravel()
-    quads = np.stack((k, k + nv, k + nv + 1, k + 1), axis=-1).ravel().tolist()
-    bad = (np.flatnonzero(~mask) + 1).tolist()
-    parts = [f"# maxsurf mesh\n# surface {label}\n# grid {grid.describe()}\n",
-             "v " + lines.replace("\n", "\nv ")[:-2]]
-    if bad:
-        parts += ["# vertices outside the spacelike region "
-                  "(1-based indices):\n",
-                  "# nonspacelike %d\n" * len(bad) % tuple(bad)]
-    parts.append("f %d %d %d %d\n" * k.size % tuple(quads))
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(parts)
-    return k.size
+def _halves(y):
+    """Veltkamp's split of y into a sum of two 26-bit doubles."""
+    c = _SPLIT * y
+    high = c - (c - y)
+    return high, y - high
 
 
-def _write_csv(path, grid: Grid, lines, mask):
-    us, vs = (["%.17g," % x for x in axis.tolist()] for axis in grid.axes())
-    rows = zip([u + v for u in us for v in vs],
-               lines.replace(" ", ",").split("\n"),
-               np.where(mask, ",1\n", ",0\n").ravel().tolist())
-    with open(path, "w", newline="\n") as fh:
-        fh.write("u,v,x,y,z,spacelike\n")
-        fh.write("".join(itertools.chain.from_iterable(rows)))
+# 10^k for k = 0..20 and its halves.
+_POW10 = np.array([10.0 ** k for k in range(21)])
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+# A token has _WIDTH columns, the length of the longest '%.17g' text,
+# "-2.2250738585072014e-308": the sign, "0." and three zeros for E < 0, then
+# 18 slots for the digits and the point.
+_WIDTH = 24
+_PREFIX = np.frombuffer(b"-0.000", np.uint8)[:, None]
+# the largest E that shows each character of "0.000"
+_LEADS = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]
+_SLOTS = np.arange(18, dtype=np.int8)[:, None]
+_ZERO, _POINT = ord("0"), ord(".")
+for _table in (_POW10, _POW10_HIGH, _POW10_LOW, _LEADS, _SLOTS):
+    _table.flags.writeable = False
+# Nodes per block of mesh text: half a pass.  On a 160x160 OBJ+CSV sample
+# (2-core Xeon), blocks of 8192 / 4096 / 2048 nodes wrote in 43 / 41 / 48
+# ms (medians), and the whole sample peaked 6.4 / 3.1 / 3.1 MB above the
+# interpreter.
+_TEXT_NODES = _PASS_POINTS // 2
+
+
+def _scaled(a, e):
+    """a 10^(16 - e) as the exact sum hi + lo of two doubles (Dekker)."""
+    k = 16 - e
+    hi = a * _POW10[k]
+    (ah, al), ph, pl = _halves(a), _POW10_HIGH[k], _POW10_LOW[k]
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _pick(mask, if_true, if_false):
+    """np.where(mask, if_true, if_false) for uint8 arrays, by bit ops."""
+    return if_false ^ (if_true ^ if_false) * mask.view(np.uint8)
+
+
+def _float_tokens(x):
+    """'%.17g' % v for each v of x, in C order, as tokens: one row of
+    _WIDTH bytes per value, its text with NUL bytes between and after."""
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0
+    # log10 may miss E by one next to a power of ten; the exact product
+    # puts it right.
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    hi, lo = _scaled(a, e)
+    moved = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).view(np.int8) - (
+        (hi < 1e16) | (hi == 1e16) & (lo < 0)).view(np.int8)
+    if moved.any():
+        e += moved
+        hi, lo = _scaled(a, e)
+    # hi is an even integer in [1e16, 1e17], so hi + lo ties the way lo
+    # does.  D never rounds up to 10^17: the double below each power of ten
+    # in range lies more than 10^(E - 16) / 2 below it.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    e = e.astype(np.int8)
+    # The work below runs on rows of n values, one row per column of the
+    # tokens.  D is its leading digit and four groups of four digits.
+    top = d // 10 ** 8
+    rest = (d - top * 10 ** 8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    head = top // 10 ** 4
+    lead = head // 10 ** 4
+    groups = np.stack((head - lead * 10 ** 4, top - head * 10 ** 4,
+                       rest // 10 ** 4, rest % 10 ** 4)).astype(np.uint16)
+    # digits[s + 1] is digit s of D; rows 0 and 18 pad
+    digits = np.empty((19, n), np.uint8)
+    digits[0] = digits[18] = _ZERO
+    digits[1] = lead + _ZERO
+    quads = digits[2:18].reshape(4, 4, n)
+    for j, unit in enumerate((1000, 100, 10, 1)):
+        q = groups // unit
+        quads[:, j] = q + _ZERO
+        groups -= q * unit
+    # digits up to the last nonzero one, and at least up to digit E
+    kept = np.maximum(np.maximum(e, 0) + 1,
+                      ((digits[1:18] != _ZERO) * _SLOTS[1:]).max(0))
+    # The point goes into slot b + 1: after digit E, or, when E < 0, into
+    # the last slot, which is then unused.
+    b = np.maximum(e, 0) + (e < 0) * np.int8(16)
+    chars = np.empty((_WIDTH, n), np.uint8)
+    chars[0] = _PREFIX[0] * (x < 0)
+    chars[1:6] = _PREFIX[1:] * (e <= _LEADS)
+    chars[6:] = _pick(_SLOTS == b + 1, np.uint8(_POINT),
+                      _pick(_SLOTS <= b, digits[1:], digits[:-1]))
+    chars[6:] *= _SLOTS < kept + (kept > b + 1)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.17g" % v for v in x[slow].tolist()],
+                        dtype=f"S{_WIDTH}")
+        chars[:, slow] = text.view(np.uint8).reshape(-1, _WIDTH).T
+    return np.ascontiguousarray(chars.T)
+
+
+def _int_tokens(k):
+    """'%d' of each non-negative integer of k (not empty), as tokens."""
+    k = np.asarray(k).ravel()
+    width = len(str(int(k.max())))
+    rest = k.astype(np.uint32 if k.max() < 2 ** 32 else np.uint64)
+    chars = np.empty((width, k.size), np.uint8)
+    for j in range(width - 1, -1, -1):
+        q = rest // 10
+        chars[j] = rest - q * 10 + _ZERO
+        if j < width - 1:  # a leading zero is no digit
+            chars[j] *= k >= 10 ** (width - 1 - j)
+        rest = q
+    return np.ascontiguousarray(chars.T)
+
+
+def _lines(*parts) -> bytes:
+    """The text of lines laid out from parts: each part is bytes that every
+    line holds there, or the tokens of a field, one per line, whose NUL
+    bytes are dropped."""
+    m = next(len(p) for p in parts if not isinstance(p, bytes))
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    chars = np.empty((m, sum(widths)), np.uint8)
+    at = 0
+    for part, w in zip(parts, widths):
+        chars[:, at:at + w] = (np.frombuffer(part, np.uint8)
+                               if isinstance(part, bytes) else part)
+        at += w
+    return chars[chars != 0].tobytes()
+
+
+def _write_mesh(paths, label, grid: Grid, points, mask):
+    """Write the OBJ and/or CSV mesh of the (nu, nv, 3) points with their
+    spacelike mask, in blocks of rows of at most _TEXT_NODES nodes (one row
+    when a row holds more), so that the text never holds the whole mesh."""
+    nu, nv = grid.nu, grid.nv
+    v_tokens = _float_tokens(grid.axes()[1])
+    with contextlib.ExitStack() as stack:
+        files = {fmt: stack.enter_context(open(path, "wb"))
+                 for fmt, path in paths.items()}
+        obj, csv = files.get("obj"), files.get("csv")
+        if obj:
+            obj.write(f"# maxsurf mesh\n# surface {label}\n"
+                      f"# grid {grid.describe()}\n".encode())
+        if csv:
+            csv.write(b"u,v,x,y,z,spacelike\n")
+        for rows, (us, _) in grid.row_blocks(_TEXT_NODES, sparse=True):
+            block = points[rows]
+            x, y, z = np.split(_float_tokens(np.moveaxis(block, -1, 0)), 3)
+            if obj:
+                obj.write(_lines(b"v ", x, b" ", y, b" ", z, b"\n"))
+            if csv:
+                u = np.repeat(_float_tokens(us), nv, axis=0)
+                v = np.tile(v_tokens, (len(block), 1))
+                flag = mask[rows].reshape(-1, 1) + np.uint8(_ZERO)
+                csv.write(_lines(u, b",", v, b",", x, b",", y, b",", z, b",",
+                                 flag, b"\n"))
+        if obj:
+            bad = np.flatnonzero(~mask) + 1
+            if bad.size:
+                obj.write(b"# vertices outside the spacelike region "
+                          b"(1-based indices):\n")
+            for i in range(0, bad.size, _TEXT_NODES):
+                obj.write(_lines(b"# nonspacelike ",
+                                 _int_tokens(bad[i:i + _TEXT_NODES]), b"\n"))
+            rows = max(1, _TEXT_NODES // nv)
+            for i in range(0, nu - 1, rows):
+                k = (np.arange(i, min(i + rows, nu - 1))[:, None] * nv
+                     + np.arange(1, nv)).ravel()
+                a, b, c, d = np.split(_int_tokens(
+                    np.concatenate((k, k + nv, k + nv + 1, k + 1))), 4)
+                obj.write(_lines(b"f ", a, b" ", b, b" ", c, b" ", d, b"\n"))
 
 
 def _output_paths(out: str, formats):
@@ -343,17 +495,18 @@ def cmd_sample(cfg: JobConfig) -> int:
     grid = _default_grid(cfg, surface.family, for_sample=True)
     patch = _patch_for(surface, cfg)
     with np.errstate(all="ignore"):
-        points = patch(*grid.mesh(sparse=patch.broadcasts))
+        points = np.empty((grid.nu, grid.nv, 3))
+        for rows, mesh in grid.row_blocks(_PASS_POINTS, patch.broadcasts):
+            points[rows] = patch(*mesh)
         _require_finite(patch, grid, points)
         mask = verify.spacelike_region(patch, grid, h=cfg.fd_step)
-    lines = _xyz_lines(points)
     paths = _output_paths(cfg.out or "mesh", cfg.formats)
+    _write_mesh(paths, patch.label, grid, points, mask)
     for fmt, path in paths.items():
         if fmt == "obj":
-            faces = _write_obj(path, patch.label, grid, lines, mask)
+            faces = (grid.nu - 1) * (grid.nv - 1)
             print(f"wrote {path}: {grid.nu * grid.nv} vertices, {faces} faces")
         else:
-            _write_csv(path, grid, lines, mask)
             print(f"wrote {path}: {grid.nu * grid.nv} rows")
     return 0
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bjorling import (SurfacePatch, reference_normal, richardson,
-                       shifted_values)
+from .bjorling import (_PASS_POINTS, SurfacePatch, reference_normal,
+                       richardson, shifted_values)
 from .lorentz import lorentz_cross, lorentz_dot
 from .motions import MotionGroup, isometry_defect
 
@@ -62,6 +62,16 @@ class Grid:
         (nu, 1) and V as (1, nv), for patches that broadcast them."""
         us, vs = self.axes()
         return np.meshgrid(us, vs, indexing="ij", sparse=sparse)
+
+    def row_blocks(self, nodes: int, sparse: bool = False):
+        """(rows, (U, V)) for each block of consecutive rows of at most
+        `nodes` nodes (one row when a row holds more): `rows` is the slice
+        of the block's rows, and (U, V) its part of mesh(sparse)."""
+        us, vs = self.axes()
+        step = max(1, nodes // self.nv)
+        for i in range(0, self.nu, step):
+            yield slice(i, i + step), np.meshgrid(
+                us[i:i + step], vs, indexing="ij", sparse=sparse)
 
     def describe(self) -> str:
         return (f"[{self.u_min:g},{self.u_max:g}]x[{self.v_min:g},{self.v_max:g}] "
@@ -152,9 +162,16 @@ def conformality_residual(patch: SurfacePatch, grid: Grid,
 
 
 def spacelike_region(patch: SurfacePatch, grid: Grid, h: float = 1e-3):
-    """Boolean mask: E > 0 and E G - F^2 > 0 at each grid node."""
-    E, F, G = _first_form(grid_stencil(patch, grid, h, second=False))
-    return (E > 0.0) & (E * G - F * F > 0.0)
+    """Boolean mask: E > 0 and E G - F^2 > 0 at each grid node.
+
+    The stencil runs over blocks of rows of at most _PASS_POINTS nodes (one
+    row when a row holds more), so that its memory stays bounded whatever
+    the grid; values are pointwise, so the split changes no bit."""
+    blocks = []
+    for _, mesh in grid.row_blocks(_PASS_POINTS, patch.broadcasts):
+        E, F, G = _first_form(richardson(patch, *mesh, h))
+        blocks.append((E > 0.0) & (E * G - F * F > 0.0))
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,17 @@ import shutil
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
+from math import ceil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxsurf import catalog, verify
+from maxsurf import catalog, cli, verify
 from maxsurf.cli import build_job_config, main, surface_from_config
 from maxsurf.verify import Grid
 
@@ -178,6 +183,10 @@ def _token_mesh_text(patch, grid, mask):
     ("helicoidal-spacelike-ii", 2.3, Grid(-1.2, 1.2, -0.4, 0.4, 9, 4),
      ["obj"]),
     ("enneper-second-kind", 1.0, Grid(-1.0, 1.0, -1.0, -0.1, 4, 7), ["csv"]),
+    # several row blocks of mesh text and of the mask, with nonspacelike
+    # nodes in each
+    *(("lightlike-rotational", 0.0, Grid(-1.0, 1.0, 0.0, 1.0, 400, 50),
+       formats) for formats in (["obj", "csv"], ["obj"], ["csv"])),
 ])
 def test_sample_bytes_match_the_token_writers(tmp_path, family, a, grid,
                                               formats):
@@ -197,6 +206,63 @@ def test_sample_bytes_match_the_token_writers(tmp_path, family, a, grid,
         assert path.exists() == (fmt in formats)
         if fmt in formats:
             assert path.read_bytes() == text.encode()
+
+
+def _kernel_texts(values):
+    tokens = cli._float_tokens(np.asarray(values, dtype=float))
+    return [row[row != 0].tobytes().decode() for row in tokens]
+
+
+# Raw float64 bit patterns, and patterns whose exponent puts the value in
+# or next to the range 1e-4 <= |x| < 1e17 that the kernel formats itself.
+_BITS = st.integers(0, 2 ** 64 - 1)
+_NEAR_BITS = st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+                       st.integers(0, 1), st.integers(1023 - 15, 1023 + 57),
+                       st.integers(0, 2 ** 52 - 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(_BITS, _NEAR_BITS), min_size=1, max_size=40))
+def test_float_kernel_gives_the_bytes_of_percent_17g(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _kernel_texts(x) == ["%.17g" % v for v in x.tolist()]
+
+
+def _half_way_values():
+    """Doubles with 18 significant digits, the last a 5: M / 2^k in
+    [10^E, 10^(E + 1)) with M odd and k = 17 - E.  Rounding them to 17
+    digits is an exact tie, at |x| 10^(16 - E) above 2^53, where a double
+    cannot hold it; the tie goes to the even D."""
+    out = []
+    for e in range(-4, 16):
+        k = 17 - e
+        low = ceil(Fraction(10) ** e * 2 ** k) | 1
+        high = min(Fraction(10) ** (e + 1) * 2 ** k, Fraction(2 ** 53))
+        top = ceil(high) - 1
+        top -= 1 - top % 2
+        out += [m / 2 ** k for m in (low, low + 2, low + 4, top - 2, top)]
+    return out
+
+
+def test_float_kernel_matches_percent_17g_on_edge_cases():
+    values = []
+    for e in range(-6, 19):
+        p = 10.0 ** e
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        # 9.99...95 with 16 nines after the point parses to 10^(e + 1)
+        values.append(float("9." + "9" * 16 + f"5e{e}"))
+    ties = _half_way_values()
+    for t in ties:
+        digits = Decimal(t).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, t
+    values += ties
+    values += [1.0, 2.0, 10.0, 123.0, 2.0 ** 53, 2.0 ** 53 + 2.0, 1e16 + 2.0,
+               99999999999999984.0, 0.0, 5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, np.inf]
+    values += [-v for v in values] + [np.nan]
+    assert _kernel_texts(values) == ["%.17g" % v for v in values]
+    assert _kernel_texts([1.0, -0.0, 0.1, 1e-4]) == [
+        "1", "-0", "0.10000000000000001", "0.0001"]
 
 
 def test_verify_report_schema_and_status(tmp_path, capsys):
@@ -470,18 +536,25 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         assert "config error" in capsys.readouterr().err
     assert main(["verify", "--suite", "h", "--family", "bending-timelike",
                  "--set", "lambda=null"]) == 0
-    # a sample grid on which the surface overflows writes nothing
+    # a sample grid on which the surface overflows writes nothing, also
+    # when the first non-finite node is in the last of several row blocks
     capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["sample", "--family", "bending-timelike", "--out",
-                     "overflow", "--set", 'formats=["obj","csv"]', "--set",
-                     'grid={"u_min":700,"u_max":720,"v_min":-1,"v_max":1,'
-                     '"nu":3,"nv":3}']) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "(u, v) = (710.0, -1.0)" in err
-    assert caught == [] and "Warning" not in err
-    assert not list(tmp_path.glob("overflow*"))
+    for grid, node in (
+            ('{"u_min":700,"u_max":720,"v_min":-1,"v_max":1,"nu":3,"nv":3}',
+             "[1, 0], (u, v) = (710.0, -1.0)"),
+            ('{"u_min":0,"u_max":720,"v_min":-1,"v_max":1,"nu":400,"nv":50}',
+             "[394, 0], (u, v) = (710.9774436090225, -1.0)")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sample", "--family", "bending-timelike", "--out",
+                         "overflow", "--set", 'formats=["obj","csv"]',
+                         "--set", "grid=" + grid]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: bending-timelike:a=1 has non-finite "
+                       f"coordinates at grid node {node}; choose a grid on "
+                       "which the surface is finite\n")
+        assert caught == []
+        assert not list(tmp_path.glob("overflow*"))
 
 
 @pytest.mark.parametrize("args, code, line", [

@@ -237,7 +237,10 @@ def test_large_mask_makes_one_unstacked_call_per_offset():
     counting = Counting(catalog.patch(catalog.bending_timelike(1.0)))
     mask = verify.spacelike_region(counting.patch, Grid(-1, 1, -1, 1, 160, 160))
     assert mask.shape == (160, 160)
-    assert counting.shapes == [((160, 1), (1, 160))] * 8
+    # Row blocks of 8192 // 160 = 51 rows: three blocks of 8 160 nodes, one
+    # unstacked call per offset each, then 7 rows, 7 offsets per call.
+    assert counting.shapes == [((51, 1), (1, 160))] * 24 + [
+        ((7, 7, 1), (7, 1, 160)), ((1, 7, 1), (1, 1, 160))]
 
 
 def test_mid_size_stencil_stacks_as_many_offsets_as_fit_a_pass():

@@ -9,6 +9,8 @@ The tree holds, for the `maxsurf` found on the import path:
   other lambda;
 - the `sample` OBJ, CSV and stdout of every family at the default grid,
   at the default a and at a = 2.3;
+- the same for lightlike-rotational at a = 0 on [-1, 1]x[0, 1] at
+  400x50, a grid of several row blocks with nonspacelike nodes;
 - the `families` listing.
 
 Each stdout file ends with the exit code.  `OUTDIR/SHA256SUMS` lists every
@@ -69,6 +71,11 @@ def jobs():
             argv = ["sample", "--family", fam, "--out", name,
                     "--set", 'formats=["obj","csv"]']
             yield name, argv + ([] if a is None else ["--a", a])
+    name = "sample-lightlike-rotational-a0-400x50"
+    yield name, ["sample", "--family", catalog.LIGHTLIKE_ROTATIONAL, "--a",
+                 "0", "--out", name, "--set", 'formats=["obj","csv"]',
+                 "--set", 'grid={"u_min":-1,"u_max":1,"v_min":0,"v_max":1,'
+                          '"nu":400,"nv":50}']
 
 
 def main(argv=None) -> int:
