@@ -622,6 +622,44 @@ def test_io_error_paths(tmp_path, capsys):
                  "--out", str(tmp_path / "no" / "dir" / "mesh")]) == 3
 
 
+def test_non_finite_curvature_integrand_is_reported(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--family", "lightlike-rotational",
+                     "--suite", "curvature", "--set", "annulus=[1e-3,1e300]",
+                     "--report", str(report)])
+    assert code == 1
+    (check,) = json.loads(report.read_text())["checks"]
+    assert check["residual"] == float("inf")
+    assert check["note"] == ("total curvature integrand is not finite at "
+                             "r = 3.63078e+154, theta = 0")
+    assert "FAIL total-curvature: residual inf" in capsys.readouterr().out
+
+
+def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
+    # the parser is built once per process; an override given to one call
+    # must not reach the next
+    runs = [["--set", "grid.nu=9"], []]
+    in_process = []
+    for i, extra in enumerate(runs):
+        report = tmp_path / f"in{i}.json"
+        code = main(["verify", "--family", "bending-timelike", "--suite", "h",
+                     *extra, "--report", str(report)])
+        in_process.append((code, capsys.readouterr().out, report.read_bytes()))
+    fresh = []
+    for i, extra in enumerate(runs):
+        report = tmp_path / f"fresh{i}.json"
+        proc = subprocess.run([sys.executable, "-m", "maxsurf.cli", "verify",
+                               "--family", "bending-timelike", "--suite", "h",
+                               *extra, "--report", str(report)],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout, report.read_bytes()))
+    assert in_process == fresh
+    assert in_process[0][2] != in_process[1][2]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_set_overrides_reach_nested_fields(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", family="bending-spacelike", a=1.0,
                        grid={"u_min": -1.0, "u_max": 1.0, "v_min": -0.4,

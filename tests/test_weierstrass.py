@@ -6,6 +6,8 @@ frozen here, and two denominator exponents follow the internally consistent
 variant rather than the standalone display.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,16 +252,6 @@ def test_dual_lightlike_pair():
         f_ref = -0.5 * den ** 2
         assert np.max(np.abs(wd.g(z) - g_ref)) < 1e-13
         assert np.max(np.abs(wd.f(z) - f_ref)) < 1e-13
-
-
-def test_complex_derivative_matches_analytic_dual_gauss_map():
-    tri = W.dualize(W.forms_for(catalog.bending_spacelike(1.0),
-                                W.PUNCTURED_CHART))
-    wd = W.weierstrass_pair(tri)
-    z = PUNCT_RING[:9]
-    exact = 2j * (z ** 2 - 2j * z + 1) / (z ** 2 + 2j * z + 1) ** 2
-    fd = W.complex_derivative(wd.g, z)
-    assert np.max(np.abs(fd - exact)) < 1e-8
 
 
 # The punctured-chart forms as printed, one cpow call per power of z; the
@@ -531,23 +523,18 @@ def test_total_curvature_validates_annulus_and_grid():
         W.total_curvature(wd, (1e-3, 1e3), grid=(7, 16))
 
 
-def _gathered_spherical_density(w, z):
-    # Reference: g and 1/g differentiated on separate gathers of the points
-    # where |g| <= 1 and |g| > 1, the whole grid in one pass.
-    gz = np.asarray(w.g(z))
-    dens = np.empty(gz.shape, dtype=float)
-    big = np.abs(gz) > 1.0
-    small = ~big
-    if np.any(small):
-        d = W.complex_derivative(w.g, z[small])
-        dens[small] = np.abs(d) ** 2 / (1.0 + np.abs(gz[small]) ** 2) ** 2
-    if np.any(big):
-        def inv(zz):
-            return 1.0 / w.g(zz)
-
-        d = W.complex_derivative(inv, z[big])
-        hz = 1.0 / gz[big]
-        dens[big] = np.abs(d) ** 2 / (1.0 + np.abs(hz) ** 2) ** 2
+def _gathered_spherical_density(w, z, h):
+    # Reference: the same one-step central difference of g and of 1/g, taken
+    # on separate gathers of the points where |g| <= 1 and |g| > 1, the
+    # whole grid in one pass.
+    h = np.broadcast_to(h, z.shape)
+    dens = np.empty(z.shape, dtype=float)
+    big = np.abs(w.g(z)) > 1.0
+    for part, func in ((~big, w.g), (big, lambda zz: 1.0 / w.g(zz))):
+        if np.any(part):
+            zp, hp = z[part], h[part]
+            d = (func(zp + hp) - func(zp - hp)) / (2.0 * hp)
+            dens[part] = np.abs(d) ** 2 / (1.0 + np.abs(func(zp)) ** 2) ** 2
     return dens
 
 
@@ -579,11 +566,14 @@ def test_blocked_density_is_bit_identical_to_the_gathered_one(w, monkeypatch):
     # the default grid: 401 x 256 points, so 8 192-point blocks of 32 rows
     # end in a block of 17
     th = 2.0 * np.pi * np.arange(256) / 256
-    z = np.exp(_DEFAULT_S[:, None] + 1j * th[None, :])
+    r = np.exp(_DEFAULT_S)
+    z = r[:, None] * np.exp(1j * th)[None, :]
+    h = W._DENSITY_STEP * (1.0 + r)[:, None]
     rows = W._PASS_POINTS // 256
-    blocked = np.concatenate([W._spherical_density(w, z[i:i + rows])
-                              for i in range(0, 401, rows)])
-    assert np.array_equal(blocked, _gathered_spherical_density(w, z))
+    blocked = np.concatenate([
+        W._spherical_density(w, z[i:i + rows], h[i:i + rows])
+        for i in range(0, 401, rows)])
+    assert np.array_equal(blocked, _gathered_spherical_density(w, z, h))
 
     value = W.total_curvature(w, (1e-3, 1e3))
     for points in (1 << 10, 1 << 20):
@@ -591,6 +581,88 @@ def test_blocked_density_is_bit_identical_to_the_gathered_one(w, monkeypatch):
         assert W.total_curvature(w, (1e-3, 1e3)) == value
     monkeypatch.setattr(W, "_spherical_density", _gathered_spherical_density)
     assert W.total_curvature(w, (1e-3, 1e3)) == value
+
+
+def _exact_density(g, dg):
+    return np.abs(dg) ** 2 / (1.0 + np.abs(g) ** 2) ** 2
+
+
+def test_density_of_the_degree_one_model_is_exact():
+    # g = z - z0 on dyadic nodes with |g| <= 1 and a power-of-two step:
+    # the central difference of a linear g is exact, and so is its
+    # floating-point arithmetic here
+    z0 = 0.25 - 0.125j
+    k = np.arange(-24, 25) / 16.0
+    z = (k[:, None] + 1j * k[None, :]).ravel()
+    z = z[np.abs(z - z0) <= 1.0]
+    w = _degree_one_model(z0, "model")
+    dens = W._spherical_density(w, z, 2.0 ** -17)
+    exact = _exact_density(z - z0, 1.0)
+    assert z.size > 100
+    assert np.max(np.abs(dens - exact) / exact) < 1e-12
+
+
+def test_density_matches_the_analytic_dual_gauss_map():
+    w = _dual_pair(catalog.bending_spacelike(1.0), W.PUNCTURED_CHART)
+    theta = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
+    z = np.concatenate([rad * np.exp(1j * theta) for rad in (0.5, 2.5)])
+    dg = 2j * (z ** 2 - 2j * z + 1) / (z ** 2 + 2j * z + 1) ** 2
+    gz = w.g(z)
+    # both sides of the 1/g switch
+    assert np.any(np.abs(gz) > 1.0) and np.any(np.abs(gz) <= 1.0)
+    dens = W._spherical_density(w, z, W._DENSITY_STEP * (1.0 + np.abs(z)))
+    exact = _exact_density(gz, dg)
+    assert np.max(np.abs(dens - exact) / exact) < 1e-8
+
+
+def _contour_density(w, z, h):
+    # Reference: g' (or (1/g)' where |g| > 1) from the 32-node trapezoid rule
+    # for Cauchy's integral on the circle of radius 1e-3 (1 + |z|) around
+    # each point; the difference step h is not used.
+    rho = 1e-3 * (1.0 + np.abs(z))
+    gz = w.g(z)
+    big = np.abs(gz) > 1.0
+
+    def g_or_inv(gv):
+        return np.divide(1.0, gv, out=np.array(gv, dtype=complex), where=big)
+
+    unit = np.exp(2j * np.pi * np.arange(32) / 32)
+    d = sum(g_or_inv(w.g(z + rho * u)) / (rho * u) for u in unit) / 32
+    return np.abs(d) ** 2 / (1.0 + np.abs(g_or_inv(gz)) ** 2) ** 2
+
+
+_CONTOUR_CASES = [
+    (catalog.lightlike_rotational(0.5), W.EXP_CHART),
+    (catalog.lightlike_rotational(1.0), W.EXP_CHART),
+    (catalog.lightlike_rotational(2.0), W.EXP_CHART),
+    (catalog.bending_spacelike(1.0), W.PUNCTURED_CHART),
+    (catalog.bending_spacelike(2.0), W.PUNCTURED_CHART),
+    (catalog.bending_spacelike(3.0), W.PUNCTURED_CHART),
+]
+
+
+@pytest.mark.parametrize("surface, chart", _CONTOUR_CASES,
+                         ids=[f"{s.family}-a{s.a:g}" for s, _ in _CONTOUR_CASES])
+def test_total_curvature_agrees_with_a_contour_derivative(surface, chart,
+                                                          monkeypatch):
+    w = _dual_pair(surface, chart)
+    value = W.total_curvature(w, (1e-3, 1e3))
+    monkeypatch.setattr(W, "_spherical_density", _contour_density)
+    reference = W.total_curvature(w, (1e-3, 1e3))
+    assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+def test_non_finite_curvature_integrand_raises_at_its_first_node():
+    # r^2 overflows from r = 3.63e154 on this grid, where the density has
+    # underflowed to 0: the integrand is NaN there, and no warning is given
+    w = _degree_one_model(0.0, "model")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(W.QuadratureError,
+                           match=r"not finite at r = 3\.63078e\+154, "
+                                 r"theta = 0$") as info:
+            W.total_curvature(w, (1e-3, 1e300))
+    assert abs(info.value.z - 3.63078e154) < 1e-5 * 3.63078e154
 
 
 # --- integration of forms ----------------------------------------------------
