@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .frames import WORK_PLANES, BjorlingData
+from .frames import BjorlingData
 from .lorentz import lorentz_cross, lorentz_dot
 
 # Gauss-Legendre nodes per panel, relative tolerance of a point's integral,
@@ -49,10 +49,11 @@ _NULL = ((np.arange(NODES - 2, NODES)[:, None] + 0.5) * _W
 _ANTI = 0.5 * (legvander(_X, NODES - 1) * _WT[:, None]).T
 _S.flags.writeable = _WT.flags.writeable = False
 _NULL.flags.writeable = _ANTI.flags.writeable = False
-# Integrand points per pass.  segment_integral holds one block of
-# 4 + WORK_PLANES = 13 complex planes of this many points, 1.7 MB at 1<<13,
-# within a core's L2 (2 MB on the 2-vCPU Xeon measured).  There, with
-# 32-node panels, 1<<12 / 1<<13 / 1<<14 gave bench/run.py's bjorling-solve
+# Integrand points per pass.  segment_integral holds one block of 7
+# complex planes of this many points (the values, the nodes and the rows of
+# the partial panels), 0.9 MB at 1<<13, within a core's L2 (2 MB on the
+# 2-vCPU Xeon measured).  There, with 32-node panels and an earlier block
+# of 13 planes, 1<<12 / 1<<13 / 1<<14 gave bench/run.py's bjorling-solve
 # op_p50_ms 7.0 / 6.3 / 6.1 and verify-catalog peak_rss_mb 44.6 / 45.3 /
 # 46.9 (46.0 with the allocating passes at 1<<14): 1<<13 is the largest
 # size that does not raise peak memory.  weierstrass.total_curvature's
@@ -144,9 +145,8 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
 def segment_integral(integrand, z):
     """Integral of `integrand` from 0 to z, vectorized over the points z.
 
-    integrand(w, out=, work=) writes its (..., 3) values at the complex
-    nodes w into `out`, with `work` its WORK_PLANES scratch planes shaped
-    like w, as BjorlingData.integrand does.
+    integrand(w, out=) writes its (..., 3) values at the complex nodes w
+    into `out`, as BjorlingData.integrand does.
 
     The path runs along the real axis from 0 to Re z, then vertically to z;
     for an entire integrand it gives the straight segment's value.  Both
@@ -252,9 +252,9 @@ def _leg_integrals(integrand, line, length, origin, pieces):
     err, size = np.empty(first[-1]), np.empty(first[-1])
     part = np.zeros((line.size, 3), dtype=complex)
     rows = max(1, _PASS_POINTS // (pieces * NODES))
-    # One block holds a pass's integrand values, nodes and work planes.
-    block = np.empty((4 + WORK_PLANES) * min(rows, first[-1]) * pieces
-                     * NODES, dtype=complex)
+    # One block holds a pass's integrand values, its nodes and the rows of
+    # its partial panels.
+    block = np.empty(7 * min(rows, first[-1]) * pieces * NODES, dtype=complex)
     step = _PANEL / pieces
     for start in range(0, first[-1], rows):
         idx = np.arange(start, min(start + rows, first[-1]))
@@ -262,14 +262,12 @@ def _leg_integrals(integrand, line, length, origin, pieces):
         m = idx.size * pieces * NODES
         vals = block[:3 * m].reshape(shape + (3,))
         w = block[3 * m:4 * m].reshape(shape)
-        work = block[4 * m:(4 + WORK_PLANES) * m].reshape(
-            (WORK_PLANES,) + shape)
         up = upright[idx, None, None]
         pos = sign[idx, None, None] * (p_k[idx, None, None] + (
             np.arange(pieces)[:, None] + _S) / pieces) * _PANEL
         w.real = np.where(up, origin[idx, None, None], pos)
         w.imag = np.where(up, pos, 0.0)
-        integrand(w, out=vals, work=work)
+        integrand(w, out=vals)
         h = np.where(upright[idx], 1j, 1.0) * (sign[idx] * step)
         sums = np.cumsum(h[:, None, None] * np.einsum(
             "k,...kj->...j", _WT, vals), axis=1)
@@ -289,10 +287,8 @@ def _leg_integrals(integrand, line, length, origin, pieces):
         inside = tau > i
         leg, q, i = leg[inside], q[inside], i[inside]
         if leg.size:
-            # each piece's values as 6 real rows of NODES, written into the
-            # work planes, which the integrand no longer needs
-            lines = work.reshape(-1).view(float)[:6 * m].reshape(
-                -1, 6, NODES)
+            # each piece's values as 6 real rows of NODES
+            lines = block[4 * m:7 * m].view(float).reshape(-1, 6, NODES)
             np.copyto(lines, vals.view(float).reshape(-1, NODES, 6)
                       .transpose(0, 2, 1))
             part[leg] += h[q, None] * _interpolant_integral(

@@ -22,6 +22,12 @@ unit timelike field orthogonal to the curve is built by boosting within
 the normal plane: the hyperbolic angle phi(t) is either constant or
 linear in t, and sinh(phi) attaches to the spacelike normal direction,
 cosh(phi) to the timelike one, so that <V, V> = -1.
+
+With V = p n + q b on the legs and mu the curve's speed (1 for circles),
+the Björling integrand is V x alpha' = eps mu (q n + p b), eps = +-1 being
+the orientation of the legs against the tangent: V's own terms with the
+twist pair swapped and scaled.  It needs no cross product, so no
+e^{2|v|}-sized terms cancel far from the real axis.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lorentz import _cross_into, lorentz_cross
+from .lorentz import lorentz_cross
 
 CIRCLE_TIMELIKE = "circle-timelike"
 CIRCLE_SPACELIKE = "circle-spacelike"
@@ -134,10 +140,10 @@ class NormalFieldSpec:
         if not test(self.a):
             raise ValueError(f"{self.kind} twist needs {text}, got {self.a}")
 
-    def phi(self, t, out=None):
+    def phi(self, t):
         if self.kind == "constant":
             return self.a * np.ones_like(np.asarray(t))
-        return np.multiply(self.a, t, out=out)
+        return np.multiply(self.a, t)
 
 
 @dataclass(frozen=True)
@@ -152,35 +158,30 @@ class BjorlingData:
     alpha: AnalyticMap
     normal_field: AnalyticMap
 
-    def integrand(self, w, out=None, work=None):
-        """The Björling integrand V(w) x alpha'(w), as a (..., 3) array.
+    def integrand(self, w, out=None):
+        """The Björling integrand V(w) x alpha'(w), as a (..., 3) array,
+        written into `out` when given.
 
         If the normal field and the curve derivative are one built-in
-        family's, as make_bjorling_data builds them, and w is complex, the
-        kernel and the twist are evaluated once and V, alpha' and their
-        product are written with out= ufuncs: the product into `out`, the
-        rest into `work`, WORK_PLANES complex planes shaped like w (either
-        is allocated when not given).  The pair is recognized by the maps'
-        own evaluators, so a swapped map is always the one evaluated.  Other
-        data takes lorentz_cross(normal_field(w), alpha.d(w), out=out).
-        Both ways give the same bits.
+        family's, as make_bjorling_data builds them, it comes from the frame
+        identity V x alpha' = eps mu (q n + p b): one kernel call, one twist
+        call and V's three terms.  The pair is recognized by the maps' own
+        evaluators, so a swapped map is always the one evaluated.  Other
+        data takes lorentz_cross(normal_field(w), alpha.d(w)).
         """
-        w = np.asarray(w)
         field, deriv = self.normal_field.func, self.alpha.deriv
-        if not (isinstance(field, _NormalField)
-                and isinstance(deriv, _Components) and w.dtype == complex
+        if (isinstance(field, _NormalField) and isinstance(deriv, _Components)
                 and (deriv.form, deriv.terms) == (field.form,
-                                                   field.form.deriv)):
-            return lorentz_cross(self.normal_field(w), self.alpha.d(w),
-                                 out=out)
+                                                  field.form.deriv)):
+            return field.cross_derivative(w, out)
+        value = lorentz_cross(self.normal_field(w), self.alpha.d(w))
         if out is None:
-            out = np.empty(w.shape + (3,), complex)
-        if work is None:
-            work = np.empty((WORK_PLANES,) + w.shape, complex)
-        return field.cross_derivative(w, out, work)
+            return value
+        out[...] = value
+        return out
 
 
-def _sin_cos(z, out=None, work=None):
+def _sin_cos(z):
     """(sin z, cos z), for complex z from four real ufunc passes:
 
         sin(x + iy) = sin x cosh y + i cos x sinh y
@@ -188,40 +189,36 @@ def _sin_cos(z, out=None, work=None):
 
     numpy's complex sin and cos each cost several times a real pass and
     share no work.  Real input goes straight to the real ufuncs, so it keeps
-    its exact values and dtype.  For complex z, `out` may hold the two
-    complex results and `work` four real arrays shaped like z.
+    its exact values and dtype.
     """
     z = np.asarray(z)
     if not np.iscomplexobj(z):
         return np.sin(z), np.cos(z)
-    sx, cx, shy, chy = work or (None,) * 4
-    sx, cx = np.sin(z.real, out=sx), np.cos(z.real, out=cx)
-    shy, chy = np.sinh(z.imag, out=shy), np.cosh(z.imag, out=chy)
-    sin, cos = out or (np.empty_like(z), np.empty_like(z))
+    sx, cx = np.sin(z.real), np.cos(z.real)
+    shy, chy = np.sinh(z.imag), np.cosh(z.imag)
+    sin, cos = np.empty_like(z), np.empty_like(z)
     np.multiply(sx, chy, out=sin.real)
     np.multiply(cx, shy, out=sin.imag)
     np.multiply(cx, chy, out=cos.real)
-    np.multiply(np.negative(sx, out=sx if work else None), shy, out=cos.imag)
+    np.multiply(np.negative(sx), shy, out=cos.imag)
     return sin, cos
 
 
-def _sinh_cosh(z, out=None, work=None):
+def _sinh_cosh(z):
     """(sinh z, cosh z), for complex z from four real ufunc passes:
 
         sinh(x + iy) = sinh x cos y + i cosh x sin y
         cosh(x + iy) = cosh x cos y + i sinh x sin y
 
     Real input goes straight to the real ufuncs, so it keeps its exact
-    values and dtype.  `out` and `work` are as for _sin_cos; z is read in
-    full before `out` is written, so `out` may share z's memory.
+    values and dtype.
     """
     z = np.asarray(z)
     if not np.iscomplexobj(z):
         return np.sinh(z), np.cosh(z)
-    shx, chx, sy, cy = work or (None,) * 4
-    shx, chx = np.sinh(z.real, out=shx), np.cosh(z.real, out=chx)
-    sy, cy = np.sin(z.imag, out=sy), np.cos(z.imag, out=cy)
-    sinh, cosh = out or (np.empty_like(z), np.empty_like(z))
+    shx, chx = np.sinh(z.real), np.cosh(z.real)
+    sy, cy = np.sin(z.imag), np.cos(z.imag)
+    sinh, cosh = np.empty_like(z), np.empty_like(z)
     np.multiply(shx, cy, out=sinh.real)
     np.multiply(chx, sy, out=sinh.imag)
     np.multiply(chx, cy, out=cosh.real)
@@ -229,10 +226,10 @@ def _sinh_cosh(z, out=None, work=None):
     return sinh, cosh
 
 
-def _z_square(z, out=None, work=None):
+def _z_square(z):
     """(z, z^2): the lightlike circle's kernel.  np.square is what z**2
     runs."""
-    return z, np.square(z, out=None if out is None else out[1])
+    return z, np.square(z)
 
 
 def _vec(z, comps):
@@ -258,77 +255,69 @@ def _times(c, term):
     return (np.multiply, c, term)
 
 
-def _value(term, env, bufs=()):
-    """The value of a term, with the symbols bound by `env`.
-
-    Without `bufs` each operation allocates its result, as numpy's
-    operators do.  With `bufs`, an operation that yields an array writes
-    it into bufs[0]; its operands that are operations are evaluated first,
-    in order, into bufs[0], bufs[1], ..., each with the buffers after its
-    own as scratch.  Operations on scalars alone give scalars either way.
-    """
+def _value(term, env):
+    """The value of a term, with the symbols bound by `env`."""
     if isinstance(term, str):
         return env[term]
     if not isinstance(term, tuple):
         return term
     ufunc, *args = term
-    vals, used = [], 0
-    for arg in args:
-        val = _value(arg, env, bufs[used:])
-        if bufs and isinstance(arg, tuple) and _ndim(val):
-            used += 1
-        vals.append(val)
-    if bufs and any(_ndim(val) for val in vals):
-        return ufunc(*vals, out=bufs[0])
-    return ufunc(*vals)
-
-
-def _ndim(value):
-    return getattr(value, "ndim", 0)
+    return ufunc(*(_value(arg, env) for arg in args))
 
 
 @dataclass(frozen=True)
 class _Formulas:
     """The formulas of one family, as data.  `kernel` maps z to the pair
-    (f, g) the terms are written in (with optional `out` and `work` as for
-    _sin_cos); `alpha` and `deriv` are the terms of the curve and of its
-    derivative, `normal` and `binormal` those of the stored frame legs."""
+    (f, g) the terms are written in; `alpha` and `deriv` are the terms of
+    the curve and of its derivative, `normal` and `binormal` those of the
+    stored frame legs, and `eps` their orientation: with T = alpha' / mu,
+    n x T = eps b and b x T = eps n (on (e2, e3) for the lightlike
+    circle)."""
 
     kernel: Callable
     alpha: tuple
     deriv: tuple
     normal: tuple
     binormal: tuple
+    eps: float
+
+
+# eps from n x T at t = 0, c = cos or cosh, s = sin or sinh: circle-timelike
+# (0, 0, c^2 + s^2) = b; circle-spacelike (s^2 - c^2, 0, 0) = -b;
+# helix-timelike (-lam s, lam c, 1) / mu = -b; helix-spacelike-i (c^2 - s^2,
+# lam s, lam c) / mu = -b; helix-spacelike-ii (s^2 - c^2, lam c, lam s) / mu
+# = -b; the lightlike circle e2 x T = (-t^2/2, -t, -1 - t^2/2) = -e3.  b x T
+# = eps n likewise.
 
 
 def _formulas(family: CurveFamily) -> _Formulas:
     tag = family.tag
     if tag == CIRCLE_TIMELIKE:
         return _Formulas(_sin_cos, (_G, _F, 0.0), (_neg(_F), _G, 0.0),
-                         (_neg(_G), _neg(_F), 0.0), (0.0, 0.0, 1.0))
+                         (_neg(_G), _neg(_F), 0.0), (0.0, 0.0, 1.0), 1.0)
     if tag == CIRCLE_SPACELIKE:
         return _Formulas(_sinh_cosh, (0.0, _F, _G), (0.0, _G, _F),
-                         (0.0, _F, _G), (1.0, 0.0, 0.0))
+                         (0.0, _F, _G), (1.0, 0.0, 0.0), -1.0)
     if tag == CIRCLE_LIGHTLIKE:
         half = (np.divide, _G, 2)
         return _Formulas(_z_square, ((np.subtract, half, 1.0), _F, half),
                          (_F, 1.0, _F), (0.5, 0.0, 0.5),
                          ((np.divide, (np.subtract, _G, 1.0), 2), _F,
-                          (np.divide, (np.add, _G, 1.0), 2)))
+                          (np.divide, (np.add, _G, 1.0), 2)), -1.0)
     lam, mu = family.lam, family.mu
     k = lam / mu
     if tag == HELIX_TIMELIKE:
         return _Formulas(_sin_cos, (_G, _F, _times(lam, _Z)),
                          (_neg(_F), _G, lam), (_neg(_G), _neg(_F), 0.0),
-                         (_times(k, _F), _times(-k, _G), -1.0 / mu))
+                         (_times(k, _F), _times(-k, _G), -1.0 / mu), -1.0)
     if tag == HELIX_SPACELIKE_I:
         return _Formulas(_sinh_cosh, (_times(lam, _Z), _G, _F),
                          (lam, _F, _G), (0.0, _G, _F),
-                         (-1.0 / mu, _times(-k, _F), _times(-k, _G)))
+                         (-1.0 / mu, _times(-k, _F), _times(-k, _G)), -1.0)
     # helix-spacelike-ii
     return _Formulas(_sinh_cosh, (_times(lam, _Z), _F, _G), (lam, _G, _F),
                      (0.0, _F, _G),
-                     (1.0 / mu, _times(-k, _G), _times(-k, _F)))
+                     (1.0 / mu, _times(-k, _G), _times(-k, _F)), -1.0)
 
 
 def _null_to_orthonormal(n, b):
@@ -363,60 +352,42 @@ def make_curve(family: CurveFamily) -> AnalyticMap:
 # on (e2, e3), carry sinh there.
 _COSH_ON_NORMAL = {CIRCLE_SPACELIKE, HELIX_SPACELIKE_II}
 
-# Complex planes of an integrand's work array: the kernel pair, V, a
-# scratch plane, then the twist pair and one more, which take alpha' once
-# V is done.  V's planes also serve as the kernels' real scratch.
-WORK_PLANES = 9
-
 
 class _NormalField:
     """Evaluator of V = p n + q b on the frame legs (n, b), or (e2, e3)
     for the lightlike circle, where (p, q) is (sinh phi, cosh phi), swapped
-    on the families that carry cosh on the normal; `terms` are V's."""
+    on the families that carry cosh on the normal; `terms` are V's, and
+    `scale` is eps mu."""
 
     def __init__(self, form: _Formulas, spec: NormalFieldSpec,
-                 sinh_on_normal: bool, terms: tuple):
+                 sinh_on_normal: bool, terms: tuple, scale: float):
         self.form, self.spec = form, spec
         self.sinh_on_normal, self.terms = sinh_on_normal, terms
+        self.scale = scale
 
-    def twist(self, z, out=None, work=None):
-        """(p, q) at z: scalars for a constant twist, else arrays (in
-        `out` when given, with `work` as for _sinh_cosh)."""
-        if self.spec.kind == "constant":
-            sh, ch = _sinh_cosh(self.spec.a)
-        else:
-            phi = self.spec.phi(z, out=None if out is None else out[0])
-            sh, ch = _sinh_cosh(phi, out=out, work=work)
+    def twist(self, z):
+        """(p, q) at z: scalars for a constant twist, else arrays."""
+        sh, ch = _sinh_cosh(self.spec.a if self.spec.kind == "constant"
+                            else self.spec.phi(z))
         return (sh, ch) if self.sinh_on_normal else (ch, sh)
 
     def __call__(self, z):
+        return self._combine(z, *self.twist(z))
+
+    def cross_derivative(self, w, out=None):
+        """V(w) x alpha'(w) = eps mu (q n + p b): V's terms at the twist
+        pair swapped and scaled, written into `out` when given."""
+        p, q = self.twist(w)
+        return self._combine(w, self.scale * q, self.scale * p, out)
+
+    def _combine(self, z, p, q, out=None):
         z = np.asarray(z)
         f, g = self.form.kernel(z)
-        p, q = self.twist(z)
         env = {_Z: z, _F: f, _G: g, _P: p, _Q: q}
-        return _vec(z, [_value(t, env) for t in self.terms])
-
-    def cross_derivative(self, w, out, work):
-        """V(w) x alpha'(w) into `out`, through the planes of `work`: the
-        kernel and the twist once, then V, alpha' and the cross product by
-        the same operations as the evaluators and lorentz_cross."""
-        # work[k, ...] stays an array view when w is 0-d
-        f, g, v0, v1, v2, tmp, p, q, x = (work[k, ...]
-                                          for k in range(WORK_PLANES))
-        real = [half.reshape(w.shape) for plane in (v0, v1)
-                for half in plane.reshape(-1).view(float).reshape(2, -1)]
-        f, g = self.form.kernel(w, out=(f, g), work=real)
-        env = {_Z: w, _F: f, _G: g}
-        env[_P], env[_Q] = self.twist(w, out=(p, q), work=real)
-        field = [_value(t, env, (plane, tmp))
-                 for t, plane in zip(self.terms, (v0, v1, v2))]
-        # the twist is spent: its planes take alpha'
-        deriv = [_value(t, env, (plane,))
-                 for t, plane in zip(self.form.deriv, (p, q, x))]
-        # constants enter the product as complex, as _vec stores them
-        _cross_into([c if _ndim(c) else np.complex128(c) for c in field],
-                    [c if _ndim(c) else np.complex128(c) for c in deriv],
-                    [out[..., k] for k in range(3)], tmp)
+        if out is None:
+            return _vec(z, [_value(t, env) for t in self.terms])
+        for k, t in enumerate(self.terms):
+            out[..., k] = _value(t, env)
         return out
 
 
@@ -434,7 +405,8 @@ def make_normal_field(family: CurveFamily, spec: NormalFieldSpec) -> AnalyticMap
     terms = tuple((np.add, (np.multiply, _P, n), (np.multiply, _Q, b))
                   for n, b in zip(*legs))
     return AnalyticMap(_NormalField(form, spec,
-                                    family.tag not in _COSH_ON_NORMAL, terms))
+                                    family.tag not in _COSH_ON_NORMAL, terms,
+                                    form.eps * (family.mu or 1.0)))
 
 
 def make_bjorling_data(family: CurveFamily,

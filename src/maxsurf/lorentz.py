@@ -45,7 +45,7 @@ def lorentz_norm(v) -> np.ndarray:
     return np.sqrt(np.abs(lorentz_dot(v, v)))
 
 
-def lorentz_cross(u, v, out=None) -> np.ndarray:
+def lorentz_cross(u, v) -> np.ndarray:
     """Cross product adapted to the metric: <u x v, w> = det(u, v, w).
 
     Componentwise
@@ -53,30 +53,17 @@ def lorentz_cross(u, v, out=None) -> np.ndarray:
         (u x v)_y = u_z v_x - u_x v_z
         (u x v)_z = -(u_x v_y - u_y v_x)
     so only the z-component differs from the Euclidean product, by sign.
-    `out`, a (..., 3) array that overlaps neither factor, receives the
-    product when given.
     """
     u = np.asarray(u)
     v = np.asarray(v)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(u.shape, v.shape),
-                       np.result_type(u, v))
-    _cross_into([u[..., k] for k in range(3)],
-                [v[..., k] for k in range(3)],
-                [out[..., k] for k in range(3)],
-                np.empty(out.shape[:-1], out.dtype))
-    return out
-
-
-def _cross_into(u, v, out, tmp):
-    """The formulas of lorentz_cross on components, operation by
-    operation: u and v are three components each (arrays or scalars),
-    `out` three arrays that receive those of u x v, and `tmp` a scratch
-    array of their shape."""
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
+    tmp = np.empty(out.shape[:-1], out.dtype)
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(u[i], v[j], out=out[k])
-        np.subtract(out[k], np.multiply(u[j], v[i], out=tmp), out=out[k])
-    np.negative(out[2], out=out[2])
+        np.multiply(u[..., i], v[..., j], out=out[..., k])
+        np.subtract(out[..., k], np.multiply(u[..., j], v[..., i], out=tmp),
+                    out=out[..., k])
+    np.negative(out[..., 2], out=out[..., 2])
+    return out
 
 
 def default_lightlike_tol(v) -> float:

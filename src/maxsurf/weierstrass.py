@@ -491,7 +491,7 @@ def integrate_forms(triple: FormTriple, z):
     value planes.  Returns a (..., 3) complex array; on the exp chart its
     real part is the surface displacement X(z) - X(0) of the matching family.
     """
-    def integrand(w, out, work):
+    def integrand(w, out):
         for k, phi in enumerate(triple.func(w)):
             out[..., k] = phi
 

@@ -167,37 +167,79 @@ def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, partials):
         assert np.array_equal(segment_integral(data.integrand, z), got)
 
 
-def _generic(data):
-    """The same Björling data, with its normal field behind a wrapper, so
-    that the integrand takes the generic lorentz_cross path."""
-    field = data.normal_field
-    return dataclasses.replace(
-        data, normal_field=AnalyticMap(lambda z: field(z), field.deriv))
-
-
 BJORLING_FAMILIES = [f for f, info in catalog.FAMILY_INFO.items()
                      if info.curve is not None]
 
 
-@pytest.mark.parametrize("family", BJORLING_FAMILIES)
-def test_fused_solves_equal_generic_path_solves(family):
-    # the bench grids: near 32x32 on [-1, 1]^2, far 2x4 out to |v| = 3
-    near = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32),
-                       indexing="ij")
-    far = np.meshgrid([-1.0, 1.0], [-3.0, -1.0, 1.0, 3.0], indexing="ij")
+def _bjorling_surface(family, a):
     info = catalog.FAMILY_INFO[family]
     lam = {p.name: p.default for p in info.params}.get("lam") or 0.0
-    for a in (0.3, 1.7):
-        data = catalog.bjorling_data_for(
-            catalog.CatalogSurface(family, a=a, lam=lam))
-        fused, generic = solve_bjorling(data), solve_bjorling(_generic(data))
-        for U, V in (near, far):
-            assert np.array_equal(fused(U, V), generic(U, V))
+    return catalog.CatalogSurface(family, a=a, lam=lam)
+
+
+# Each family with twist rates of its range: a = 0 for the constant twists.
+TWIST_CASES = [(family, a) for family in BJORLING_FAMILIES
+               for a in (0.0, 0.3, 1.0, 1.7)
+               if a > 0.0 or catalog.FAMILY_INFO[family].twist == "constant"]
+
+
+@pytest.mark.parametrize("family,a", TWIST_CASES)
+def test_frame_integrand_matches_the_cross_product(family, a):
+    # the integrand from the frame identity V x alpha' = eps mu (q n + p b)
+    # against the cross product of the maps themselves on |z| <= 3
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-3.0, 3.0, 600) + 1j * rng.uniform(-3.0, 3.0, 600)
+    z = z[np.abs(z) <= 3.0]
+    data = catalog.bjorling_data_for(_bjorling_surface(family, a))
+    got = data.integrand(z)
+    cross = lorentz_cross(data.normal_field(z), data.alpha.d(z))
+    assert np.max(np.abs(got - cross)) <= 1e-13 * np.max(np.abs(cross))
+    out = np.empty_like(got)
+    assert data.integrand(z, out=out) is out
+    assert np.array_equal(out, got)
+
+
+_SPACELIKE_AXIS = (frames.CIRCLE_SPACELIKE, frames.HELIX_SPACELIKE_I,
+                   frames.HELIX_SPACELIKE_II)
+
+
+@pytest.mark.parametrize("family", BJORLING_FAMILIES)
+def test_far_points_solve_to_the_closed_form(family):
+    # far from the real axis, and along it for the spacelike-axis curves,
+    # where the kernels grow like e^|v| or e^|u|: nothing cancels in the
+    # frame integrand, so each displacement X(z) - X(u) is within 1e-13 of
+    # the closed form, relative to 1 + max |X(z)|
+    u, v = np.meshgrid([0.0, 0.7, -2.3], [8.5, 12.5, 20.5, 30.5])
+    u, v = u.ravel(), v.ravel()
+    if catalog.FAMILY_INFO[family].curve in _SPACELIKE_AXIS:
+        u = np.concatenate([u, [8.5, 10.5, 12.5, 20.5]])
+        v = np.concatenate([v, np.full(4, 0.3)])
+    surface = _bjorling_surface(family, 1.0)
+    points = np.stack([u, u]), np.stack([np.zeros_like(v), v])
+    solved = solve_bjorling(catalog.bjorling_data_for(surface))(*points)
+    exact = catalog.patch(surface)(*points)
+    err = np.max(np.abs((solved[1] - solved[0]) - (exact[1] - exact[0])),
+                 axis=-1) / (1.0 + np.max(np.abs(exact[1]), axis=-1))
+    assert np.max(err) <= 1e-13
+
+
+def test_a_nearly_lightlike_helix_solves_at_once():
+    # lam = 1 - 1e-12 makes the binormal's terms about 7e5 in size; the
+    # frame integrand scales them back by mu, and a 21x21 grid on
+    # [-1, 1]^2 solves to the closed form within 1e-13
+    surface = catalog.helicoidal_timelike(1.0, 1.0 - 1e-12)
+    U, V = np.meshgrid(np.linspace(-1, 1, 21), np.linspace(-1, 1, 21),
+                       indexing="ij")
+    solved = solve_bjorling(catalog.bjorling_data_for(surface))(U, V)
+    exact = catalog.patch(surface)(U, V)
+    assert np.max(np.abs(solved - exact)) <= 1e-13 * (1.0 + np.max(
+        np.abs(exact)))
 
 
 def test_a_swapped_normal_field_is_evaluated():
     # a counting field swapped in by dataclasses.replace sees every node
-    # of the near-axis pass, and the solve keeps its bits
+    # of the near-axis pass: the solve is the lattice rule of the cross
+    # product, within rounding of the frame integrand's solve
     for data, z in _near_axis_cases():
         counts = []
         field = data.normal_field
@@ -208,12 +250,14 @@ def test_a_swapped_normal_field_is_evaluated():
 
         swapped = dataclasses.replace(
             data, normal_field=AnalyticMap(counting, field.deriv))
-        assert np.array_equal(segment_integral(swapped.integrand, z),
-                              segment_integral(data.integrand, z))
+        got = segment_integral(swapped.integrand, z)
         # 12 columns with points above and below the real axis, none at
         # u = 0: one panel each way along the axis and up and down each
         # column
         assert sum(counts) == (2 + 2 * 12) * NODES
+        assert np.array_equal(got, _lattice_reference(swapped.integrand, z))
+        frame = segment_integral(data.integrand, z)
+        assert np.max(np.abs(got - frame)) <= 1e-14 * np.max(np.abs(frame))
 
 
 def test_a_swapped_curve_is_evaluated():

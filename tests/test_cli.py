@@ -637,6 +637,23 @@ def test_non_finite_curvature_integrand_is_reported(tmp_path, capsys):
     assert "FAIL total-curvature: residual inf" in capsys.readouterr().out
 
 
+def test_nearly_lightlike_helix_passes_its_oracle(tmp_path, capsys):
+    # at lam = 1 - 1e-12 the frame integrand solves the 21x21 grid at once
+    # and matches the forms; the finite-difference normal of the closed form
+    # still finds its tangent plane degenerate
+    report = tmp_path / "r.json"
+    assert main(["verify", "--family", "helicoidal-timelike",
+                 "--lambda", "0.999999999999", "--suite", "all",
+                 "--report", str(report)]) == 1
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    for name in ("oracle-agreement", "forms-match-data"):
+        assert checks[name]["passed"] is True, checks[name]
+        assert "note" not in checks[name]
+    assert checks["normal-field"]["passed"] is False
+    assert checks["normal-field"]["note"] == (
+        "degenerate tangent plane along the core curve at u=-1.0")
+
+
 def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
     # the parser is built once per process; an override given to one call
     # must not reach the next

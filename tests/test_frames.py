@@ -1,7 +1,5 @@
 """Core curves, printed frames, and the twisting normal fields."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -191,60 +189,21 @@ def test_bjorling_data_bundles_curve_and_field():
     assert abs(lorentz_dot(V, V) + 1.0) < 1e-12
 
 
-# Every curve family with each twist it admits: the lightlike circle takes
-# a constant twist only.
-BJORLING_PAIRS = [
-    (family, spec)
-    for family in ALL_FAMILIES
-    for spec in (NormalFieldSpec("constant", 0.0),
-                 NormalFieldSpec("constant", 1.3),
-                 NormalFieldSpec("linear", 0.7), NormalFieldSpec("linear", 2.0))
-    if family.tag != frames.CIRCLE_LIGHTLIKE or spec.kind == "constant"]
-
-
-@pytest.mark.parametrize("family,spec", BJORLING_PAIRS,
-                         ids=lambda x: getattr(x, "tag", None) or
-                         f"{x.kind}-{x.a}")
-def test_fused_integrand_matches_the_generic_cross_product(family, spec,
-                                                          monkeypatch):
-    # The fused integrand runs the generic formula's operations, so every
-    # value keeps its bits, overflow included: cosh and sinh overflow past
-    # |Re z| or |Im z| = 710, and the inf and nan that follow land in the
-    # same places.  It never falls back to lorentz_cross.
-    data = frames.make_bjorling_data(family, spec)
-    x = np.concatenate([np.linspace(-720.0, 720.0, 37),
-                        np.linspace(-2.0, 2.0, 9)])
-    z = x[:, None] + 1j * x[None, :]
-    out = np.empty(z.shape + (3,), complex)
-    work = np.empty((frames.WORK_PLANES,) + z.shape, complex)
-    with np.errstate(all="ignore"):
-        generic = lorentz_cross(data.normal_field(z), data.alpha.d(z))
-        monkeypatch.setattr(frames, "lorentz_cross", None)
-        fused = data.integrand(z)
-        assert data.integrand(z, out=out, work=work) is out
-        # one point, as a 0-d array
-        point = np.asarray(z[40, 43])
-        at_point = lorentz_cross(data.normal_field(point), data.alpha.d(point))
-        assert np.array_equal(data.integrand(point), at_point)
-    for got in (fused, out):
-        assert np.array_equal(got, generic, equal_nan=True)
-        assert np.array_equal(got.view(np.uint64), generic.view(np.uint64))
-
-
-def test_fused_integrand_allocates_no_pass_sized_array():
-    # with `out` and `work` given, a pass of 16 384 points allocates a few
-    # small objects only; the generic product allocates megabytes
-    data = frames.make_bjorling_data(CurveFamily(frames.HELIX_TIMELIKE, 0.6),
-                                     NormalFieldSpec("linear", 0.7))
-    w = np.linspace(-1.0, 1.0, 512)[:, None, None] * (1.0 + 0.3j) \
-        * np.linspace(0.0, 1.0, 32)
-    out = np.empty(w.shape + (3,), complex)
-    work = np.empty((frames.WORK_PLANES,) + w.shape, complex)
-    data.integrand(w, out=out, work=work)
-    tracemalloc.start()
-    try:
-        data.integrand(w, out=out, work=work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < w.nbytes // 16
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
+def test_frame_legs_carry_their_recorded_orientation(family):
+    # n x alpha' = eps mu b and b x alpha' = eps mu n, with the eps of
+    # _formulas: the identity the Björling integrand is built on.  The
+    # lightlike circle's legs are (e2, e3).
+    form = frames._formulas(family)
+    legs = (form.normal, form.binormal)
+    if family.tag == frames.CIRCLE_LIGHTLIKE:
+        legs = frames._null_to_orthonormal(*legs)
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
+    n, b = (frames._Components(form, leg)(t) for leg in legs)
+    d = frames.make_curve(family).d(t)
+    scale = form.eps * (family.mu or 1.0)
+    assert form.eps in (1.0, -1.0)
+    for leg, other in ((n, b), (b, n)):
+        assert np.max(np.abs(lorentz_cross(leg, d) - scale * other)) \
+            <= 1e-13 * np.max(np.abs(other))

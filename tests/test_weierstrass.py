@@ -684,7 +684,7 @@ def test_integrate_forms_writes_the_triple_into_the_pass(monkeypatch):
     def capture(integrand, z):
         w = np.asarray(z, dtype=complex)
         out = np.full(w.shape + (3,), np.nan, dtype=complex)
-        integrand(w, out=out, work=None)
+        integrand(w, out=out)
         seen.append((w, out))
         return out
 
