@@ -15,12 +15,24 @@ integrated once, by error-controlled Gauss-Legendre quadrature, and shared
 by all the points whose paths cross it; the last, partial panel of a path
 is integrated from the panel's Legendre interpolant.  The cost follows the
 panels crossed, not the number of points, and every value stays pointwise.
+
+All of this but the integrand's values depends on the points alone, so it
+is planned once per point set: the lattice, the passes, the partial panels
+and the interpolant weights of their distinct fractions.  The plans of the
+4 most recently used sets of at most _PASS_POINTS points are kept, each
+within 2 MB together with its key, the points' bytes (a 32x32 grid takes
+0.1 MB), so a later solve on the same points in the same process only
+evaluates the integrand and sums.  A process that solves each point set
+once, as a `maxsurf verify` run does with its oracle grid, builds every
+plan it uses and gains nothing from the cache.  Rounds that cut panels
+into pieces are planned afresh every time.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -45,7 +57,7 @@ _NULL = ((np.arange(NODES - 2, NODES)[:, None] + 0.5) * _W
 # Row n of _ANTI weighs the node values by _WT * P_n / 2, which gives the
 # Legendre coefficient c_n over 2 (2n + 1), so that sum_n J_n(2t - 1)
 # _ANTI[n] weighs them to the interpolant's integral over [0, t]
-# (_interpolant_integral).
+# (_interpolant_weights).
 _ANTI = 0.5 * (legvander(_X, NODES - 1) * _WT[:, None]).T
 _S.flags.writeable = _WT.flags.writeable = False
 _NULL.flags.writeable = _ANTI.flags.writeable = False
@@ -62,10 +74,20 @@ _NULL.flags.writeable = _ANTI.flags.writeable = False
 # split changes no bit of the result, since every value is computed
 # pointwise.
 _PASS_POINTS = 1 << 13
-# Partial panels that _interpolant_integral integrates at a time: their
-# gathered node values fill 3 planes of _PASS_POINTS points, as a pass's
-# integrand values do.
+# Partial panels that a pass integrates at a time: their gathered node
+# values fill 3 planes of _PASS_POINTS points, as a pass's integrand values
+# do.
 _PARTIALS = _PASS_POINTS // NODES
+# Point-set plans kept for reuse (_point_plan), most recently used last:
+# at most _PLAN_CACHE plans, each of at most _PLAN_BYTES with its key of
+# 16 bytes per point.  A 32x32 grid on [-1, 1]^2 takes 0.1 MB, a 90x90 grid
+# on [-3, 3] x [-30, 30] 1.2 MB, and 8 192 scattered points about 6 MB,
+# mostly the weights of their 16 384 distinct fractions, so they are not
+# kept.
+_PLAN_CACHE = 4
+_PLAN_BYTES = 1 << 21
+_PLANS: dict = {}
+_PLANS_LOCK = threading.Lock()
 
 
 class QuadratureError(RuntimeError):
@@ -146,7 +168,7 @@ def segment_integral(integrand, z):
     """Integral of `integrand` from 0 to z, vectorized over the points z.
 
     integrand(w, out=) writes its (..., 3) values at the complex nodes w
-    into `out`, as BjorlingData.integrand does.
+    into `out`, as BjorlingData.integrand does; the nodes are read-only.
 
     The path runs along the real axis from 0 to Re z, then vertically to z;
     for an entire integrand it gives the straight segment's value.  Both
@@ -159,6 +181,11 @@ def segment_integral(integrand, z):
     integral of the last panel's Legendre interpolant up to the point; a
     point on a lattice line has no partial panel.  Every step is pointwise:
     a point's value does not depend on the other points of the call.
+
+    What depends on the points alone is their plan (_point_plan): the
+    lattice, the passes, the partial panels and their interpolant weights.
+    A small cache keeps the plans of recent point sets, so a later call
+    with the same points only evaluates the integrand and sums.
 
     A point's error estimate, the sum over the panels of its path of |span|
     times the null-rule coefficients of the largest real or imaginary part,
@@ -173,6 +200,126 @@ def segment_integral(integrand, z):
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
+    plan = _point_plan(flat)
+    out = np.empty((flat.size, 3), dtype=complex)
+    todo, legs, a = np.arange(flat.size), plan.legs, plan.col
+    while todo.size:
+        # Legs 0 to b - 1 run along the real axis, one per column still to
+        # do, and leg b + k up or down its column to point todo[k].
+        value, err, size = _leg_integrals(integrand, legs)
+        b = value.shape[0] - todo.size
+        total = value[a] + value[b:]
+        mag = np.abs(total)
+        err, tol = err[a] + err[b:], _RTOL * np.maximum(
+            np.maximum(np.maximum(mag[:, 0], mag[:, 1]), mag[:, 2]),
+            size[a] + size[b:])
+        ok = np.isfinite(err) & (err <= tol)
+        out[todo[ok]] = total[ok]
+        stuck = ~ok & (~np.isfinite(err)
+                       | (2 * legs.pieces * plan.path[todo] > _MAX_PANELS))
+        if np.any(stuck):
+            k = np.flatnonzero(stuck)[0]
+            i = todo[k]
+            raise QuadratureError(
+                f"Gauss-Legendre quadrature missed its tolerance at "
+                f"z={flat[i]} on its {plan.path[i]} lattice panel(s) of "
+                f"{legs.pieces} piece(s) each (at most {_MAX_PANELS} pieces "
+                f"along a path): error estimate {err[k]:.3g}, tolerance "
+                f"{tol[k]:.3g}",
+                z=flat[i], estimate=float(err[k]), tol=float(tol[k]))
+        todo = todo[~ok]
+        if todo.size:
+            columns, a = np.unique(plan.col[todo], return_inverse=True)
+            pick = np.concatenate([columns, plan.columns + todo])
+            legs = _leg_plan(plan.line[pick], plan.length[pick], plan.origin,
+                             2 * legs.pieces)
+    return out.reshape(z.shape + (3,))
+
+
+class _LegPlan(NamedTuple):
+    """What _leg_integrals needs of a set of legs, for `pieces` pieces per
+    panel.  Panel p (0 <= p < `panels`) is panel k[p] of its line; pass s
+    takes panels s * rows to (s + 1) * rows.  Per panel, shaped (panels, 1,
+    1): `upright`, `origin` (the line's real part) and `signed` (the
+    direction, +-_PANEL) place the nodes, and `h` is the step of a piece
+    along the line.  The nodes themselves are placed in each pass's block:
+    kept, they would take 16 NODES bytes per piece, 0.5 MB per point at the
+    deepest refinement.  `ended`[e] is a leg whose partial panel starts with
+    whole pieces, summed up to the pass's flat piece `ended_at`[e]; the
+    legs that end inside a piece are `inside`, with that piece's index
+    in the pass, the row of its fraction in `weights` and the step `inside_h`
+    of their panel.  Both lists are sorted by pass and cut by `ended_cut`
+    and `inside_cut`.  `later` lists, for k = 1, 2, ..., the panels k of the
+    lines that have one; legs `whole` take the prefix sum at panel
+    `whole_at`, and legs `reach` their error and size sums at panel
+    `reach_at`."""
+
+    legs: int
+    pieces: int
+    panels: int
+    rows: int
+    k: np.ndarray
+    upright: np.ndarray
+    origin: np.ndarray
+    signed: np.ndarray
+    h: np.ndarray
+    ended: np.ndarray
+    ended_at: np.ndarray
+    ended_cut: np.ndarray
+    inside: np.ndarray
+    inside_piece: np.ndarray
+    inside_row: np.ndarray
+    inside_h: np.ndarray
+    inside_cut: np.ndarray
+    weights: np.ndarray
+    later: tuple
+    whole: np.ndarray
+    whole_at: np.ndarray
+    reach: np.ndarray
+    reach_at: np.ndarray
+
+
+class _PointPlan(NamedTuple):
+    """A point set's lattice: `col` maps each point to its column, of which
+    there are `columns`; the legs are the columns' runs along the real axis
+    followed by the points' own runs along their columns, each `length`
+    panels along the lattice line `line`, and `origin` is each line's real
+    part; `path` counts the panels of each point's path; `legs` is the
+    first round's _LegPlan, and `nbytes` the size of all these arrays."""
+
+    col: np.ndarray
+    columns: int
+    line: np.ndarray
+    length: np.ndarray
+    origin: np.ndarray
+    path: np.ndarray
+    legs: _LegPlan
+    nbytes: int = 0
+
+
+def _point_plan(flat):
+    """The plan of the points `flat`, built, or taken from the cache of the
+    _PLAN_CACHE most recently used sets of at most _PASS_POINTS points whose
+    plans and keys take at most _PLAN_BYTES.  Sets that are not finite or reach past
+    _MAX_PANELS panels raise on every call, since they never enter the
+    cache."""
+    key = flat.tobytes() if flat.size <= _PASS_POINTS else None
+    with _PLANS_LOCK:
+        plan = _PLANS.pop(key, None)
+    if plan is None:
+        plan = _plan(flat)
+    if key is not None and plan.nbytes + len(key) <= _PLAN_BYTES:
+        with _PLANS_LOCK:
+            _PLANS[key] = plan
+            while len(_PLANS) > _PLAN_CACHE:
+                del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
+def _plan(flat):
+    """The _PointPlan of the points `flat`; raises QuadratureError at the
+    first point that is not finite or whose path crosses more than
+    _MAX_PANELS panels."""
     bad = ~np.isfinite(flat)
     if np.any(bad):
         at = flat[np.flatnonzero(bad)[0]]
@@ -196,139 +343,147 @@ def segment_integral(integrand, z):
         raise QuadratureError(
             f"the path from 0 to z={flat[i]} crosses {path[i]} lattice "
             f"panels, more than {_MAX_PANELS}", z=flat[i])
-    out = np.empty((flat.size, 3), dtype=complex)
-    todo, pieces = np.arange(flat.size), 1
-    while todo.size:
-        # The legs of the points still to do: their columns' legs along the
-        # real axis, then their own.
-        columns, a = np.unique(col[todo], return_inverse=True)
-        legs = np.concatenate([columns, cols.size + todo])
-        value, err, size = _leg_integrals(integrand, line[legs],
-                                          length[legs], origin, pieces)
-        b = columns.size + np.arange(todo.size)
-        total = value[a] + value[b]
-        err, tol = err[a] + err[b], _RTOL * np.maximum(
-            np.max(np.abs(total), axis=-1), size[a] + size[b])
-        ok = np.isfinite(err) & (err <= tol)
-        out[todo[ok]] = total[ok]
-        stuck = ~ok & (~np.isfinite(err)
-                       | (2 * pieces * path[todo] > _MAX_PANELS))
-        if np.any(stuck):
-            k = np.flatnonzero(stuck)[0]
-            i = todo[k]
-            raise QuadratureError(
-                f"Gauss-Legendre quadrature missed its tolerance at "
-                f"z={flat[i]} on its {path[i]} lattice panel(s) of "
-                f"{pieces} piece(s) each (at most {_MAX_PANELS} pieces "
-                f"along a path): error estimate {err[k]:.3g}, tolerance "
-                f"{tol[k]:.3g}",
-                z=flat[i], estimate=float(err[k]), tol=float(tol[k]))
-        todo, pieces = todo[~ok], 2 * pieces
-    return out.reshape(z.shape + (3,))
+    return _frozen(_PointPlan(col, cols.size, line, length, origin, path,
+                              _leg_plan(line, length, origin, 1)))
 
 
-def _leg_integrals(integrand, line, length, origin, pieces):
-    """(value, err, size) of the legs that run `length` panels along the
-    lattice lines `line` (with real parts `origin` by line): each leg's
-    integral, and the sums of the error estimates and of the integrand's
-    size (resabs) over the panels it crosses, its partial panel in full.
-    Each panel crossed is integrated once, cut into `pieces` pieces."""
+def _leg_plan(line, length, origin, pieces):
+    """The _LegPlan of the legs that run `length` panels along the lattice
+    lines `line` (with real parts `origin` by line), each panel cut into
+    `pieces` pieces."""
     crossed = np.ceil(length).astype(np.int64)
     whole = np.floor(length).astype(np.int64)
     frac = length - whole
     counts = np.zeros(origin.size, dtype=np.int64)
     np.maximum.at(counts, line, crossed)
     first = np.concatenate([[0], np.cumsum(counts)])
+    panels = int(first[-1])
+    rows = max(1, _PASS_POINTS // (pieces * NODES))
     # Panel p is panel k of its line: offsets k to k + 1 along the line.
     p_line = np.repeat(np.arange(counts.size), counts)
-    p_k = np.arange(first[-1]) - first[p_line]
+    k = np.arange(panels) - first[p_line]
     sign = 1.0 - 2.0 * (p_line & 1)
     upright = p_line >= 2
-    origin = origin[p_line]
+    h = np.where(upright, 1j, 1.0) * (sign * (_PANEL / pieces))
+    # The legs that end inside a panel, by panel: from whole pieces summed,
+    # then from the interpolant of the piece they end in.
     last = first[line] + whole
     ends = np.flatnonzero(frac > 0.0)
     ends = ends[np.argsort(last[ends], kind="stable")]
-    total = np.empty((first[-1], 3), dtype=complex)
-    err, size = np.empty(first[-1]), np.empty(first[-1])
-    part = np.zeros((line.size, 3), dtype=complex)
-    rows = max(1, _PASS_POINTS // (pieces * NODES))
+    tau = frac[ends] * pieces
+    i = np.floor(tau).astype(np.int64)
+    piece = last[ends] % rows * pieces + i
+    cut = np.searchsorted(last[ends], np.arange(0, panels + rows, rows))
+    into = tau > i
+    inside = ends[into]
+    fractions, row = np.unique(tau[into] - i[into], return_inverse=True)
+    ended = np.flatnonzero(i > 0)
+    reach = np.flatnonzero(crossed > 0)
+    has = np.flatnonzero(whole > 0)
+    shape = (panels, 1, 1)
+    return _LegPlan(
+        legs=line.size, pieces=pieces, panels=panels, rows=rows,
+        k=k.astype(float).reshape(shape), upright=upright.reshape(shape),
+        origin=origin[p_line].reshape(shape),
+        signed=(sign * _PANEL).reshape(shape), h=h.reshape(shape),
+        ended=ends[ended], ended_at=piece[ended] - 1,
+        ended_cut=np.searchsorted(ended, cut),
+        inside=inside, inside_piece=piece[into], inside_row=row,
+        inside_h=h[last[inside], None],
+        inside_cut=np.searchsorted(np.flatnonzero(into), cut),
+        weights=_interpolant_weights(fractions),
+        later=tuple(first[:-1][counts > j] + j
+                    for j in range(1, counts.max(initial=0))),
+        whole=has, whole_at=last[has] - 1,
+        reach=reach, reach_at=first[line[reach]] + crossed[reach] - 1)
+
+
+def _frozen(plan):
+    """The plan, with its arrays and those of its leg plan read-only, and
+    their size."""
+    arrays = [field for part in (plan, plan.legs) for field in part
+              if isinstance(field, np.ndarray)] + list(plan.legs.later)
+    for array in arrays:
+        array.flags.writeable = False
+    return plan._replace(nbytes=sum(array.nbytes for array in arrays))
+
+
+def _leg_integrals(integrand, plan):
+    """(value, err, size) of the legs of a _LegPlan: each leg's integral,
+    and the sums of the error estimates and of the integrand's size (resabs)
+    over the panels it crosses, its partial panel in full.  Each panel
+    crossed is integrated once, cut into the plan's pieces."""
+    pieces, panels, rows = plan.pieces, plan.panels, plan.rows
+    total = np.empty((panels, 3), dtype=complex)
+    err, size = np.empty(panels), np.empty(panels)
+    part = np.zeros((plan.legs, 3), dtype=complex)
     # One block holds a pass's integrand values, its nodes and the rows of
-    # its partial panels.
-    block = np.empty(7 * min(rows, first[-1]) * pieces * NODES, dtype=complex)
+    # its pieces.
+    block = np.empty(7 * min(rows, panels) * pieces * NODES, dtype=complex)
+    offset = (np.arange(pieces)[:, None] + _S) / pieces
     step = _PANEL / pieces
-    for start in range(0, first[-1], rows):
-        idx = np.arange(start, min(start + rows, first[-1]))
-        shape = (idx.size, pieces, NODES)
-        m = idx.size * pieces * NODES
+    for s, start in enumerate(range(0, panels, rows)):
+        idx = slice(start, start + rows)
+        shape = (min(rows, panels - start), pieces, NODES)
+        m = shape[0] * pieces * NODES
         vals = block[:3 * m].reshape(shape + (3,))
         w = block[3 * m:4 * m].reshape(shape)
-        up = upright[idx, None, None]
-        pos = sign[idx, None, None] * (p_k[idx, None, None] + (
-            np.arange(pieces)[:, None] + _S) / pieces) * _PANEL
-        w.real = np.where(up, origin[idx, None, None], pos)
+        up, pos = plan.upright[idx], (plan.k[idx] + offset) * plan.signed[idx]
+        w.real = np.where(up, plan.origin[idx], pos)
         w.imag = np.where(up, pos, 0.0)
-        integrand(w, out=vals)
-        h = np.where(upright[idx], 1j, 1.0) * (sign[idx] * step)
-        sums = np.cumsum(h[:, None, None] * np.einsum(
-            "k,...kj->...j", _WT, vals), axis=1)
+        nodes = w.view()
+        nodes.flags.writeable = False
+        integrand(nodes, out=vals)
+        sums = np.cumsum(plan.h[idx] * np.einsum("k,...kj->...j", _WT, vals),
+                         axis=1)
         total[idx] = sums[:, -1]
         coef = np.abs(_NULL @ vals.view(float))
         err[idx] = step * np.sum(
             np.max(coef[..., 0, :] + coef[..., 1, :], axis=-1), axis=-1)
+        # each piece's values as 6 real rows of NODES; their absolute
+        # values then take the place of the integrand's values
+        lines = block[4 * m:7 * m].view(float).reshape(-1, 6, NODES)
+        np.copyto(lines, vals.view(float).reshape(-1, NODES, 6)
+                  .transpose(0, 2, 1))
+        mags = np.abs(lines, out=vals.view(float).reshape(lines.shape))
         size[idx] = step * np.sum(
-            np.max(np.abs(vals.view(float)), axis=-1) @ _WT, axis=-1)
-        # The legs that end inside a panel of this pass.
-        lo, hi = np.searchsorted(last[ends], (idx[0], idx[-1] + 1))
-        leg = ends[lo:hi]
-        q = last[leg] - idx[0]
-        tau = frac[leg] * pieces
-        i = np.floor(tau).astype(np.int64)
-        part[leg] = np.where((i > 0)[:, None], sums[q, i - 1], 0.0)
-        inside = tau > i
-        leg, q, i = leg[inside], q[inside], i[inside]
-        if leg.size:
-            # each piece's values as 6 real rows of NODES
-            lines = block[4 * m:7 * m].view(float).reshape(-1, 6, NODES)
-            np.copyto(lines, vals.view(float).reshape(-1, NODES, 6)
-                      .transpose(0, 2, 1))
-            part[leg] += h[q, None] * _interpolant_integral(
-                lines, q * pieces + i, tau[inside] - i)
+            np.max(mags, axis=1).reshape(shape) @ _WT, axis=-1)
+        e = slice(*plan.ended_cut[s:s + 2])
+        part[plan.ended[e]] = sums.reshape(-1, 3)[plan.ended_at[e]]
+        lo, hi = plan.inside_cut[s:s + 2]
+        for c in range(lo, hi, _PARTIALS):
+            r = slice(c, min(c + _PARTIALS, hi))
+            part[plan.inside[r]] += plan.inside_h[r] * np.einsum(
+                "lk,ljk->lj", plan.weights[plan.inside_row[r]],
+                lines[plan.inside_piece[r]]).view(complex)
     # Panels summed from 0 outward along each line, in place.
-    for k in range(1, counts.max(initial=0)):
-        later = first[:-1][counts > k] + k
+    for later in plan.later:
         total[later] += total[later - 1]
         err[later] += err[later - 1]
         size[later] += size[later - 1]
-    value = np.zeros((line.size, 3), dtype=complex)
-    value[whole > 0] = total[last[whole > 0] - 1]
+    value = np.zeros((plan.legs, 3), dtype=complex)
+    value[plan.whole] = total[plan.whole_at]
     value += part
-    reach = crossed > 0
-    end = first[line[reach]] + crossed[reach] - 1
-    leg_err, leg_size = np.zeros(line.size), np.zeros(line.size)
-    leg_err[reach], leg_size[reach] = err[end], size[end]
+    leg_err, leg_size = np.zeros(plan.legs), np.zeros(plan.legs)
+    leg_err[plan.reach], leg_size[plan.reach] = (err[plan.reach_at],
+                                                 size[plan.reach_at])
     return value, leg_err, leg_size
 
 
-def _interpolant_integral(lines, piece, t):
-    """Integral over [0, t] of the Legendre interpolant of each `piece` of a
-    pass, for (L,) fractions t in (0, 1) of a unit span; `lines` holds the
-    pieces' node values as (pieces, 6, NODES) real rows.  Pointwise in L.
+def _interpolant_weights(t):
+    """(len(t), NODES) weights that take a piece's node values to the
+    integral of their Legendre interpolant over [0, t] of the piece, for
+    fractions t in (0, 1).
 
     The interpolant is sum_n c_n P_n(2s - 1), and the integral of P_n from
-    -1 to x is J_n(x) / (2n + 1), J_0 = x + 1 and J_n = P_{n+1} - P_{n-1}.
-    The weights are formed once per distinct t, and both they and the
-    gathered rows are taken _PARTIALS at a time.
+    -1 to x is J_n(x) / (2n + 1), J_0 = x + 1 and J_n = P_{n+1} - P_{n-1};
+    the weights are formed _PARTIALS fractions at a time.
     """
-    ts, inv = np.unique(t, return_inverse=True)
-    out = np.empty((t.size, 3), dtype=complex)
-    for c in range(0, ts.size, _PARTIALS):
-        p = legvander(2.0 * ts[c:c + _PARTIALS] - 1.0, NODES)
+    out = np.empty((t.size, NODES))
+    for c in range(0, t.size, _PARTIALS):
+        p = legvander(2.0 * t[c:c + _PARTIALS] - 1.0, NODES)
         j = p[:, 1:] - np.concatenate([-p[:, :1], p[:, :-2]], axis=1)
-        weights = np.einsum("un,nk->uk", j, _ANTI)
-        legs = np.flatnonzero((inv >= c) & (inv < c + _PARTIALS))
-        for r in np.split(legs, range(_PARTIALS, legs.size, _PARTIALS)):
-            out[r] = np.einsum("lk,ljk->lj", weights[inv[r] - c],
-                               lines[piece[r]]).view(complex)
+        out[c:c + _PARTIALS] = np.einsum("un,nk->uk", j, _ANTI)
     return out
 
 

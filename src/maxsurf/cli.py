@@ -660,16 +660,16 @@ def _periods(job):
     loop = weierstrass.Loop(0j, 1.0)
     second = job.rep.unit_period(s) if round(s.a) == 1 else 0.0
     checks = []
-    for k, expected in zip((1, 2, 3), (0.0, second, 0.0)):
-        try:
-            value = weierstrass.period(triple, k, loop)
-            note = f"value {value.real:.12g}{value.imag:+.12g}i, " \
-                   f"expected real part {expected:.12g}"
-            checks.append(_check(f"period-phi{k}", abs(value.real - expected),
-                                 tol, "unit loop", note=note))
-        except QuadratureError as exc:
+    values = weierstrass.period(triple, (1, 2, 3), loop)
+    for k, expected, value in zip((1, 2, 3), (0.0, second, 0.0), values):
+        if isinstance(value, QuadratureError):
             checks.append(_check(f"period-phi{k}", float("inf"), tol,
-                                 "unit loop", note=str(exc)))
+                                 "unit loop", note=str(value)))
+            continue
+        note = f"value {value.real:.12g}{value.imag:+.12g}i, " \
+               f"expected real part {expected:.12g}"
+        checks.append(_check(f"period-phi{k}", abs(value.real - expected),
+                             tol, "unit loop", note=note))
     return checks
 
 

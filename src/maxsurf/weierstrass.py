@@ -370,39 +370,56 @@ class Loop:
             raise ValueError(f"loop radius must be positive, got {self.radius}")
 
 
-def period(triple: FormTriple, k: int, loop: Loop) -> complex:
+def period(triple: FormTriple, k, loop: Loop):
     """Contour integral of the k-th component (1-based) around the loop.
 
     Trapezoidal rule on the circle, node count doubled from _PERIOD_NODES
     until two successive values agree to _PERIOD_TOL; spectrally accurate
     for the rational forms the punctured chart produces at integer twist
-    rate.
+    rate.  For a sequence of indices k, returns a list with, for each, the
+    value or the QuadratureError that the index alone raises: the triple is
+    evaluated once per node count for all the components still running, and
+    each stops at its own node count, so each entry has the bits of its own
+    call.
     """
     if triple.chart != PUNCTURED_CHART:
         raise ValueError("periods are taken on the punctured chart")
-    if not 1 <= k <= 3:
-        raise ValueError(f"component index must be 1, 2 or 3, got {k}")
+    single = isinstance(k, (int, np.integer))
+    ks = [k] if single else list(k)
+    for c in ks:
+        if not 1 <= c <= 3:
+            raise ValueError(f"component index must be 1, 2 or 3, got {c}")
     for s in triple.singularities:
         if abs(abs(s - loop.center) - loop.radius) < 1e-9 * (1.0 + loop.radius):
             raise ValueError(f"loop passes through the singularity at {s}")
     forms = triple.func
 
-    def contour(n):
+    def contour(n, running):
         th = 2.0 * np.pi * np.arange(n) / n
         z = loop.center + loop.radius * np.exp(1j * th)
         dz = 1j * (z - loop.center)
-        return np.sum(forms(z)[k - 1] * dz) * (2.0 * np.pi / n)
+        phi = forms(z)
+        return {c: np.sum(phi[c - 1] * dz) * (2.0 * np.pi / n)
+                for c in running}
 
-    n = _PERIOD_NODES
-    val = contour(n)
+    n, running, done = _PERIOD_NODES, list(dict.fromkeys(ks)), {}
+    val = contour(n, running)
     for _ in range(_PERIOD_DOUBLINGS):
         n *= 2
-        nxt = contour(n)
-        if abs(nxt - val) <= _PERIOD_TOL * (1.0 + abs(nxt)):
-            return complex(nxt)
+        nxt = contour(n, running)
+        for c in running:
+            if abs(nxt[c] - val[c]) <= _PERIOD_TOL * (1.0 + abs(nxt[c])):
+                done[c] = complex(nxt[c])
+        running = [c for c in running if c not in done]
+        if not running:
+            break
         val = nxt
-    raise QuadratureError(
-        f"contour integral did not settle after {n} nodes", z=loop.center)
+    for c in running:
+        done[c] = QuadratureError(
+            f"contour integral did not settle after {n} nodes", z=loop.center)
+    if single and isinstance(done[k], QuadratureError):
+        raise done[k]
+    return done[k] if single else [done[c] for c in ks]
 
 
 def _spherical_density(w: WeierstrassData, z, h):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -149,6 +152,8 @@ def test_pass_size_does_not_change_the_solve(monkeypatch, points):
         cases = [(data, z[::8, ::8]) for data, z in cases]
     default = [segment_integral(data.integrand, z) for data, z in cases]
     monkeypatch.setattr(bjorling, "_PASS_POINTS", points)
+    # plans are split into passes when they are built: start from none
+    monkeypatch.setattr(bjorling, "_PLANS", {})
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data.integrand, z), got)
 
@@ -163,6 +168,8 @@ def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, partials):
              for s in NEAR_SURFACES[:3]]
     default = [segment_integral(data.integrand, z) for data, z in cases]
     monkeypatch.setattr(bjorling, "_PARTIALS", partials)
+    # the plan's weights are formed in chunks too: start from no plans
+    monkeypatch.setattr(bjorling, "_PLANS", {})
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data.integrand, z), got)
 
@@ -418,20 +425,24 @@ def test_bench_near_grid_takes_66_panels():
     assert sum(counts) == 66 * NODES == 2112
 
 
+def _oscillating_column(w):
+    """Normal field (0, 0, e^{30 i Im w}) on the column Re w = -1.5 and
+    (0, 0, 1) elsewhere."""
+    third = np.where(w.real == -1.5, np.exp(30j * w.imag), 1.0)
+    zero = np.zeros_like(w)
+    return vec3(zero, zero, third + zero)
+
+
 def test_a_refined_path_leaves_other_points_bits():
     # a normal field that oscillates 31 / (2 pi) times per unit up the
     # column Re z = -1.5 only: its points are redone on halved panels, to
     # their own tolerance, while every point keeps the bits it gets alone,
     # next to a point whose integral is 5e8 times larger
-    def field(w):
-        third = np.where(w.real == -1.5, np.exp(30j * w.imag), 1.0)
-        zero = np.zeros_like(w)
-        return vec3(zero, zero, third + zero)
-
     counts = []
-    data = _exp_data(field)
+    data = _exp_data(_oscillating_column)
     swapped = dataclasses.replace(data, normal_field=AnalyticMap(
-        lambda w: (counts.append(np.size(w)), field(w))[1], None))
+        lambda w: (counts.append(np.size(w)), _oscillating_column(w))[1],
+        None))
     z = np.array([-1.5 + 0.8j, 0.3 + 0.4j, -1.5 + 1.7j, 20.0 - 0.9j])
     together = segment_integral(swapped.integrand, z)
     assert sum(counts) > 26 * NODES  # 26 panels at one piece each
@@ -496,6 +507,166 @@ def test_special_points_keep_their_bits_in_any_company():
         assert np.array_equal(together[at],
                               _lattice_point(data.integrand, p)), p
     assert np.array_equal(together[26], together[27])
+
+
+@pytest.fixture
+def no_plans(monkeypatch):
+    """An empty plan cache for the test; the module's own is restored."""
+    monkeypatch.setattr(bjorling, "_PLANS", {})
+    return bjorling._PLANS
+
+
+def test_cached_plans_give_the_bits_of_cold_solves(no_plans):
+    # five point sets (the benchmark's near and far grids, special points,
+    # a set with refinement rounds and a single point) and five integrands,
+    # solved in a seeded order that revisits sets within the cache and
+    # evicts them: every solve has the bits of the same solve from an empty
+    # cache
+    U, V = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32),
+                       indexing="ij")
+    Uf, Vf = np.meshgrid(np.linspace(-1, 1, 2), np.linspace(-3, 3, 4),
+                         indexing="ij")
+    sets = [U + 1j * V, Uf + 1j * Vf,
+            np.array([0j, complex(-0.0, 0.3), 1 + 1j, -0.3 - 2.6j, 0.7j]),
+            np.array([-1.5 + 0.8j, 0.3 + 0.4j, -1.5 + 1.7j, 20.0 - 0.9j]),
+            np.array(0.45 - 0.25j)]
+    integrands = [catalog.bjorling_data_for(s).integrand
+                  for s in NEAR_SURFACES[:3]]
+    integrands += [_exp_data().integrand,
+                   _exp_data(_oscillating_column).integrand]
+    cold = {}
+    for i, z in enumerate(sets):
+        for j, integrand in enumerate(integrands):
+            no_plans.clear()
+            cold[i, j] = segment_integral(integrand, z)
+    assert len(no_plans) == 1
+    rng = np.random.default_rng(19)
+    order = rng.integers(0, len(sets), 40)
+    for i, j in zip(order, rng.integers(0, len(integrands), 40)):
+        got = segment_integral(integrands[j], sets[i])
+        assert got.tobytes() == cold[i, j].tobytes(), (i, j)
+        assert len(no_plans) <= bjorling._PLAN_CACHE
+        assert next(reversed(no_plans)) == sets[i].tobytes()
+    # and the kept plans stay read-only
+    for plan in no_plans.values():
+        assert not any(field.flags.writeable for field in plan
+                       if isinstance(field, np.ndarray))
+
+
+def test_the_plan_cache_keeps_a_few_small_point_sets(no_plans):
+    data = _exp_data()
+    sets = [np.linspace(-1, 1, 5) + 1j * (0.1 * k + 0.05) for k in range(10)]
+    for k, z in enumerate(sets):
+        segment_integral(data.integrand, z)
+        assert len(no_plans) == min(k + 1, bjorling._PLAN_CACHE)
+    # the most recently used, in the order of their use
+    assert list(no_plans) == [z.tobytes() for z in sets[-4:]]
+    segment_integral(data.integrand, sets[-4])
+    assert list(no_plans) == [z.tobytes() for z in sets[-3:] + sets[-4:-3]]
+    kept = list(no_plans)
+    # a set of more than _PASS_POINTS points is not kept, nor is one whose
+    # plan is larger than _PLAN_BYTES (4 000 scattered points: each its own
+    # column and fraction)
+    rng = np.random.default_rng(3)
+    for z in (np.linspace(-1, 1, bjorling._PASS_POINTS + 1) + 0.5j,
+              rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)):
+        segment_integral(data.integrand, z)
+        assert list(no_plans) == kept
+    assert bjorling._plan(z).nbytes > bjorling._PLAN_BYTES
+    for key, plan in no_plans.items():
+        assert 0 < plan.nbytes + len(key) <= bjorling._PLAN_BYTES
+        arrays = [f for part in (plan, plan.legs) for f in part
+                  if isinstance(f, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_the_plan_cache_counts_its_keys(no_plans, monkeypatch):
+    # a plan that fits in _PLAN_BYTES only without its key is not kept
+    data = _exp_data()
+    z = np.linspace(-1, 1, 64) + 0.3j
+    size = bjorling._plan(z).nbytes
+    monkeypatch.setattr(bjorling, "_PLAN_BYTES", size + z.nbytes - 1)
+    segment_integral(data.integrand, z)
+    assert not no_plans
+    monkeypatch.setattr(bjorling, "_PLAN_BYTES", size + z.nbytes)
+    segment_integral(data.integrand, z)
+    assert list(no_plans) == [z.tobytes()]
+
+
+def test_an_integrand_cannot_change_a_later_solve_through_its_nodes(
+        no_plans):
+    # the nodes come read-only; an integrand that makes them writeable and
+    # overwrites them spoils no value of its own solve or of later ones
+    data = catalog.bjorling_data_for(NEAR_SURFACES[3])
+    _, z = _near_axis_cases()[3]
+    cold = segment_integral(data.integrand, z)
+    refused = []
+
+    def vandal(w, out):
+        data.integrand(w, out=out)
+        try:
+            w[...] = 0.0
+        except ValueError:
+            refused.append(w.size)
+        w.flags.writeable = True
+        w[...] = np.nan
+
+    assert segment_integral(vandal, z).tobytes() == cold.tobytes()
+    assert refused == [2 * NODES + 24 * NODES]
+    for _ in range(2):
+        assert segment_integral(data.integrand, z).tobytes() == cold.tobytes()
+
+
+def test_threads_share_the_plan_cache(no_plans):
+    # more threads than cores solve six point sets in a seeded order, with
+    # a short switch interval: every solve keeps the bits of its solve from
+    # an empty cache, and the cache keeps its bound
+    data = catalog.bjorling_data_for(NEAR_SURFACES[1])
+    sets = [np.linspace(-1, 1, 9)[:, None]
+            + 1j * np.linspace(-0.9 + 0.1 * k, 0.9, 7) for k in range(6)]
+    cold = []
+    for z in sets:
+        no_plans.clear()
+        cold.append(segment_integral(data.integrand, z).tobytes())
+    no_plans.clear()
+    failures = []
+
+    def work(seed):
+        try:
+            for i in np.random.default_rng(seed).integers(0, len(sets), 30):
+                if segment_integral(data.integrand,
+                                    sets[i]).tobytes() != cold[i]:
+                    failures.append(i)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert 0 < len(no_plans) <= bjorling._PLAN_CACHE
+
+
+@pytest.mark.parametrize("bad, message", [
+    (complex(np.nan, 0.5), "non-finite point z=(nan+0.5j)"),
+    (24.5 + 1000j, "crosses 1025 lattice panels, more than 1024")])
+def test_refused_points_raise_on_every_call(no_plans, bad, message):
+    counts = []
+    data = _exp_data(_counting_normal(counts))
+    z = np.array([0.5 + 0.5j, bad])
+    for _ in range(3):
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            segment_integral(data.integrand, z)
+    assert counts == [] and not no_plans
 
 
 @pytest.mark.parametrize("quadrature", [

@@ -6,6 +6,7 @@ frozen here, and two denominator exponents follow the internally consistent
 variant rather than the standalone display.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from maxsurf import catalog
 from maxsurf import weierstrass as W
+from maxsurf.bjorling import QuadratureError
 from maxsurf.lorentz import lorentz_cross
 
 RING = 0.8 * np.exp(2j * np.pi * np.arange(40) / 40) + 0.07j
@@ -467,6 +469,43 @@ def test_loop_integrals_match_series_coefficients(surface, re_parts, im_parts):
         value = W.period(triple, k, LOOP)
         assert abs(value.real - re_parts[k - 1]) < 1e-10
         assert abs(value.imag - im_parts[k - 1]) < 1e-10
+
+
+def _counted(triple, sizes):
+    return dataclasses.replace(
+        triple, func=lambda z: (sizes.append(np.size(z)), triple.func(z))[1])
+
+
+def test_period_takes_every_component_from_one_evaluation_per_node_count():
+    # several components come from one triple evaluation per node count,
+    # up to the count the slowest needs, each with the bits of its own call;
+    # a component that does not settle gives the error its own call raises
+    near_pole = W.FormTriple(lambda z: (z, 1.0 / z, 1.0 / (z - 0.999)),
+                             chart=W.PUNCTURED_CHART, singularities=(0j,))
+    for triple in [W.forms_for(s, W.PUNCTURED_CHART)
+                   for s, _, _ in _PERIOD_TABLE] + [near_pole]:
+        alone, longest = [], []
+        for k in (1, 2, 3):
+            sizes = []
+            try:
+                alone.append(W.period(_counted(triple, sizes), k, LOOP))
+            except QuadratureError as exc:
+                alone.append(exc)
+            longest = max(longest, sizes, key=len)
+        sizes = []
+        together = W.period(_counted(triple, sizes), (3, 1, 2), LOOP)
+        assert sizes == longest
+        for got, own in zip(together, alone[2:] + alone[:2]):
+            if isinstance(own, QuadratureError):
+                assert type(got) is QuadratureError
+                assert str(got) == str(own) and got.z == own.z
+            else:
+                assert np.array(got).tobytes() == np.array(own).tobytes()
+    assert sizes == [256 << n for n in range(7)]
+    assert str(together[0]) == "contour integral did not settle after " \
+                               "16384 nodes"
+    with pytest.raises(ValueError, match="got 4"):
+        W.period(near_pole, (1, 4), LOOP)
 
 
 def test_period_requires_punctured_chart_and_valid_component():
