@@ -19,6 +19,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 
@@ -338,7 +339,9 @@ def _pick(mask, if_true, if_false):
 
 def _float_tokens(x):
     """'%.17g' % v for each v of x, in C order, as tokens: one row of
-    _WIDTH bytes per value, its text with NUL bytes between and after."""
+    _WIDTH bytes per value, its text with NUL bytes between and after.
+    The rows are a transposed view, which _lines copies once, into the
+    text."""
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
     a = np.abs(x)
@@ -393,11 +396,12 @@ def _float_tokens(x):
         text = np.array(["%.17g" % v for v in x[slow].tolist()],
                         dtype=f"S{_WIDTH}")
         chars[:, slow] = text.view(np.uint8).reshape(-1, _WIDTH).T
-    return np.ascontiguousarray(chars.T)
+    return chars.T
 
 
 def _int_tokens(k):
-    """'%d' of each non-negative integer of k (not empty), as tokens."""
+    """'%d' of each non-negative integer of k (not empty), as tokens (a
+    transposed view, as from _float_tokens)."""
     k = np.asarray(k).ravel()
     width = len(str(int(k.max())))
     rest = k.astype(np.uint32 if k.max() < 2 ** 32 else np.uint64)
@@ -408,32 +412,54 @@ def _int_tokens(k):
         if j < width - 1:  # a leading zero is no digit
             chars[j] *= k >= 10 ** (width - 1 - j)
         rest = q
-    return np.ascontiguousarray(chars.T)
+    return chars.T
 
 
 def _lines(*parts) -> bytes:
     """The text of lines laid out from parts: each part is bytes that every
-    line holds there, or the tokens of a field, one per line, whose NUL
-    bytes are dropped."""
-    m = next(len(p) for p in parts if not isinstance(p, bytes))
-    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
-    chars = np.empty((m, sum(widths)), np.uint8)
+    line holds there, or the tokens of a field, one per line, whose leading
+    axes broadcast against the shape of the lines and whose NUL bytes are
+    dropped."""
+    shape = np.broadcast_shapes(*(p.shape[:-1] for p in parts
+                                  if not isinstance(p, bytes)))
+    widths = [len(p) if isinstance(p, bytes) else p.shape[-1] for p in parts]
+    chars = np.empty(shape + (sum(widths),), np.uint8)
     at = 0
     for part, w in zip(parts, widths):
-        chars[:, at:at + w] = (np.frombuffer(part, np.uint8)
-                               if isinstance(part, bytes) else part)
+        chars[..., at:at + w] = (np.frombuffer(part, np.uint8)
+                                 if isinstance(part, bytes) else part)
         at += w
-    return chars[chars != 0].tobytes()
+    return chars.tobytes().translate(None, b"\0")
+
+
+@contextlib.contextmanager
+def _rewrite(path):
+    """A binary file that replaces the content of path: written from its
+    start over the old bytes, then cut at the last byte written when it
+    closes, on success or on an exception.  The result is the inode, mode
+    and bytes that open(path, "wb") leaves, without freeing the old blocks
+    at open, which on ext4 can wait for the writeback of the last run's
+    file.  A pipe or a device is written and never cut."""
+    fh = open(os.open(path, os.O_WRONLY | os.O_CREAT
+                      | getattr(os, "O_BINARY", 0), 0o666), "wb")
+    with fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _write_mesh(paths, label, grid: Grid, points, mask):
     """Write the OBJ and/or CSV mesh of the (nu, nv, 3) points with their
     spacelike mask, in blocks of rows of at most _TEXT_NODES nodes (one row
-    when a row holds more), so that the text never holds the whole mesh."""
+    when a row holds more), so that the text never holds the whole mesh.
+    Each file is rewritten in place and cut to its new length (see
+    _rewrite), with no fsync."""
     nu, nv = grid.nu, grid.nv
     v_tokens = _float_tokens(grid.axes()[1])
     with contextlib.ExitStack() as stack:
-        files = {fmt: stack.enter_context(open(path, "wb"))
+        files = {fmt: stack.enter_context(_rewrite(path))
                  for fmt, path in paths.items()}
         obj, csv = files.get("obj"), files.get("csv")
         if obj:
@@ -443,15 +469,15 @@ def _write_mesh(paths, label, grid: Grid, points, mask):
             csv.write(b"u,v,x,y,z,spacelike\n")
         for rows, (us, _) in grid.row_blocks(_TEXT_NODES, sparse=True):
             block = points[rows]
-            x, y, z = np.split(_float_tokens(np.moveaxis(block, -1, 0)), 3)
+            x, y, z = _float_tokens(np.moveaxis(block, -1, 0)).reshape(
+                3, len(block), nv, _WIDTH)
             if obj:
                 obj.write(_lines(b"v ", x, b" ", y, b" ", z, b"\n"))
             if csv:
-                u = np.repeat(_float_tokens(us), nv, axis=0)
-                v = np.tile(v_tokens, (len(block), 1))
-                flag = mask[rows].reshape(-1, 1) + np.uint8(_ZERO)
-                csv.write(_lines(u, b",", v, b",", x, b",", y, b",", z, b",",
-                                 flag, b"\n"))
+                u = _float_tokens(us)[:, None]
+                flag = mask[rows, :, None] + np.uint8(_ZERO)
+                csv.write(_lines(u, b",", v_tokens, b",", x, b",", y, b",", z,
+                                 b",", flag, b"\n"))
         if obj:
             bad = np.flatnonzero(~mask) + 1
             if bad.size:
@@ -460,13 +486,15 @@ def _write_mesh(paths, label, grid: Grid, points, mask):
             for i in range(0, bad.size, _TEXT_NODES):
                 obj.write(_lines(b"# nonspacelike ",
                                  _int_tokens(bad[i:i + _TEXT_NODES]), b"\n"))
+            # the faces of rows i..j - 1 join vertex rows i..j; t holds the
+            # 1-based index of each of those vertices
             rows = max(1, _TEXT_NODES // nv)
             for i in range(0, nu - 1, rows):
-                k = (np.arange(i, min(i + rows, nu - 1))[:, None] * nv
-                     + np.arange(1, nv)).ravel()
-                a, b, c, d = np.split(_int_tokens(
-                    np.concatenate((k, k + nv, k + nv + 1, k + 1))), 4)
-                obj.write(_lines(b"f ", a, b" ", b, b" ", c, b" ", d, b"\n"))
+                j = min(i + rows, nu - 1)
+                t = _int_tokens(np.arange(i * nv + 1, (j + 1) * nv + 1))
+                t = t.reshape(j + 1 - i, nv, -1)
+                obj.write(_lines(b"f ", t[:-1, :-1], b" ", t[1:, :-1], b" ",
+                                 t[1:, 1:], b" ", t[:-1, 1:], b"\n"))
 
 
 def _output_paths(out: str, formats):
@@ -734,8 +762,8 @@ def cmd_verify(cfg: JobConfig) -> int:
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.report:
-        with open(cfg.report, "w", newline="\n") as fh:
-            fh.write(text)
+        with _rewrite(cfg.report) as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
     for c in checks:

@@ -1,6 +1,7 @@
 """Command line behavior: config handling, outputs, exit codes."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -291,6 +292,91 @@ def test_verify_report_is_deterministic(tmp_path):
                      "--report", str(tmp_path / name)]) == 0
     assert (tmp_path / "r1.json").read_bytes() \
         == (tmp_path / "r2.json").read_bytes()
+
+
+def _sample(out, nu, nv, *extra):
+    return main(["sample", "--family", "bending-timelike", "--out", str(out),
+                 "--set", f"grid.nu={nu}", "--set", f"grid.nv={nv}", *extra])
+
+
+def test_rerun_over_a_longer_output_leaves_no_stale_bytes(tmp_path, capsys):
+    both = ("--set", 'formats=["obj","csv"]')
+    assert _sample(tmp_path / "m", 160, 160, *both) == 0
+    long = (tmp_path / "m.obj").stat().st_size
+    assert _sample(tmp_path / "m", 4, 4, *both) == 0
+    assert _sample(tmp_path / "fresh", 4, 4, *both) == 0
+    for fmt in ("obj", "csv"):
+        assert (tmp_path / f"m.{fmt}").read_bytes() \
+            == (tmp_path / f"fresh.{fmt}").read_bytes()
+    assert (tmp_path / "m.obj").stat().st_size < long
+    sizes = []
+    for name, suite in (("r.json", "all"), ("r.json", "h"),
+                        ("fresh.json", "h")):
+        assert main(["verify", "--family", "bending-timelike", "--suite",
+                     suite, "--report", str(tmp_path / name)]) == 0
+        sizes.append((tmp_path / name).stat().st_size)
+    assert sizes[1] < sizes[0]
+    assert (tmp_path / "r.json").read_bytes() \
+        == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_rewrite_keeps_the_inode_mode_and_links_of_an_output(tmp_path,
+                                                             capsys):
+    target = tmp_path / "m.obj"
+    target.write_bytes(b"x" * 100_000)
+    target.chmod(0o640)
+    before = target.stat()
+    (tmp_path / "link.obj").symlink_to(target)
+    os.link(target, tmp_path / "hard.obj")
+    assert _sample(tmp_path / "link", 4, 4) == 0
+    assert _sample(tmp_path / "fresh", 4, 4) == 0
+    after = target.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert (tmp_path / "link.obj").is_symlink()
+    text = (tmp_path / "fresh.obj").read_bytes()
+    assert target.read_bytes() == (tmp_path / "hard.obj").read_bytes() == text
+
+
+def test_failed_rewrite_leaves_only_the_bytes_written(tmp_path, capsys,
+                                                      monkeypatch):
+    args = ["sample", "--family", "lightlike-rotational", "--a", "0",
+            "--out", str(tmp_path / "m"), "--set", 'formats=["obj","csv"]',
+            "--set", 'grid={"u_min":-1,"u_max":1,"v_min":0,"v_max":1,'
+                     '"nu":400,"nv":50}']
+    assert main(args) == 0
+    full = {fmt: (tmp_path / f"m.{fmt}").read_bytes() for fmt in ("obj", "csv")}
+    tokens = cli._float_tokens
+    blocks = []
+
+    def failing(x):
+        if np.size(x) > 1000:  # the coordinates of a block of rows
+            blocks.append(x)
+            if len(blocks) == 2:
+                raise OSError(28, "No space left on device")
+        return tokens(x)
+
+    monkeypatch.setattr(cli, "_float_tokens", failing)
+    assert main(args) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    nodes = cli._TEXT_NODES // 50 * 50  # the first block of rows
+    for fmt, head in (("obj", 3), ("csv", 1)):
+        lines = full[fmt].splitlines(keepends=True)
+        written = b"".join(lines[:head + nodes])
+        assert len(written) < len(full[fmt])
+        assert (tmp_path / f"m.{fmt}").read_bytes() == written
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+def test_report_to_a_pipe_is_written_whole(tmp_path, capsys):
+    argv = ["verify", "--family", "bending-timelike", "--suite", "h"]
+    piped = subprocess.run([sys.executable, "-m", "maxsurf.cli", *argv,
+                            "--report", "/dev/stdout"], capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    assert main(argv + ["--report", str(tmp_path / "r.json")]) == 0
+    report = (tmp_path / "r.json").read_bytes()
+    assert piped.stdout.startswith(report)
+    assert piped.stdout[len(report):].decode().rstrip().endswith("\nok")
 
 
 def test_verify_suite_filtering(tmp_path, capsys):
