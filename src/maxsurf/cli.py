@@ -435,19 +435,29 @@ def _lines(*parts) -> bytes:
 @contextlib.contextmanager
 def _rewrite(path):
     """A binary file that replaces the content of path: written from its
-    start over the old bytes, then cut at the last byte written when it
-    closes, on success or on an exception.  The result is the inode, mode
+    start over the old bytes, then cut at the last byte that reached the
+    file when it closes, on success or on an exception (also when the
+    exception is a failed write or flush).  The result is the inode, mode
     and bytes that open(path, "wb") leaves, without freeing the old blocks
     at open, which on ext4 can wait for the writeback of the last run's
-    file.  A pipe or a device is written and never cut."""
-    fh = open(os.open(path, os.O_WRONLY | os.O_CREAT
-                      | getattr(os, "O_BINARY", 0), 0o666), "wb")
-    with fh:
-        try:
+    file.  A run that is killed before it closes the file (SIGKILL, an
+    unhandled SIGTERM) leaves the new bytes followed by the old file's
+    tail, where "wb" would leave the new bytes alone.  A pipe or a device
+    is written and never cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT
+                 | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb", closefd=False) as fh:
             yield fh
+    finally:
+        try:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if st.st_size > end:  # a fresh or same-size file is whole
+                    os.ftruncate(fd, end)
         finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+            os.close(fd)
 
 
 def _write_mesh(paths, label, grid: Grid, points, mask):

@@ -1,5 +1,7 @@
 """Command line behavior: config handling, outputs, exit codes."""
 
+import errno
+import io
 import json
 import os
 import re
@@ -364,6 +366,45 @@ def test_failed_rewrite_leaves_only_the_bytes_written(tmp_path, capsys,
         written = b"".join(lines[:head + nodes])
         assert len(written) < len(full[fmt])
         assert (tmp_path / f"m.{fmt}").read_bytes() == written
+
+
+@pytest.mark.parametrize("command, limit", [("sample", 100_000),
+                                             ("verify", 1_000)])
+def test_a_failed_write_cuts_the_file_at_the_bytes_that_reached_it(
+        tmp_path, capsys, monkeypatch, command, limit):
+    if command == "sample":
+        def run(name):
+            return _sample(tmp_path / name, 160, 160)
+        suffix = ".obj"
+    else:  # the report, a few KB, reaches the file at close, in one flush
+        def run(name):
+            return main(["verify", "--family", "bending-timelike", "--suite",
+                         "h", "--report", str(tmp_path / (name + ".json"))])
+        suffix = ".json"
+    assert run("fresh") == 0
+    full = (tmp_path / ("fresh" + suffix)).read_bytes()
+    target = tmp_path / ("m" + suffix)
+    target.write_bytes(b"#" * (len(full) + 100_000))  # a longer old file
+
+    class FullDisk(io.FileIO):
+        """Raw writes that fill the file up to limit bytes, then fail."""
+
+        def write(self, b):
+            room = limit - self.tell()
+            if room <= 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(memoryview(b)[:room])
+
+    def failing_open(file, *args, **kwargs):
+        if isinstance(file, int):
+            return io.BufferedWriter(
+                FullDisk(file, "w", closefd=kwargs.get("closefd", True)))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert run("m") == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert target.read_bytes() == full[:limit]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
