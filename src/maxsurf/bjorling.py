@@ -108,8 +108,8 @@ class SurfacePatch:
 
     `func` maps real arrays (u, v) of one shape to an array of that shape
     with a trailing axis of 3 coordinates; `domain` = (u_min, u_max, v_min,
-    v_max) records the strip the patch is meant for (evaluation outside is
-    allowed, accuracy is the caller's concern); `label` identifies the
+    v_max) is descriptive only: no computation reads it, and the patch need
+    not be regular or accurate there; `label` identifies the
     construction.  `broadcasts` declares that `func` also broadcasts u of
     shape (nu, 1) against v of shape (1, nv) to a (nu, nv, 3) result, so
     grid scans may hand it a sparse mesh.  `func` also takes shifted_values'

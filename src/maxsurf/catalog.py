@@ -437,8 +437,8 @@ FAMILY_INFO = {
         orbit_of=Param("a", *frames.TWIST_RANGES["constant"], 0.0)),
 }
 
-# Strips on which each surface stays regular for the default parameters;
-# advisory metadata for patches and CLI grids.
+# Each family's default grid domain, recorded on its patch; not a regular
+# strip: |g| = 1 crosses it for bending-timelike and helicoidal-timelike.
 DEFAULT_DOMAINS = {f: info.domain for f, info in FAMILY_INFO.items()}
 
 

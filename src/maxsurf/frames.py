@@ -15,19 +15,18 @@ spacelike and lightlike cases are a hyperbola and a parabola in Euclidean
 eyes.  Every evaluator extends analytically: it accepts real or complex
 arguments of any shape and returns a (..., 3) array.
 
-Along each curve two normal legs (n, b) are stored, Lorentz orthonormal
-with one of them timelike (for the lightlike circle, null legs with
+Along each curve two frame legs are stored, Lorentz orthonormal normals
+with the spacelike leg L1 first and the timelike leg L2 second (for the
+lightlike circle, L1 = n - b and L2 = n + b of its null legs n, b with
 <n, n> = <b, b> = 0 and <n, b> = -1/2).  A normal field V(t) = analytic
 unit timelike field orthogonal to the curve is built by boosting within
-the normal plane: the hyperbolic angle phi(t) is either constant or
-linear in t, and sinh(phi) attaches to the spacelike normal direction,
-cosh(phi) to the timelike one, so that <V, V> = -1.
+the normal plane: V = sinh(phi) L1 + cosh(phi) L2, so that <V, V> = -1,
+the hyperbolic angle phi(t) being either constant or linear in t.
 
-With V = p n + q b on the legs and mu the curve's speed (1 for circles),
-the Björling integrand is V x alpha' = eps mu (q n + p b), eps = +-1 being
-the orientation of the legs against the tangent: V's own terms with the
-twist pair swapped and scaled.  It needs no cross product, so no
-e^{2|v|}-sized terms cancel far from the real axis.
+With mu the curve's speed (1 for circles), the Björling integrand is
+V x alpha' = eps mu (cosh(phi) L1 + sinh(phi) L2), eps = +-1 being the
+orientation of the legs against the tangent.  It needs no cross product,
+so no e^{2|v|}-sized terms cancel far from the real axis.
 """
 
 from __future__ import annotations
@@ -162,17 +161,16 @@ class BjorlingData:
         """The Björling integrand V(w) x alpha'(w), as a (..., 3) array,
         written into `out` when given.
 
-        If the normal field and the curve derivative are one built-in
-        family's, as make_bjorling_data builds them, it comes from the frame
-        identity V x alpha' = eps mu (q n + p b): one kernel call, one twist
-        call and V's three terms.  The pair is recognized by the maps' own
-        evaluators, so a swapped map is always the one evaluated.  Other
-        data takes lorentz_cross(normal_field(w), alpha.d(w)).
+        If the normal field and the curve derivative are the evaluators that
+        make_normal_field and make_curve build for one family, it comes from
+        the frame identity V x alpha' = eps mu (cosh(phi) L1 + sinh(phi) L2),
+        with no cross product: one kernel call, one twist call and the legs,
+        one component at a time.  Other data, a swapped map included, takes
+        lorentz_cross(normal_field(w), alpha.d(w)).
         """
         field, deriv = self.normal_field.func, self.alpha.deriv
-        if (isinstance(field, _NormalField) and isinstance(deriv, _Components)
-                and (deriv.form, deriv.terms) == (field.form,
-                                                  field.form.deriv)):
+        if (isinstance(field, _NormalField) and isinstance(deriv, _Curve)
+                and deriv.derivative and deriv.family == field.family):
             return field.cross_derivative(w, out)
         value = lorentz_cross(self.normal_field(w), self.alpha.d(w))
         if out is None:
@@ -240,173 +238,138 @@ def _vec(z, comps):
     return out
 
 
-# A term is one component of a formula: a float constant, a symbol, or
-# (ufunc, *terms), the ufunc applied to the values of the terms.  The
-# symbols are the argument z, the family's kernel pair (f, g) of z, and the
-# normal field's twist pair (p, q).
-_Z, _F, _G, _P, _Q = "z", "f", "g", "p", "q"
-
-
-def _neg(term):
-    return (np.negative, term)
-
-
-def _times(c, term):
-    return (np.multiply, c, term)
-
-
-def _value(term, env):
-    """The value of a term, with the symbols bound by `env`."""
-    if isinstance(term, str):
-        return env[term]
-    if not isinstance(term, tuple):
-        return term
-    ufunc, *args = term
-    return ufunc(*(_value(arg, env) for arg in args))
-
-
 @dataclass(frozen=True)
 class _Formulas:
-    """The formulas of one family, as data.  `kernel` maps z to the pair
-    (f, g) the terms are written in; `alpha` and `deriv` are the terms of
-    the curve and of its derivative, `normal` and `binormal` those of the
-    stored frame legs, and `eps` their orientation: with T = alpha' / mu,
-    n x T = eps b and b x T = eps n (on (e2, e3) for the lightlike
-    circle)."""
+    """The formulas of one family.  `kernel` maps z to the pair (f, g) the
+    others take; `alpha` and `deriv` map (z, f, g) to the components of the
+    curve and of its derivative; `legs` holds, per component, the functions
+    of (f, g) giving it on the spacelike leg L1 and on the timelike leg L2;
+    with T = alpha' / mu, L1 x T = eps L2 and L2 x T = eps L1."""
 
     kernel: Callable
-    alpha: tuple
-    deriv: tuple
-    normal: tuple
-    binormal: tuple
+    alpha: Callable
+    deriv: Callable
+    legs: tuple
     eps: float
 
 
-# eps from n x T at t = 0, c = cos or cosh, s = sin or sinh: circle-timelike
-# (0, 0, c^2 + s^2) = b; circle-spacelike (s^2 - c^2, 0, 0) = -b;
-# helix-timelike (-lam s, lam c, 1) / mu = -b; helix-spacelike-i (c^2 - s^2,
-# lam s, lam c) / mu = -b; helix-spacelike-ii (s^2 - c^2, lam c, lam s) / mu
-# = -b; the lightlike circle e2 x T = (-t^2/2, -t, -1 - t^2/2) = -e3.  b x T
-# = eps n likewise.
+# eps from L1 x T at t = 0: circle-timelike (0, 0, 1) = L2; circle-spacelike
+# and the lightlike circle (0, 0, -1) = -L2; helix-timelike (0, lam, 1) / mu
+# = -L2; helix-spacelike-i (1, 0, lam) / mu = -L2; helix-spacelike-ii
+# (0, 0, -(1 + lam^2) / mu^2) = -L2.  L2 x T = eps L1 likewise.
 
 
 def _formulas(family: CurveFamily) -> _Formulas:
     tag = family.tag
     if tag == CIRCLE_TIMELIKE:
-        return _Formulas(_sin_cos, (_G, _F, 0.0), (_neg(_F), _G, 0.0),
-                         (_neg(_G), _neg(_F), 0.0), (0.0, 0.0, 1.0), 1.0)
+        return _Formulas(_sin_cos, lambda z, f, g: (g, f, 0.0),
+                         lambda z, f, g: (-f, g, 0.0),
+                         ((lambda f, g: -g, lambda f, g: 0.0),
+                          (lambda f, g: -f, lambda f, g: 0.0),
+                          (lambda f, g: 0.0, lambda f, g: 1.0)), 1.0)
     if tag == CIRCLE_SPACELIKE:
-        return _Formulas(_sinh_cosh, (0.0, _F, _G), (0.0, _G, _F),
-                         (0.0, _F, _G), (1.0, 0.0, 0.0), -1.0)
+        return _Formulas(_sinh_cosh, lambda z, f, g: (0.0, f, g),
+                         lambda z, f, g: (0.0, g, f),
+                         ((lambda f, g: 1.0, lambda f, g: 0.0),
+                          (lambda f, g: 0.0, lambda f, g: f),
+                          (lambda f, g: 0.0, lambda f, g: g)), -1.0)
     if tag == CIRCLE_LIGHTLIKE:
-        half = (np.divide, _G, 2)
-        return _Formulas(_z_square, ((np.subtract, half, 1.0), _F, half),
-                         (_F, 1.0, _F), (0.5, 0.0, 0.5),
-                         ((np.divide, (np.subtract, _G, 1.0), 2), _F,
-                          (np.divide, (np.add, _G, 1.0), 2)), -1.0)
+        # n - b and n + b of the null legs n = (1, 0, 1) / 2, b = ((g - 1) / 2,
+        # f, (g + 1) / 2), unsimplified: 0.0 - f is +0 where -f is -0
+        return _Formulas(_z_square, lambda z, f, g: (g / 2 - 1.0, f, g / 2),
+                         lambda z, f, g: (f, 1.0, f),
+                         ((lambda f, g: 0.5 - (g - 1.0) / 2,
+                           lambda f, g: 0.5 + (g - 1.0) / 2),
+                          (lambda f, g: 0.0 - f, lambda f, g: 0.0 + f),
+                          (lambda f, g: 0.5 - (g + 1.0) / 2,
+                           lambda f, g: 0.5 + (g + 1.0) / 2)), -1.0)
     lam, mu = family.lam, family.mu
     k = lam / mu
     if tag == HELIX_TIMELIKE:
-        return _Formulas(_sin_cos, (_G, _F, _times(lam, _Z)),
-                         (_neg(_F), _G, lam), (_neg(_G), _neg(_F), 0.0),
-                         (_times(k, _F), _times(-k, _G), -1.0 / mu), -1.0)
+        return _Formulas(_sin_cos, lambda z, f, g: (g, f, lam * z),
+                         lambda z, f, g: (-f, g, lam),
+                         ((lambda f, g: -g, lambda f, g: k * f),
+                          (lambda f, g: -f, lambda f, g: -k * g),
+                          (lambda f, g: 0.0, lambda f, g: -1.0 / mu)), -1.0)
     if tag == HELIX_SPACELIKE_I:
-        return _Formulas(_sinh_cosh, (_times(lam, _Z), _G, _F),
-                         (lam, _F, _G), (0.0, _G, _F),
-                         (-1.0 / mu, _times(-k, _F), _times(-k, _G)), -1.0)
+        return _Formulas(_sinh_cosh, lambda z, f, g: (lam * z, g, f),
+                         lambda z, f, g: (lam, f, g),
+                         ((lambda f, g: 0.0, lambda f, g: -1.0 / mu),
+                          (lambda f, g: g, lambda f, g: -k * f),
+                          (lambda f, g: f, lambda f, g: -k * g)), -1.0)
     # helix-spacelike-ii
-    return _Formulas(_sinh_cosh, (_times(lam, _Z), _F, _G), (lam, _G, _F),
-                     (0.0, _F, _G),
-                     (1.0 / mu, _times(-k, _G), _times(-k, _F)), -1.0)
+    return _Formulas(_sinh_cosh, lambda z, f, g: (lam * z, f, g),
+                     lambda z, f, g: (lam, g, f),
+                     ((lambda f, g: 1.0 / mu, lambda f, g: 0.0),
+                      (lambda f, g: -k * g, lambda f, g: f),
+                      (lambda f, g: -k * f, lambda f, g: g)), -1.0)
 
 
-def _null_to_orthonormal(n, b):
-    """Lightlike circle: the terms of its null legs n, b as those of
-    e2 = n - b (spacelike, unit) and e3 = n + b (timelike, unit)."""
-    return (tuple((np.subtract, nk, bk) for nk, bk in zip(n, b)),
-            tuple((np.add, nk, bk) for nk, bk in zip(n, b)))
+class _Curve:
+    """Evaluator z -> (..., 3) array of a family's curve, or of its
+    derivative when `derivative` is set."""
 
-
-class _Components:
-    """Evaluator z -> (..., 3) array of three terms of one family."""
-
-    def __init__(self, form: _Formulas, terms: tuple):
-        self.form, self.terms = form, terms
+    def __init__(self, family: CurveFamily, derivative: bool):
+        form = _formulas(family)
+        self.family, self.derivative = family, derivative
+        self.kernel = form.kernel
+        self.comps = form.deriv if derivative else form.alpha
 
     def __call__(self, z):
         z = np.asarray(z)
-        f, g = self.form.kernel(z)
-        return _vec(z, [_value(t, {_Z: z, _F: f, _G: g}) for t in self.terms])
+        return _vec(z, self.comps(z, *self.kernel(z)))
 
 
 def make_curve(family: CurveFamily) -> AnalyticMap:
     """Analytic extension of the core curve, with its exact derivative."""
-    form = _formulas(family)
-    return AnalyticMap(_Components(form, form.alpha),
-                       _Components(form, form.deriv))
-
-
-# Which frame leg is spacelike vs timelike decides where sinh(phi) and
-# cosh(phi) attach; <V, V> = -1 requires cosh on the timelike leg.  These
-# families carry cosh on the normal; the others, and the lightlike circle
-# on (e2, e3), carry sinh there.
-_COSH_ON_NORMAL = {CIRCLE_SPACELIKE, HELIX_SPACELIKE_II}
+    return AnalyticMap(_Curve(family, False), _Curve(family, True))
 
 
 class _NormalField:
-    """Evaluator of V = p n + q b on the frame legs (n, b), or (e2, e3)
-    for the lightlike circle, where (p, q) is (sinh phi, cosh phi), swapped
-    on the families that carry cosh on the normal; `terms` are V's, and
-    `scale` is eps mu."""
+    """Evaluator of V = sinh(phi) L1 + cosh(phi) L2 on a family's frame
+    legs; `scale` is eps mu."""
 
-    def __init__(self, form: _Formulas, spec: NormalFieldSpec,
-                 sinh_on_normal: bool, terms: tuple, scale: float):
-        self.form, self.spec = form, spec
-        self.sinh_on_normal, self.terms = sinh_on_normal, terms
-        self.scale = scale
+    def __init__(self, family: CurveFamily, spec: NormalFieldSpec):
+        self.family, self.spec = family, spec
+        self.form = _formulas(family)
+        self.scale = self.form.eps * (family.mu or 1.0)
 
     def twist(self, z):
-        """(p, q) at z: scalars for a constant twist, else arrays."""
-        sh, ch = _sinh_cosh(self.spec.a if self.spec.kind == "constant"
-                            else self.spec.phi(z))
-        return (sh, ch) if self.sinh_on_normal else (ch, sh)
+        """(sinh phi, cosh phi) at z: scalars for a constant twist."""
+        return _sinh_cosh(self.spec.a if self.spec.kind == "constant"
+                          else self.spec.phi(z))
 
     def __call__(self, z):
         return self._combine(z, *self.twist(z))
 
     def cross_derivative(self, w, out=None):
-        """V(w) x alpha'(w) = eps mu (q n + p b): V's terms at the twist
-        pair swapped and scaled, written into `out` when given."""
-        p, q = self.twist(w)
-        return self._combine(w, self.scale * q, self.scale * p, out)
+        """V(w) x alpha'(w) = eps mu (cosh(phi) L1 + sinh(phi) L2), written
+        into `out` when given."""
+        sh, ch = self.twist(w)
+        return self._combine(w, self.scale * ch, self.scale * sh, out)
 
     def _combine(self, z, p, q, out=None):
+        """p L1 + q L2 at z, one component at a time.  On the numpy scalars
+        of a 0-d z, `*` would take numpy's scalar complex product, which
+        can round otherwise than the ufunc's array loop."""
         z = np.asarray(z)
         f, g = self.form.kernel(z)
-        env = {_Z: z, _F: f, _G: g, _P: p, _Q: q}
+        comps = (np.add(np.multiply(p, l1(f, g)), np.multiply(q, l2(f, g)))
+                 for l1, l2 in self.form.legs)
         if out is None:
-            return _vec(z, [_value(t, env) for t in self.terms])
-        for k, t in enumerate(self.terms):
-            out[..., k] = _value(t, env)
+            return _vec(z, list(comps))
+        for k in range(3):
+            out[..., k] = next(comps)
         return out
 
 
 def make_normal_field(family: CurveFamily, spec: NormalFieldSpec) -> AnalyticMap:
     """Unit timelike analytic field V with <V, alpha'> = 0 and <V, V> = -1."""
-    form = _formulas(family)
-    legs = (form.normal, form.binormal)
-    if family.tag == CIRCLE_LIGHTLIKE:
-        if spec.kind != "constant":
-            raise ValueError(
-                "the lightlike circle supports a constant twist only; "
-                "a parameter-dependent angle does not combine with its null "
-                "frame into an integrable normal field")
-        legs = _null_to_orthonormal(*legs)
-    terms = tuple((np.add, (np.multiply, _P, n), (np.multiply, _Q, b))
-                  for n, b in zip(*legs))
-    return AnalyticMap(_NormalField(form, spec,
-                                    family.tag not in _COSH_ON_NORMAL, terms,
-                                    form.eps * (family.mu or 1.0)))
+    if family.tag == CIRCLE_LIGHTLIKE and spec.kind != "constant":
+        raise ValueError("the lightlike circle supports a constant twist "
+                         "only; a parameter-dependent angle does not combine "
+                         "with its null frame into an integrable normal field")
+    return AnalyticMap(_NormalField(family, spec))
 
 
 def make_bjorling_data(family: CurveFamily,

@@ -1,9 +1,11 @@
 """Core curves, printed frames, and the twisting normal fields."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from maxsurf import frames
+from maxsurf import bjorling, frames
 from maxsurf.frames import CurveFamily, NormalFieldSpec
 from maxsurf.lorentz import lorentz_cross, lorentz_dot, vec3
 
@@ -191,19 +193,110 @@ def test_bjorling_data_bundles_curve_and_field():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.tag)
 def test_frame_legs_carry_their_recorded_orientation(family):
-    # n x alpha' = eps mu b and b x alpha' = eps mu n, with the eps of
+    # L1 x alpha' = eps mu L2 and L2 x alpha' = eps mu L1, with the eps of
     # _formulas: the identity the Björling integrand is built on.  The
-    # lightlike circle's legs are (e2, e3).
+    # lightlike circle's legs are n - b and n + b of its null legs.
     form = frames._formulas(family)
-    legs = (form.normal, form.binormal)
-    if family.tag == frames.CIRCLE_LIGHTLIKE:
-        legs = frames._null_to_orthonormal(*legs)
     rng = np.random.default_rng(7)
     t = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
-    n, b = (frames._Components(form, leg)(t) for leg in legs)
+    f, g = form.kernel(t)
+    n, b = (frames._vec(t, [pair[i](f, g) for pair in form.legs])
+            for i in (0, 1))
     d = frames.make_curve(family).d(t)
     scale = form.eps * (family.mu or 1.0)
     assert form.eps in (1.0, -1.0)
     for leg, other in ((n, b), (b, n)):
         assert np.max(np.abs(lorentz_cross(leg, d) - scale * other)) \
             <= 1e-13 * np.max(np.abs(other))
+
+
+# Every built-in (curve, twist) pair: each curve with a constant and a
+# linear twist, the lightlike circle with a constant one only.
+PAIRS = [(family, spec) for family in ALL_FAMILIES
+         for spec in (NormalFieldSpec("constant", 1.3),
+                      NormalFieldSpec("linear", 0.7))
+         if family is not LIGHTLIKE_CIRCLE or spec.kind == "constant"]
+PAIR_IDS = [f"{family.tag}-{spec.kind}" for family, spec in PAIRS]
+
+# Real points, points near the real axis and points at |Im z| = 5.
+PIN_POINTS = np.array([0.0, 0.7, -2.3, 0.4 + 1e-3j, -1.1 - 0.3j,
+                       2.9 + 0.05j, 0.6 + 5j, -1.7 - 5j])
+
+# The first 16 hex digits of the sha256 of the value bytes of alpha,
+# alpha.d, normal_field and BjorlingData.integrand, at PIN_POINTS and then
+# at their real parts as a real array, for each pair of PAIRS.
+PINNED_DIGESTS = {
+    ("circle-timelike", "constant"): (
+        "ba4819c26f9fe5dd", "0deae623ac024f7b",
+        "01e979ff7097432e", "bbb60438a7730cba"),
+    ("circle-timelike", "linear"): (
+        "ba4819c26f9fe5dd", "0deae623ac024f7b",
+        "ddb25fde61bd6d0b", "bbc4d9b241c07dca"),
+    ("circle-spacelike", "constant"): (
+        "8df136a7c1e0ca91", "5526e53fe8850c69",
+        "cf5839d2600753dc", "d0c16384501c923b"),
+    ("circle-spacelike", "linear"): (
+        "8df136a7c1e0ca91", "5526e53fe8850c69",
+        "bd8f228c016e0e2b", "79e5dc72a28b20cc"),
+    ("circle-lightlike", "constant"): (
+        "ebd944a37804f5e0", "960143e7c2161b2a",
+        "b0ece12fac00f1c7", "ae4de73e90ffb083"),
+    ("helix-timelike", "constant"): (
+        "e0b85b26c2e0c413", "aa0604d727492e40",
+        "021a4af3b9d35da3", "82f27ea1caf6f6c6"),
+    ("helix-timelike", "linear"): (
+        "e0b85b26c2e0c413", "aa0604d727492e40",
+        "da321e9645c7d64e", "7d1bef5c685cee9c"),
+    ("helix-spacelike-i", "constant"): (
+        "0f7a734932323d15", "1ffd245e1cce90d4",
+        "095b396482426986", "1114c69f9bcd907a"),
+    ("helix-spacelike-i", "linear"): (
+        "0f7a734932323d15", "1ffd245e1cce90d4",
+        "acd106e045a57b42", "f52e852e9c419afe"),
+    ("helix-spacelike-ii", "constant"): (
+        "4454c14bc8d4b943", "a032abc03fc3ed16",
+        "35e498fe3dda4653", "05f5286829f4a6f0"),
+    ("helix-spacelike-ii", "linear"): (
+        "4454c14bc8d4b943", "a032abc03fc3ed16",
+        "266ea3adba9d5178", "3df6a350f92e697a"),
+}
+
+
+@pytest.mark.parametrize("family,spec", PAIRS, ids=PAIR_IDS)
+def test_frame_maps_keep_their_pinned_bits(family, spec):
+    data = frames.make_bjorling_data(family, spec)
+    maps = (data.alpha, data.alpha.d, data.normal_field, data.integrand)
+    digests = []
+    for fn in maps:
+        sha = hashlib.sha256()
+        for z in (PIN_POINTS, PIN_POINTS.real.copy()):
+            sha.update(fn(z).tobytes())
+        digests.append(sha.hexdigest()[:16])
+    assert tuple(digests) == PINNED_DIGESTS[family.tag, spec.kind]
+    out = np.empty(PIN_POINTS.shape + (3,), complex)
+    assert data.integrand(PIN_POINTS, out=out) is out
+    assert out.tobytes() == data.integrand(PIN_POINTS).tobytes()
+
+
+@pytest.mark.parametrize("family,spec", PAIRS, ids=PAIR_IDS)
+def test_built_in_pairs_never_reach_the_cross_product(monkeypatch, family,
+                                                      spec):
+    # The frame identity serves each built-in pair, also when its curve and
+    # field come from separate make_curve and make_normal_field calls;
+    # data of any other field still takes lorentz_cross.
+    U, V = np.meshgrid(np.linspace(-1.0, 1.0, 4), np.linspace(-0.5, 0.5, 3),
+                       indexing="ij")
+    together = frames.make_bjorling_data(family, spec)
+    apart = frames.BjorlingData(frames.make_curve(family),
+                                frames.make_normal_field(family, spec))
+    other = frames.BjorlingData(
+        together.alpha, frames.AnalyticMap(lambda z: together.normal_field(z)))
+
+    def refuse(u, v):
+        raise AssertionError("lorentz_cross reached")
+
+    monkeypatch.setattr(frames, "lorentz_cross", refuse)
+    X = bjorling.solve_bjorling(together)(U, V)
+    assert bjorling.solve_bjorling(apart)(U, V).tobytes() == X.tobytes()
+    with pytest.raises(AssertionError, match="lorentz_cross reached"):
+        other.integrand(PIN_POINTS)
