@@ -157,9 +157,13 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
         levels.append([(up - um) / (2.0 * s), (vp - vm) / (2.0 * s)])
         if second:
             x, (pp, pm, mp, mm) = vals[-1], mixed
-            levels[-1] += [(up - 2.0 * x + um) / s**2,
-                           (pp - pm - mp + mm) / (4.0 * s**2),
-                           (vp - 2.0 * x + vm) / s**2]
+            try:
+                sq = s**2
+            except OverflowError:  # a huge finite step fails its checks
+                sq = np.inf
+            levels[-1] += [(up - 2.0 * x + um) / sq,
+                           (pp - pm - mp + mm) / (4.0 * sq),
+                           (vp - 2.0 * x + vm) / sq]
     return tuple((4.0 * b - a) / 3.0 for a, b in zip(*levels)) + tuple(
         vals[len(offsets):])
 
@@ -335,15 +339,16 @@ def _plan(flat):
     line = np.concatenate([np.signbit(cols), 2 + 2 * col + np.signbit(y)])
     length = np.concatenate([np.abs(cols), np.abs(y)]) / _PANEL
     origin = np.concatenate([[0.0, 0.0], np.repeat(cols, 2)])
-    crossed = np.ceil(length).astype(np.int64)
+    crossed = np.ceil(length)  # counted in floats: int64 wraps past 2**63
     path = crossed[col] + crossed[cols.size:]
     far = path > _MAX_PANELS
     if np.any(far):
         i = np.flatnonzero(far)[0]
         raise QuadratureError(
-            f"the path from 0 to z={flat[i]} crosses {path[i]} lattice "
+            f"the path from 0 to z={flat[i]} crosses {path[i]:.0f} lattice "
             f"panels, more than {_MAX_PANELS}", z=flat[i])
-    return _frozen(_PointPlan(col, cols.size, line, length, origin, path,
+    return _frozen(_PointPlan(col, cols.size, line, length, origin,
+                              path.astype(np.int64),
                               _leg_plan(line, length, origin, 1)))
 
 

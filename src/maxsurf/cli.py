@@ -318,9 +318,9 @@ _ZERO, _POINT = ord("0"), ord(".")
 for _table in (_POW10, _POW10_HIGH, _POW10_LOW, _LEADS, _SLOTS):
     _table.flags.writeable = False
 # Nodes per block of mesh text: half a pass.  On a 160x160 OBJ+CSV sample
-# (2-core Xeon), blocks of 8192 / 4096 / 2048 nodes wrote in 43 / 41 / 48
-# ms (medians), and the whole sample peaked 6.4 / 3.1 / 3.1 MB above the
-# interpreter.
+# (2-core Xeon), blocks of 8192 / 4096 / 2048 nodes wrote in 27.4 / 25.9 /
+# 27.5 ms (medians of 200 interleaved runs), and the writer's arrays
+# peaked at 5.7 / 3.0 / 1.5 MB (tracemalloc).
 _TEXT_NODES = _PASS_POINTS // 2
 
 
@@ -340,7 +340,7 @@ def _pick(mask, if_true, if_false):
 def _float_tokens(x):
     """'%.17g' % v for each v of x, in C order, as tokens: one row of
     _WIDTH bytes per value, its text with NUL bytes between and after.
-    The rows are a transposed view, which _lines copies once, into the
+    The rows are a transposed view, which the writers copy once, into the
     text."""
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
@@ -460,14 +460,31 @@ def _rewrite(path):
             os.close(fd)
 
 
+_LINE = np.frombuffer(b"%s,%s,\2\3%s\1%s\1%s\4\0\n" % ((b"\0" * _WIDTH,) * 5),
+                      np.uint8)
+_XYZ = tuple(2 * _WIDTH + 4 + k * (_WIDTH + 1) for k in range(3))
+_V, _FLAG = _WIDTH + 1, _LINE.size - 2
+_CSV_TABLE = bytes.maketrans(b"\1\4", b",,")
+_OBJ_TABLE = bytes.maketrans(b"\1\2\3\4", b" v \n")
+
+
 def _write_mesh(paths, label, grid: Grid, points, mask):
-    """Write the OBJ and/or CSV mesh of the (nu, nv, 3) points with their
+    r"""Write the OBJ and/or CSV mesh of the (nu, nv, 3) points with their
     spacelike mask, in blocks of rows of at most _TEXT_NODES nodes (one row
     when a row holds more), so that the text never holds the whole mesh.
-    Each file is rewritten in place and cut to its new length (see
-    _rewrite), with no fsync."""
+
+    One _float_tokens call per block formats its x, y, z and u (and the v
+    axis for a new block shape) into a buffer of lines, allocated with its
+    separators and v tokens once per block shape; each line is _LINE:
+        u , v , \2 \3 x \1 y \1 z \4 flag \n
+    with NUL-padded tokens.  The CSV block is the buffer with NUL, \2 and
+    \3 dropped and \1 and \4 read as commas (_CSV_TABLE); the OBJ vertex
+    block is its columns from \2 to \4 with NUL dropped, \2 read as "v",
+    \3 and \1 as spaces and \4 as a newline (_OBJ_TABLE).  Each file is
+    rewritten in place and cut to its new length (see _rewrite), no fsync."""
     nu, nv = grid.nu, grid.nv
-    v_tokens = _float_tokens(grid.axes()[1])
+    vs = grid.axes()[1]
+    buf = None
     with contextlib.ExitStack() as stack:
         files = {fmt: stack.enter_context(_rewrite(path))
                  for fmt, path in paths.items()}
@@ -479,15 +496,26 @@ def _write_mesh(paths, label, grid: Grid, points, mask):
             csv.write(b"u,v,x,y,z,spacelike\n")
         for rows, (us, _) in grid.row_blocks(_TEXT_NODES, sparse=True):
             block = points[rows]
-            x, y, z = _float_tokens(np.moveaxis(block, -1, 0)).reshape(
-                3, len(block), nv, _WIDTH)
+            r, n = len(block), len(block) * nv
+            fresh = buf is None or len(buf) != r
+            if fresh:
+                buf = np.empty((r, nv, _LINE.size), np.uint8)
+                buf[...] = _LINE
+            tokens = _float_tokens(np.concatenate((
+                np.moveaxis(block, -1, 0).ravel(), us.ravel(),
+                vs if fresh else vs[:0])))
+            for k, at in enumerate(_XYZ):
+                buf[..., at:at + _WIDTH] = tokens[k * n:(k + 1) * n].reshape(
+                    r, nv, _WIDTH)
+            buf[..., :_WIDTH] = tokens[3 * n:3 * n + r, None]
+            if fresh:
+                buf[..., _V:_V + _WIDTH] = tokens[3 * n + r:]
+            buf[..., _FLAG] = mask[rows] + np.uint8(_ZERO)
             if obj:
-                obj.write(_lines(b"v ", x, b" ", y, b" ", z, b"\n"))
+                obj.write(buf[..., _XYZ[0] - 2:_FLAG].tobytes().translate(
+                    _OBJ_TABLE, b"\0"))
             if csv:
-                u = _float_tokens(us)[:, None]
-                flag = mask[rows, :, None] + np.uint8(_ZERO)
-                csv.write(_lines(u, b",", v_tokens, b",", x, b",", y, b",", z,
-                                 b",", flag, b"\n"))
+                csv.write(buf.tobytes().translate(_CSV_TABLE, b"\0\2\3"))
         if obj:
             bad = np.flatnonzero(~mask) + 1
             if bad.size:

@@ -658,7 +658,10 @@ def test_threads_share_the_plan_cache(no_plans):
 
 @pytest.mark.parametrize("bad, message", [
     (complex(np.nan, 0.5), "non-finite point z=(nan+0.5j)"),
-    (24.5 + 1000j, "crosses 1025 lattice panels, more than 1024")])
+    (24.5 + 1000j, "crosses 1025 lattice panels, more than 1024"),
+    # a path count past 2**63, which an int64 count would wrap
+    (0.5 + 2.0 ** 63 * 1j,
+     "crosses 9223372036854775808 lattice panels, more than 1024")])
 def test_refused_points_raise_on_every_call(no_plans, bad, message):
     counts = []
     data = _exp_data(_counting_normal(counts))

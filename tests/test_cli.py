@@ -1,5 +1,6 @@
 """Command line behavior: config handling, outputs, exit codes."""
 
+import contextlib
 import errno
 import io
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maxsurf import catalog, cli, verify
@@ -190,6 +191,9 @@ def _token_mesh_text(patch, grid, mask):
     # nodes in each
     *(("lightlike-rotational", 0.0, Grid(-1.0, 1.0, 0.0, 1.0, 400, 50),
        formats) for formats in (["obj", "csv"], ["obj"], ["csv"])),
+    # rows of more than _TEXT_NODES nodes: one row per block
+    *(("lightlike-rotational", 0.0, Grid(-1.0, 1.0, 0.0, 1.0, 3, 4100),
+       formats) for formats in (["obj", "csv"], ["obj"], ["csv"])),
 ])
 def test_sample_bytes_match_the_token_writers(tmp_path, family, a, grid,
                                               formats):
@@ -208,7 +212,10 @@ def test_sample_bytes_match_the_token_writers(tmp_path, family, a, grid,
         path = tmp_path / f"m.{fmt}"
         assert path.exists() == (fmt in formats)
         if fmt in formats:
-            assert path.read_bytes() == text.encode()
+            data = path.read_bytes()
+            assert data == text.encode()
+            # no marker byte of the line buffer reaches the file
+            assert not set(data) & set(range(0x20)) - {ord("\n")}
 
 
 def _kernel_texts(values):
@@ -641,6 +648,13 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                  ["verify", "--set", "a=1" + "0" * 5000]):
         assert main(args + ["--family", "bending-spacelike"]) == 2, args
         assert "config error" in capsys.readouterr().err
+    # a finite step whose square overflows fails its residuals instead of
+    # ending in an OverflowError
+    assert main(["verify", "--family", "bending-timelike",
+                 "--set", "fd_step=1e300"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL mean-curvature" in captured.out
+    assert "Traceback" not in captured.err
     # a family that is not a string is an unknown family, not a crash
     for value in ("[1]", "{}"):
         assert main(["verify", "--set", f"family={value}"]) == 2
@@ -682,6 +696,64 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                        "which the surface is finite\n")
         assert caught == []
         assert not list(tmp_path.glob("overflow*"))
+
+
+# finite values, near the defaults and across the whole range
+_WIDE = st.floats(-3, 3) | st.floats(-1e300, 1e300) | st.sampled_from(
+    [0.0, 1.0, -1e300, 1e300])
+_POSITIVE = st.floats(1e-3, 3) | st.floats(1e-300, 1e300) | st.sampled_from(
+    [1e-300, 1e300])
+_SORTED = st.lists(_WIDE, min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def _wide_configs(draw):
+    """A config with up to two of its numeric fields set, of the right
+    shape but drawn from the whole finite range, so that the others keep
+    their defaults and the run gets past the config."""
+    family = draw(st.sampled_from(sorted(catalog.FAMILY_INFO)))
+    params = [p.name for p in catalog.FAMILY_INFO[family].params]
+    (u_min, u_max), (v_min, v_max) = draw(_SORTED), draw(_SORTED)
+    optional = {
+        "a": _POSITIVE | _WIDE, "fd_step": _POSITIVE,
+        "thetas": st.lists(_WIDE, min_size=1, max_size=3),
+        "annulus": st.lists(_POSITIVE, min_size=2, max_size=2).map(sorted),
+        "curvature_grid": st.lists(st.sampled_from([8, 12, 16]),
+                                   min_size=2, max_size=2),
+        "grid": st.fixed_dictionaries({
+            "u_min": st.just(u_min), "u_max": st.just(u_max),
+            "v_min": st.just(v_min), "v_max": st.just(v_max),
+            "nu": st.integers(2, 5), "nv": st.integers(2, 5)})}
+    if "lam" in params:
+        optional["lambda"] = _POSITIVE | _WIDE
+    if "cubic" in params:
+        optional["cubic"] = _POSITIVE
+    names = draw(st.lists(st.sampled_from(sorted(optional)), max_size=2,
+                          unique=True))
+    return dict({k: draw(optional[k]) for k in names}, family=family,
+                suite=draw(st.sampled_from(cli._SUITES)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["sample", "verify"]), raw=_wide_configs())
+# a step whose square overflows; a path of more than 2**63 lattice panels
+@example(command="verify", raw={"family": "bending-timelike", "suite": "all",
+                                "fd_step": 1e300})
+@example(command="verify", raw={"family": "bending-spacelike", "suite": "all",
+                                "grid": {"u_min": 0, "u_max": 1, "v_min": 0,
+                                         "v_max": 2.0 ** 63, "nu": 2,
+                                         "nv": 2}})
+def test_no_config_ends_in_a_traceback(tmp_path, command, raw):
+    raw = dict(raw, formats=["obj", "csv"], out=str(tmp_path / "m"),
+               report=str(tmp_path / "r.json"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = main([command, "--config",
+                     write_config(tmp_path / "c.json", **raw)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("args, code, line", [
