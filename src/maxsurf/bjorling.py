@@ -88,6 +88,13 @@ _PLAN_CACHE = 4
 _PLAN_BYTES = 1 << 21
 _PLANS: dict = {}
 _PLANS_LOCK = threading.Lock()
+# Complex step of `tangents`.  Its truncation error, of relative order
+# (a * eps)^2 on a twist a, lies below rounding for a up to 1e11, and
+# taking the imaginary part subtracts nothing, so no digits cancel.  The
+# step a * eps is a normal float for a down to COMPLEX_STEP_MIN_TWIST
+# (2.2e-288); catalog.patch keeps smaller twists on Richardson.
+_COMPLEX_STEP = 1e-20
+COMPLEX_STEP_MIN_TWIST = np.finfo(float).tiny / _COMPLEX_STEP
 
 
 class QuadratureError(RuntimeError):
@@ -114,12 +121,16 @@ class SurfacePatch:
     shape (nu, 1) against v of shape (1, nv) to a (nu, nv, 3) result, so
     grid scans may hand it a sparse mesh.  `func` also takes shifted_values'
     leading stack axis: (k, nu, 1) against (k, 1, nv) with `broadcasts`.
+    `analytic` declares that `func` also takes complex u and v and is
+    holomorphic in each, so that `tangents` may take complex steps; the
+    closed-form catalog patches (catalog.patch) declare it.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: tuple[float, float, float, float] = (-np.pi, np.pi, -1.0, 1.0)
     label: str = ""
     broadcasts: bool = False
+    analytic: bool = False
 
     def __call__(self, u, v):
         return self.func(u, v)
@@ -166,6 +177,19 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
                            (vp - 2.0 * x + vm) / sq]
     return tuple((4.0 * b - a) / 3.0 for a, b in zip(*levels)) + tuple(
         vals[len(offsets):])
+
+
+def tangents(patch: SurfacePatch, u, v, h: float):
+    """(xu, xv) at (u, v): for an analytic patch, the complex-step
+    derivatives Im X(u + i eps, v) / eps and Im X(u, v + i eps) / eps
+    (Squire & Trapp, SIAM Review 40, 1998) from 2 complex calls; for any
+    other patch, richardson(patch, u, v, h) from 8 real ones."""
+    if not patch.analytic:
+        return richardson(patch, u, v, h)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    step = 1j * _COMPLEX_STEP
+    return (patch(u + step, v).imag / _COMPLEX_STEP,
+            patch(u, v + step).imag / _COMPLEX_STEP)
 
 
 def segment_integral(integrand, z):

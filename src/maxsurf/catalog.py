@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import frames, motions
-from .bjorling import SurfacePatch
+from .bjorling import COMPLEX_STEP_MIN_TWIST, SurfacePatch
 from .lorentz import vec3
 
 BENDING_TIMELIKE = "bending-timelike"
@@ -215,8 +215,8 @@ def _kernels(a, lam, mu, v):
 def _kernels_unit(lam, mu, v):
     """Removable-singularity limit of the kernel pair at a = 1."""
     sc = np.sin(v) * np.cos(v)
-    r = 0.5 * ((mu - lam) * sc + (mu + lam) * np.asarray(v, dtype=float))
-    s = 0.5 * ((mu - lam) * sc - (mu + lam) * np.asarray(v, dtype=float))
+    r = 0.5 * ((mu - lam) * sc + (mu + lam) * v)
+    s = 0.5 * ((mu - lam) * sc - (mu + lam) * v)
     return r, s
 
 
@@ -265,12 +265,12 @@ def _eval_helicoidal_spacelike_ii(a, lam, mu, u, v, kernels=_kernel_pair):
 def _eval_elliptic_catenoid(a, u, v):
     radial = np.cosh(a) * np.sinh(v) + np.cosh(v)
     return vec3(np.cos(u) * radial, np.sin(u) * radial,
-                -np.sinh(a) * np.asarray(v, dtype=float))
+                -np.sinh(a) * v)
 
 
 def _eval_hyperbolic_catenoid(a, u, v):
     p = np.sinh(a) * np.sin(v) + np.cos(v)
-    return vec3(np.cosh(a) * np.asarray(v, dtype=float),
+    return vec3(np.cosh(a) * v,
                 np.sinh(u) * p, np.cosh(u) * p)
 
 
@@ -280,7 +280,7 @@ def _eval_helicoidal_timelike_constant(a, lam, mu, u, v):
         + np.cos(u) * np.cosh(v)
     y = np.cosh(v) * np.sin(u) - mu * ca * np.sin(u) * np.sinh(v) \
         - lam * sa * np.cos(u) * np.sinh(v)
-    z = lam * u - np.sinh(a) * np.asarray(v, dtype=float)
+    z = lam * u - np.sinh(a) * v
     return vec3(x, y, z)
 
 
@@ -299,7 +299,7 @@ def apply_lightlike_rotation(theta, points):
 
     theta may be any shape broadcastable against points[..., 0].
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta)
     q = 0.5 * theta * theta
     x, y, z = points[..., 0], points[..., 1], points[..., 2]
     return vec3((1.0 - q) * x + theta * y + q * z,
@@ -323,12 +323,12 @@ class GeneratingCurve:
         _CUBIC.check("generating curve", self.cubic)
 
     def height(self, v):
-        return self.cubic * np.asarray(v, dtype=float) ** 3 + self.offset
+        return self.cubic * np.asarray(v) ** 3 + self.offset
 
 
 def eval_generating_curve(curve: GeneratingCurve, v):
     """Points (h+v, 0, h-v) of the generating curve, shape (..., 3)."""
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
     h = curve.height(v)
     return vec3(h + v, np.zeros_like(v), h - v)
 
@@ -464,17 +464,22 @@ def bjorling_data_for(surface: CatalogSurface):
 # dispatch
 
 def eval_surface(surface: CatalogSurface, u, v) -> np.ndarray:
-    """Evaluate the closed-form parametrization, broadcasting over (u, v)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Evaluate the closed-form parametrization, broadcasting over (u, v).
+
+    Real u and v are taken as float64.  Complex u or v stays complex: each
+    family is holomorphic in u and in v, for bjorling.tangents' steps."""
+    u, v = (x if x.dtype.kind == "c" else x.astype(float, copy=False)
+            for x in map(np.asarray, (u, v)))
     return FAMILY_INFO[surface.family].evaluate(surface, u, v)
 
 
 def patch(surface: CatalogSurface) -> SurfacePatch:
-    """Wrap a catalog surface as a SurfacePatch on its default domain."""
+    """Wrap a catalog surface as a SurfacePatch on its default domain,
+    analytic unless a positive twist is below COMPLEX_STEP_MIN_TWIST."""
     label = ":".join([surface.family] + [
         f"{p.name}={getattr(surface, p.name):g}"
         for p in FAMILY_INFO[surface.family].params])
     return SurfacePatch(func=lambda u, v: eval_surface(surface, u, v),
                         domain=DEFAULT_DOMAINS[surface.family],
-                        label=label, broadcasts=True)
+                        label=label, broadcasts=True,
+                        analytic=not 0.0 < surface.a < COMPLEX_STEP_MIN_TWIST)

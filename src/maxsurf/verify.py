@@ -1,7 +1,8 @@
 """Numerical verification of surface patches.
 
-Everything here works on a SurfacePatch through finite differences only, so
-the same checks apply to closed-form catalog patches and to quadrature-built
+Everything here works on a SurfacePatch through finite differences, or
+complex steps for the spacelike mask of an analytic patch, so the same
+checks apply to closed-form catalog patches and to quadrature-built
 Björling patches: fundamental forms, mean curvature residual, the spacelike
 mask, recovery of the prescribed core curve and normal field, and
 equivariance under the rigid motion groups.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bjorling import (_PASS_POINTS, SurfacePatch, reference_normal,
-                       richardson, shifted_values)
+                       richardson, shifted_values, tangents)
 from .lorentz import lorentz_cross, lorentz_dot
 from .motions import MotionGroup, isometry_defect
 
@@ -164,12 +165,14 @@ def conformality_residual(patch: SurfacePatch, grid: Grid,
 def spacelike_region(patch: SurfacePatch, grid: Grid, h: float = 1e-3):
     """Boolean mask: E > 0 and E G - F^2 > 0 at each grid node.
 
-    The stencil runs over blocks of rows of at most _PASS_POINTS nodes (one
-    row when a row holds more), so that its memory stays bounded whatever
-    the grid; values are pointwise, so the split changes no bit."""
+    The tangents are bjorling.tangents: complex steps on an analytic patch,
+    where `h` is unused, and the Richardson stencil at `h` otherwise.  They
+    run over blocks of rows of at most _PASS_POINTS nodes (one row when a
+    row holds more), so that their memory stays bounded whatever the grid;
+    values are pointwise, so the split changes no bit."""
     blocks = []
     for _, mesh in grid.row_blocks(_PASS_POINTS, patch.broadcasts):
-        E, F, G = _first_form(richardson(patch, *mesh, h))
+        E, F, G = _first_form(tangents(patch, *mesh, h))
         blocks.append((E > 0.0) & (E * G - F * F > 0.0))
     return np.concatenate(blocks)
 
