@@ -88,10 +88,9 @@ _PLAN_CACHE = 4
 _PLAN_BYTES = 1 << 21
 _PLANS: dict = {}
 _PLANS_LOCK = threading.Lock()
-# Complex step of `tangents`.  Its truncation error, of relative order
-# (a * eps)^2 on a twist a, lies below rounding for a up to 1e11, and
-# taking the imaginary part subtracts nothing, so no digits cancel.  The
-# step a * eps is a normal float for a down to COMPLEX_STEP_MIN_TWIST
+# Complex step of the tangents in `derivatives`: its truncation error, of
+# relative order (a * eps)^2 on a twist a, is below rounding for a up to
+# 1e11.  a * eps is a normal float for a down to COMPLEX_STEP_MIN_TWIST
 # (2.2e-288); catalog.patch keeps smaller twists on Richardson.
 _COMPLEX_STEP = 1e-20
 COMPLEX_STEP_MIN_TWIST = np.finfo(float).tiny / _COMPLEX_STEP
@@ -122,8 +121,10 @@ class SurfacePatch:
     grid scans may hand it a sparse mesh.  `func` also takes shifted_values'
     leading stack axis: (k, nu, 1) against (k, 1, nv) with `broadcasts`.
     `analytic` declares that `func` also takes complex u and v and is
-    holomorphic in each, so that `tangents` may take complex steps; the
-    closed-form catalog patches (catalog.patch) declare it.
+    holomorphic in each, so that `derivatives` may take complex steps; by
+    Hartogs' theorem X is then holomorphic in (u, v) jointly, as the
+    diagonal step of its second derivatives needs.  The closed-form
+    catalog patches (catalog.patch) declare it.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -140,8 +141,10 @@ def shifted_values(patch: SurfacePatch, u, v, offsets):
     """Patch values at (u + du, v + dv) for each (du, dv) in offsets: the
     shifted meshes stacked on a leading axis, as many per call as fit in
     _PASS_POINTS points, or one per call, unstacked, for a mesh of more than
-    half a pass.  Values are pointwise, so the split changes no bit."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    half a pass.  Values are pointwise, and complex when any offset is, so
+    the split changes no bit."""
+    kind = complex if np.iscomplexobj(offsets) else float
+    u, v = np.asarray(u, dtype=kind), np.asarray(v, dtype=kind)
     if not patch.broadcasts or u.ndim != v.ndim:
         u, v = np.broadcast_arrays(u, v)
     step = max(1, _PASS_POINTS // np.broadcast(u, v).size)
@@ -179,17 +182,29 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
         vals[len(offsets):])
 
 
-def tangents(patch: SurfacePatch, u, v, h: float):
-    """(xu, xv) at (u, v): for an analytic patch, the complex-step
-    derivatives Im X(u + i eps, v) / eps and Im X(u, v + i eps) / eps
-    (Squire & Trapp, SIAM Review 40, 1998) from 2 complex calls; for any
-    other patch, richardson(patch, u, v, h) from 8 real ones."""
+def derivatives(patch: SurfacePatch, u, v, h: float, second: bool = False):
+    """(xu, xv), or with `second` (xu, xv, xuu, xuv, xvv, x), at (u, v):
+    richardson(patch, u, v, h, second) unless the patch is analytic.
+
+    On an analytic patch the tangents are Im X(u + i eps, v) / eps and its v
+    twin (Squire & Trapp, SIAM Review 40, 1998), and with w = h e^{i pi/4},
+    Im[X(u + w, v) + X(u - w, v)] = h^2 X_uu - h^6 X_uuuuuu / 360 + ... in
+    u, in v and along the diagonal (w, w), which gives X_uu + 2 X_uv + X_vv
+    (cf. Lai & Crassidis, J. Comput. Appl. Math. 219, 2008): no real parts
+    are subtracted, so rounding grows as eps / h, not eps / h^2.  The steps
+    take one shifted_values call; x is the real evaluation."""
     if not patch.analytic:
-        return richardson(patch, u, v, h)
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    step = 1j * _COMPLEX_STEP
-    return (patch(u + step, v).imag / _COMPLEX_STEP,
-            patch(u, v + step).imag / _COMPLEX_STEP)
+        return richardson(patch, u, v, h, second)
+    eps, w = 1j * _COMPLEX_STEP, h * np.exp(0.25j * np.pi)
+    offsets = [(eps, 0.0), (0.0, eps)] + second * [
+        (w, 0.0), (-w, 0.0), (0.0, w), (0.0, -w), (w, w), (-w, -w)]
+    xu, xv, *rest = (x.imag for x in shifted_values(patch, u, v, offsets))
+    out = (xu / _COMPLEX_STEP, xv / _COMPLEX_STEP)
+    if not second:
+        return out
+    uu, vv, dd = ((p + m) / (h * h) for p, m in zip(rest[::2], rest[1::2]))
+    return out + (uu, 0.5 * (dd - uu - vv), vv,
+                  shifted_values(patch, u, v, [(0.0, 0.0)])[0])
 
 
 def segment_integral(integrand, z):
@@ -533,13 +548,13 @@ def solve_bjorling(data: BjorlingData) -> SurfacePatch:
 
 
 def reference_normal(patch: SurfacePatch, u, h: float = 1e-4):
-    """Unit normal of a patch along v = 0 by Richardson finite differences.
+    """Unit normal of a patch along v = 0 from its `derivatives` at step h.
 
     Returns a (..., 3) array with <N, N> = -1 for a spacelike patch; the
     overall sign is whatever the (u, v) orientation produces.  Raises
     ValueError where the tangent plane degenerates (lightlike normal).
     """
-    n = lorentz_cross(*richardson(patch, u, 0.0, h))
+    n = lorentz_cross(*derivatives(patch, u, 0.0, h))
     q = lorentz_dot(n, n)
     bad = np.abs(q) <= 1e-10 * (1.0 + np.sum(n * n, axis=-1))
     if np.any(bad):

@@ -17,10 +17,8 @@ circle sits at v = -1/2).  Families:
     enneper-second-kind(cubic, offset) orbit of a cubic generating curve
                                        under the parabolic rotation group
 
-The spacelike-axis twisted families have an (a^2 - 1) denominator; their
-kernels group the two cancelling products before dividing, and inside a
-window |a - 1| < 1e-6 the evaluation switches to the exact removable-limit
-branch, which coincides with the separately printed a = 1 parametrizations.
+The spacelike-axis twisted families' removable singularity at a = 1 sits
+in a v sinc((a - 1) v) factor of their kernels, exact at a = 1.
 """
 
 from __future__ import annotations
@@ -44,9 +42,6 @@ ELLIPTIC_CATENOID = "elliptic-catenoid"
 HYPERBOLIC_CATENOID = "hyperbolic-catenoid"
 HELICOIDAL_TIMELIKE_CONSTANT = "helicoidal-timelike-constant"
 ENNEPER_SECOND_KIND = "enneper-second-kind"
-
-# Half-width of the removable-singularity window around a = 1.
-UNIT_TWIST_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -199,31 +194,13 @@ def _eval_helicoidal_timelike(a, lam, mu, u, v):
 # spacelike-axis twisted families
 
 def _kernels(a, lam, mu, v):
-    """Kernel pair (r, s) of the spacelike-axis surfaces, general a != 1.
-
-    Both numerators group two products that cancel to O(a - 1), so the
-    quotient stays accurate down to the switch window.
-    """
-    cav, sav = np.cos(a * v), np.sin(a * v)
-    cv, sv = np.cos(v), np.sin(v)
-    den = a * a - 1.0
-    r = ((a * mu + lam) * cv * sav - (a * lam + mu) * sv * cav) / den
-    s = ((a * mu + lam) * sv * cav - (a * lam + mu) * cv * sav) / den
-    return r, s
-
-
-def _kernels_unit(lam, mu, v):
-    """Removable-singularity limit of the kernel pair at a = 1."""
-    sc = np.sin(v) * np.cos(v)
-    r = 0.5 * ((mu - lam) * sc + (mu + lam) * v)
-    s = 0.5 * ((mu - lam) * sc - (mu + lam) * v)
-    return r, s
-
-
-def _kernel_pair(a, lam, mu, v):
-    if abs(a - 1.0) < UNIT_TWIST_WINDOW:
-        return _kernels_unit(lam, mu, v)
-    return _kernels(a, lam, mu, v)
+    """Kernel pair (r, s) of the spacelike-axis surfaces: (1/2)[(mu - lam)
+    sin((a + 1) v) / (a + 1) +- (mu + lam) v sinc((a - 1) v)], the
+    cancellation-free form of ((a mu + lam) cos v sin av - (a lam + mu)
+    sin v cos av) / (a^2 - 1) for r, sines and cosines swapped for s."""
+    fast = (mu - lam) * np.sin((a + 1.0) * v) / (a + 1.0)
+    slow = (mu + lam) * v * np.sinc((a - 1.0) * v / np.pi)
+    return 0.5 * (fast + slow), 0.5 * (fast - slow)
 
 
 def _hyp_products(a, u):
@@ -232,8 +209,8 @@ def _hyp_products(a, u):
     return cau * cu, sau * su, cau * su, sau * cu
 
 
-def _eval_bending_spacelike(a, u, v, kernels=_kernel_pair):
-    r, s = kernels(a, 0.0, 1.0, v)
+def _eval_bending_spacelike(a, u, v):
+    r, s = _kernels(a, 0.0, 1.0, v)
     cc, ss, cs, sc = _hyp_products(a, u)
     x = np.cosh(a * u) * np.sin(a * v) / a
     y = np.sinh(u) * np.cos(v) + ss * r + cc * s
@@ -241,8 +218,8 @@ def _eval_bending_spacelike(a, u, v, kernels=_kernel_pair):
     return vec3(x, y, z)
 
 
-def _eval_helicoidal_spacelike_i(a, lam, mu, u, v, kernels=_kernel_pair):
-    r, s = kernels(a, lam, mu, v)
+def _eval_helicoidal_spacelike_i(a, lam, mu, u, v):
+    r, s = _kernels(a, lam, mu, v)
     cc, ss, cs, sc = _hyp_products(a, u)
     x = lam * u - np.sinh(a * u) * np.sin(a * v) / a
     y = np.cosh(u) * np.cos(v) + cc * r + ss * s
@@ -250,8 +227,8 @@ def _eval_helicoidal_spacelike_i(a, lam, mu, u, v, kernels=_kernel_pair):
     return vec3(x, y, z)
 
 
-def _eval_helicoidal_spacelike_ii(a, lam, mu, u, v, kernels=_kernel_pair):
-    r, s = kernels(a, lam, mu, v)
+def _eval_helicoidal_spacelike_ii(a, lam, mu, u, v):
+    r, s = _kernels(a, lam, mu, v)
     cc, ss, cs, sc = _hyp_products(a, u)
     x = lam * u + np.cosh(a * u) * np.sin(a * v) / a
     y = np.sinh(u) * np.cos(v) + ss * r + cc * s
@@ -467,7 +444,7 @@ def eval_surface(surface: CatalogSurface, u, v) -> np.ndarray:
     """Evaluate the closed-form parametrization, broadcasting over (u, v).
 
     Real u and v are taken as float64.  Complex u or v stays complex: each
-    family is holomorphic in u and in v, for bjorling.tangents' steps."""
+    family is holomorphic in u and in v, for bjorling.derivatives' steps."""
     u, v = (x if x.dtype.kind == "c" else x.astype(float, copy=False)
             for x in map(np.asarray, (u, v)))
     return FAMILY_INFO[surface.family].evaluate(surface, u, v)

@@ -1,11 +1,10 @@
 """Numerical verification of surface patches.
 
-Everything here works on a SurfacePatch through finite differences, or
-complex steps for the spacelike mask of an analytic patch, so the same
-checks apply to closed-form catalog patches and to quadrature-built
-Björling patches: fundamental forms, mean curvature residual, the spacelike
-mask, recovery of the prescribed core curve and normal field, and
-equivariance under the rigid motion groups.
+Everything here works on a SurfacePatch through bjorling.derivatives, so
+the same checks apply to closed-form catalog patches and to
+quadrature-built Björling patches: fundamental forms, mean curvature
+residual, the spacelike mask, recovery of the prescribed core curve and
+normal field, and equivariance under the rigid motion groups.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bjorling import (_PASS_POINTS, SurfacePatch, reference_normal,
-                       richardson, shifted_values, tangents)
+from .bjorling import (_PASS_POINTS, SurfacePatch, derivatives,
+                       reference_normal, shifted_values)
 from .lorentz import lorentz_cross, lorentz_dot
 from .motions import MotionGroup, isometry_defect
 
@@ -116,19 +115,19 @@ def _forms(stencil, degenerate_tol):
 
 
 def grid_stencil(patch: SurfacePatch, grid: Grid, h=1e-3, second=True):
-    """bjorling.richardson at the grid nodes, for the scans to share."""
-    return richardson(patch, *grid.mesh(sparse=patch.broadcasts), h, second)
+    """bjorling.derivatives at the grid nodes, for the scans to share."""
+    return derivatives(patch, *grid.mesh(sparse=patch.broadcasts), h, second)
 
 
 def fundamental_forms(patch: SurfacePatch, u, v, h: float = 1e-3,
                       degenerate_tol: float = 1e-10) -> FundamentalForms:
-    """Fundamental forms by Richardson-extrapolated central differences.
+    """Fundamental forms from bjorling.derivatives at step h.
 
     The normal is the Lorentz cross of the tangents, normalized by the
     square root of |<n, n>|; for a spacelike patch it is the unit timelike
     normal.  Works on scalars or broadcastable arrays.
     """
-    return _forms(richardson(patch, u, v, h, second=True), degenerate_tol)
+    return _forms(derivatives(patch, u, v, h, second=True), degenerate_tol)
 
 
 def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
@@ -136,9 +135,8 @@ def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
     """Mean curvature residual over a grid, with the excluded nodes.
 
     Returns (max residual over kept nodes, list of excluded (u, v)).  Nodes
-    where E G - F^2 <= exclude_tol are excluded: there the finite-difference
-    residual is dominated by roundoff amplification, not by curvature.  The
-    default exclusion is matched to the h = 1e-3 Richardson error.
+    where E G - F^2 <= exclude_tol are excluded, as the residual divides by
+    it; the default is kept from when it matched the Richardson error.
     `stencil`, if given, is grid_stencil(patch, grid, h), computed once.
     """
     ff = _forms(stencil or grid_stencil(patch, grid, h), exclude_tol)
@@ -165,14 +163,18 @@ def conformality_residual(patch: SurfacePatch, grid: Grid,
 def spacelike_region(patch: SurfacePatch, grid: Grid, h: float = 1e-3):
     """Boolean mask: E > 0 and E G - F^2 > 0 at each grid node.
 
-    The tangents are bjorling.tangents: complex steps on an analytic patch,
-    where `h` is unused, and the Richardson stencil at `h` otherwise.  They
+    The tangents, bjorling.derivatives at step h, are scaled exactly at
+    each node by the power of two that puts their largest component in
+    [1/2, 1), so that no surface is too large or small for the test.  They
     run over blocks of rows of at most _PASS_POINTS nodes (one row when a
-    row holds more), so that their memory stays bounded whatever the grid;
-    values are pointwise, so the split changes no bit."""
+    row holds more), bounding their memory; the split changes no bit."""
     blocks = []
     for _, mesh in grid.row_blocks(_PASS_POINTS, patch.broadcasts):
-        E, F, G = _first_form(tangents(patch, *mesh, h))
+        xu, xv = derivatives(patch, *mesh, h)
+        top = np.maximum(np.abs(xu), np.abs(xv))
+        e = -np.frexp(np.maximum(np.maximum(top[..., 0], top[..., 1]),
+                                 top[..., 2]))[1][..., None]
+        E, F, G = _first_form((np.ldexp(xu, e), np.ldexp(xv, e)))
         blocks.append((E > 0.0) & (E * G - F * F > 0.0))
     return np.concatenate(blocks)
 

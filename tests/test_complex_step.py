@@ -1,11 +1,12 @@
 """Complex-step tangents of the closed-form patches.
 
 Every catalog family is holomorphic in u and in v, so its evaluator takes
-complex input and bjorling.tangents may read the first derivatives off
+complex input and bjorling.derivatives may read the first derivatives off
 the imaginary part of one complex step, X_u = Im X(u + i eps, v) / eps.
 These tests hold the evaluators to that, hold the tangents to the
-Richardson stencil they stand in for, and hold the spacelike mask of every
-golden sample grid to the one the Richardson stencil gives.
+Richardson stencil they stand in for, hold the spacelike mask of every
+golden sample grid to the one the Richardson stencil gives, and count
+which patches still reach the Richardson stencil.
 """
 
 import dataclasses
@@ -80,7 +81,7 @@ def test_evaluators_take_complex_steps(surface):
                 shifted = catalog.eval_surface(surface, U + du, V + dv)
                 assert shifted.dtype == np.complex128
                 assert np.all(np.isfinite(shifted))
-            steps = bjorling.tangents(patch, U, V, 1e-3)
+            steps = bjorling.derivatives(patch, U, V, 1e-3)
             ref = bjorling.richardson(patch, U, V, 1e-3)
             scale = max(np.max(np.abs(t)) for t in ref)
             for got, want in zip(steps, ref):
@@ -118,8 +119,8 @@ class _Calls:
         self._inner = patch.func
 
     def _call(self, u, v):
-        self.shapes.append((np.shape(u), np.iscomplexobj(u),
-                            np.iscomplexobj(v)))
+        self.shapes.append((np.shape(u), np.any(np.imag(u) != 0.0),
+                            np.any(np.imag(v) != 0.0)))
         return self._inner(u, v)
 
 
@@ -130,10 +131,22 @@ def test_mask_takes_two_complex_calls_per_row_block(monkeypatch):
     calls = _Calls(catalog.patch(catalog.bending_timelike(1.0)))
     mask = verify.spacelike_region(calls.patch, Grid(-1, 1, -1, 1, 160, 160))
     assert mask.shape == (160, 160) and not richardson
-    # Row blocks of 8192 // 160 = 51 rows, the last of 7: a step in u,
-    # then a step in v, each on one unstacked sparse mesh.
+    # Row blocks of 8192 // 160 = 51 rows: a step in u, then a step in v,
+    # each on one unstacked sparse mesh; then 7 rows, both steps stacked.
     assert calls.shapes == [((51, 1), True, False), ((51, 1), False, True)] \
-        * 3 + [((7, 1), True, False), ((7, 1), False, True)]
+        * 3 + [((2, 7, 1), True, True)]
+
+
+def _count_richardson(monkeypatch):
+    calls = []
+    richardson = bjorling.richardson
+
+    def counting(*args):
+        calls.append(args)
+        return richardson(*args)
+
+    monkeypatch.setattr(bjorling, "richardson", counting)
+    return calls
 
 
 @pytest.mark.parametrize("kind", ["perturb", "bjorling", "tiny-twist"])
@@ -149,14 +162,20 @@ def test_other_patches_keep_the_richardson_stencil(monkeypatch, kind):
         # a * eps would underflow, so the patch is not declared analytic
         patch = catalog.patch(catalog.bending_spacelike(1e-300))
     assert not patch.analytic
-    calls = []
-    richardson = bjorling.richardson
-
-    def counting(*args):
-        calls.append(args)
-        return richardson(*args)
-
-    monkeypatch.setattr(bjorling, "richardson", counting)
+    calls = _count_richardson(monkeypatch)
     grid = Grid(-1, 1, -0.3, 0.3, 6, 5)
     mask = verify.spacelike_region(patch, grid)
     assert len(calls) == 1 and mask.all()
+    # the shared grid stencil, the forms and the reference normal, by the
+    # `second` flag of each call
+    assert len(verify.grid_stencil(patch, grid)) == 6
+    verify.fundamental_forms(patch, 0.3, -0.2)
+    bjorling.reference_normal(patch, np.linspace(-0.5, 0.5, 3))
+    assert [args[-1] for args in calls] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("family", list(catalog.FAMILY_INFO))
+def test_catalog_verify_never_reaches_richardson(monkeypatch, capsys, family):
+    calls = _count_richardson(monkeypatch)
+    assert cli.main(["verify", "--family", family, "--suite", "all"]) in (0, 1)
+    assert "mean-curvature" in capsys.readouterr().out and not calls
