@@ -547,9 +547,8 @@ def _output_paths(out: str, formats):
 
 def _require_finite(patch, grid: Grid, points):
     """Refuse a grid with a non-finite point, naming the first such node."""
-    finite = np.isfinite(points).all(axis=-1)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    if not np.isfinite(points).all():
+        i, j = np.argwhere(~np.isfinite(points).all(axis=-1))[0]
         us, vs = grid.axes()
         raise ConfigError(
             f"{patch.label} has non-finite coordinates at grid node "

@@ -423,18 +423,17 @@ def period(triple: FormTriple, k, loop: Loop):
 
 
 def _spherical_density(w: WeierstrassData, z, h):
-    """|g'|^2 / (1 + |g|^2)^2, the pullback density of the round metric, with
-    g' from one central difference of real step h: 3 evaluations of g.  Where
-    |g(z)| > 1 all three take 1/g instead, which is analytic across the poles
-    of g and keeps the difference well conditioned."""
-    gz = np.asarray(w.g(z))
-    big = np.abs(gz) > 1.0
-
-    def g_or_inv(gv):
-        return np.divide(1.0, gv, out=np.array(gv, dtype=complex), where=big)
-
-    d = (g_or_inv(w.g(z + h)) - g_or_inv(w.g(z - h))) / (2.0 * h)
-    return np.abs(d) ** 2 / (1.0 + np.abs(g_or_inv(gz)) ** 2) ** 2
+    """|g'|^2 / (1 + |g|^2)^2, the pullback density of the round metric, from
+    2 evaluations of g, at z + h and z - h for a real step h: g' is their
+    central difference and g(z) their mean, both with O(h^2) error.  Where
+    |g(z + h) g(z - h)| > 1 both take 1/g instead, which is analytic across
+    the poles of g and keeps the difference well conditioned."""
+    gp, gm = np.asarray(w.g(z + h)), np.asarray(w.g(z - h))
+    big = np.abs(gp * gm) > 1.0
+    gp, gm = (np.divide(1.0, gv, out=np.array(gv, dtype=complex), where=big)
+              for gv in (gp, gm))
+    return (np.abs((gp - gm) / (2.0 * h)) ** 2
+            / (1.0 + np.abs(0.5 * (gp + gm)) ** 2) ** 2)
 
 
 def check_curvature_domain(annulus, grid):
@@ -458,9 +457,11 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256)) -> float:
     The density is evaluated in blocks of whole grid rows, at most
     _PASS_POINTS points each (one row when a row holds more), so that the
     stencil's arrays stay in cache, at the nodes r e^{i theta} with step
-    _DENSITY_STEP (1 + r).  Each point's density depends on that point alone
-    and the sums run over the assembled grid, so the block size changes no
-    bit of the result.  A non-finite integrand raises at its first node.
+    _DENSITY_STEP (1 + r): 2 evaluations of g per node.  Each block adds the
+    fine and coarse sums of its r^2-weighted rows as it goes; each point's
+    density depends on that point alone and each row sum on its row alone,
+    so the block size changes no bit of the result.  A non-finite integrand
+    raises at its first node.
     """
     check_curvature_domain(annulus, grid)
     r_in, r_out = annulus
@@ -469,28 +470,31 @@ def total_curvature(w: WeierstrassData, annulus, grid=(400, 256)) -> float:
     th = 2.0 * np.pi * np.arange(nth) / nth
     r, e = np.exp(s), np.exp(1j * th)
     h = _DENSITY_STEP * (1.0 + r)
-    dens = np.empty((nr + 1, nth))
+    sums = np.empty((2, nr + 1))  # fine and coarse sum of each row
     rows = max(1, _PASS_POINTS // nth)
     with np.errstate(all="ignore"):
         for i in range(0, nr + 1, rows):
-            dens[i:i + rows] = _spherical_density(
-                w, r[i:i + rows, None] * e[None, :], h[i:i + rows, None])
-        radial = dens * np.exp(2.0 * s)[:, None]
-    if not np.isfinite(radial).all():
-        i, j = divmod(int(np.argmin(np.isfinite(radial))), nth)
-        raise QuadratureError(
-            f"total curvature integrand is not finite at r = {r[i]:.6g}, "
-            f"theta = {th[j]:.6g}", z=complex(r[i] * e[j]))
+            radial = _spherical_density(
+                w, r[i:i + rows, None] * e[None, :],
+                h[i:i + rows, None]) * np.exp(2.0 * s[i:i + rows, None])
+            if not np.isfinite(radial).all():
+                k, j = divmod(int(np.argmin(np.isfinite(radial))), nth)
+                raise QuadratureError(
+                    f"total curvature integrand is not finite at "
+                    f"r = {r[i + k]:.6g}, theta = {th[j]:.6g}",
+                    z=complex(r[i + k] * e[j]))
+            sums[0, i:i + rows] = radial.sum(axis=1)
+            sums[1, i:i + rows] = radial[:, ::2].sum(axis=1)
 
-    def trapezoid(block, ds, dth):
-        wts = np.full(block.shape[0], 1.0)
+    def trapezoid(row_sums, ds, dth):
+        wts = np.full(row_sums.size, 1.0)
         wts[0] = wts[-1] = 0.5
-        return float(np.sum(block * wts[:, None]) * ds * dth)
+        return float(np.sum(row_sums * wts) * ds * dth)
 
     ds = (s[-1] - s[0]) / nr
     dth = 2.0 * np.pi / nth
-    fine = trapezoid(radial, ds, dth)
-    coarse = trapezoid(radial[::2, ::2], 2.0 * ds, 2.0 * dth)
+    fine = trapezoid(sums[0], ds, dth)
+    coarse = trapezoid(sums[1, ::2], 2.0 * ds, 2.0 * dth)
     if abs(fine - coarse) > _CURVATURE_RTOL * (abs(fine) + 1e-12):
         raise QuadratureError("curvature grid too coarse for the requested "
                               f"tolerance ({coarse:g} vs {fine:g})")

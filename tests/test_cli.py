@@ -678,11 +678,14 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--suite", "h", "--family", "bending-timelike",
                  "--set", "lambda=null"]) == 0
     # a sample grid on which the surface overflows writes nothing, also
-    # when the first non-finite node is in the last of several row blocks
+    # when the first non-finite node is in the last of several row blocks,
+    # or past the first column of a row with finite nodes before it
     capsys.readouterr()
     for grid, node in (
             ('{"u_min":700,"u_max":720,"v_min":-1,"v_max":1,"nu":3,"nv":3}',
              "[1, 0], (u, v) = (710.0, -1.0)"),
+            ('{"u_min":705,"u_max":709,"v_min":0,"v_max":5,"nu":5,"nv":6}',
+             "[1, 5], (u, v) = (706.0, 5.0)"),
             ('{"u_min":0,"u_max":720,"v_min":-1,"v_max":1,"nu":400,"nv":50}',
              "[394, 0], (u, v) = (710.9774436090225, -1.0)")):
         with warnings.catch_warnings(record=True) as caught:

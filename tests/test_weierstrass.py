@@ -563,17 +563,18 @@ def test_total_curvature_validates_annulus_and_grid():
 
 
 def _gathered_spherical_density(w, z, h):
-    # Reference: the same one-step central difference of g and of 1/g, taken
-    # on separate gathers of the points where |g| <= 1 and |g| > 1, the
-    # whole grid in one pass.
+    # Reference: the same two-point stencil of g and of 1/g, taken on
+    # separate gathers of the points where |g(z + h) g(z - h)| <= 1 and > 1,
+    # the whole grid in one pass.
     h = np.broadcast_to(h, z.shape)
     dens = np.empty(z.shape, dtype=float)
-    big = np.abs(w.g(z)) > 1.0
+    big = np.abs(w.g(z + h) * w.g(z - h)) > 1.0
     for part, func in ((~big, w.g), (big, lambda zz: 1.0 / w.g(zz))):
         if np.any(part):
             zp, hp = z[part], h[part]
-            d = (func(zp + hp) - func(zp - hp)) / (2.0 * hp)
-            dens[part] = np.abs(d) ** 2 / (1.0 + np.abs(func(zp)) ** 2) ** 2
+            gp, gm = func(zp + hp), func(zp - hp)
+            dens[part] = (np.abs((gp - gm) / (2.0 * hp)) ** 2
+                          / (1.0 + np.abs(0.5 * (gp + gm)) ** 2) ** 2)
     return dens
 
 
@@ -588,7 +589,17 @@ def _degree_one_model(z0, label):
                              singularities=(), label=label)
 
 
+def _pole_model(z0, label):
+    return W.WeierstrassData(g=lambda z: 1.0 / (z - z0),
+                             f=lambda z: np.ones_like(np.asarray(z, complex)),
+                             chart=W.PUNCTURED_CHART, signature=W.EUCLID,
+                             singularities=(), label=label)
+
+
+# the nodes of total_curvature's default grid on the annulus (1e-3, 1e3)
 _DEFAULT_S = np.linspace(np.log(1e-3), np.log(1e3), 401)
+_DEFAULT_TH = 2.0 * np.pi * np.arange(256) / 256
+_DEFAULT_Z = np.exp(_DEFAULT_S)[:, None] * np.exp(1j * _DEFAULT_TH)[None, :]
 
 _DENSITY_PAIRS = [
     _dual_pair(catalog.lightlike_rotational(1.0), W.EXP_CHART),
@@ -597,6 +608,8 @@ _DENSITY_PAIRS = [
     _degree_one_model(0.0, "model"),
     # g vanishes exactly at one grid node, where 1/g must not be taken
     _degree_one_model(np.exp(_DEFAULT_S[200] + 0j), "model:zero-on-grid"),
+    # g has a pole at one grid node, where g itself is never evaluated
+    _pole_model(_DEFAULT_Z[100, 64], "model:pole-on-grid"),
 ]
 
 
@@ -604,10 +617,8 @@ _DENSITY_PAIRS = [
 def test_blocked_density_is_bit_identical_to_the_gathered_one(w, monkeypatch):
     # the default grid: 401 x 256 points, so 8 192-point blocks of 32 rows
     # end in a block of 17
-    th = 2.0 * np.pi * np.arange(256) / 256
-    r = np.exp(_DEFAULT_S)
-    z = r[:, None] * np.exp(1j * th)[None, :]
-    h = W._DENSITY_STEP * (1.0 + r)[:, None]
+    z = _DEFAULT_Z
+    h = W._DENSITY_STEP * (1.0 + np.exp(_DEFAULT_S))[:, None]
     rows = W._PASS_POINTS // 256
     blocked = np.concatenate([
         W._spherical_density(w, z[i:i + rows], h[i:i + rows])
@@ -655,19 +666,22 @@ def test_density_matches_the_analytic_dual_gauss_map():
 
 
 def _contour_density(w, z, h):
-    # Reference: g' (or (1/g)' where |g| > 1) from the 32-node trapezoid rule
-    # for Cauchy's integral on the circle of radius 1e-3 (1 + |z|) around
-    # each point; the difference step h is not used.
+    # Reference: g' (or (1/g)' where |g| > 1 at the node) from the 32-node
+    # trapezoid rule for Cauchy's integral on the circle of radius
+    # 1e-3 (1 + |z|) around each point, and the value of that branch from
+    # the mean of the same 32 nodes, so that a g of 0/0 at the node (a
+    # rounding value) enters only the switch; the difference step h is not
+    # used.
     rho = 1e-3 * (1.0 + np.abs(z))
-    gz = w.g(z)
-    big = np.abs(gz) > 1.0
+    big = np.abs(w.g(z)) > 1.0
 
     def g_or_inv(gv):
         return np.divide(1.0, gv, out=np.array(gv, dtype=complex), where=big)
 
     unit = np.exp(2j * np.pi * np.arange(32) / 32)
-    d = sum(g_or_inv(w.g(z + rho * u)) / (rho * u) for u in unit) / 32
-    return np.abs(d) ** 2 / (1.0 + np.abs(g_or_inv(gz)) ** 2) ** 2
+    vals = [g_or_inv(w.g(z + rho * u)) for u in unit]
+    d = sum(v / (rho * u) for v, u in zip(vals, unit)) / 32
+    return np.abs(d) ** 2 / (1.0 + np.abs(sum(vals) / 32) ** 2) ** 2
 
 
 _CONTOUR_CASES = [
@@ -689,6 +703,32 @@ def test_total_curvature_agrees_with_a_contour_derivative(surface, chart,
     monkeypatch.setattr(W, "_spherical_density", _contour_density)
     reference = W.total_curvature(w, (1e-3, 1e3))
     assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+def test_density_at_a_node_where_g_is_zero_over_zero_converges():
+    # bending-spacelike at a = 2: the punctured forms give g = 0/0 at the
+    # grid node z = -1 (ring r = 1, theta = pi), where g has a simple pole
+    # and the density is 1/|res g|^2 = 1.25; the stencil never evaluates g
+    # there, so only its own O(h^2) and rounding errors remain
+    w = _dual_pair(catalog.bending_spacelike(2.0), W.PUNCTURED_CHART)
+    z = _DEFAULT_Z[200:201, 128]
+    assert abs(z[0] + 1.0) < 1e-14
+    step = W._DENSITY_STEP * (1.0 + abs(z[0]))
+    assert abs(W._spherical_density(w, z, step)[0] - 1.25) < 5e-6 * 1.25
+    for h in (1e-4, 3e-5):
+        assert abs(W._spherical_density(w, z, h)[0] - 1.25) < 1e-7 * 1.25
+
+
+def test_total_curvature_evaluates_g_twice_per_node():
+    w = _dual_pair(catalog.lightlike_rotational(1.0), W.EXP_CHART)
+    points = []
+
+    def g(z):
+        points.append(np.size(z))
+        return w.g(z)
+
+    W.total_curvature(dataclasses.replace(w, g=g), (1e-3, 1e3))
+    assert sum(points) == 2 * 401 * 256
 
 
 def test_non_finite_curvature_integrand_raises_at_its_first_node():
