@@ -74,6 +74,11 @@ _NULL.flags.writeable = _ANTI.flags.writeable = False
 # split changes no bit of the result, since every value is computed
 # pointwise.
 _PASS_POINTS = 1 << 13
+# The most nodes a grid may have: numpy makes no array of more than intp.max
+# bytes, and the largest array a job makes per node is a solve's
+# interpolant weights (_interpolant_weights) for the point's two partial
+# panels, 2 NODES doubles.
+_MAX_NODES = np.iinfo(np.intp).max // (2 * NODES * 8)
 # Partial panels that a pass integrates at a time: their gathered node
 # values fill 3 planes of _PASS_POINTS points, as a pass's integrand values
 # do.

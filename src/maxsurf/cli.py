@@ -21,7 +21,7 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,11 +51,6 @@ _DEFAULT_TOLERANCES = {
     "ode": 1e-12,
     "identification": 1e-10,
 }
-
-_TOP_KEYS = frozenset((
-    "family", "a", "lambda", "cubic", "offset", "grid", "tolerances", "out",
-    "formats", "report", "suite", "perturb", "fd_step", "annulus",
-    "curvature_grid", "thetas"))
 
 _GRID_BOUNDS = ("u_min", "u_max", "v_min", "v_max")
 _GRID_KEYS = frozenset(_GRID_BOUNDS + ("nu", "nv"))
@@ -145,7 +140,7 @@ def build_job_config(raw: dict) -> JobConfig:
     """Validate a raw config dict into a JobConfig; raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {_key(f.name) for f in fields(JobConfig)}
     if unknown:
         raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
     family = raw.get("family")
@@ -204,7 +199,7 @@ def build_job_config(raw: dict) -> JobConfig:
 
 
 def _key(name: str) -> str:
-    """The config field of a CatalogSurface field."""
+    """The config key of a CatalogSurface or JobConfig field."""
     return "lambda" if name == "lam" else name
 
 
@@ -272,17 +267,7 @@ def _default_grid(cfg: JobConfig, fam: str, for_sample: bool) -> Grid:
 
 # Unused by `sample`; bench/run.py still records and calibrates with it.
 def _thread_count() -> int:
-    raw = os.environ.get("MAXSURF_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MAXSURF_THREADS must be an integer, got {raw!r}") \
-            from exc
-    if n < 1:
-        raise ConfigError(f"MAXSURF_THREADS must be at least 1, got {n}")
-    return min(n, 64)
+    return os.cpu_count() or 1
 
 
 # Mesh text.  '%.17g' of a double x with 1e-4 <= |x| < 1e17 is its
@@ -593,6 +578,7 @@ class _Job:
     info: catalog.Family
     rep: weierstrass.Representation
     stencil: tuple  # verify.grid_stencil, shared by the grid scans
+    data: object  # catalog.bjorling_data_for, or None without info.curve
 
 
 # (name, suites, rule, run) of each check, in the order they run.
@@ -617,12 +603,12 @@ def _has_data(why):
     "orbit parametrization has no Björling data in these coordinates"))
 def _oracle(job):
     tol = job.cfg.tolerances["oracle"]
-    data = catalog.bjorling_data_for(job.surface)
-    numeric = solve_bjorling(data)
-    U, V = job.grid.mesh()
+    numeric = solve_bjorling(job.data)
     note = ""
     try:
-        res = float(np.max(np.abs(job.patch(U, V) - numeric(U, V))))
+        # stencil[-1] holds the patch's values at the nodes, checked finite
+        res = float(np.max(np.abs(job.stencil[-1]
+                                  - numeric(*job.grid.mesh()))))
     except QuadratureError as exc:
         res, note = float("inf"), str(exc)
     return [_check("oracle-agreement", res, tol, job.grid.describe(),
@@ -672,10 +658,9 @@ def _identification(job):
            _has_data("no Björling data (see oracle note)"))
 def _recovery(job):
     tols = job.cfg.tolerances
-    data = catalog.bjorling_data_for(job.surface)
     ug = np.linspace(job.grid.u_min, job.grid.u_max, 21)
     return verify.bjorling_recovery(
-        job.patch, data, ug, position_tol=tols["recovery_position"],
+        job.patch, job.data, ug, position_tol=tols["recovery_position"],
         normal_tol=tols["recovery_normal"]).checks
 
 
@@ -699,8 +684,7 @@ def _forms(job):
     ring = "ring |z-0.07i|=0.8"
     checks = [_check("null-condition", float(np.max(triple.null_residual(zs))),
                      tols["null_condition"], ring)]
-    data = catalog.bjorling_data_for(job.surface)
-    direct = data.alpha.d(zs) + 1j * data.integrand(zs)
+    direct = job.data.alpha.d(zs) + 1j * job.data.integrand(zs)
     res = float(np.max(np.abs(triple(zs) - direct)))
     checks.append(_check("forms-match-data", res, tols["forms_data"], ring))
     rec = weierstrass.reconstruct_forms(weierstrass.weierstrass_pair(triple))
@@ -763,8 +747,10 @@ def _verify_checks(cfg: JobConfig, surface, patch, grid):
     with np.errstate(all="ignore"):
         stencil = verify.grid_stencil(patch, grid, cfg.fd_step)
         _require_finite(patch, grid, stencil[-1])
-    job = _Job(cfg, surface, patch, grid, catalog.FAMILY_INFO[surface.family],
-               weierstrass.REPRESENTATIONS[surface.family], stencil)
+    info = catalog.FAMILY_INFO[surface.family]
+    job = _Job(cfg, surface, patch, grid, info,
+               weierstrass.REPRESENTATIONS[surface.family], stencil,
+               catalog.bjorling_data_for(surface) if info.curve else None)
     checks = []
     skipped = []
     # Non-finite values end as FAIL residuals, not as warnings.

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lorentz import lorentz_cross
+from .lorentz import lorentz_cross, vec3
 
 CIRCLE_TIMELIKE = "circle-timelike"
 CIRCLE_SPACELIKE = "circle-spacelike"
@@ -230,14 +230,6 @@ def _z_square(z):
     return z, np.square(z)
 
 
-def _vec(z, comps):
-    """Components (arrays shaped like z, or constants) as one (..., 3) array."""
-    out = np.empty(z.shape + (3,), np.result_type(z, *comps))
-    for k, comp in enumerate(comps):
-        out[..., k] = comp
-    return out
-
-
 @dataclass(frozen=True)
 class _Formulas:
     """The formulas of one family.  `kernel` maps z to the pair (f, g) the
@@ -317,7 +309,7 @@ class _Curve:
 
     def __call__(self, z):
         z = np.asarray(z)
-        return _vec(z, self.comps(z, *self.kernel(z)))
+        return vec3(*self.comps(z, *self.kernel(z)))
 
 
 def make_curve(family: CurveFamily) -> AnalyticMap:
@@ -357,7 +349,7 @@ class _NormalField:
         comps = (np.add(np.multiply(p, l1(f, g)), np.multiply(q, l2(f, g)))
                  for l1, l2 in self.form.legs)
         if out is None:
-            return _vec(z, list(comps))
+            return vec3(*comps)
         for k in range(3):
             out[..., k] = next(comps)
         return out

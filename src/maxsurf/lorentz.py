@@ -29,8 +29,13 @@ class CausalCharacter(Enum):
 
 
 def vec3(x, y, z) -> np.ndarray:
-    """Stack components into a (..., 3) array along the last axis."""
-    return np.stack(np.broadcast_arrays(np.asarray(x), np.asarray(y), np.asarray(z)), axis=-1)
+    """Components, arrays or constants, broadcast into one (..., 3) array."""
+    x, y, z = comps = np.asarray(x), np.asarray(y), np.asarray(z)
+    out = np.empty(np.broadcast(x, y, z).shape + (3,), np.promote_types(
+        np.promote_types(x.dtype, y.dtype), z.dtype))
+    for k, comp in enumerate(comps):
+        out[..., k] = comp
+    return out
 
 
 def lorentz_dot(u, v) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bjorling import (_PASS_POINTS, SurfacePatch, derivatives,
+from .bjorling import (_MAX_NODES, _PASS_POINTS, SurfacePatch, derivatives,
                        reference_normal, shifted_values)
 from .lorentz import lorentz_cross, lorentz_dot
 from .motions import MotionGroup, isometry_defect
@@ -28,7 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Rectangular sample grid, nodes at the linspace of each axis."""
+    """Rectangular sample grid, nodes at the linspace of each axis; at most
+    bjorling._MAX_NODES nodes, which numpy can index in every array made."""
 
     u_min: float
     u_max: float
@@ -40,6 +41,9 @@ class Grid:
     def __post_init__(self):
         if self.nu < 2 or self.nv < 2:
             raise ValueError(f"grid needs at least 2x2 nodes, got {self.nu}x{self.nv}")
+        if int(self.nu) * int(self.nv) > _MAX_NODES:
+            raise ValueError(f"grid needs at most {_MAX_NODES} nodes, got "
+                             f"{self.nu}x{self.nv}")
         bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
         if not all(np.isfinite(b) for b in bounds):
             raise ValueError(f"grid bounds must be finite, got {bounds}")

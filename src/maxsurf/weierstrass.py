@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import catalog
-from .bjorling import _PASS_POINTS, QuadratureError, segment_integral
+from .bjorling import (_MAX_NODES, _PASS_POINTS, QuadratureError,
+                       segment_integral)
 from .catalog import CatalogSurface
 from .lorentz import vec3
 
@@ -57,10 +58,10 @@ class FormTriple:
     """Three analytic 1-form coefficients sharing a chart and a signature.
 
     func maps a complex array z to the tuple (phi1, phi2, phi3) of
-    coefficients at z; signature says which null condition the triple
-    satisfies ("lorentz": +,+,-; "euclid": +,+,+); singularities lists the
-    points of the chart where the coefficients are not analytic (period
-    loops must avoid them).
+    coefficients at z, arrays or constants; signature says which null
+    condition the triple satisfies ("lorentz": +,+,-; "euclid": +,+,+);
+    singularities lists the points of the chart where the coefficients are
+    not analytic (period loops must avoid them).
     """
 
     func: Callable
@@ -70,9 +71,8 @@ class FormTriple:
     label: str = ""
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.stack([np.asarray(c, dtype=complex) for c in self.func(z)],
-                        axis=-1)
+        return vec3(*self.func(np.asarray(z, dtype=complex))).astype(
+            complex, copy=False)
 
     def null_residual(self, z):
         """Pointwise defect of the null condition for this signature."""
@@ -437,13 +437,17 @@ def _spherical_density(w: WeierstrassData, z, h):
 
 
 def check_curvature_domain(annulus, grid):
-    """Raise ValueError unless 0 < r_in < r_out and both grid sides are even
-    (for the half-resolution restriction) and at least 8."""
+    """Raise ValueError unless 0 < r_in < r_out, both grid sides are even
+    (for the half-resolution restriction) and at least 8, and the grid of
+    nr + 1 radii by nth angles has at most bjorling._MAX_NODES nodes."""
     if not 0 < annulus[0] < annulus[1]:
         raise ValueError(f"annulus needs 0 < r_in < r_out, got {annulus}")
     if any(n < 8 or n % 2 for n in grid):
         raise ValueError(f"curvature grid sides must be even and at least 8, "
                          f"got {grid}")
+    if (int(grid[0]) + 1) * int(grid[1]) > _MAX_NODES:
+        raise ValueError(f"curvature grid needs at most {_MAX_NODES} nodes "
+                         f"(nr + 1 radii by nth angles), got {grid}")
 
 
 def total_curvature(w: WeierstrassData, annulus, grid=(400, 256)) -> float:

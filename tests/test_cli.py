@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maxsurf import catalog, cli, verify
+from maxsurf.bjorling import _MAX_NODES
 from maxsurf.cli import build_job_config, main, surface_from_config
 from maxsurf.verify import Grid
 
@@ -604,6 +605,44 @@ def test_injected_failure_returns_one(tmp_path, capsys):
     assert out.strip().endswith("FAILED")
 
 
+@pytest.mark.parametrize("family, perturb", [
+    ("bending-timelike", 0.05), ("bending-timelike", 0.0),
+    ("helicoidal-spacelike-i", 1e-9), ("lightlike-rotational", 0.05)])
+def test_oracle_residual_is_the_dense_mesh_difference(tmp_path, capsys,
+                                                      family, perturb):
+    # the oracle reads the patch values of the shared stencil; they carry
+    # the bits of the patch evaluated on the dense mesh
+    report = tmp_path / "r.json"
+    main(["verify", "--family", family, "--set", f"perturb={perturb}",
+          "--report", str(report)])
+    (check,) = [c for c in json.loads(report.read_text())["checks"]
+                if c["name"] == "oracle-agreement"]
+    cfg = build_job_config({"family": family, "perturb": perturb})
+    surface = surface_from_config(cfg)
+    U, V = cli._default_grid(cfg, family, for_sample=False).mesh()
+    numeric = cli.solve_bjorling(catalog.bjorling_data_for(surface))
+    direct = np.max(np.abs(cli._patch_for(surface, cfg)(U, V)
+                           - numeric(U, V)))
+    assert check["residual"] == float(direct)
+
+
+@pytest.mark.parametrize("family, calls", [
+    ("bending-timelike", 1), ("elliptic-catenoid", 1),
+    ("enneper-second-kind", 0)])
+def test_verify_builds_the_bjorling_data_once(monkeypatch, capsys, family,
+                                              calls):
+    made = []
+
+    def counted(surface):
+        made.append(surface)
+        return data_for(surface)
+
+    data_for = catalog.bjorling_data_for
+    monkeypatch.setattr(catalog, "bjorling_data_for", counted)
+    main(["verify", "--family", family, "--suite", "all"])
+    assert len(made) == calls
+
+
 def test_config_error_paths(tmp_path, capsys, monkeypatch):
     bad_family = write_config(tmp_path / "a.json", family="moebius")
     assert main(["verify", "--config", bad_family]) == 2
@@ -798,6 +837,32 @@ def test_no_config_ends_in_a_traceback(tmp_path, command, raw):
      "config error: out of memory: Unable to allocate"),
     (["verify", "--family", "lightlike-rotational", "--suite", "curvature",
       "--set", "curvature_grid=[8,100000000000000]"], 2,
+     "config error: out of memory: Unable to allocate"),
+    # a grid of more nodes than numpy can index in every array of the job
+    # is refused; one just inside still fails at its first allocation
+    (["verify", "--family", "bending-timelike", "--set",
+      "grid.nu=9223372036854775807"], 2,
+     f"config error: grid: grid needs at most {_MAX_NODES} nodes, got "
+     "9223372036854775807x21"),
+    (["verify", "--family", "bending-timelike", "--set",
+      "grid.nv=4611686018427387904"], 2,
+     f"config error: grid: grid needs at most {_MAX_NODES} nodes, got "
+     "21x4611686018427387904"),
+    (["sample", "--family", "bending-timelike", "--set",
+      "grid.nu=4611686018427387904", "--out", "m"], 2,
+     f"config error: grid: grid needs at most {_MAX_NODES} nodes, got "
+     "4611686018427387904x16"),
+    (["verify", "--family", "bending-timelike", "--set", "grid.nu=2",
+      "--set", f"grid.nv={_MAX_NODES // 2}"], 2,
+     "config error: out of memory: Unable to allocate"),
+    *[(["verify", "--family", "lightlike-rotational", "--suite", "curvature",
+        "--set", f"curvature_grid=[{nr},{nth}]"], 2,
+       f"config error: curvature grid needs at most {_MAX_NODES} nodes "
+       f"(nr + 1 radii by nth angles), got ({nr}, {nth})")
+      for nr, nth in ((8, 4611686018427387904), (9223372036854775806, 8),
+                      (8, 9223372036854775806))],
+    (["verify", "--family", "lightlike-rotational", "--suite", "curvature",
+      "--set", f"curvature_grid=[8,{_MAX_NODES // 9 // 2 * 2}]"], 2,
      "config error: out of memory: Unable to allocate"),
 ])
 def test_edge_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, args, code,

@@ -195,13 +195,16 @@ def test_bjorling_data_bundles_curve_and_field():
 def test_frame_legs_carry_their_recorded_orientation(family):
     # L1 x alpha' = eps mu L2 and L2 x alpha' = eps mu L1, with the eps of
     # _formulas: the identity the Björling integrand is built on.  The
-    # lightlike circle's legs are n - b and n + b of its null legs.
+    # lightlike circle's legs are n - b and n + b of its null legs.  A leg
+    # of constants only, such as the circle-timelike L2 = (0, 0, 1), is one
+    # vector that broadcasts against t.
     form = frames._formulas(family)
     rng = np.random.default_rng(7)
     t = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
     f, g = form.kernel(t)
-    n, b = (frames._vec(t, [pair[i](f, g) for pair in form.legs])
-            for i in (0, 1))
+    n, b = (vec3(*[pair[i](f, g) for pair in form.legs]) for i in (0, 1))
+    for leg in (n, b):
+        assert leg.shape in (t.shape + (3,), (3,))
     d = frames.make_curve(family).d(t)
     scale = form.eps * (family.mu or 1.0)
     assert form.eps in (1.0, -1.0)
@@ -217,6 +220,18 @@ PAIRS = [(family, spec) for family in ALL_FAMILIES
                       NormalFieldSpec("linear", 0.7))
          if family is not LIGHTLIKE_CIRCLE or spec.kind == "constant"]
 PAIR_IDS = [f"{family.tag}-{spec.kind}" for family, spec in PAIRS]
+
+
+@pytest.mark.parametrize("family,spec", PAIRS, ids=PAIR_IDS)
+def test_frame_maps_give_one_vector_per_point(family, spec):
+    # constant components, such as a circle's zero third one, broadcast to
+    # the shape of z
+    data = frames.make_bjorling_data(family, spec)
+    for z in (np.array(0.3 - 0.2j), np.float64(0.3), np.linspace(-1, 1, 5),
+              np.full((2, 4), 0.7 + 0.1j)):
+        for frame_map in (data.alpha, data.alpha.d, data.normal_field):
+            assert frame_map(z).shape == np.shape(z) + (3,)
+
 
 # Real points, points near the real axis and points at |Im z| = 5.
 PIN_POINTS = np.array([0.0, 0.7, -2.3, 0.4 + 1e-3j, -1.1 - 0.3j,

@@ -15,6 +15,25 @@ COORDS = st.floats(min_value=-1e3, max_value=1e3,
 VECTORS = st.tuples(COORDS, COORDS, COORDS).map(lambda t: vec3(*t))
 
 
+@pytest.mark.parametrize("comps", [
+    (1, 0, 0),
+    (1.0, 2, 3j),
+    (np.float64(0.5), np.array(2), np.array(1.5 + 2j)),
+    (np.arange(4), 1, np.arange(4) * 2),
+    (np.linspace(0, 1, 3, dtype=np.float32), 0.0, np.float32(2.0)),
+    (np.linspace(0, 1, 3, dtype=np.float32), np.ones(3, np.float32), 1),
+    (np.exp(1j * np.arange(5)), np.arange(5.0), 0.0),
+    (np.arange(3.0)[:, None], np.linspace(-1, 1, 4)[None, :], 0.25),
+    (np.arange(3)[:, None], 0.0, np.exp(1j * np.arange(4))[None, :]),
+], ids=["ints", "mixed-constants", "0-d", "int-arrays", "float32-constant",
+        "float32-int", "complex", "n1-by-1m", "n1-by-1m-complex"])
+def test_vec3_matches_a_stack_of_broadcast_components(comps):
+    want = np.stack(np.broadcast_arrays(*map(np.asarray, comps)), axis=-1)
+    got = vec3(*comps)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_metric_matrix():
     assert np.array_equal(ETA, np.diag([1.0, 1.0, -1.0]))
 

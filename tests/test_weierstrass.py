@@ -179,6 +179,17 @@ def test_pair_helicoidal_spacelike_ii_punctured():
     assert np.max(np.abs(wd.f(z) - f_ref)) < 1e-12
 
 
+def test_form_triple_broadcasts_constant_coefficients():
+    # a coefficient may be a constant: it is broadcast against z and made
+    # complex, as the arrays are
+    z = np.array([[0.5, 1j], [2.0, -1.0 - 1j]])
+    triple = W.FormTriple(func=lambda z: (z, 1.0, 1j * z))
+    want = np.stack([z, np.ones_like(z), 1j * z], axis=-1)
+    got = triple(z)
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    assert W.FormTriple(func=lambda z: (0.0, 1, 2j))(0.5).shape == (3,)
+
+
 def test_pair_extraction_rejects_vanishing_omega():
     dead = W.FormTriple(func=lambda z: (
         np.ones_like(np.asarray(z, complex)),

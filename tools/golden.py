@@ -30,7 +30,6 @@ import sys
 
 from maxsurf import catalog, cli
 
-SUITES = ("all", "h", "periods", "curvature", "equivariance")
 TWISTS = ("1", "2", "2.3")
 # One lambda per helicoid family besides the default, inside its range.
 OTHER_LAMBDA = {
@@ -56,7 +55,7 @@ def jobs():
     yield "families", ["families"]
     for fam in catalog.FAMILY_INFO:
         lams = [None] + ([OTHER_LAMBDA[fam]] if fam in OTHER_LAMBDA else [])
-        for suite in SUITES:
+        for suite in cli._SUITES:
             for a in TWISTS:
                 for lam in lams:
                     name = f"verify-{fam}-{suite}-a{a}"
