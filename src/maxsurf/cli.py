@@ -170,7 +170,7 @@ def build_job_config(raw: dict) -> JobConfig:
             raise ConfigError(f"{key} must be a path string or null, "
                               f"got {raw[key]!r}")
     annulus = _build_pair(raw.get("annulus", [1e-3, 1e3]), "annulus", float)
-    curvature_grid = _build_pair(raw.get("curvature_grid", [400, 256]),
+    curvature_grid = _build_pair(raw.get("curvature_grid", [128, 32]),
                                  "curvature_grid", int)
     try:
         weierstrass.check_curvature_domain(annulus, curvature_grid)

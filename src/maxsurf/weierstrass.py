@@ -19,14 +19,15 @@ where residues and period integrals live.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import catalog
-from .bjorling import (_MAX_NODES, _PASS_POINTS, QuadratureError,
-                       segment_integral)
+from .bjorling import (_MAX_NODES, _NULL, _PASS_POINTS, _S, _WT, NODES,
+                       QuadratureError, segment_integral)
 from .catalog import CatalogSurface
 from .lorentz import vec3
 
@@ -36,11 +37,14 @@ LORENTZ = "lorentz"
 EUCLID = "euclid"
 
 # period's first trapezoid node count, agreement of two successive passes
-# and doublings before it raises; total_curvature's relative agreement with
-# its half-resolution grid, and its difference step over 1 + r (near
-# eps^(1/3), where truncation and rounding errors balance).
+# and doublings before it raises; total_curvature's tolerance relative to
+# its largest ring value, its density's difference step over 1 + r (near
+# eps^(1/3), where truncation and rounding errors balance), and its caps on
+# the angles of one ring and on the density nodes of one call, which bound
+# a call that cannot settle to about 4 times the cost of a 401 x 256 grid.
 _PERIOD_NODES, _PERIOD_TOL, _PERIOD_DOUBLINGS = 256, 1e-10, 6
-_CURVATURE_RTOL, _DENSITY_STEP = 0.05, 4e-6
+_CURVATURE_RTOL, _DENSITY_STEP = 1e-7, 4e-6
+_RING_NODES, _CURVATURE_NODES = 8192, 4 * 401 * 256
 
 
 def cpow(z, a):
@@ -128,13 +132,13 @@ def _forms_bending_spacelike_punctured(a):
 
 
 def _forms_lightlike(a):
-    ca, sa = np.cosh(a), np.sinh(a)
+    # cosh a - sinh a taken as e^-a, which does not cancel at large a
+    ca, sa, ea = np.cosh(a), np.sinh(a), np.exp(-a)
 
     def forms(z):
-        z2 = z * z
-        return (z + 0.5j * ((z2 - 2.0) * ca - z2 * sa),
-                1.0 + 1j * z * (ca - sa),
-                z + 0.5j * (z2 * ca - (z2 + 2.0) * sa))
+        z2e = z * z * ea
+        return (z + 0.5j * (z2e - 2.0 * ca), 1.0 + 1j * z * ea,
+                z + 0.5j * (z2e - 2.0 * sa))
 
     return forms
 
@@ -438,8 +442,9 @@ def _spherical_density(w: WeierstrassData, z, h):
 
 def check_curvature_domain(annulus, grid):
     """Raise ValueError unless 0 < r_in < r_out, both grid sides are even
-    (for the half-resolution restriction) and at least 8, and the grid of
-    nr + 1 radii by nth angles has at most bjorling._MAX_NODES nodes."""
+    (total_curvature's first pass compares its nth angles with their even
+    half) and at least 8, and nr + 1 radii by nth angles make at most
+    bjorling._MAX_NODES nodes."""
     if not 0 < annulus[0] < annulus[1]:
         raise ValueError(f"annulus needs 0 < r_in < r_out, got {annulus}")
     if any(n < 8 or n % 2 for n in grid):
@@ -450,59 +455,135 @@ def check_curvature_domain(annulus, grid):
                          f"(nr + 1 radii by nth angles), got {grid}")
 
 
-def total_curvature(w: WeierstrassData, annulus, grid=(400, 256)) -> float:
+def _ring_sums(w, r, n, offset):
+    """Sum of the r^2-weighted density over the n angles
+    2 pi (k + offset) / n of each ring r, and over its even-numbered angles.
+
+    Blocks of whole rings of at most _PASS_POINTS points (one ring when a
+    ring holds more) keep the stencil's arrays in cache; each point's value
+    depends on that point alone and each sum on its ring alone, so the block
+    size changes no bit.  A non-finite value raises at its first node."""
+    th = 2.0 * np.pi * (np.arange(n) + offset) / n
+    e = np.exp(1j * th)
+    sums = np.empty((2, r.size))
+    rows = max(1, _PASS_POINTS // n)
+    for i in range(0, r.size, rows):
+        ring = r[i:i + rows, None]
+        radial = _spherical_density(w, ring * e, _DENSITY_STEP * (1.0 + ring)
+                                    ) * (ring * ring)
+        if not np.isfinite(radial).all():
+            k, j = divmod(int(np.argmin(np.isfinite(radial))), n)
+            raise QuadratureError(
+                f"total curvature integrand is not finite at "
+                f"r = {r[i + k]:.6g}, theta = {th[j]:.6g}",
+                z=complex(r[i + k] * e[j]))
+        sums[0, i:i + rows] = radial.sum(axis=1)
+        sums[1, i:i + rows] = radial[:, ::2].sum(axis=1)
+    return sums
+
+
+def _unsettled(w, what, r, n, estimate, tol):
+    """The QuadratureError of a rule that reached its cap `what`, located on
+    the ring r at its largest density node of n."""
+    th = 2.0 * np.pi * np.arange(n) / n
+    dens = _spherical_density(w, r * np.exp(1j * th),
+                              _DENSITY_STEP * (1.0 + r))
+    t = th[int(np.argmax(dens))]
+    return QuadratureError(
+        f"total curvature does not settle within {what}: estimate "
+        f"{estimate:.3g} against {tol:.3g} at r = {r:.6g}, theta = {t:.6g}",
+        z=complex(r * np.exp(1j * t)), estimate=estimate, tol=tol)
+
+
+def _rings(w, s, nth, used, top):
+    """(value, n, used, top) of the rings at log radii s: each ring's
+    periodic trapezoid sum of its r^2-weighted density over its n angles,
+    the density nodes `used` so far and the largest ring value `top` so
+    far.  Every ring starts at nth angles; the rings whose last two sums
+    (from the first pass, its even-numbered angles and all of them) differ
+    by more than _CURVATURE_RTOL top are doubled together, each doubling
+    evaluating the new midpoints only."""
+    r = np.exp(s)
+    n = np.full(s.size, nth)
+    sums = _ring_sums(w, r, nth, 0.0)
+    used += s.size * nth
+    full, value = sums[0], sums[0] * (2.0 * np.pi / nth)
+    last = sums[1] * (4.0 * np.pi / nth)
+    ring, m = np.arange(s.size), nth
+    while True:
+        top = max(top, float(np.max(value, initial=0.0)))
+        diff = np.abs(value[ring] - last[ring])
+        miss = diff > _CURVATURE_RTOL * top
+        ring, diff = ring[miss], diff[miss]
+        if not ring.size:
+            return value, n, used, top
+        for limit, need, what in (
+                (_RING_NODES, 2 * m, "angles per ring"),
+                (_CURVATURE_NODES, used + ring.size * m, "density nodes")):
+            if need > limit:
+                k = ring[np.argmax(diff)]
+                raise _unsettled(w, f"{limit} {what}", r[k], m,
+                                 float(diff.max()), _CURVATURE_RTOL * top)
+        new = _ring_sums(w, r[ring], m, 0.5)[0]
+        used += ring.size * m
+        last[ring] = value[ring]
+        full[ring] += new
+        m *= 2
+        n[ring] = m
+        value[ring] = full[ring] * (2.0 * np.pi / m)
+
+
+def total_curvature(w: WeierstrassData, annulus, grid=(128, 32)) -> float:
     """Total curvature -4 * integral of the spherical density over an annulus.
 
-    The annulus (r_in, r_out) is centered at 0 and sampled on a log-radial
-    trapezoid grid; the value is checked against its own half-resolution
-    restriction and must agree to _CURVATURE_RTOL.  For a meromorphic g of
+    The annulus (r_in, r_out) is centered at 0.  In s = log r the rule
+    integrates on Gauss-Legendre panels of bjorling's NODES-point rule,
+    starting from ceil(nr / NODES) equal panels, and bisects each panel
+    whose null-rule estimate (Berntsen & Espelid, ACM TOMS 17, 1991) exceeds
+    _CURVATURE_RTOL times the largest ring value times its width.  Each of
+    a panel's rings r = e^s integrates r^2 times the density over theta by
+    the periodic trapezoid rule, which converges exponentially (Trefethen &
+    Weideman, SIAM Review 56, 2014), from nth angles, doubled on the rings
+    that need it (_rings).  The density takes 2 evaluations of g per node,
+    at r e^{i theta} +- _DENSITY_STEP (1 + r).  For a meromorphic g of
     degree d the value tends to -4 pi d as the annulus exhausts the plane.
 
-    The density is evaluated in blocks of whole grid rows, at most
-    _PASS_POINTS points each (one row when a row holds more), so that the
-    stencil's arrays stay in cache, at the nodes r e^{i theta} with step
-    _DENSITY_STEP (1 + r): 2 evaluations of g per node.  Each block adds the
-    fine and coarse sums of its r^2-weighted rows as it goes; each point's
-    density depends on that point alone and each row sum on its row alone,
-    so the block size changes no bit of the result.  A non-finite integrand
-    raises at its first node.
+    The caps bound the refinement, not the starting rule: a ring that would
+    need more than _RING_NODES angles, or a step that would take the call
+    past _CURVATURE_NODES density nodes, raises QuadratureError naming r,
+    theta and the estimate.  A non-finite integrand raises at its first
+    node.  The block size of the density's passes changes no bit of the
+    result.
     """
     check_curvature_domain(annulus, grid)
-    r_in, r_out = annulus
-    nr, nth = grid
-    s = np.linspace(np.log(r_in), np.log(r_out), nr + 1)
-    th = 2.0 * np.pi * np.arange(nth) / nth
-    r, e = np.exp(s), np.exp(1j * th)
-    h = _DENSITY_STEP * (1.0 + r)
-    sums = np.empty((2, nr + 1))  # fine and coarse sum of each row
-    rows = max(1, _PASS_POINTS // nth)
+    lo, hi = np.log(annulus[0]), np.log(annulus[1])
+    count, nth = -(-int(grid[0]) // NODES), int(grid[1])
+    left = lo + (hi - lo) * np.arange(count) / count
+    width = np.full(count, (hi - lo) / count)
+    used, top, parts = 0, 0.0, []
     with np.errstate(all="ignore"):
-        for i in range(0, nr + 1, rows):
-            radial = _spherical_density(
-                w, r[i:i + rows, None] * e[None, :],
-                h[i:i + rows, None]) * np.exp(2.0 * s[i:i + rows, None])
-            if not np.isfinite(radial).all():
-                k, j = divmod(int(np.argmin(np.isfinite(radial))), nth)
-                raise QuadratureError(
-                    f"total curvature integrand is not finite at "
-                    f"r = {r[i + k]:.6g}, theta = {th[j]:.6g}",
-                    z=complex(r[i + k] * e[j]))
-            sums[0, i:i + rows] = radial.sum(axis=1)
-            sums[1, i:i + rows] = radial[:, ::2].sum(axis=1)
-
-    def trapezoid(row_sums, ds, dth):
-        wts = np.full(row_sums.size, 1.0)
-        wts[0] = wts[-1] = 0.5
-        return float(np.sum(row_sums * wts) * ds * dth)
-
-    ds = (s[-1] - s[0]) / nr
-    dth = 2.0 * np.pi / nth
-    fine = trapezoid(sums[0], ds, dth)
-    coarse = trapezoid(sums[1, ::2], 2.0 * ds, 2.0 * dth)
-    if abs(fine - coarse) > _CURVATURE_RTOL * (abs(fine) + 1e-12):
-        raise QuadratureError("curvature grid too coarse for the requested "
-                              f"tolerance ({coarse:g} vs {fine:g})")
-    return -4.0 * fine
+        while True:
+            s = left[:, None] + width[:, None] * _S
+            value, n, used, top = _rings(w, s.ravel(), nth, used, top)
+            value, n = value.reshape(s.shape), n.reshape(s.shape)
+            est = width * np.sum(np.abs(value @ _NULL.T), axis=1)
+            tol = _CURVATURE_RTOL * top * width
+            miss = est > tol
+            parts.extend(width[~miss] * (value[~miss] @ _WT))
+            if not miss.any():
+                return -4.0 * math.fsum(parts)
+            # Each half of a missed panel has as many rings as the whole,
+            # nearer to what the whole missed: a round is begun only if it
+            # can take twice the nodes of the panels it bisects.
+            if used + 2 * int(n[miss].sum()) > _CURVATURE_NODES:
+                p = int(np.argmax(np.where(miss, est / tol, -np.inf)))
+                k = int(np.argmax(value[p]))
+                raise _unsettled(w, f"{_CURVATURE_NODES} density nodes",
+                                 float(np.exp(s[p, k])), int(n[p, k]),
+                                 float(est[p]), float(tol[p]))
+            half = 0.5 * width[miss]
+            left = np.column_stack([left[miss], left[miss] + half]).ravel()
+            width = np.repeat(half, 2)
 
 
 def integrate_forms(triple: FormTriple, z):

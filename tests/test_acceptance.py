@@ -166,13 +166,15 @@ def test_dual_total_curvature_hits_the_quantized_targets(capsys):
             (catalog.bending_spacelike(1.0), W.PUNCTURED_CHART,
              -8.0 * np.pi, 0.05),
             (catalog.lightlike_rotational(1.0), W.EXP_CHART,
+             -4.0 * np.pi, 0.05),
+            (catalog.lightlike_rotational(3.0), W.EXP_CHART,
              -4.0 * np.pi, 0.05)):
         start = time.perf_counter()
         w = M.weierstrass_pair(M.dualize(M.forms_for(s, chart)))
         value = M.total_curvature(w, (1e-3, 1e3))
         elapsed = time.perf_counter() - start
-        results.append((s.family, abs(value - target) / abs(target), rtol,
-                        elapsed))
+        results.append((f"{s.family} a = {s.a:g}",
+                        abs(value - target) / abs(target), rtol, elapsed))
     start = time.perf_counter()
     model = W.WeierstrassData(
         g=lambda z: z,

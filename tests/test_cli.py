@@ -900,7 +900,7 @@ def test_non_finite_curvature_integrand_is_reported(tmp_path, capsys):
     (check,) = json.loads(report.read_text())["checks"]
     assert check["residual"] == float("inf")
     assert check["note"] == ("total curvature integrand is not finite at "
-                             "r = 3.63078e+154, theta = 0")
+                             "r = 1.60399e+154, theta = 0")
     assert "FAIL total-curvature: residual inf" in capsys.readouterr().out
 
 

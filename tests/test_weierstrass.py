@@ -7,6 +7,7 @@ variant rather than the standalone display.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -607,33 +608,35 @@ def _pole_model(z0, label):
                              singularities=(), label=label)
 
 
-# the nodes of total_curvature's default grid on the annulus (1e-3, 1e3)
-_DEFAULT_S = np.linspace(np.log(1e-3), np.log(1e3), 401)
-_DEFAULT_TH = 2.0 * np.pi * np.arange(256) / 256
-_DEFAULT_Z = np.exp(_DEFAULT_S)[:, None] * np.exp(1j * _DEFAULT_TH)[None, :]
+# the nodes of total_curvature's first pass on the annulus (1e-3, 1e3) from
+# its default start: 4 panels of NODES rings in log r, 32 angles per ring
+_LO, _HI = np.log(1e-3), np.log(1e3)
+_FIRST_S = ((_LO + (_HI - _LO) * np.arange(4) / 4)[:, None]
+            + (_HI - _LO) / 4 * W._S).ravel()
+_FIRST_TH = 2.0 * np.pi * np.arange(32) / 32
+_FIRST_Z = np.exp(_FIRST_S)[:, None] * np.exp(1j * _FIRST_TH)[None, :]
 
 _DENSITY_PAIRS = [
     _dual_pair(catalog.lightlike_rotational(1.0), W.EXP_CHART),
     _dual_pair(catalog.lightlike_rotational(2.0), W.EXP_CHART),
     _dual_pair(catalog.bending_spacelike(2.0), W.PUNCTURED_CHART),
     _degree_one_model(0.0, "model"),
-    # g vanishes exactly at one grid node, where 1/g must not be taken
-    _degree_one_model(np.exp(_DEFAULT_S[200] + 0j), "model:zero-on-grid"),
-    # g has a pole at one grid node, where g itself is never evaluated
-    _pole_model(_DEFAULT_Z[100, 64], "model:pole-on-grid"),
+    # g vanishes exactly at one node, where 1/g must not be taken
+    _degree_one_model(_FIRST_Z[64, 0], "model:zero-on-grid"),
+    # g has a pole at one node, where g itself is never evaluated
+    _pole_model(_FIRST_Z[40, 8], "model:pole-on-grid"),
 ]
 
 
 @pytest.mark.parametrize("w", _DENSITY_PAIRS, ids=lambda w: w.label)
 def test_blocked_density_is_bit_identical_to_the_gathered_one(w, monkeypatch):
-    # the default grid: 401 x 256 points, so 8 192-point blocks of 32 rows
-    # end in a block of 17
-    z = _DEFAULT_Z
-    h = W._DENSITY_STEP * (1.0 + np.exp(_DEFAULT_S))[:, None]
-    rows = W._PASS_POINTS // 256
+    # the first pass: 128 rings of 32 points, in blocks of 24 rings that
+    # end in a block of 8
+    z = _FIRST_Z
+    h = W._DENSITY_STEP * (1.0 + np.exp(_FIRST_S))[:, None]
     blocked = np.concatenate([
-        W._spherical_density(w, z[i:i + rows], h[i:i + rows])
-        for i in range(0, 401, rows)])
+        W._spherical_density(w, z[i:i + 24], h[i:i + 24])
+        for i in range(0, 128, 24)])
     assert np.array_equal(blocked, _gathered_spherical_density(w, z, h))
 
     value = W.total_curvature(w, (1e-3, 1e3))
@@ -717,12 +720,12 @@ def test_total_curvature_agrees_with_a_contour_derivative(surface, chart,
 
 
 def test_density_at_a_node_where_g_is_zero_over_zero_converges():
-    # bending-spacelike at a = 2: the punctured forms give g = 0/0 at the
-    # grid node z = -1 (ring r = 1, theta = pi), where g has a simple pole
-    # and the density is 1/|res g|^2 = 1.25; the stencil never evaluates g
-    # there, so only its own O(h^2) and rounding errors remain
+    # bending-spacelike at a = 2: the punctured forms give g = 0/0 at
+    # z = -1 (r = 1, theta = pi), where g has a simple pole and the density
+    # is 1/|res g|^2 = 1.25; the stencil never evaluates g there, so only
+    # its own O(h^2) and rounding errors remain
     w = _dual_pair(catalog.bending_spacelike(2.0), W.PUNCTURED_CHART)
-    z = _DEFAULT_Z[200:201, 128]
+    z = np.exp([1j * np.pi])
     assert abs(z[0] + 1.0) < 1e-14
     step = W._DENSITY_STEP * (1.0 + abs(z[0]))
     assert abs(W._spherical_density(w, z, step)[0] - 1.25) < 5e-6 * 1.25
@@ -730,8 +733,10 @@ def test_density_at_a_node_where_g_is_zero_over_zero_converges():
         assert abs(W._spherical_density(w, z, h)[0] - 1.25) < 1e-7 * 1.25
 
 
-def test_total_curvature_evaluates_g_twice_per_node():
-    w = _dual_pair(catalog.lightlike_rotational(1.0), W.EXP_CHART)
+def test_total_curvature_takes_at_most_32768_density_nodes():
+    # bending-spacelike at a = 2 settles within 32 768 density nodes, of 2
+    # evaluations of g each
+    w = _dual_pair(catalog.bending_spacelike(2.0), W.PUNCTURED_CHART)
     points = []
 
     def g(z):
@@ -739,20 +744,53 @@ def test_total_curvature_evaluates_g_twice_per_node():
         return w.g(z)
 
     W.total_curvature(dataclasses.replace(w, g=g), (1e-3, 1e3))
-    assert sum(points) == 2 * 401 * 256
+    assert points[::2] == points[1::2]
+    assert sum(points) <= 2 * 32768
+
+
+@pytest.mark.parametrize("a, cap, r", [
+    (5.0, "410624 density nodes", "148.545"),
+    (6.0, "8192 angles per ring", "404.468")])
+def test_total_curvature_raises_at_its_caps(a, cap, r):
+    # lightlike-rotational's dual density concentrates as a grows: at a = 5
+    # the panels in log r, at a = 6 the angles of one ring, reach their cap
+    w = _dual_pair(catalog.lightlike_rotational(a), W.EXP_CHART)
+    points = []
+
+    def g(z):
+        points.append(np.size(z))
+        return w.g(z)
+
+    with pytest.raises(W.QuadratureError,
+                       match=rf"within {cap}: estimate .* at "
+                             rf"r = {re.escape(r)}, theta = ") as info:
+        W.total_curvature(dataclasses.replace(w, g=g), (1e-3, 1e3))
+    assert info.value.estimate > info.value.tol > 0
+    assert abs(abs(info.value.z) - float(r)) < 1e-5 * float(r)
+    # the caps plus the one ring evaluated again to name theta
+    assert sum(points) <= 2 * (W._CURVATURE_NODES + W._RING_NODES)
+
+
+def test_curvature_grid_is_the_starting_rule():
+    # a finer start meets the same tolerance
+    w = _dual_pair(catalog.lightlike_rotational(2.0), W.EXP_CHART)
+    value = W.total_curvature(w, (1e-3, 1e3))
+    finer = W.total_curvature(w, (1e-3, 1e3), grid=(400, 256))
+    assert abs(finer - value) <= 1e-8 * abs(value)
 
 
 def test_non_finite_curvature_integrand_raises_at_its_first_node():
-    # r^2 overflows from r = 3.63e154 on this grid, where the density has
-    # underflowed to 0: the integrand is NaN there, and no warning is given
+    # r^2 overflows from r = 1.34e154, first on the node r = 1.60399e154 of
+    # the first pass, where the density has underflowed to 0: the integrand
+    # is NaN there, and no warning is given
     w = _degree_one_model(0.0, "model")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(W.QuadratureError,
-                           match=r"not finite at r = 3\.63078e\+154, "
+                           match=r"not finite at r = 1\.60399e\+154, "
                                  r"theta = 0$") as info:
             W.total_curvature(w, (1e-3, 1e300))
-    assert abs(info.value.z - 3.63078e154) < 1e-5 * 3.63078e154
+    assert abs(info.value.z - 1.60399e154) < 1e-5 * 1.60399e154
 
 
 # --- integration of forms ----------------------------------------------------
