@@ -36,13 +36,13 @@ PUNCTURED_CHART = "punctured"
 LORENTZ = "lorentz"
 EUCLID = "euclid"
 
-# period's first trapezoid node count, agreement of two successive passes
-# and doublings before it raises; total_curvature's tolerance relative to
-# its largest ring value, its density's difference step over 1 + r (near
-# eps^(1/3), where truncation and rounding errors balance), and its caps on
-# the angles of one ring and on the density nodes of one call, which bound
-# a call that cannot settle to about 4 times the cost of a 401 x 256 grid.
-_PERIOD_NODES, _PERIOD_TOL, _PERIOD_DOUBLINGS = 256, 1e-10, 6
+# period's first node count, tolerance over 1 + |value| and node cap;
+# total_curvature's tolerance relative to its largest ring value, its
+# density's difference step over 1 + r (near eps^(1/3), where truncation and
+# rounding errors balance), and its caps on the angles of one ring and on
+# the density nodes of one call, which bound a call that cannot settle to
+# about 4 times the cost of a 401 x 256 grid.
+_PERIOD_NODES, _PERIOD_TOL, _PERIOD_CAP = 512, 1e-10, 16384
 _CURVATURE_RTOL, _DENSITY_STEP = 1e-7, 4e-6
 _RING_NODES, _CURVATURE_NODES = 8192, 4 * 401 * 256
 
@@ -370,57 +370,75 @@ class Loop:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"loop radius must be positive, got {self.radius}")
+        if not (np.isfinite(self.center) and 0 < self.radius < math.inf):
+            raise ValueError(f"loop needs a finite center and a finite positive"
+                             f" radius, got {self.center}, {self.radius}")
+
+
+def _trapezoid(sums, count, n, tol, cap, budget):
+    """(value, estimate, tolerance, angles) of each of `count` rows by the
+    periodic trapezoid rule, which converges exponentially for analytic
+    periodic integrands (Trefethen & Weideman, SIAM Review 56, 2014); a
+    row's angles are also the nodes evaluated for it.  sums(rows, n, offset)
+    gives each row's sums over the n angles 2 pi (k + offset) / n and over
+    their even-numbered ones.  The first estimate compares n angles with
+    their even half; the rows that miss tol(value) (a NaN misses) are
+    doubled by their midpoints only, within cap angles and budget nodes."""
+    rows = np.arange(count)
+    full, even = sums(rows, n, 0.0)
+    value = full * (2.0 * np.pi / n)
+    est = np.abs(value - even * (4.0 * np.pi / n))
+    tols, angles = np.empty(count), np.full(count, n)
+    while True:
+        tols[rows] = tol(value[rows])
+        rows = rows[~(est[rows] <= tols[rows])]
+        if (not rows.size or 2 * n > cap
+                or angles.sum() + rows.size * n > budget):
+            return value, est, tols, angles
+        full[rows] += sums(rows, n, 0.5)[0]
+        n *= 2
+        angles[rows] = n
+        last, value[rows] = value[rows], full[rows] * (2.0 * np.pi / n)
+        est[rows] = np.abs(value[rows] - last)
 
 
 def period(triple: FormTriple, k, loop: Loop):
     """Contour integral of the k-th component (1-based) around the loop.
 
-    Trapezoidal rule on the circle, node count doubled from _PERIOD_NODES
-    until two successive values agree to _PERIOD_TOL; spectrally accurate
-    for the rational forms the punctured chart produces at integer twist
-    rate.  For a sequence of indices k, returns a list with, for each, the
-    value or the QuadratureError that the index alone raises: the triple is
-    evaluated once per node count for all the components still running, and
-    each stops at its own node count, so each entry has the bits of its own
-    call.
+    _trapezoid from _PERIOD_NODES nodes to _PERIOD_TOL (1 + |value|), which
+    is spectral for the punctured chart's rational forms at integer twist;
+    a component that misses at _PERIOD_CAP nodes raises QuadratureError
+    with its estimate and tolerance.  For a sequence of indices k, returns
+    a list with, for each, the value or the QuadratureError that the index
+    alone raises, from one triple evaluation per node set for the running
+    components, so each entry has the bits of its own call.
     """
     if triple.chart != PUNCTURED_CHART:
         raise ValueError("periods are taken on the punctured chart")
-    single = isinstance(k, (int, np.integer))
+    single = np.ndim(k) == 0
     ks = [k] if single else list(k)
     for c in ks:
-        if not 1 <= c <= 3:
+        if (isinstance(c, bool) or not isinstance(c, (int, np.integer))
+                or not 1 <= c <= 3):
             raise ValueError(f"component index must be 1, 2 or 3, got {c}")
     for s in triple.singularities:
         if abs(abs(s - loop.center) - loop.radius) < 1e-9 * (1.0 + loop.radius):
             raise ValueError(f"loop passes through the singularity at {s}")
-    forms = triple.func
+    comps = list(dict.fromkeys(ks))
 
-    def contour(n, running):
-        th = 2.0 * np.pi * np.arange(n) / n
+    def sums(rows, n, offset):
+        th = 2.0 * np.pi * (np.arange(n) + offset) / n
         z = loop.center + loop.radius * np.exp(1j * th)
-        dz = 1j * (z - loop.center)
-        phi = forms(z)
-        return {c: np.sum(phi[c - 1] * dz) * (2.0 * np.pi / n)
-                for c in running}
+        phi, dz = triple.func(z), 1j * (z - loop.center)
+        terms = np.array([phi[comps[i] - 1] * dz for i in rows])
+        return np.array([terms.sum(axis=1), terms[:, ::2].sum(axis=1)])
 
-    n, running, done = _PERIOD_NODES, list(dict.fromkeys(ks)), {}
-    val = contour(n, running)
-    for _ in range(_PERIOD_DOUBLINGS):
-        n *= 2
-        nxt = contour(n, running)
-        for c in running:
-            if abs(nxt[c] - val[c]) <= _PERIOD_TOL * (1.0 + abs(nxt[c])):
-                done[c] = complex(nxt[c])
-        running = [c for c in running if c not in done]
-        if not running:
-            break
-        val = nxt
-    for c in running:
-        done[c] = QuadratureError(
-            f"contour integral did not settle after {n} nodes", z=loop.center)
+    value, est, tol, n = _trapezoid(
+        sums, len(comps), _PERIOD_NODES,
+        lambda v: _PERIOD_TOL * (1.0 + np.abs(v)), _PERIOD_CAP, math.inf)
+    done = {c: complex(value[i]) if est[i] <= tol[i] else QuadratureError(
+        f"contour integral did not settle after {n[i]} nodes", z=loop.center,
+        estimate=est[i], tol=tol[i]) for i, c in enumerate(comps)}
     if single and isinstance(done[k], QuadratureError):
         raise done[k]
     return done[k] if single else [done[c] for c in ks]
@@ -441,23 +459,22 @@ def _spherical_density(w: WeierstrassData, z, h):
 
 
 def check_curvature_domain(annulus, grid):
-    """Raise ValueError unless 0 < r_in < r_out, both grid sides are even
-    (total_curvature's first pass compares its nth angles with their even
-    half) and at least 8, and nr + 1 radii by nth angles make at most
-    bjorling._MAX_NODES nodes."""
-    if not 0 < annulus[0] < annulus[1]:
-        raise ValueError(f"annulus needs 0 < r_in < r_out, got {annulus}")
-    if any(n < 8 or n % 2 for n in grid):
-        raise ValueError(f"curvature grid sides must be even and at least 8, "
-                         f"got {grid}")
+    """Raise ValueError unless 0 < r_in < r_out < inf, both grid sides are at
+    least 8, nth is even (the first estimate takes the even-numbered angles)
+    and nr + 1 radii by nth angles make at most bjorling._MAX_NODES nodes."""
+    if not 0 < annulus[0] < annulus[1] < math.inf:
+        raise ValueError(f"annulus needs 0 < r_in < r_out < inf, "
+                         f"got {annulus}")
+    if min(grid) < 8 or grid[1] % 2:
+        raise ValueError(f"curvature grid sides must be at least 8 and nth "
+                         f"even, got {grid}")
     if (int(grid[0]) + 1) * int(grid[1]) > _MAX_NODES:
         raise ValueError(f"curvature grid needs at most {_MAX_NODES} nodes "
                          f"(nr + 1 radii by nth angles), got {grid}")
 
 
 def _ring_sums(w, r, n, offset):
-    """Sum of the r^2-weighted density over the n angles
-    2 pi (k + offset) / n of each ring r, and over its even-numbered angles.
+    """_trapezoid's sums of the r^2-weighted density on each ring r.
 
     Blocks of whole rings of at most _PASS_POINTS points (one ring when a
     ring holds more) keep the stencil's arrays in cache; each point's value
@@ -497,40 +514,26 @@ def _unsettled(w, what, r, n, estimate, tol):
 
 def _rings(w, s, nth, used, top):
     """(value, n, used, top) of the rings at log radii s: each ring's
-    periodic trapezoid sum of its r^2-weighted density over its n angles,
-    the density nodes `used` so far and the largest ring value `top` so
-    far.  Every ring starts at nth angles; the rings whose last two sums
-    (from the first pass, its even-numbered angles and all of them) differ
-    by more than _CURVATURE_RTOL top are doubled together, each doubling
-    evaluating the new midpoints only."""
+    _trapezoid sum of its r^2-weighted density over its n angles from nth,
+    the density nodes `used` so far and the largest ring value `top` of any
+    pass so far, settled or not, whose _CURVATURE_RTOL is every ring's
+    tolerance; a ring that misses at a cap raises _unsettled."""
     r = np.exp(s)
-    n = np.full(s.size, nth)
-    sums = _ring_sums(w, r, nth, 0.0)
-    used += s.size * nth
-    full, value = sums[0], sums[0] * (2.0 * np.pi / nth)
-    last = sums[1] * (4.0 * np.pi / nth)
-    ring, m = np.arange(s.size), nth
-    while True:
+
+    def tol(value):
+        nonlocal top
         top = max(top, float(np.max(value, initial=0.0)))
-        diff = np.abs(value[ring] - last[ring])
-        miss = diff > _CURVATURE_RTOL * top
-        ring, diff = ring[miss], diff[miss]
-        if not ring.size:
-            return value, n, used, top
-        for limit, need, what in (
-                (_RING_NODES, 2 * m, "angles per ring"),
-                (_CURVATURE_NODES, used + ring.size * m, "density nodes")):
-            if need > limit:
-                k = ring[np.argmax(diff)]
-                raise _unsettled(w, f"{limit} {what}", r[k], m,
-                                 float(diff.max()), _CURVATURE_RTOL * top)
-        new = _ring_sums(w, r[ring], m, 0.5)[0]
-        used += ring.size * m
-        last[ring] = value[ring]
-        full[ring] += new
-        m *= 2
-        n[ring] = m
-        value[ring] = full[ring] * (2.0 * np.pi / m)
+        return _CURVATURE_RTOL * top
+
+    value, est, tols, n = _trapezoid(
+        lambda rows, m, offset: _ring_sums(w, r[rows], m, offset),
+        s.size, nth, tol, _RING_NODES, _CURVATURE_NODES - used)
+    k = int(np.argmax(np.where(est <= tols, -np.inf, est)))
+    if not est[k] <= tols[k]:
+        what = (f"{_RING_NODES} angles per ring" if 2 * n[k] > _RING_NODES
+                else f"{_CURVATURE_NODES} density nodes")
+        raise _unsettled(w, what, r[k], n[k], float(est[k]), tols[k])
+    return value, n, used + int(n.sum()), top
 
 
 def total_curvature(w: WeierstrassData, annulus, grid=(128, 32)) -> float:
@@ -542,11 +545,11 @@ def total_curvature(w: WeierstrassData, annulus, grid=(128, 32)) -> float:
     whose null-rule estimate (Berntsen & Espelid, ACM TOMS 17, 1991) exceeds
     _CURVATURE_RTOL times the largest ring value times its width.  Each of
     a panel's rings r = e^s integrates r^2 times the density over theta by
-    the periodic trapezoid rule, which converges exponentially (Trefethen &
-    Weideman, SIAM Review 56, 2014), from nth angles, doubled on the rings
-    that need it (_rings).  The density takes 2 evaluations of g per node,
-    at r e^{i theta} +- _DENSITY_STEP (1 + r).  For a meromorphic g of
-    degree d the value tends to -4 pi d as the annulus exhausts the plane.
+    the periodic trapezoid rule of period (_trapezoid), from nth angles,
+    doubled on the rings that need it (_rings).  The density takes 2
+    evaluations of g per node, at r e^{i theta} +- _DENSITY_STEP (1 + r).
+    For a meromorphic g of degree d the value tends to -4 pi d as the
+    annulus exhausts the plane.
 
     The caps bound the refinement, not the starting rule: a ring that would
     need more than _RING_NODES angles, or a step that would take the call

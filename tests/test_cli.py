@@ -904,6 +904,21 @@ def test_non_finite_curvature_integrand_is_reported(tmp_path, capsys):
     assert "FAIL total-curvature: residual inf" in capsys.readouterr().out
 
 
+def test_an_odd_curvature_grid_nr_is_accepted(tmp_path, capsys):
+    # nr sets ceil(nr / 32) panels only, so [129, 32] runs the rule of
+    # [160, 32] (5 panels each); nth must stay even
+    checks = []
+    for nr in (129, 160):
+        report = tmp_path / f"r{nr}.json"
+        assert main(["verify", "--family", "bending-spacelike", "--suite",
+                     "curvature", "--set", f"curvature_grid=[{nr},32]",
+                     "--report", str(report)]) == 0
+        (check,) = json.loads(report.read_text())["checks"]
+        checks.append(check)
+    assert checks[0]["residual"] == checks[1]["residual"]
+    assert checks[0]["note"] == checks[1]["note"]
+
+
 def test_nearly_lightlike_helix_passes_its_oracle(tmp_path, capsys):
     # at lam = 1 - 1e-12 the frame integrand solves the 21x21 grid at once
     # and matches the forms; the finite-difference normal of the closed form

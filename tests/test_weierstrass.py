@@ -9,6 +9,7 @@ variant rather than the standalone display.
 import dataclasses
 import re
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
@@ -476,11 +477,13 @@ for _n in (1, 2, 3):
                          ids=lambda x: f"{x.family}:a={x.a:g}"
                          if hasattr(x, "family") else None)
 def test_loop_integrals_match_series_coefficients(surface, re_parts, im_parts):
-    triple = W.forms_for(surface, W.PUNCTURED_CHART)
-    for k in (1, 2, 3):
-        value = W.period(triple, k, LOOP)
+    sizes = []
+    triple = _counted(W.forms_for(surface, W.PUNCTURED_CHART), sizes)
+    for k, value in zip((1, 2, 3), W.period(triple, (1, 2, 3), LOOP)):
         assert abs(value.real - re_parts[k - 1]) < 1e-10
         assert abs(value.imag - im_parts[k - 1]) < 1e-10
+    # each settles on one evaluation of the triple, at the first 512 nodes
+    assert sizes == [512]
 
 
 def _counted(triple, sizes):
@@ -489,9 +492,9 @@ def _counted(triple, sizes):
 
 
 def test_period_takes_every_component_from_one_evaluation_per_node_count():
-    # several components come from one triple evaluation per node count,
-    # up to the count the slowest needs, each with the bits of its own call;
-    # a component that does not settle gives the error its own call raises
+    # several components come from one triple evaluation per node set, up
+    # to the count the slowest needs, each with the bits of its own call; a
+    # component that does not settle gives the error its own call raises
     near_pole = W.FormTriple(lambda z: (z, 1.0 / z, 1.0 / (z - 0.999)),
                              chart=W.PUNCTURED_CHART, singularities=(0j,))
     for triple in [W.forms_for(s, W.PUNCTURED_CHART)
@@ -511,13 +514,58 @@ def test_period_takes_every_component_from_one_evaluation_per_node_count():
             if isinstance(own, QuadratureError):
                 assert type(got) is QuadratureError
                 assert str(got) == str(own) and got.z == own.z
+                assert (got.estimate, got.tol) == (own.estimate, own.tol)
             else:
                 assert np.array(got).tobytes() == np.array(own).tobytes()
-    assert sizes == [256 << n for n in range(7)]
+    # 512 nodes with their even half as the first estimate, then only the
+    # midpoints of each doubling, up to 16384 nodes in all
+    assert sizes == [512] + [512 << n for n in range(5)]
     assert str(together[0]) == "contour integral did not settle after " \
                                "16384 nodes"
+    assert together[0].estimate > together[0].tol > 0
     with pytest.raises(ValueError, match="got 4"):
         W.period(near_pole, (1, 4), LOOP)
+
+
+def test_trapezoid_doubles_only_the_rows_that_miss_by_their_midpoints():
+    # row j integrates e^{j cos theta} over the circle, 2 pi I0(j)
+    evaluated = []
+
+    def sums(rows, n, offset):
+        th = 2.0 * np.pi * (np.arange(n) + offset) / n
+        f = np.exp(rows[:, None] * np.cos(th))
+        evaluated.append((rows.tolist(), n, offset))
+        return np.array([f.sum(axis=1), f[:, ::2].sum(axis=1)])
+
+    def rule(cap, budget):
+        evaluated.clear()
+        return W._trapezoid(sums, 4, 4, lambda v: 1e-13 * v, cap, budget)
+
+    exact = np.array([2 * np.pi * sum((j / 2) ** (2 * k) / factorial(k) ** 2
+                                      for k in range(40)) for j in range(4)])
+    value, est, tol, n = rule(1024, np.inf)
+    assert evaluated == [([0, 1, 2, 3], 4, 0.0), ([1, 2, 3], 4, 0.5),
+                         ([1, 2, 3], 8, 0.5), ([1, 2, 3], 16, 0.5),
+                         ([3], 32, 0.5)]
+    assert n.tolist() == [4, 32, 32, 64] and (est <= tol).all()
+    assert np.max(np.abs(value - exact) / exact) < 1e-15
+    # the doubling of row 3 to 64 angles needs cap 64 and 132 nodes in all
+    for cap, budget, last in ((32, np.inf, 32), (64, np.inf, 64),
+                              (1024, 131, 32), (1024, 132, 64)):
+        value, est, tol, n = rule(cap, budget)
+        assert n.tolist() == [4, 32, 32, last]
+        assert (est[3] <= tol[3]) == (last == 64)
+
+
+def test_a_nan_valued_triple_does_not_settle():
+    nan = W.FormTriple(lambda z: (np.full(np.shape(z), np.nan + 0j), z, z),
+                       chart=W.PUNCTURED_CHART)
+    with pytest.raises(QuadratureError,
+                       match="^contour integral did not settle after 16384 "
+                             "nodes$") as info:
+        W.period(nan, 1, LOOP)
+    assert np.isnan(info.value.estimate)
+    assert abs(W.period(nan, (1, 2), LOOP)[1]) < 1e-12
 
 
 def test_period_requires_punctured_chart_and_valid_component():
@@ -525,10 +573,11 @@ def test_period_requires_punctured_chart_and_valid_component():
     with pytest.raises(ValueError):
         W.period(exp_triple, 2, LOOP)
     punct = W.forms_for(catalog.bending_spacelike(1.0), W.PUNCTURED_CHART)
-    with pytest.raises(ValueError):
-        W.period(punct, 0, LOOP)
-    with pytest.raises(ValueError):
-        W.period(punct, 4, LOOP)
+    for k in (0, 4, 1.5, [1.5], True, (2, np.True_), "2", np.float64(2.0)):
+        with pytest.raises(ValueError,
+                           match="component index must be 1, 2 or 3"):
+            W.period(punct, k, LOOP)
+    assert W.period(punct, np.int64(2), LOOP) == W.period(punct, 2, LOOP)
 
 
 def test_period_guards_singularity_on_the_contour():
@@ -539,8 +588,11 @@ def test_period_guards_singularity_on_the_contour():
 
 
 def test_loop_validation():
-    with pytest.raises(ValueError):
-        W.Loop(0j, 0.0)
+    for center, radius in ((0j, 0.0), (0j, -1.0), (0j, np.inf), (0j, np.nan),
+                           (np.nan + 0j, 1.0), (complex(0, np.inf), 1.0)):
+        with pytest.raises(ValueError, match="finite center and a finite "
+                                             "positive radius"):
+            W.Loop(center, radius)
 
 
 def test_period_is_loop_position_independent():
@@ -572,6 +624,21 @@ def test_total_curvature_validates_annulus_and_grid():
         W.total_curvature(wd, (1.0, 0.5))
     with pytest.raises(ValueError):
         W.total_curvature(wd, (1e-3, 1e3), grid=(7, 16))
+    with pytest.raises(ValueError, match="nth even"):
+        W.total_curvature(wd, (1e-3, 1e3), grid=(400, 255))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for annulus in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="r_out < inf"):
+                W.total_curvature(wd, annulus)
+
+
+def test_an_odd_nr_sets_the_panels_of_the_next_multiple_of_32():
+    # nr only sets ceil(nr / 32) panels: 129 and 160 both start from 5
+    w = _dual_pair(catalog.lightlike_rotational(2.0), W.EXP_CHART)
+    odd = W.total_curvature(w, (1e-3, 1e3), grid=(129, 32))
+    assert np.float64(odd).tobytes() == np.float64(
+        W.total_curvature(w, (1e-3, 1e3), grid=(160, 32))).tobytes()
 
 
 def _gathered_spherical_density(w, z, h):
