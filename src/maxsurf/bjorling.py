@@ -19,18 +19,18 @@ panels crossed, not the number of points, and every value stays pointwise.
 All of this but the integrand's values depends on the points alone, so it
 is planned once per point set: the lattice, the passes, the partial panels
 and the interpolant weights of their distinct fractions.  The plans of the
-4 most recently used sets of at most _PASS_POINTS points are kept, each
-within 2 MB together with its key, the points' bytes (a 32x32 grid takes
-0.1 MB), so a later solve on the same points in the same process only
-evaluates the integrand and sums.  A process that solves each point set
-once, as a `maxsurf verify` run does with its oracle grid, builds every
-plan it uses and gains nothing from the cache.  Rounds that cut panels
-into pieces are planned afresh every time.
+4 most recently used sets of at most 1024 points are kept (a 32x32 grid's
+plan takes 0.1 MB, 1024 scattered points 0.75 MB on [-1, 1]^2), so a later
+solve on the same points in the same process only evaluates the integrand
+and sums.  A process that solves each point set once, as a `maxsurf verify`
+run does with its oracle grid, builds every plan it uses and gains nothing
+from the cache.  Rounds that cut panels into pieces are planned afresh
+every time.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -83,16 +83,11 @@ _MAX_NODES = np.iinfo(np.intp).max // (2 * NODES * 8)
 # values fill 3 planes of _PASS_POINTS points, as a pass's integrand values
 # do.
 _PARTIALS = _PASS_POINTS // NODES
-# Point-set plans kept for reuse (_point_plan), most recently used last:
-# at most _PLAN_CACHE plans, each of at most _PLAN_BYTES with its key of
-# 16 bytes per point.  A 32x32 grid on [-1, 1]^2 takes 0.1 MB, a 90x90 grid
-# on [-3, 3] x [-30, 30] 1.2 MB, and 8 192 scattered points about 6 MB,
-# mostly the weights of their 16 384 distinct fractions, so they are not
-# kept.
+# Plans kept for the most recently used sets of at most _PASS_POINTS // 8
+# points (_point_plan).  1024 scattered points take 0.75 MB on [-1, 1]^2,
+# 1.5 MB with |Im z| <= 30, and 52 MB, mostly per-panel arrays, near the
+# 1024-panel reach.
 _PLAN_CACHE = 4
-_PLAN_BYTES = 1 << 21
-_PLANS: dict = {}
-_PLANS_LOCK = threading.Lock()
 # Complex step of the tangents in `derivatives`: its truncation error, of
 # relative order (a * eps)^2 on a twist a, is below rounding for a up to
 # 1e11.  a * eps is a normal float for a down to COMPLEX_STEP_MIN_TWIST
@@ -232,8 +227,8 @@ def segment_integral(integrand, z):
 
     What depends on the points alone is their plan (_point_plan): the
     lattice, the passes, the partial panels and their interpolant weights.
-    A small cache keeps the plans of recent point sets, so a later call
-    with the same points only evaluates the integrand and sums.
+    A small cache keeps the plans of recent sets of at most 1024 points, so
+    a later call with the same points only evaluates the integrand and sums.
 
     A point's error estimate, the sum over the panels of its path of |span|
     times the null-rule coefficients of the largest real or imaginary part,
@@ -333,7 +328,7 @@ class _PointPlan(NamedTuple):
     followed by the points' own runs along their columns, each `length`
     panels along the lattice line `line`, and `origin` is each line's real
     part; `path` counts the panels of each point's path; `legs` is the
-    first round's _LegPlan, and `nbytes` the size of all these arrays."""
+    first round's _LegPlan."""
 
     col: np.ndarray
     columns: int
@@ -342,26 +337,21 @@ class _PointPlan(NamedTuple):
     origin: np.ndarray
     path: np.ndarray
     legs: _LegPlan
-    nbytes: int = 0
 
 
 def _point_plan(flat):
-    """The plan of the points `flat`, built, or taken from the cache of the
-    _PLAN_CACHE most recently used sets of at most _PASS_POINTS points whose
-    plans and keys take at most _PLAN_BYTES.  Sets that are not finite or reach past
-    _MAX_PANELS panels raise on every call, since they never enter the
-    cache."""
-    key = flat.tobytes() if flat.size <= _PASS_POINTS else None
-    with _PLANS_LOCK:
-        plan = _PLANS.pop(key, None)
-    if plan is None:
-        plan = _plan(flat)
-    if key is not None and plan.nbytes + len(key) <= _PLAN_BYTES:
-        with _PLANS_LOCK:
-            _PLANS[key] = plan
-            while len(_PLANS) > _PLAN_CACHE:
-                del _PLANS[next(iter(_PLANS))]
-    return plan
+    """The plan of `flat`, kept if it has at most _PASS_POINTS // 8 points."""
+    small = flat.size <= _PASS_POINTS // 8
+    return _kept_plan(flat.tobytes()) if small else _plan(flat)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _kept_plan(key):
+    """The plan of the points whose bytes are `key`, kept for the
+    _PLAN_CACHE most recently used keys.  Sets that are not finite or reach
+    past _MAX_PANELS panels raise on every call, since the cache keeps no
+    exception."""
+    return _plan(np.frombuffer(key, complex))
 
 
 def _plan(flat):
@@ -448,13 +438,12 @@ def _leg_plan(line, length, origin, pieces):
 
 
 def _frozen(plan):
-    """The plan, with its arrays and those of its leg plan read-only, and
-    their size."""
-    arrays = [field for part in (plan, plan.legs) for field in part
-              if isinstance(field, np.ndarray)] + list(plan.legs.later)
-    for array in arrays:
-        array.flags.writeable = False
-    return plan._replace(nbytes=sum(array.nbytes for array in arrays))
+    """The plan, with every array read-only: kept plans are shared."""
+    for part in (plan, plan.legs, plan.legs.later):
+        for field in part:
+            if isinstance(field, np.ndarray):
+                field.flags.writeable = False
+    return plan
 
 
 def _leg_integrals(integrand, plan):

@@ -76,7 +76,6 @@ class JobConfig:
     perturb: float
     fd_step: float
     annulus: tuple
-    curvature_grid: tuple
     thetas: tuple
 
 
@@ -128,14 +127,6 @@ def _build_tolerances(raw) -> dict:
     return tols
 
 
-def _build_pair(raw, where, kind):
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2):
-        raise ConfigError(f"{where} must be a pair, got {raw!r}")
-    if kind is int:
-        return (_integer(raw[0], where), _integer(raw[1], where))
-    return (_number(raw[0], where), _number(raw[1], where))
-
-
 def build_job_config(raw: dict) -> JobConfig:
     """Validate a raw config dict into a JobConfig; raises ConfigError."""
     if not isinstance(raw, dict):
@@ -169,11 +160,12 @@ def build_job_config(raw: dict) -> JobConfig:
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string or null, "
                               f"got {raw[key]!r}")
-    annulus = _build_pair(raw.get("annulus", [1e-3, 1e3]), "annulus", float)
-    curvature_grid = _build_pair(raw.get("curvature_grid", [128, 32]),
-                                 "curvature_grid", int)
+    annulus = raw.get("annulus", [1e-3, 1e3])
+    if not isinstance(annulus, (list, tuple)) or len(annulus) != 2:
+        raise ConfigError(f"annulus must be a pair, got {annulus!r}")
+    annulus = (_number(annulus[0], "annulus"), _number(annulus[1], "annulus"))
     try:
-        weierstrass.check_curvature_domain(annulus, curvature_grid)
+        weierstrass.check_curvature_domain(annulus)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     opt = {k: (None if raw.get(k) is None else _number(raw[k], k))
@@ -193,7 +185,6 @@ def build_job_config(raw: dict) -> JobConfig:
         perturb=_number(raw.get("perturb", 0.0), "perturb"),
         fd_step=fd_step,
         annulus=annulus,
-        curvature_grid=curvature_grid,
         thetas=tuple(_number(t, "thetas") for t in thetas),
     )
 
@@ -733,12 +724,12 @@ def _total_curvature(job):
     triple = weierstrass.forms_for(job.surface, chart)
     w = weierstrass.weierstrass_pair(weierstrass.dualize(triple))
     try:
-        value = weierstrass.total_curvature(w, cfg.annulus,
-                                            cfg.curvature_grid)
+        value = weierstrass.total_curvature(w, cfg.annulus)
     except QuadratureError as exc:
         return [_check("total-curvature", float("inf"), tol, note=str(exc))]
     return [_check("total-curvature", abs(value - target) / abs(target), tol,
-                   f"annulus {cfg.annulus}, grid {cfg.curvature_grid}",
+                   f"annulus {cfg.annulus}, "
+                   f"grid {weierstrass._CURVATURE_GRID}",
                    note=f"value {value:.9g}, target {target:.9g}")]
 
 

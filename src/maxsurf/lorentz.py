@@ -61,14 +61,9 @@ def lorentz_cross(u, v) -> np.ndarray:
     """
     u = np.asarray(u)
     v = np.asarray(v)
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
-    tmp = np.empty(out.shape[:-1], out.dtype)
-    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(u[..., i], v[..., j], out=out[..., k])
-        np.subtract(out[..., k], np.multiply(u[..., j], v[..., i], out=tmp),
-                    out=out[..., k])
-    np.negative(out[..., 2], out=out[..., 2])
-    return out
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    return vec3(uy * vz - uz * vy, uz * vx - ux * vz, -(ux * vy - uy * vx))
 
 
 def default_lightlike_tol(v) -> float:

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import catalog
-from .bjorling import (_MAX_NODES, _NULL, _PASS_POINTS, _S, _WT, NODES,
-                       QuadratureError, segment_integral)
+from .bjorling import (_NULL, _PASS_POINTS, _S, _WT, NODES, QuadratureError,
+                       segment_integral)
 from .catalog import CatalogSurface
 from .lorentz import vec3
 
@@ -37,12 +37,15 @@ LORENTZ = "lorentz"
 EUCLID = "euclid"
 
 # period's first node count, tolerance over 1 + |value| and node cap;
-# total_curvature's tolerance relative to its largest ring value, its
-# density's difference step over 1 + r (near eps^(1/3), where truncation and
-# rounding errors balance), and its caps on the angles of one ring and on
-# the density nodes of one call, which bound a call that cannot settle to
-# about 4 times the cost of a 401 x 256 grid.
+# total_curvature's starting rule (nr, nth), ceil(nr / NODES) log-r panels
+# with nth angles per ring, its tolerance relative to its largest ring
+# value, its density's difference step over 1 + r (near eps^(1/3), where
+# truncation and rounding errors balance), and its caps on the angles of
+# one ring and on the density nodes of one call, which bound a call that
+# cannot settle to about 4 times the cost of a 401 x 256 grid.  The start
+# changes the cost, not the tolerance.
 _PERIOD_NODES, _PERIOD_TOL, _PERIOD_CAP = 512, 1e-10, 16384
+_CURVATURE_GRID = (128, 32)
 _CURVATURE_RTOL, _DENSITY_STEP = 1e-7, 4e-6
 _RING_NODES, _CURVATURE_NODES = 8192, 4 * 401 * 256
 
@@ -458,19 +461,11 @@ def _spherical_density(w: WeierstrassData, z, h):
             / (1.0 + np.abs(0.5 * (gp + gm)) ** 2) ** 2)
 
 
-def check_curvature_domain(annulus, grid):
-    """Raise ValueError unless 0 < r_in < r_out < inf, both grid sides are at
-    least 8, nth is even (the first estimate takes the even-numbered angles)
-    and nr + 1 radii by nth angles make at most bjorling._MAX_NODES nodes."""
+def check_curvature_domain(annulus):
+    """Raise ValueError unless 0 < r_in < r_out < inf."""
     if not 0 < annulus[0] < annulus[1] < math.inf:
         raise ValueError(f"annulus needs 0 < r_in < r_out < inf, "
                          f"got {annulus}")
-    if min(grid) < 8 or grid[1] % 2:
-        raise ValueError(f"curvature grid sides must be at least 8 and nth "
-                         f"even, got {grid}")
-    if (int(grid[0]) + 1) * int(grid[1]) > _MAX_NODES:
-        raise ValueError(f"curvature grid needs at most {_MAX_NODES} nodes "
-                         f"(nr + 1 radii by nth angles), got {grid}")
 
 
 def _ring_sums(w, r, n, offset):
@@ -536,31 +531,30 @@ def _rings(w, s, nth, used, top):
     return value, n, used + int(n.sum()), top
 
 
-def total_curvature(w: WeierstrassData, annulus, grid=(128, 32)) -> float:
+def total_curvature(w: WeierstrassData, annulus) -> float:
     """Total curvature -4 * integral of the spherical density over an annulus.
 
     The annulus (r_in, r_out) is centered at 0.  In s = log r the rule
     integrates on Gauss-Legendre panels of bjorling's NODES-point rule,
-    starting from ceil(nr / NODES) equal panels, and bisects each panel
-    whose null-rule estimate (Berntsen & Espelid, ACM TOMS 17, 1991) exceeds
-    _CURVATURE_RTOL times the largest ring value times its width.  Each of
-    a panel's rings r = e^s integrates r^2 times the density over theta by
-    the periodic trapezoid rule of period (_trapezoid), from nth angles,
-    doubled on the rings that need it (_rings).  The density takes 2
-    evaluations of g per node, at r e^{i theta} +- _DENSITY_STEP (1 + r).
-    For a meromorphic g of degree d the value tends to -4 pi d as the
-    annulus exhausts the plane.
+    starting from ceil(nr / NODES) equal panels, (nr, nth) being
+    _CURVATURE_GRID, and bisects each panel whose null-rule estimate
+    (Berntsen & Espelid, ACM TOMS 17, 1991) exceeds _CURVATURE_RTOL times
+    the largest ring value times its width.  Each of a panel's rings
+    r = e^s integrates r^2 times the density over theta by the periodic
+    trapezoid rule of period (_trapezoid), from nth angles, doubled on the
+    rings that need it (_rings).  The density takes 2 evaluations of g per
+    node, at r e^{i theta} +- _DENSITY_STEP (1 + r).  For a meromorphic g of
+    degree d the value tends to -4 pi d as the annulus exhausts the plane.
 
-    The caps bound the refinement, not the starting rule: a ring that would
-    need more than _RING_NODES angles, or a step that would take the call
-    past _CURVATURE_NODES density nodes, raises QuadratureError naming r,
-    theta and the estimate.  A non-finite integrand raises at its first
-    node.  The block size of the density's passes changes no bit of the
-    result.
+    The caps bound the refinement: a ring that would need more than
+    _RING_NODES angles, or a step that would take the call past
+    _CURVATURE_NODES density nodes, raises QuadratureError naming r, theta
+    and the estimate.  A non-finite integrand raises at its first node.  The
+    block size of the density's passes changes no bit of the result.
     """
-    check_curvature_domain(annulus, grid)
+    check_curvature_domain(annulus)
     lo, hi = np.log(annulus[0]), np.log(annulus[1])
-    count, nth = -(-int(grid[0]) // NODES), int(grid[1])
+    count, nth = -(-_CURVATURE_GRID[0] // NODES), _CURVATURE_GRID[1]
     left = lo + (hi - lo) * np.arange(count) / count
     width = np.full(count, (hi - lo) / count)
     used, top, parts = 0, 0.0, []

@@ -133,7 +133,7 @@ def test_near_axis_points_agree_with_a_96_node_straight_pass():
 
 
 @pytest.mark.parametrize("points", [1 << 16, 48])
-def test_pass_size_does_not_change_the_solve(monkeypatch, points):
+def test_pass_size_does_not_change_the_solve(monkeypatch, no_plans, points):
     # every value is computed pointwise, so the split into passes changes no
     # bit: 40x40 points of six families take several passes of the default
     # size, and far points of e^z, redone on 2 to 16 panels, are split
@@ -153,13 +153,14 @@ def test_pass_size_does_not_change_the_solve(monkeypatch, points):
     default = [segment_integral(data.integrand, z) for data, z in cases]
     monkeypatch.setattr(bjorling, "_PASS_POINTS", points)
     # plans are split into passes when they are built: start from none
-    monkeypatch.setattr(bjorling, "_PLANS", {})
+    no_plans.cache_clear()
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data.integrand, z), got)
 
 
 @pytest.mark.parametrize("partials", [1, 7])
-def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, partials):
+def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, no_plans,
+                                                      partials):
     # the partial panels are integrated in chunks of _PARTIALS points, each
     # pointwise, so the chunk size changes no bit
     U, V = np.meshgrid(np.linspace(-1.7, 1.7, 15), np.linspace(-2.5, 2.5, 9),
@@ -169,7 +170,7 @@ def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, partials):
     default = [segment_integral(data.integrand, z) for data, z in cases]
     monkeypatch.setattr(bjorling, "_PARTIALS", partials)
     # the plan's weights are formed in chunks too: start from no plans
-    monkeypatch.setattr(bjorling, "_PLANS", {})
+    no_plans.cache_clear()
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data.integrand, z), got)
 
@@ -510,10 +511,30 @@ def test_special_points_keep_their_bits_in_any_company():
 
 
 @pytest.fixture
-def no_plans(monkeypatch):
-    """An empty plan cache for the test; the module's own is restored."""
-    monkeypatch.setattr(bjorling, "_PLANS", {})
-    return bjorling._PLANS
+def no_plans():
+    """The plan cache, empty for the test and emptied after it."""
+    bjorling._kept_plan.cache_clear()
+    yield bjorling._kept_plan
+    bjorling._kept_plan.cache_clear()
+
+
+@pytest.fixture
+def built(no_plans, monkeypatch):
+    """The sizes of the point sets whose plans are built, in order."""
+    sizes, plan = [], bjorling._plan
+
+    def counting(flat):
+        sizes.append(flat.size)
+        return plan(flat)
+
+    monkeypatch.setattr(bjorling, "_plan", counting)
+    return sizes
+
+
+def _read_only(plan):
+    arrays = [f for part in (plan, plan.legs, plan.legs.later) for f in part
+              if isinstance(f, np.ndarray)]
+    return arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_cached_plans_give_the_bits_of_cold_solves(no_plans):
@@ -537,60 +558,63 @@ def test_cached_plans_give_the_bits_of_cold_solves(no_plans):
     cold = {}
     for i, z in enumerate(sets):
         for j, integrand in enumerate(integrands):
-            no_plans.clear()
+            no_plans.cache_clear()
             cold[i, j] = segment_integral(integrand, z)
-    assert len(no_plans) == 1
+    assert no_plans.cache_info().currsize == 1
     rng = np.random.default_rng(19)
     order = rng.integers(0, len(sets), 40)
     for i, j in zip(order, rng.integers(0, len(integrands), 40)):
         got = segment_integral(integrands[j], sets[i])
         assert got.tobytes() == cold[i, j].tobytes(), (i, j)
-        assert len(no_plans) <= bjorling._PLAN_CACHE
-        assert next(reversed(no_plans)) == sets[i].tobytes()
+        assert no_plans.cache_info().currsize <= bjorling._PLAN_CACHE
     # and the kept plans stay read-only
-    for plan in no_plans.values():
-        assert not any(field.flags.writeable for field in plan
-                       if isinstance(field, np.ndarray))
+    for z in sets:
+        assert _read_only(bjorling._point_plan(z.reshape(-1)))
 
 
-def test_the_plan_cache_keeps_a_few_small_point_sets(no_plans):
+def test_a_grid_solved_twice_builds_one_plan(built):
+    # the benchmark's near grid: the second solve takes the kept plan, and
+    # both have the bits of a solve from an empty cache
+    U, V = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32),
+                       indexing="ij")
+    solve = solve_bjorling(catalog.bjorling_data_for(NEAR_SURFACES[0]))
+    cold = solve(U, V).tobytes()
+    built.clear()
+    bjorling._kept_plan.cache_clear()
+    assert [solve(U, V).tobytes() for _ in range(2)] == [cold, cold]
+    assert built == [U.size]
+
+
+def test_the_plan_cache_keeps_a_few_small_point_sets(built):
     data = _exp_data()
     sets = [np.linspace(-1, 1, 5) + 1j * (0.1 * k + 0.05) for k in range(10)]
-    for k, z in enumerate(sets):
+    for z in sets:
         segment_integral(data.integrand, z)
-        assert len(no_plans) == min(k + 1, bjorling._PLAN_CACHE)
-    # the most recently used, in the order of their use
-    assert list(no_plans) == [z.tobytes() for z in sets[-4:]]
+    assert len(built) == 10
+    # the last _PLAN_CACHE sets are kept; the one used least recently goes
+    # first
+    assert bjorling._PLAN_CACHE == 4
+    for z in sets[-4:]:
+        segment_integral(data.integrand, z)
+    assert len(built) == 10
     segment_integral(data.integrand, sets[-4])
-    assert list(no_plans) == [z.tobytes() for z in sets[-3:] + sets[-4:-3]]
-    kept = list(no_plans)
-    # a set of more than _PASS_POINTS points is not kept, nor is one whose
-    # plan is larger than _PLAN_BYTES (4 000 scattered points: each its own
-    # column and fraction)
-    rng = np.random.default_rng(3)
-    for z in (np.linspace(-1, 1, bjorling._PASS_POINTS + 1) + 0.5j,
-              rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)):
+    segment_integral(data.integrand, sets[0])
+    assert len(built) == 11
+    for z in sets[-2:] + sets[-4:-3]:
         segment_integral(data.integrand, z)
-        assert list(no_plans) == kept
-    assert bjorling._plan(z).nbytes > bjorling._PLAN_BYTES
-    for key, plan in no_plans.items():
-        assert 0 < plan.nbytes + len(key) <= bjorling._PLAN_BYTES
-        arrays = [f for part in (plan, plan.legs) for f in part
-                  if isinstance(f, np.ndarray)]
-        assert arrays and not any(a.flags.writeable for a in arrays)
-
-
-def test_the_plan_cache_counts_its_keys(no_plans, monkeypatch):
-    # a plan that fits in _PLAN_BYTES only without its key is not kept
-    data = _exp_data()
-    z = np.linspace(-1, 1, 64) + 0.3j
-    size = bjorling._plan(z).nbytes
-    monkeypatch.setattr(bjorling, "_PLAN_BYTES", size + z.nbytes - 1)
-    segment_integral(data.integrand, z)
-    assert not no_plans
-    monkeypatch.setattr(bjorling, "_PLAN_BYTES", size + z.nbytes)
-    segment_integral(data.integrand, z)
-    assert list(no_plans) == [z.tobytes()]
+    assert len(built) == 11
+    segment_integral(data.integrand, sets[-3])
+    assert len(built) == 12
+    # a set of _PASS_POINTS // 8 points is kept, one more point is not
+    assert bjorling._PASS_POINTS // 8 == 1024
+    rng = np.random.default_rng(3)
+    for n, builds in ((1024, [1024]), (1025, [1025, 1025])):
+        z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        del built[:]
+        cold = segment_integral(data.integrand, z).tobytes()
+        assert segment_integral(data.integrand, z).tobytes() == cold
+        assert built == builds
+        assert _read_only(bjorling._point_plan(z))
 
 
 def test_an_integrand_cannot_change_a_later_solve_through_its_nodes(
@@ -626,9 +650,9 @@ def test_threads_share_the_plan_cache(no_plans):
             + 1j * np.linspace(-0.9 + 0.1 * k, 0.9, 7) for k in range(6)]
     cold = []
     for z in sets:
-        no_plans.clear()
+        no_plans.cache_clear()
         cold.append(segment_integral(data.integrand, z).tobytes())
-    no_plans.clear()
+    no_plans.cache_clear()
     failures = []
 
     def work(seed):
@@ -653,7 +677,7 @@ def test_threads_share_the_plan_cache(no_plans):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert 0 < len(no_plans) <= bjorling._PLAN_CACHE
+    assert 0 < no_plans.cache_info().currsize <= bjorling._PLAN_CACHE
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -662,14 +686,15 @@ def test_threads_share_the_plan_cache(no_plans):
     # a path count past 2**63, which an int64 count would wrap
     (0.5 + 2.0 ** 63 * 1j,
      "crosses 9223372036854775808 lattice panels, more than 1024")])
-def test_refused_points_raise_on_every_call(no_plans, bad, message):
+def test_refused_points_raise_on_every_call(built, bad, message):
     counts = []
     data = _exp_data(_counting_normal(counts))
     z = np.array([0.5 + 0.5j, bad])
     for _ in range(3):
         with pytest.raises(QuadratureError, match=re.escape(message)):
             segment_integral(data.integrand, z)
-    assert counts == [] and not no_plans
+    assert counts == [] and built == [2] * 3
+    assert bjorling._kept_plan.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("quadrature", [

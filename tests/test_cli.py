@@ -676,10 +676,6 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     for args in (["sample", "--set", "out=5"],
                  ["verify", "--set", "report=1"],
-                 ["verify", "--suite", "curvature",
-                  "--set", "curvature_grid=[1,1]"],
-                 ["verify", "--suite", "curvature",
-                  "--set", "curvature_grid=[400,255]"],
                  ["sample", "--set", "fd_step=1e400"],
                  ["verify", "--set", "tolerances.oracle=1e400"],
                  ["verify", "--set", "a=NaN"],
@@ -760,8 +756,6 @@ def _wide_configs(draw):
         "a": _POSITIVE | _WIDE, "fd_step": _POSITIVE,
         "thetas": st.lists(_WIDE, min_size=1, max_size=3),
         "annulus": st.lists(_POSITIVE, min_size=2, max_size=2).map(sorted),
-        "curvature_grid": st.lists(st.sampled_from([8, 12, 16]),
-                                   min_size=2, max_size=2),
         "grid": st.fixed_dictionaries({
             "u_min": st.just(u_min), "u_max": st.just(u_max),
             "v_min": st.just(v_min), "v_max": st.just(v_max),
@@ -835,9 +829,6 @@ def test_no_config_ends_in_a_traceback(tmp_path, command, raw):
     (["sample", "--family", "bending-timelike", "--set", "grid.nu=2",
       "--set", "grid.nv=100000000000000"], 2,
      "config error: out of memory: Unable to allocate"),
-    (["verify", "--family", "lightlike-rotational", "--suite", "curvature",
-      "--set", "curvature_grid=[8,100000000000000]"], 2,
-     "config error: out of memory: Unable to allocate"),
     # a grid of more nodes than numpy can index in every array of the job
     # is refused; one just inside still fails at its first allocation
     (["verify", "--family", "bending-timelike", "--set",
@@ -854,15 +845,6 @@ def test_no_config_ends_in_a_traceback(tmp_path, command, raw):
      "4611686018427387904x16"),
     (["verify", "--family", "bending-timelike", "--set", "grid.nu=2",
       "--set", f"grid.nv={_MAX_NODES // 2}"], 2,
-     "config error: out of memory: Unable to allocate"),
-    *[(["verify", "--family", "lightlike-rotational", "--suite", "curvature",
-        "--set", f"curvature_grid=[{nr},{nth}]"], 2,
-       f"config error: curvature grid needs at most {_MAX_NODES} nodes "
-       f"(nr + 1 radii by nth angles), got ({nr}, {nth})")
-      for nr, nth in ((8, 4611686018427387904), (9223372036854775806, 8),
-                      (8, 9223372036854775806))],
-    (["verify", "--family", "lightlike-rotational", "--suite", "curvature",
-      "--set", f"curvature_grid=[8,{_MAX_NODES // 9 // 2 * 2}]"], 2,
      "config error: out of memory: Unable to allocate"),
 ])
 def test_edge_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, args, code,
@@ -904,19 +886,15 @@ def test_non_finite_curvature_integrand_is_reported(tmp_path, capsys):
     assert "FAIL total-curvature: residual inf" in capsys.readouterr().out
 
 
-def test_an_odd_curvature_grid_nr_is_accepted(tmp_path, capsys):
-    # nr sets ceil(nr / 32) panels only, so [129, 32] runs the rule of
-    # [160, 32] (5 panels each); nth must stay even
-    checks = []
-    for nr in (129, 160):
-        report = tmp_path / f"r{nr}.json"
-        assert main(["verify", "--family", "bending-spacelike", "--suite",
-                     "curvature", "--set", f"curvature_grid=[{nr},32]",
-                     "--report", str(report)]) == 0
-        (check,) = json.loads(report.read_text())["checks"]
-        checks.append(check)
-    assert checks[0]["residual"] == checks[1]["residual"]
-    assert checks[0]["note"] == checks[1]["note"]
+def test_the_curvature_grid_is_an_unknown_field(tmp_path, capsys):
+    # the total-curvature rule has no setting: its start is fixed
+    report = tmp_path / "r.json"
+    assert main(["verify", "--family", "bending-spacelike", "--suite",
+                 "curvature", "--set", "curvature_grid=[128,32]",
+                 "--report", str(report)]) == 2
+    assert ("config error: unknown config field 'curvature_grid'"
+            in capsys.readouterr().err)
+    assert not report.exists()
 
 
 def test_nearly_lightlike_helix_passes_its_oracle(tmp_path, capsys):

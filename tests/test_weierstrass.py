@@ -615,30 +615,18 @@ def test_total_curvature_of_the_degree_one_model():
     assert abs(value + 4 * np.pi) < 0.01 * 4 * np.pi
 
 
-def test_total_curvature_validates_annulus_and_grid():
+def test_total_curvature_validates_its_annulus():
     wd = W.WeierstrassData(g=lambda z: z,
                            f=lambda z: np.ones_like(np.asarray(z, complex)),
                            chart=W.PUNCTURED_CHART, signature=W.EUCLID,
                            singularities=(), label="model")
     with pytest.raises(ValueError):
         W.total_curvature(wd, (1.0, 0.5))
-    with pytest.raises(ValueError):
-        W.total_curvature(wd, (1e-3, 1e3), grid=(7, 16))
-    with pytest.raises(ValueError, match="nth even"):
-        W.total_curvature(wd, (1e-3, 1e3), grid=(400, 255))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for annulus in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0)):
             with pytest.raises(ValueError, match="r_out < inf"):
                 W.total_curvature(wd, annulus)
-
-
-def test_an_odd_nr_sets_the_panels_of_the_next_multiple_of_32():
-    # nr only sets ceil(nr / 32) panels: 129 and 160 both start from 5
-    w = _dual_pair(catalog.lightlike_rotational(2.0), W.EXP_CHART)
-    odd = W.total_curvature(w, (1e-3, 1e3), grid=(129, 32))
-    assert np.float64(odd).tobytes() == np.float64(
-        W.total_curvature(w, (1e-3, 1e3), grid=(160, 32))).tobytes()
 
 
 def _gathered_spherical_density(w, z, h):
@@ -836,14 +824,6 @@ def test_total_curvature_raises_at_its_caps(a, cap, r):
     assert abs(abs(info.value.z) - float(r)) < 1e-5 * float(r)
     # the caps plus the one ring evaluated again to name theta
     assert sum(points) <= 2 * (W._CURVATURE_NODES + W._RING_NODES)
-
-
-def test_curvature_grid_is_the_starting_rule():
-    # a finer start meets the same tolerance
-    w = _dual_pair(catalog.lightlike_rotational(2.0), W.EXP_CHART)
-    value = W.total_curvature(w, (1e-3, 1e3))
-    finer = W.total_curvature(w, (1e-3, 1e3), grid=(400, 256))
-    assert abs(finer - value) <= 1e-8 * abs(value)
 
 
 def test_non_finite_curvature_integrand_raises_at_its_first_node():
