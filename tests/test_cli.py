@@ -829,6 +829,9 @@ def test_no_config_ends_in_a_traceback(tmp_path, command, raw):
     (["sample", "--family", "bending-timelike", "--set", "grid.nu=2",
       "--set", "grid.nv=100000000000000"], 2,
      "config error: out of memory: Unable to allocate"),
+    (["verify", "--family", "lightlike-rotational", "--suite", "curvature",
+      "--set", "curvature_grid=[8,100000000000000]"], 2,
+     "config error: unknown config field 'curvature_grid'"),
     # a grid of more nodes than numpy can index in every array of the job
     # is refused; one just inside still fails at its first allocation
     (["verify", "--family", "bending-timelike", "--set",
@@ -846,6 +849,15 @@ def test_no_config_ends_in_a_traceback(tmp_path, command, raw):
     (["verify", "--family", "bending-timelike", "--set", "grid.nu=2",
       "--set", f"grid.nv={_MAX_NODES // 2}"], 2,
      "config error: out of memory: Unable to allocate"),
+    # the total-curvature rule has no start setting: curvature grids that
+    # once passed _MAX_NODES or ran out of memory are unknown fields,
+    # refused before anything is allocated
+    *[(["verify", "--family", "lightlike-rotational", "--suite", "curvature",
+        "--set", f"curvature_grid=[{nr},{nth}]"], 2,
+       "config error: unknown config field 'curvature_grid'")
+      for nr, nth in ((8, 4611686018427387904), (9223372036854775806, 8),
+                      (8, 9223372036854775806),
+                      (8, _MAX_NODES // 9 // 2 * 2))],
 ])
 def test_edge_inputs_fail_cleanly(tmp_path, monkeypatch, capsys, args, code,
                                   line):
@@ -886,15 +898,39 @@ def test_non_finite_curvature_integrand_is_reported(tmp_path, capsys):
     assert "FAIL total-curvature: residual inf" in capsys.readouterr().out
 
 
-def test_the_curvature_grid_is_an_unknown_field(tmp_path, capsys):
-    # the total-curvature rule has no setting: its start is fixed
+@pytest.mark.parametrize("value", ["[128,32]", "[1,1]", "[400,255]"])
+def test_the_curvature_grid_is_an_unknown_field(tmp_path, capsys, value):
+    # the total-curvature rule has no setting: its start is fixed, so the
+    # old default and the grids it once refused are all unknown fields
     report = tmp_path / "r.json"
     assert main(["verify", "--family", "bending-spacelike", "--suite",
-                 "curvature", "--set", "curvature_grid=[128,32]",
+                 "curvature", "--set", f"curvature_grid={value}",
                  "--report", str(report)]) == 2
     assert ("config error: unknown config field 'curvature_grid'"
             in capsys.readouterr().err)
     assert not report.exists()
+
+
+def test_a_config_file_cannot_set_the_curvature_grid(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", family="bending-spacelike",
+                       curvature_grid=[128, 32])
+    report = tmp_path / "r.json"
+    assert main(["verify", "--config", cfg, "--suite", "curvature",
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown config field 'curvature_grid'" in err
+    assert "Traceback" not in err and not report.exists()
+
+
+def test_the_curvature_check_reports_its_fixed_start(tmp_path):
+    # the report names the rule's start as the old default did, so reports
+    # of the same job read the same
+    report = tmp_path / "r.json"
+    assert main(["verify", "--family", "bending-spacelike", "--suite",
+                 "curvature", "--report", str(report)]) == 0
+    (check,) = json.loads(report.read_text())["checks"]
+    assert check["name"] == "total-curvature" and check["passed"]
+    assert check["grid"] == "annulus (0.001, 1000.0), grid (128, 32)"
 
 
 def test_nearly_lightlike_helix_passes_its_oracle(tmp_path, capsys):
