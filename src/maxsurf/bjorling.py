@@ -17,15 +17,15 @@ is integrated from the panel's Legendre interpolant.  The cost follows the
 panels crossed, not the number of points, and every value stays pointwise.
 
 All of this but the integrand's values depends on the points alone, so it
-is planned once per point set: the lattice, the passes, the partial panels
-and the interpolant weights of their distinct fractions.  The plans of the
-4 most recently used sets of at most 1024 points are kept (a 32x32 grid's
-plan takes 0.1 MB, 1024 scattered points 0.75 MB on [-1, 1]^2), so a later
-solve on the same points in the same process only evaluates the integrand
-and sums.  A process that solves each point set once, as a `maxsurf verify`
-run does with its oracle grid, builds every plan it uses and gains nothing
-from the cache.  Rounds that cut panels into pieces are planned afresh
-every time.
+is planned once per point set: the lattice lines, the passes, the partial
+panels and the interpolant weights of their distinct fractions, nothing
+per panel.  The plans of the 4 most recently used sets of at most 1024
+points are kept (0.1 MB for a 32x32 grid, under 1 MB for any 1024
+points), so a later solve on the same points in the same process only
+evaluates the integrand and sums.  A process that solves each point set
+once, as a `maxsurf verify` run does with its oracle grid, builds every
+plan it uses and gains nothing from the cache.  Rounds that cut panels
+into pieces are planned afresh every time.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ _MAX_NODES = np.iinfo(np.intp).max // (2 * NODES * 8)
 # do.
 _PARTIALS = _PASS_POINTS // NODES
 # Plans kept for the most recently used sets of at most _PASS_POINTS // 8
-# points (_point_plan).  1024 scattered points take 0.75 MB on [-1, 1]^2,
-# 1.5 MB with |Im z| <= 30, and 52 MB, mostly per-panel arrays, near the
-# 1024-panel reach.
+# points (_point_plan): 0.1 MB for a 32x32 grid, 0.79-0.88 MB for 1024
+# points from [-1, 1]^2 out to the 1024-panel reach.
 _PLAN_CACHE = 4
 # Complex step of the tangents in `derivatives`: its truncation error, of
 # relative order (a * eps)^2 on a twist a, is below rounding for a up to
@@ -246,10 +245,14 @@ def segment_integral(integrand, z):
     plan = _point_plan(flat)
     out = np.empty((flat.size, 3), dtype=complex)
     todo, legs, a = np.arange(flat.size), plan.legs, plan.col
+    block = np.empty(0, dtype=complex)
     while todo.size:
+        # One block for a pass's values, nodes and piece rows, grown on need.
+        need = 7 * min(legs.rows, legs.panels) * legs.pieces * NODES
+        block = block if block.size >= need else np.empty(need, complex)
         # Legs 0 to b - 1 run along the real axis, one per column still to
         # do, and leg b + k up or down its column to point todo[k].
-        value, err, size = _leg_integrals(integrand, legs)
+        value, err, size = _leg_integrals(integrand, legs, block)
         b = value.shape[0] - todo.size
         total = value[a] + value[b:]
         mag = np.abs(total)
@@ -281,19 +284,18 @@ def segment_integral(integrand, z):
 
 class _LegPlan(NamedTuple):
     """What _leg_integrals needs of a set of legs, for `pieces` pieces per
-    panel.  Panel p (0 <= p < `panels`) is panel k[p] of its line; pass s
-    takes panels s * rows to (s + 1) * rows.  Per panel, shaped (panels, 1,
-    1): `upright`, `origin` (the line's real part) and `signed` (the
-    direction, +-_PANEL) place the nodes, and `h` is the step of a piece
-    along the line.  The nodes themselves are placed in each pass's block:
-    kept, they would take 16 NODES bytes per piece, 0.5 MB per point at the
-    deepest refinement.  `ended`[e] is a leg whose partial panel starts with
-    whole pieces, summed up to the pass's flat piece `ended_at`[e]; the
-    legs that end inside a piece are `inside`, with that piece's index
-    in the pass, the row of its fraction in `weights` and the step `inside_h`
-    of their panel.  Both lists are sorted by pass and cut by `ended_cut`
-    and `inside_cut`.  `later` lists, for k = 1, 2, ..., the panels k of the
-    lines that have one; legs `whole` take the prefix sum at panel
+    panel.  Lattice line l holds the panels first[l] to first[l + 1] - 1,
+    from the real axis (or 0) outward, `panels` in all; `origin`, `signed`
+    and `h` are its real part, direction (+-_PANEL) and step of a piece.
+    Pass s takes panels s * rows to (s + 1) * rows and places their nodes
+    from their lines, so a plan keeps nothing per panel.  `ended`[e] is a
+    leg whose partial panel starts with whole pieces, summed up to the
+    pass's flat piece `ended_at`[e]; the legs that end inside a piece are
+    `inside`, with that piece's index in the pass, the row of its fraction
+    in `weights` and the step `inside_h` of their panel.  Both lists are
+    sorted by pass and cut by `ended_cut` and `inside_cut`.  The panels j
+    are starts[:depth[j - 1]] + j, `starts` holding the lines' first panels,
+    the longest lines first; legs `whole` take the prefix sum at panel
     `whole_at`, and legs `reach` their error and size sums at panel
     `reach_at`."""
 
@@ -301,8 +303,7 @@ class _LegPlan(NamedTuple):
     pieces: int
     panels: int
     rows: int
-    k: np.ndarray
-    upright: np.ndarray
+    first: np.ndarray
     origin: np.ndarray
     signed: np.ndarray
     h: np.ndarray
@@ -315,7 +316,8 @@ class _LegPlan(NamedTuple):
     inside_h: np.ndarray
     inside_cut: np.ndarray
     weights: np.ndarray
-    later: tuple
+    starts: np.ndarray
+    depth: np.ndarray
     whole: np.ndarray
     whole_at: np.ndarray
     reach: np.ndarray
@@ -398,12 +400,6 @@ def _leg_plan(line, length, origin, pieces):
     first = np.concatenate([[0], np.cumsum(counts)])
     panels = int(first[-1])
     rows = max(1, _PASS_POINTS // (pieces * NODES))
-    # Panel p is panel k of its line: offsets k to k + 1 along the line.
-    p_line = np.repeat(np.arange(counts.size), counts)
-    k = np.arange(panels) - first[p_line]
-    sign = 1.0 - 2.0 * (p_line & 1)
-    upright = p_line >= 2
-    h = np.where(upright, 1j, 1.0) * (sign * (_PANEL / pieces))
     # The legs that end inside a panel, by panel: from whole pieces summed,
     # then from the interpolant of the piece they end in.
     last = first[line] + whole
@@ -419,45 +415,42 @@ def _leg_plan(line, length, origin, pieces):
     ended = np.flatnonzero(i > 0)
     reach = np.flatnonzero(crossed > 0)
     has = np.flatnonzero(whole > 0)
-    shape = (panels, 1, 1)
+    ids = np.arange(origin.size)
+    sign = 1.0 - 2.0 * (ids & 1)
+    h = np.where(ids >= 2, 1j, 1.0) * (sign * (_PANEL / pieces))
+    deep = np.argsort(-counts, kind="stable")
     return _LegPlan(
         legs=line.size, pieces=pieces, panels=panels, rows=rows,
-        k=k.astype(float).reshape(shape), upright=upright.reshape(shape),
-        origin=origin[p_line].reshape(shape),
-        signed=(sign * _PANEL).reshape(shape), h=h.reshape(shape),
+        first=first, origin=origin, signed=sign * _PANEL, h=h,
         ended=ends[ended], ended_at=piece[ended] - 1,
         ended_cut=np.searchsorted(ended, cut),
         inside=inside, inside_piece=piece[into], inside_row=row,
-        inside_h=h[last[inside], None],
+        inside_h=h[line[inside], None],
         inside_cut=np.searchsorted(np.flatnonzero(into), cut),
         weights=_interpolant_weights(fractions),
-        later=tuple(first[:-1][counts > j] + j
-                    for j in range(1, counts.max(initial=0))),
+        starts=first[deep], depth=np.searchsorted(
+            -counts[deep], -np.arange(1, counts.max(initial=0))),
         whole=has, whole_at=last[has] - 1,
         reach=reach, reach_at=first[line[reach]] + crossed[reach] - 1)
 
 
 def _frozen(plan):
     """The plan, with every array read-only: kept plans are shared."""
-    for part in (plan, plan.legs, plan.legs.later):
-        for field in part:
-            if isinstance(field, np.ndarray):
-                field.flags.writeable = False
+    for field in plan + plan.legs:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
     return plan
 
 
-def _leg_integrals(integrand, plan):
+def _leg_integrals(integrand, plan, block):
     """(value, err, size) of the legs of a _LegPlan: each leg's integral,
     and the sums of the error estimates and of the integrand's size (resabs)
     over the panels it crosses, its partial panel in full.  Each panel
-    crossed is integrated once, cut into the plan's pieces."""
+    crossed is integrated once, cut into the plan's pieces, in `block`."""
     pieces, panels, rows = plan.pieces, plan.panels, plan.rows
     total = np.empty((panels, 3), dtype=complex)
     err, size = np.empty(panels), np.empty(panels)
     part = np.zeros((plan.legs, 3), dtype=complex)
-    # One block holds a pass's integrand values, its nodes and the rows of
-    # its pieces.
-    block = np.empty(7 * min(rows, panels) * pieces * NODES, dtype=complex)
     offset = (np.arange(pieces)[:, None] + _S) / pieces
     step = _PANEL / pieces
     for s, start in enumerate(range(0, panels, rows)):
@@ -466,13 +459,17 @@ def _leg_integrals(integrand, plan):
         m = shape[0] * pieces * NODES
         vals = block[:3 * m].reshape(shape + (3,))
         w = block[3 * m:4 * m].reshape(shape)
-        up, pos = plan.upright[idx], (plan.k[idx] + offset) * plan.signed[idx]
-        w.real = np.where(up, plan.origin[idx], pos)
+        # panel p of the pass is panel p - first[line] of its line
+        p = np.arange(start, start + shape[0]).reshape(-1, 1, 1)
+        line = np.searchsorted(plan.first, p, side="right") - 1
+        up, k = line >= 2, (p - plan.first[line]).astype(float)
+        pos = (k + offset) * plan.signed[line]
+        w.real = np.where(up, plan.origin[line], pos)
         w.imag = np.where(up, pos, 0.0)
         nodes = w.view()
         nodes.flags.writeable = False
         integrand(nodes, out=vals)
-        sums = np.cumsum(plan.h[idx] * np.einsum("k,...kj->...j", _WT, vals),
+        sums = np.cumsum(plan.h[line] * np.einsum("k,...kj->...j", _WT, vals),
                          axis=1)
         total[idx] = sums[:, -1]
         coef = np.abs(_NULL @ vals.view(float))
@@ -494,8 +491,9 @@ def _leg_integrals(integrand, plan):
             part[plan.inside[r]] += plan.inside_h[r] * np.einsum(
                 "lk,ljk->lj", plan.weights[plan.inside_row[r]],
                 lines[plan.inside_piece[r]]).view(complex)
-    # Panels summed from 0 outward along each line, in place.
-    for later in plan.later:
+    # Panels summed from 0 outward along each line, in place, depth by depth.
+    for j, n in enumerate(plan.depth, 1):
+        later = plan.starts[:n] + j
         total[later] += total[later - 1]
         err[later] += err[later - 1]
         size[later] += size[later - 1]

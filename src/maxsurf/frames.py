@@ -341,17 +341,20 @@ class _NormalField:
         return self._combine(w, self.scale * ch, self.scale * sh, out)
 
     def _combine(self, z, p, q, out=None):
-        """p L1 + q L2 at z, one component at a time.  On the numpy scalars
-        of a 0-d z, `*` would take numpy's scalar complex product, which
-        can round otherwise than the ufunc's array loop."""
+        """p L1 + q L2 at z, a component at a time (its temporaries freed
+        before the next's), summed straight into out[..., k] when given.
+        On the numpy scalars of a 0-d z, `*` takes numpy's scalar complex
+        product, which can round otherwise than the ufunc's array loop."""
         z = np.asarray(z)
         f, g = self.form.kernel(z)
-        comps = (np.add(np.multiply(p, l1(f, g)), np.multiply(q, l2(f, g)))
-                 for l1, l2 in self.form.legs)
+
+        def comp(l1, l2, out=None):
+            return np.add(np.multiply(p, l1(f, g)), np.multiply(q, l2(f, g)),
+                          out=out)
         if out is None:
-            return vec3(*comps)
-        for k in range(3):
-            out[..., k] = next(comps)
+            return vec3(*(comp(*legs) for legs in self.form.legs))
+        for k, legs in enumerate(self.form.legs):
+            comp(*legs, out=out[..., k])
         return out
 
 

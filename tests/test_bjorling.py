@@ -532,14 +532,16 @@ def built(no_plans, monkeypatch):
 
 
 def _read_only(plan):
-    arrays = [f for part in (plan, plan.legs, plan.legs.later) for f in part
+    arrays = [f for part in (plan, plan.legs) for f in part
               if isinstance(f, np.ndarray)]
     return arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_cached_plans_give_the_bits_of_cold_solves(no_plans):
-    # five point sets (the benchmark's near and far grids, special points,
-    # a set with refinement rounds and a single point) and five integrands,
+    # six point sets (the benchmark's near and far grids, special points,
+    # a set with refinement rounds, a single point and 16 points up to 80
+    # panels up or down their columns, which take several passes and
+    # columns of many lengths) and five integrands,
     # solved in a seeded order that revisits sets within the cache and
     # evicts them: every solve has the bits of the same solve from an empty
     # cache
@@ -550,7 +552,9 @@ def test_cached_plans_give_the_bits_of_cold_solves(no_plans):
     sets = [U + 1j * V, Uf + 1j * Vf,
             np.array([0j, complex(-0.0, 0.3), 1 + 1j, -0.3 - 2.6j, 0.7j]),
             np.array([-1.5 + 0.8j, 0.3 + 0.4j, -1.5 + 1.7j, 20.0 - 0.9j]),
-            np.array(0.45 - 0.25j)]
+            np.array(0.45 - 0.25j),
+            np.random.default_rng(11).uniform(-1, 1, 16)
+            + 1j * np.random.default_rng(12).uniform(-80, 80, 16)]
     integrands = [catalog.bjorling_data_for(s).integrand
                   for s in NEAR_SURFACES[:3]]
     integrands += [_exp_data().integrand,
@@ -570,6 +574,32 @@ def test_cached_plans_give_the_bits_of_cold_solves(no_plans):
     # and the kept plans stay read-only
     for z in sets:
         assert _read_only(bjorling._point_plan(z.reshape(-1)))
+
+
+def _plan_bytes(plan):
+    """The bytes of a plan's arrays, each counted once."""
+    arrays = {id(f): f for part in (plan, plan.legs) for f in part
+              if isinstance(f, np.ndarray)}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def test_kept_plans_are_sized_by_their_points(no_plans):
+    # a kept plan holds a few numbers per point, line and pass, none per
+    # lattice panel: 1 024 points far up their columns cross half a million
+    # and a million panels, and their plans stay within 1 MB
+    U, V = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32),
+                       indexing="ij")
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, 1024)
+    for z, panels, limit in (
+            ((U + 1j * V).reshape(-1), 66, 100_000),
+            (x + 1j * rng.uniform(-1000, 1000, 1024), 500_000, 1_000_000),
+            (x + 1j * rng.uniform(1020, 1021, 1024), 1_000_000, 1_000_000)):
+        plan = bjorling._point_plan(z)
+        assert plan is bjorling._point_plan(z)
+        assert plan.legs.panels >= panels
+        assert _plan_bytes(plan) <= limit
+    assert no_plans.cache_info().currsize == 3
 
 
 def test_a_grid_solved_twice_builds_one_plan(built):

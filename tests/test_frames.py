@@ -315,3 +315,41 @@ def test_built_in_pairs_never_reach_the_cross_product(monkeypatch, family,
     assert bjorling.solve_bjorling(apart)(U, V).tobytes() == X.tobytes()
     with pytest.raises(AssertionError, match="lorentz_cross reached"):
         other.integrand(PIN_POINTS)
+
+
+# Nodes shaped as a solve's pass (5 panels of 2 pieces of NODES nodes):
+# along the real axis both ways, up a column at Re w = -0.4 and down one
+# at Re w = 2.5, and at Im w = 300.
+PASS_NODES = (np.array([0.3, -1.6, -0.4 + 7j, 2.5 - 40j])[:, None, None]
+              + np.array([1.0, 1j, 1j, -0.5j])[:, None, None]
+              * (np.arange(2)[:, None] + bjorling._S) / 2)
+PASS_NODES = np.concatenate([PASS_NODES, PASS_NODES[:1] + 300j])
+
+# The first 16 hex digits of the sha256 of BjorlingData.integrand's bytes
+# at PASS_NODES, written into a pass block's value planes.
+PINNED_PASS_DIGESTS = {
+    ("circle-timelike", "constant"): "fe6f234623eecbf6",
+    ("circle-timelike", "linear"): "9c02625f87da958c",
+    ("circle-spacelike", "constant"): "f330011c0a311dd7",
+    ("circle-spacelike", "linear"): "6322afd60eaaefad",
+    ("circle-lightlike", "constant"): "a1ec07c176ef9ed6",
+    ("helix-timelike", "constant"): "717b610d10d164aa",
+    ("helix-timelike", "linear"): "69f2c574ddbf6b36",
+    ("helix-spacelike-i", "constant"): "4b943ae6e172225a",
+    ("helix-spacelike-i", "linear"): "22b06283111fff13",
+    ("helix-spacelike-ii", "constant"): "68e0d12c9315a64a",
+    ("helix-spacelike-ii", "linear"): "e584a520c3e537e4",
+}
+
+
+@pytest.mark.parametrize("family,spec", PAIRS, ids=PAIR_IDS)
+def test_integrand_writes_each_component_into_out(family, spec):
+    # each component is summed straight into out[..., k], a strided view,
+    # with the bits of the allocating path and of the pinned digests
+    data = frames.make_bjorling_data(family, spec)
+    block = np.full(7 * PASS_NODES.size, np.nan, complex)
+    out = block[:3 * PASS_NODES.size].reshape(PASS_NODES.shape + (3,))
+    assert data.integrand(PASS_NODES, out=out) is out
+    assert out.tobytes() == data.integrand(PASS_NODES).tobytes()
+    digest = hashlib.sha256(out.tobytes()).hexdigest()[:16]
+    assert digest == PINNED_PASS_DIGESTS[family.tag, spec.kind]
