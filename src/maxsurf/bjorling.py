@@ -24,8 +24,8 @@ points are kept (0.1 MB for a 32x32 grid, under 1 MB for any 1024
 points), so a later solve on the same points in the same process only
 evaluates the integrand and sums.  A process that solves each point set
 once, as a `maxsurf verify` run does with its oracle grid, builds every
-plan it uses and gains nothing from the cache.  Rounds that cut panels
-into pieces are planned afresh every time.
+plan it uses and gains nothing from the cache.  Rounds that redo missed
+paths on a finer lattice are planned afresh every time.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .lorentz import lorentz_cross, lorentz_dot
 
 # Gauss-Legendre nodes per panel, relative tolerance of a point's integral,
 # length of a lattice panel, and the cap on the panels along one point's
-# path, each lattice panel counted with the pieces it is cut into.
+# path, each counted as the panels it splits into on a round's finer
+# lattice.
 NODES = 32
 _RTOL = 1e-11
 _PANEL = 1.0
@@ -233,12 +234,13 @@ def segment_integral(integrand, z):
     times the null-rule coefficients of the largest real or imaginary part,
     must be within _RTOL of max |integral|, or else of the integrand's size
     along the path (QUADPACK's resabs, by the same largest part).  The
-    points that miss are redone with every panel of their paths cut into 2,
-    4, 8, ... equal pieces, as long as a path holds at most _MAX_PANELS
-    pieces.  QuadratureError names the first point whose estimate is not
-    finite or still misses at that cap, and, before any evaluation, the
-    first point that is not finite or whose path crosses more than
-    _MAX_PANELS panels.
+    points that miss are redone on a lattice of half, a quarter, ... the
+    panel length, in passes of the same size, as long as the panels of a
+    path, each counted as the panels it splits into on that lattice, number
+    at most _MAX_PANELS.  QuadratureError names the first point whose
+    estimate is not finite or still misses at that cap, and, before any
+    evaluation, the first point that is not finite or whose path crosses
+    more than _MAX_PANELS panels.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
@@ -247,8 +249,8 @@ def segment_integral(integrand, z):
     todo, legs, a = np.arange(flat.size), plan.legs, plan.col
     block = np.empty(0, dtype=complex)
     while todo.size:
-        # One block for a pass's values, nodes and piece rows, grown on need.
-        need = 7 * min(legs.rows, legs.panels) * legs.pieces * NODES
+        # One block for a pass's values, nodes and panel rows, grown on need.
+        need = 7 * min(legs.rows, legs.panels) * NODES
         block = block if block.size >= need else np.empty(need, complex)
         # Legs 0 to b - 1 run along the real axis, one per column still to
         # do, and leg b + k up or down its column to point todo[k].
@@ -283,17 +285,15 @@ def segment_integral(integrand, z):
 
 
 class _LegPlan(NamedTuple):
-    """What _leg_integrals needs of a set of legs, for `pieces` pieces per
-    panel.  Lattice line l holds the panels first[l] to first[l + 1] - 1,
-    from the real axis (or 0) outward, `panels` in all; `origin`, `signed`
-    and `h` are its real part, direction (+-_PANEL) and step of a piece.
-    Pass s takes panels s * rows to (s + 1) * rows and places their nodes
-    from their lines, so a plan keeps nothing per panel.  `ended`[e] is a
-    leg whose partial panel starts with whole pieces, summed up to the
-    pass's flat piece `ended_at`[e]; the legs that end inside a piece are
-    `inside`, with that piece's index in the pass, the row of its fraction
-    in `weights` and the step `inside_h` of their panel.  Both lists are
-    sorted by pass and cut by `ended_cut` and `inside_cut`.  The panels j
+    """What _leg_integrals needs of a set of legs, on the lattice of panels
+    `pieces` times shorter than _PANEL.  Lattice line l holds the panels
+    first[l] to first[l + 1] - 1, from the real axis (or 0) outward,
+    `panels` in all; `origin`, `signed` and `h` are its real part, signed
+    panel length and step.  Pass s takes panels s * rows to (s + 1) * rows
+    and places their nodes from their lines, so a plan keeps nothing per
+    panel.  The legs that end inside a panel are `inside`, sorted by pass
+    and cut by `inside_cut`, with that panel's index in its pass, the row
+    of its fraction in `weights` and the step `inside_h`.  The panels j
     are starts[:depth[j - 1]] + j, `starts` holding the lines' first panels,
     the longest lines first; legs `whole` take the prefix sum at panel
     `whole_at`, and legs `reach` their error and size sums at panel
@@ -307,11 +307,8 @@ class _LegPlan(NamedTuple):
     origin: np.ndarray
     signed: np.ndarray
     h: np.ndarray
-    ended: np.ndarray
-    ended_at: np.ndarray
-    ended_cut: np.ndarray
     inside: np.ndarray
-    inside_piece: np.ndarray
+    inside_panel: np.ndarray
     inside_row: np.ndarray
     inside_h: np.ndarray
     inside_cut: np.ndarray
@@ -390,8 +387,9 @@ def _plan(flat):
 
 def _leg_plan(line, length, origin, pieces):
     """The _LegPlan of the legs that run `length` panels along the lattice
-    lines `line` (with real parts `origin` by line), each panel cut into
-    `pieces` pieces."""
+    lines `line` (with real parts `origin` by line), on the lattice of panels
+    `pieces` times shorter."""
+    length = length * pieces
     crossed = np.ceil(length).astype(np.int64)
     whole = np.floor(length).astype(np.int64)
     frac = length - whole
@@ -399,34 +397,24 @@ def _leg_plan(line, length, origin, pieces):
     np.maximum.at(counts, line, crossed)
     first = np.concatenate([[0], np.cumsum(counts)])
     panels = int(first[-1])
-    rows = max(1, _PASS_POINTS // (pieces * NODES))
-    # The legs that end inside a panel, by panel: from whole pieces summed,
-    # then from the interpolant of the piece they end in.
+    rows = max(1, _PASS_POINTS // NODES)
+    # The legs that end inside a panel, by panel.
     last = first[line] + whole
-    ends = np.flatnonzero(frac > 0.0)
-    ends = ends[np.argsort(last[ends], kind="stable")]
-    tau = frac[ends] * pieces
-    i = np.floor(tau).astype(np.int64)
-    piece = last[ends] % rows * pieces + i
-    cut = np.searchsorted(last[ends], np.arange(0, panels + rows, rows))
-    into = tau > i
-    inside = ends[into]
-    fractions, row = np.unique(tau[into] - i[into], return_inverse=True)
-    ended = np.flatnonzero(i > 0)
+    inside = np.flatnonzero(frac > 0.0)
+    inside = inside[np.argsort(last[inside], kind="stable")]
+    fractions, row = np.unique(frac[inside], return_inverse=True)
     reach = np.flatnonzero(crossed > 0)
     has = np.flatnonzero(whole > 0)
     ids = np.arange(origin.size)
-    sign = 1.0 - 2.0 * (ids & 1)
-    h = np.where(ids >= 2, 1j, 1.0) * (sign * (_PANEL / pieces))
+    signed = (1.0 - 2.0 * (ids & 1)) * (_PANEL / pieces)
+    h = np.where(ids >= 2, 1j, 1.0) * signed
     deep = np.argsort(-counts, kind="stable")
     return _LegPlan(
         legs=line.size, pieces=pieces, panels=panels, rows=rows,
-        first=first, origin=origin, signed=sign * _PANEL, h=h,
-        ended=ends[ended], ended_at=piece[ended] - 1,
-        ended_cut=np.searchsorted(ended, cut),
-        inside=inside, inside_piece=piece[into], inside_row=row,
-        inside_h=h[line[inside], None],
-        inside_cut=np.searchsorted(np.flatnonzero(into), cut),
+        first=first, origin=origin, signed=signed, h=h,
+        inside=inside, inside_panel=last[inside] % rows, inside_row=row,
+        inside_h=h[line[inside], None], inside_cut=np.searchsorted(
+            last[inside], np.arange(0, panels + rows, rows)),
         weights=_interpolant_weights(fractions),
         starts=first[deep], depth=np.searchsorted(
             -counts[deep], -np.arange(1, counts.max(initial=0))),
@@ -446,51 +434,45 @@ def _leg_integrals(integrand, plan, block):
     """(value, err, size) of the legs of a _LegPlan: each leg's integral,
     and the sums of the error estimates and of the integrand's size (resabs)
     over the panels it crosses, its partial panel in full.  Each panel
-    crossed is integrated once, cut into the plan's pieces, in `block`."""
-    pieces, panels, rows = plan.pieces, plan.panels, plan.rows
+    crossed is integrated once, in `block`."""
+    panels, rows = plan.panels, plan.rows
     total = np.empty((panels, 3), dtype=complex)
     err, size = np.empty(panels), np.empty(panels)
     part = np.zeros((plan.legs, 3), dtype=complex)
-    offset = (np.arange(pieces)[:, None] + _S) / pieces
-    step = _PANEL / pieces
+    step = _PANEL / plan.pieces
     for s, start in enumerate(range(0, panels, rows)):
         idx = slice(start, start + rows)
-        shape = (min(rows, panels - start), pieces, NODES)
-        m = shape[0] * pieces * NODES
+        shape = (min(rows, panels - start), NODES)
+        m = shape[0] * NODES
         vals = block[:3 * m].reshape(shape + (3,))
         w = block[3 * m:4 * m].reshape(shape)
         # panel p of the pass is panel p - first[line] of its line
-        p = np.arange(start, start + shape[0]).reshape(-1, 1, 1)
+        p = np.arange(start, start + shape[0]).reshape(-1, 1)
         line = np.searchsorted(plan.first, p, side="right") - 1
         up, k = line >= 2, (p - plan.first[line]).astype(float)
-        pos = (k + offset) * plan.signed[line]
+        pos = (k + _S) * plan.signed[line]
         w.real = np.where(up, plan.origin[line], pos)
         w.imag = np.where(up, pos, 0.0)
         nodes = w.view()
         nodes.flags.writeable = False
         integrand(nodes, out=vals)
-        sums = np.cumsum(plan.h[line] * np.einsum("k,...kj->...j", _WT, vals),
-                         axis=1)
-        total[idx] = sums[:, -1]
+        total[idx] = plan.h[line] * np.einsum("k,...kj->...j", _WT, vals)
         coef = np.abs(_NULL @ vals.view(float))
-        err[idx] = step * np.sum(
-            np.max(coef[..., 0, :] + coef[..., 1, :], axis=-1), axis=-1)
-        # each piece's values as 6 real rows of NODES; their absolute
+        err[idx] = step * np.max(coef[:, 0] + coef[:, 1], axis=-1)
+        # each panel's values as 6 real rows of NODES; their absolute
         # values then take the place of the integrand's values
         lines = block[4 * m:7 * m].view(float).reshape(-1, 6, NODES)
         np.copyto(lines, vals.view(float).reshape(-1, NODES, 6)
                   .transpose(0, 2, 1))
         mags = np.abs(lines, out=vals.view(float).reshape(lines.shape))
-        size[idx] = step * np.sum(
-            np.max(mags, axis=1).reshape(shape) @ _WT, axis=-1)
-        e = slice(*plan.ended_cut[s:s + 2])
-        part[plan.ended[e]] = sums.reshape(-1, 3)[plan.ended_at[e]]
+        # a dot product per panel: a matrix-vector product rounds differently
+        size[idx] = step * (np.max(mags, axis=1)[:, None] @ _WT)[:, 0]
         lo, hi = plan.inside_cut[s:s + 2]
         for c in range(lo, hi, _PARTIALS):
             r = slice(c, min(c + _PARTIALS, hi))
             part[plan.inside[r]] += plan.inside_h[r] * np.einsum(
                 "lk,ljk->lj", plan.weights[plan.inside_row[r]],
-                lines[plan.inside_piece[r]]).view(complex)
+                lines[plan.inside_panel[r]]).view(complex)
     # Panels summed from 0 outward along each line, in place, depth by depth.
     for j, n in enumerate(plan.depth, 1):
         later = plan.starts[:n] + j
@@ -507,8 +489,8 @@ def _leg_integrals(integrand, plan, block):
 
 
 def _interpolant_weights(t):
-    """(len(t), NODES) weights that take a piece's node values to the
-    integral of their Legendre interpolant over [0, t] of the piece, for
+    """(len(t), NODES) weights that take a panel's node values to the
+    integral of their Legendre interpolant over [0, t] of the panel, for
     fractions t in (0, 1).
 
     The interpolant is sum_n c_n P_n(2s - 1), and the integral of P_n from

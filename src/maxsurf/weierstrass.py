@@ -428,6 +428,8 @@ def period(triple: FormTriple, k, loop: Loop):
         if abs(abs(s - loop.center) - loop.radius) < 1e-9 * (1.0 + loop.radius):
             raise ValueError(f"loop passes through the singularity at {s}")
     comps = list(dict.fromkeys(ks))
+    if not comps:
+        return []
 
     def sums(rows, n, offset):
         th = 2.0 * np.pi * (np.arange(n) + offset) / n

@@ -135,16 +135,19 @@ def test_near_axis_points_agree_with_a_96_node_straight_pass():
 @pytest.mark.parametrize("points", [1 << 16, 48])
 def test_pass_size_does_not_change_the_solve(monkeypatch, no_plans, points):
     # every value is computed pointwise, so the split into passes changes no
-    # bit: 40x40 points of six families take several passes of the default
-    # size, and far points of e^z, redone on 2 to 16 panels, are split
-    # differently in those rounds too.  At 48 points a pass holds one
-    # point, and from 2 panels on one row is wider than the pass.
+    # bit: 40x40 points of six families and far points of e^z take several
+    # passes of the default size, and points up a column of an oscillating
+    # field, redone on finer lattices, are split differently in those
+    # rounds too.  At 48 points a pass holds one panel, in every round.
     U, V = np.meshgrid(np.linspace(-1, 1, 40), np.linspace(-3, 3, 40),
                        indexing="ij")
     cases = [(catalog.bjorling_data_for(s), U + 1j * V)
              for s in NEAR_SURFACES]
     far = np.linspace(-1, 1, 20)[:, None] + 1j * np.linspace(50, 300, 20)
     cases.append((_exp_data(), far))
+    cases.append((_exp_data(_oscillating_column),
+                  np.array([[-1.5 + 0.8j, 0.3 + 0.4j],
+                            [-1.5 + 1.7j, 20.0 - 0.9j]])))
     assert U.size * NODES > bjorling._PASS_POINTS
     assert points < 2 * NODES or points > U.size * NODES
     if points < 2 * NODES:
@@ -333,23 +336,30 @@ def test_non_finite_integrand_raises_at_its_point(axis):
     assert "on its 3 lattice panel(s) of 1 piece(s) each" in message
 
 
-def test_panel_cap_raises_with_point_estimate_and_tolerance():
-    # a normal field that oscillates 1e5 / (2 pi) times per unit up the
-    # columns left of the imaginary axis: no path through one is resolved
-    # by 1024 pieces of NODES nodes.  The first point whose path misses is
-    # named when its pieces reach the cap: 2 lattice panels of 512 pieces
+def _unresolved_case():
+    """A normal field that oscillates 1e5 / (2 pi) times per unit up the
+    columns left of the imaginary axis, counting the points it is asked
+    for into the returned list, and four points, three of them left of 0:
+    no path through such a column is resolved by 1024 panels of NODES
+    nodes."""
     def field(w):
         third = np.where(w.real < 0.0, np.exp(1e5j * w.imag), 1.0)
         zero = np.zeros_like(w)
         return vec3(zero, zero, third + zero)
 
     counts = []
-    data = _exp_data(field)
-    swapped = dataclasses.replace(data, normal_field=AnalyticMap(
+    data = dataclasses.replace(_exp_data(field), normal_field=AnalyticMap(
         lambda w: (counts.append(np.size(w)), field(w))[1], None))
     z = np.array([0.5 + 0.5j, -0.5 + 0.5j, -0.5 + 0.7j, -0.2 + 0.1j])
+    return data, z, counts
+
+
+def test_panel_cap_raises_with_point_estimate_and_tolerance():
+    # the first point whose path misses is named when its panels, on the
+    # finest lattice, reach the cap: 2 lattice panels of 512 pieces
+    data, z, counts = _unresolved_case()
     with pytest.raises(QuadratureError) as info:
-        segment_integral(swapped.integrand, z)
+        segment_integral(data.integrand, z)
     err = info.value
     assert err.z == z[1]
     assert np.isfinite(err.estimate) and err.estimate > err.tol > 0.0
@@ -358,11 +368,29 @@ def test_panel_cap_raises_with_point_estimate_and_tolerance():
     assert "on its 2 lattice panel(s) of 512 piece(s) each" in message
     assert "at most 1024 pieces along a path" in message
     assert f"{err.estimate:.3g}" in message and f"{err.tol:.3g}" in message
-    # rounds of 1, 2, ..., 512 pieces per panel: the first takes the 5
-    # panels of the four paths (two points share the column Re z = -0.5),
-    # the later ones the 3 panels of the three paths left of 0
-    assert sum(counts) == (5 + 3 * (2 + 4 + 8 + 16 + 32 + 64 + 128 + 256
-                                    + 512)) * NODES
+    # the first round takes the 5 unit panels of the four paths (two points
+    # share the column Re z = -0.5); the round on the lattice of 1 / p the
+    # panel length takes the ceil(0.5 p) panels of the negative real axis
+    # out to Re z = -0.5, and the ceil(0.7 p) and ceil(0.1 p) panels up the
+    # columns Re z = -0.5 and -0.2:
+    #   p = 2: 1 + 2 + 1 = 4        p = 32: 16 + 23 + 4 = 43
+    #   p = 4: 2 + 3 + 1 = 6        p = 64: 32 + 45 + 7 = 84
+    #   p = 8: 4 + 6 + 1 = 11       p = 128: 64 + 90 + 13 = 167
+    #   p = 16: 8 + 12 + 2 = 22     p = 256: 128 + 180 + 26 = 334
+    #                               p = 512: 256 + 359 + 52 = 667
+    assert sum(counts) == (5 + 4 + 6 + 11 + 22 + 43 + 84 + 167 + 334
+                           + 667) * NODES == 42976
+
+
+def test_refined_rounds_keep_integrand_calls_within_a_pass():
+    # every round integrates whole panels of the finer lattice in passes of
+    # _PASS_POINTS nodes: the round of 667 panels at 1 / 512 the panel
+    # length takes two full passes and one of 155 panels
+    data, z, counts = _unresolved_case()
+    with pytest.raises(QuadratureError):
+        segment_integral(data.integrand, z)
+    assert max(counts) <= bjorling._PASS_POINTS
+    assert counts[-3:] == [bjorling._PASS_POINTS] * 2 + [155 * NODES]
 
 
 def test_path_cap_refuses_a_point_before_any_evaluation():
@@ -446,7 +474,7 @@ def test_a_refined_path_leaves_other_points_bits():
         None))
     z = np.array([-1.5 + 0.8j, 0.3 + 0.4j, -1.5 + 1.7j, 20.0 - 0.9j])
     together = segment_integral(swapped.integrand, z)
-    assert sum(counts) > 26 * NODES  # 26 panels at one piece each
+    assert sum(counts) > 26 * NODES  # 26 unit panels in the first round
     for k, p in enumerate(z):
         assert np.array_equal(together[k],
                               segment_integral(data.integrand, np.array(p)))
@@ -455,6 +483,29 @@ def test_a_refined_path_leaves_other_points_bits():
     x, y = z[[0, 2]].real, z[[0, 2]].imag
     exact = np.exp(x) - 1.0 + np.exp(x) * (np.exp(31j * y) - 1.0) / 31.0
     assert np.max(np.abs(together[[0, 2], 1] - exact)) <= 1e-11
+
+
+def test_a_fast_twist_is_refined_to_the_closed_form(monkeypatch, no_plans):
+    # bending-timelike at a = 250 on a 9x9 grid over [-1, 1]^2: the fast
+    # twist sends points through five rounds, on lattices of 1 to 1 / 16 the
+    # panel length, and the solve stays within 1e-13 of the closed form
+    # (1.3e-14 measured), each point with the bits it gets alone
+    surface = catalog.bending_timelike(250.0)
+    data = catalog.bjorling_data_for(surface)
+    U, V = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9),
+                       indexing="ij")
+    rounds, plan = [], bjorling._leg_plan
+    monkeypatch.setattr(bjorling, "_leg_plan", lambda *args: (
+        rounds.append(args[-1]), plan(*args))[1])
+    X = solve_bjorling(data)(U, V)
+    assert rounds == [1, 2, 4, 8, 16]
+    exact = catalog.patch(surface)(U, V)
+    assert np.max(np.abs(X - exact)) <= 1e-13 * np.max(np.abs(exact))
+    z = (U + 1j * V).reshape(-1)
+    together = segment_integral(data.integrand, z)
+    for k, p in enumerate(z):
+        assert np.array_equal(together[k],
+                              segment_integral(data.integrand, np.array(p)))
 
 
 def test_points_that_share_no_column_take_one_panel_per_unit():

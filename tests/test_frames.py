@@ -317,7 +317,8 @@ def test_built_in_pairs_never_reach_the_cross_product(monkeypatch, family,
         other.integrand(PIN_POINTS)
 
 
-# Nodes shaped as a solve's pass (5 panels of 2 pieces of NODES nodes):
+# Nodes of a solve's round on the lattice of half the panel length, 2 such
+# panels of NODES nodes from each of 5 starts (shape (5, 2, NODES)):
 # along the real axis both ways, up a column at Re w = -0.4 and down one
 # at Re w = 2.5, and at Im w = 300.
 PASS_NODES = (np.array([0.3, -1.6, -0.4 + 7j, 2.5 - 40j])[:, None, None]

@@ -527,6 +527,17 @@ def test_period_takes_every_component_from_one_evaluation_per_node_count():
         W.period(near_pole, (1, 4), LOOP)
 
 
+def test_period_of_no_components_is_an_empty_list():
+    # a value for each index of an empty sequence: none, and the triple is
+    # not evaluated
+    sizes = []
+    triple = _counted(W.forms_for(catalog.bending_spacelike(1.0),
+                                  W.PUNCTURED_CHART), sizes)
+    for empty in ([], (), np.array([], dtype=int)):
+        assert W.period(triple, empty, LOOP) == []
+    assert sizes == []
+
+
 def test_trapezoid_doubles_only_the_rows_that_miss_by_their_midpoints():
     # row j integrates e^{j cos theta} over the circle, 2 pi I0(j)
     evaluated = []
