@@ -13,14 +13,18 @@ the real axis to Re z, then the vertical line to z, and cuts both on a
 fixed lattice of unit panels.  Each panel that any point's path crosses is
 integrated once, by error-controlled Gauss-Legendre quadrature, and shared
 by all the points whose paths cross it; the last, partial panel of a path
-is integrated from the panel's Legendre interpolant.  The cost follows the
-panels crossed, not the number of points, and every value stays pointwise.
+is integrated from the panel's Legendre interpolant.  A pass takes the
+interpolant integrals of all its panels at all the distinct fractions in
+one product and gives each path its (panel, fraction) entry, unless that
+product is more than twice the pass's partial panels; it then integrates
+them one by one.  The cost follows the panels crossed, not the number of
+points, and every value stays pointwise.
 
 All of this but the integrand's values depends on the points alone, so it
 is planned once per point set: the lattice lines, the passes, the partial
 panels and the interpolant weights of their distinct fractions, nothing
 per panel.  The plans of the 4 most recently used sets of at most 1024
-points are kept (0.1 MB for a 32x32 grid, under 1 MB for any 1024
+points are kept (0.09 MB for a 32x32 grid, under 1 MB for any 1024
 points), so a later solve on the same points in the same process only
 evaluates the integrand and sums.  A process that solves each point set
 once, as a `maxsurf verify` run does with its oracle grid, builds every
@@ -80,12 +84,22 @@ _PASS_POINTS = 1 << 13
 # interpolant weights (_interpolant_weights) for the point's two partial
 # panels, 2 NODES doubles.
 _MAX_NODES = np.iinfo(np.intp).max // (2 * NODES * 8)
-# Partial panels that a pass integrates at a time: their gathered node
-# values fill 3 planes of _PASS_POINTS points, as a pass's integrand values
-# do.
+# Partial panels that a pass integrates at a time when it takes them one
+# by one: their gathered node values fill 3 planes of _PASS_POINTS points,
+# as a pass's integrand values do.
 _PARTIALS = _PASS_POINTS // NODES
+# A pass integrates its partial panels as one table, every panel of the
+# pass at every distinct fraction, when that table has at most
+# _TABLE_RATIO entries per partial panel, and one by one otherwise.  Both
+# take each panel line's dot product with the weights by einsum's
+# contiguous kernel, so they give the same bits (a BLAS product of the two
+# would not, nor keep a value pointwise).  On the 2-vCPU Xeon, the
+# table took 0.66 / 0.74 / 0.84 / 0.95 / 1.11 / 1.56 times the time of the
+# panels one by one at 1.1 / 1.4 / 1.8 / 2.3 / 2.8 / 4.4 entries per panel
+# (21x21 and 32x32 grids on [-a, a]^2, interleaved in one process).
+_TABLE_RATIO = 2
 # Plans kept for the most recently used sets of at most _PASS_POINTS // 8
-# points (_point_plan): 0.1 MB for a 32x32 grid, 0.79-0.88 MB for 1024
+# points (_point_plan): 0.09 MB for a 32x32 grid, 0.76-0.82 MB for 1024
 # points from [-1, 1]^2 out to the 1024-panel reach.
 _PLAN_CACHE = 4
 # Complex step of the tangents in `derivatives`: its truncation error, of
@@ -292,8 +306,10 @@ class _LegPlan(NamedTuple):
     panel length and step.  Pass s takes panels s * rows to (s + 1) * rows
     and places their nodes from their lines, so a plan keeps nothing per
     panel.  The legs that end inside a panel are `inside`, sorted by pass
-    and cut by `inside_cut`, with that panel's index in its pass, the row
-    of its fraction in `weights` and the step `inside_h`.  The panels j
+    and cut by `inside_cut`, with the step `inside_h` and, in the narrowest
+    unsigned types, that panel's index in its pass and the row of its
+    fraction in `weights`: the leg's entry in its pass's table of every
+    panel at every fraction (_leg_integrals).  The panels j
     are starts[:depth[j - 1]] + j, `starts` holding the lines' first panels,
     the longest lines first; legs `whole` take the prefix sum at panel
     `whole_at`, and legs `reach` their error and size sums at panel
@@ -412,7 +428,8 @@ def _leg_plan(line, length, origin, pieces):
     return _LegPlan(
         legs=line.size, pieces=pieces, panels=panels, rows=rows,
         first=first, origin=origin, signed=signed, h=h,
-        inside=inside, inside_panel=last[inside] % rows, inside_row=row,
+        inside=inside, inside_panel=_narrow(last[inside] % rows, rows - 1),
+        inside_row=_narrow(row, fractions.size - 1),
         inside_h=h[line[inside], None], inside_cut=np.searchsorted(
             last[inside], np.arange(0, panels + rows, rows)),
         weights=_interpolant_weights(fractions),
@@ -420,6 +437,12 @@ def _leg_plan(line, length, origin, pieces):
             -counts[deep], -np.arange(1, counts.max(initial=0))),
         whole=has, whole_at=last[has] - 1,
         reach=reach, reach_at=first[line[reach]] + crossed[reach] - 1)
+
+
+def _narrow(index, most):
+    """The indices `index`, none above `most`, in the narrowest unsigned
+    type that holds them."""
+    return index.astype(np.min_scalar_type(max(most, 0)))
 
 
 def _frozen(plan):
@@ -434,7 +457,11 @@ def _leg_integrals(integrand, plan, block):
     """(value, err, size) of the legs of a _LegPlan: each leg's integral,
     and the sums of the error estimates and of the integrand's size (resabs)
     over the panels it crosses, its partial panel in full.  Each panel
-    crossed is integrated once, in `block`."""
+    crossed is integrated once, in `block`.  A pass integrates the
+    interpolants of its panels at all the plan's fractions as one table,
+    one einsum, and takes each partial leg's (panel, fraction) entry; when
+    the table would have more than _TABLE_RATIO entries per partial leg, it
+    integrates the legs' panels one by one, _PARTIALS at a time."""
     panels, rows = plan.panels, plan.rows
     total = np.empty((panels, 3), dtype=complex)
     err, size = np.empty(panels), np.empty(panels)
@@ -456,7 +483,11 @@ def _leg_integrals(integrand, plan, block):
         nodes = w.view()
         nodes.flags.writeable = False
         integrand(nodes, out=vals)
-        total[idx] = plan.h[line] * np.einsum("k,...kj->...j", _WT, vals)
+        # each panel's mean, taken on the real planes: the complex einsum
+        # gives the same bits more slowly, as products with w + 0i, which
+        # make an infinite value's other part NaN (0 * inf)
+        total[idx] = plan.h[line] * np.einsum(
+            "k,pkj->pj", _WT, vals.view(float)).view(complex)
         coef = np.abs(_NULL @ vals.view(float))
         err[idx] = step * np.max(coef[:, 0] + coef[:, 1], axis=-1)
         # each panel's values as 6 real rows of NODES; their absolute
@@ -468,6 +499,15 @@ def _leg_integrals(integrand, plan, block):
         # a dot product per panel: a matrix-vector product rounds differently
         size[idx] = step * (np.max(mags, axis=1)[:, None] @ _WT)[:, 0]
         lo, hi = plan.inside_cut[s:s + 2]
+        if lo < hi and (shape[0] * plan.weights.shape[0]
+                        <= _TABLE_RATIO * (hi - lo)):
+            # one table of every panel of the pass at every fraction, then
+            # each leg's (panel, fraction) entry
+            r = slice(lo, hi)
+            table = np.einsum("pjk,tk->pjt", lines, plan.weights)
+            part[plan.inside[r]] += plan.inside_h[r] * table[
+                plan.inside_panel[r], :, plan.inside_row[r]].view(complex)
+            continue
         for c in range(lo, hi, _PARTIALS):
             r = slice(c, min(c + _PARTIALS, hi))
             part[plan.inside[r]] += plan.inside_h[r] * np.einsum(

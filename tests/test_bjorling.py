@@ -164,8 +164,9 @@ def test_pass_size_does_not_change_the_solve(monkeypatch, no_plans, points):
 @pytest.mark.parametrize("partials", [1, 7])
 def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, no_plans,
                                                       partials):
-    # the partial panels are integrated in chunks of _PARTIALS points, each
-    # pointwise, so the chunk size changes no bit
+    # partial panels taken one by one are integrated in chunks of _PARTIALS
+    # points, each pointwise, so the chunk size changes no bit
+    monkeypatch.setattr(bjorling, "_TABLE_RATIO", 0)
     U, V = np.meshgrid(np.linspace(-1.7, 1.7, 15), np.linspace(-2.5, 2.5, 9),
                        indexing="ij")
     cases = [(catalog.bjorling_data_for(s), U + 1j * V)
@@ -176,6 +177,106 @@ def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, no_plans,
     no_plans.cache_clear()
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data.integrand, z), got)
+
+
+@pytest.fixture
+def einsums(monkeypatch):
+    """The subscripts of every np.einsum call, in order."""
+    calls, einsum = [], np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    return calls
+
+
+def _grid(half_u, half_v, nu, nv):
+    U, V = np.meshgrid(np.linspace(-half_u, half_u, nu),
+                       np.linspace(-half_v, half_v, nv), indexing="ij")
+    return U + 1j * V
+
+
+_TABLE, _ONE_BY_ONE = "pjk,tk->pjt", "lk,ljk->lj"
+# Point sets with partial panels, the path each takes by default, and an
+# integrand: the benchmark's near grid and verify's 21x21 grid (1.4 and
+# 1.8 table entries per partial panel), a 21x21 grid on [-3, 3]^2 (4.7),
+# 1024 scattered points (257 and more) and the oscillating column's
+# points, which take refinement rounds.
+PARTIAL_PANEL_SETS = {
+    "near 32x32": (_grid(1, 1, 32, 32), _TABLE, 0),
+    "verify 21x21": (_grid(1, 1, 21, 21), _TABLE, 1),
+    "21x21 on [-3, 3]^2": (_grid(3, 3, 21, 21), _ONE_BY_ONE, 2),
+    "1024 scattered": (np.random.default_rng(23).uniform(-1, 1, 1024)
+                       + 1j * np.random.default_rng(29).uniform(-1, 1, 1024),
+                       _ONE_BY_ONE, 0),
+    "oscillating column": (np.array([-1.5 + 0.8j, 0.3 + 0.4j, -1.5 + 1.7j,
+                                     20.0 - 0.9j]), _ONE_BY_ONE, None),
+}
+
+
+@pytest.mark.parametrize("name", PARTIAL_PANEL_SETS)
+def test_both_partial_panel_paths_give_the_same_bits(monkeypatch, einsums,
+                                                     name):
+    # a pass integrates its partial panels as one table, or one by one
+    # when the table has more than _TABLE_RATIO entries per partial panel:
+    # both paths, forced by the ratio, give the bits of the default solve
+    z, path, surface = PARTIAL_PANEL_SETS[name]
+    integrand = (_exp_data(_oscillating_column) if surface is None
+                 else catalog.bjorling_data_for(NEAR_SURFACES[surface])
+                 ).integrand
+    solved = segment_integral(integrand, z)
+    assert path in einsums
+    for ratio, taken, other in ((0, _ONE_BY_ONE, _TABLE),
+                                (np.inf, _TABLE, _ONE_BY_ONE)):
+        monkeypatch.setattr(bjorling, "_TABLE_RATIO", ratio)
+        einsums.clear()
+        assert np.array_equal(segment_integral(integrand, z), solved), ratio
+        assert taken in einsums and other not in einsums
+
+
+def test_near_grid_points_solved_alone_keep_the_bits_of_the_grid():
+    # the grid takes the table product of its 66 panels at 21 fractions; a
+    # point alone takes a table of its own two panels
+    z = _grid(1, 1, 32, 32).reshape(-1)
+    integrand = catalog.bjorling_data_for(NEAR_SURFACES[0]).integrand
+    together = segment_integral(integrand, z)
+    for k, p in enumerate(z):
+        assert np.array_equal(segment_integral(integrand, np.array(p)),
+                              together[k]), p
+
+
+def _spanning(w, out=None):
+    """Values from e^-5 to e^5 in size, of every sign and phase, that vary
+    slowly enough along a path for unit panels."""
+    t = w.real + w.imag
+    vals = np.stack([np.exp(5.0 * np.sin(0.4 * t + c) + 0.9j * (t - c))
+                     for c in (0.0, 2.0, 4.0)], axis=-1)
+    if out is None:
+        return vals
+    out[...] = vals
+    return out
+
+
+@pytest.mark.parametrize("z,panels", [
+    (np.array(1.0 + 0j), 1), (np.array(7.0 + 0j), 7),
+    (_grid(1, 1, 32, 32), 66), (np.array(256j), 256)])
+def test_panel_means_keep_the_bits_of_the_complex_mean(z, panels):
+    # a pass takes each panel's Gauss-Legendre mean on the real planes of
+    # its values; the lattice rule takes it panel by panel with the complex
+    # einsum: passes of 1, 7, 66 and 256 panels of values from e^-5 to e^5
+    # give the same bits
+    sizes = []
+
+    def recording(w, out):
+        sizes.append(np.abs(_spanning(w, out)))
+        return out
+
+    got = segment_integral(recording, z)
+    assert [s.shape[:2] for s in sizes] == [(panels, NODES)]
+    assert sizes[0].min() < np.exp(-3.5) and sizes[0].max() > np.exp(3.5)
+    assert np.array_equal(got, _lattice_reference(_spanning, z))
 
 
 BJORLING_FAMILIES = [f for f, info in catalog.FAMILY_INFO.items()
@@ -334,6 +435,31 @@ def test_non_finite_integrand_raises_at_its_point(axis):
     message = str(err)
     assert str(z[2]) in message
     assert "on its 3 lattice panel(s) of 1 piece(s) each" in message
+
+
+@pytest.mark.parametrize("axis,tol", [("real", np.nan), ("column", np.inf)])
+def test_infinite_integrand_raises_at_its_point(axis, tol):
+    # an integrand that is infinite, not NaN, beyond 1.5: the same point is
+    # named with a NaN estimate.  Its tolerance follows the size of its
+    # integral.  Along the real axis the partial panel up its column sums
+    # inf - inf, so the tolerance is NaN.  Up a column its last full
+    # panel's mean, taken on the real planes, is inf + 0i, which the step i
+    # makes NaN + inf i, of infinite size, so the tolerance is infinite
+    # (the complex mean, inf + NaN i from 0 * inf, made it NaN)
+    def integrand(w, out):
+        beyond = (w.real if axis == "real" else w.imag) > 1.5
+        out[...] = np.where(beyond, np.inf, np.exp(w))[..., None]
+        return out
+
+    z = (np.array([0.5 + 0.5j, -0.3 + 0.1j, 2.0 + 0.1j, 1.8 - 0.2j])
+         if axis == "real"
+         else np.array([0.5 + 0.5j, -0.3 + 0.1j, 0.2 + 2.0j, 0.2 + 1.8j]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(QuadratureError) as info:
+            segment_integral(integrand, z)
+    assert info.value.z == z[2]
+    assert np.isnan(info.value.estimate)
+    assert np.array_equal(info.value.tol, tol, equal_nan=True)
 
 
 def _unresolved_case():
