@@ -24,12 +24,12 @@ All of this but the integrand's values depends on the points alone, so it
 is planned once per point set: the lattice lines, the passes, the partial
 panels and the interpolant weights of their distinct fractions, nothing
 per panel.  The plans of the 4 most recently used sets of at most 1024
-points are kept (0.09 MB for a 32x32 grid, under 1 MB for any 1024
+points are kept (0.07 MB for a 32x32 grid, under 0.8 MB for any 1024
 points), so a later solve on the same points in the same process only
 evaluates the integrand and sums.  A process that solves each point set
 once, as a `maxsurf verify` run does with its oracle grid, builds every
-plan it uses and gains nothing from the cache.  Rounds that redo missed
-paths on a finer lattice are planned afresh every time.
+plan it uses and gains nothing from the cache.  A round that redoes the
+missed points on a finer lattice is a fresh plan of those points alone.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ _PARTIALS = _PASS_POINTS // NODES
 # (21x21 and 32x32 grids on [-a, a]^2, interleaved in one process).
 _TABLE_RATIO = 2
 # Plans kept for the most recently used sets of at most _PASS_POINTS // 8
-# points (_point_plan): 0.09 MB for a 32x32 grid, 0.76-0.82 MB for 1024
-# points from [-1, 1]^2 out to the 1024-panel reach.
+# points (_point_plan): 0.07 MB for a 32x32 grid, 0.73-0.77 MB for 1024
+# points from [-1, 1]^2 out to the 1024-panel reach.  Refinement rounds
+# plan their missed points afresh (_plan) and keep nothing.
 _PLAN_CACHE = 4
 # Complex step of the tangents in `derivatives`: its truncation error, of
 # relative order (a * eps)^2 on a twist a, is below rounding for a up to
@@ -249,27 +250,28 @@ def segment_integral(integrand, z):
     must be within _RTOL of max |integral|, or else of the integrand's size
     along the path (QUADPACK's resabs, by the same largest part).  The
     points that miss are redone on a lattice of half, a quarter, ... the
-    panel length, in passes of the same size, as long as the panels of a
-    path, each counted as the panels it splits into on that lattice, number
-    at most _MAX_PANELS.  QuadratureError names the first point whose
-    estimate is not finite or still misses at that cap, and, before any
-    evaluation, the first point that is not finite or whose path crosses
-    more than _MAX_PANELS panels.
+    panel length, each round on a fresh plan of those points alone, in
+    passes of the same size, as long as the panels of a path, each counted
+    as the panels it splits into on that lattice, number at most
+    _MAX_PANELS.  QuadratureError names the first point whose estimate is
+    not finite or still misses at that cap, and, before any evaluation, the
+    first point that is not finite or whose path crosses more than
+    _MAX_PANELS panels.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     plan = _point_plan(flat)
     out = np.empty((flat.size, 3), dtype=complex)
-    todo, legs, a = np.arange(flat.size), plan.legs, plan.col
+    todo = np.arange(flat.size)
     block = np.empty(0, dtype=complex)
     while todo.size:
         # One block for a pass's values, nodes and panel rows, grown on need.
-        need = 7 * min(legs.rows, legs.panels) * NODES
+        need = 7 * min(plan.rows, plan.panels) * NODES
         block = block if block.size >= need else np.empty(need, complex)
-        # Legs 0 to b - 1 run along the real axis, one per column still to
-        # do, and leg b + k up or down its column to point todo[k].
-        value, err, size = _leg_integrals(integrand, legs, block)
-        b = value.shape[0] - todo.size
+        # Legs 0 to b - 1 run along the real axis, one per column, and leg
+        # b + k up or down its column to point todo[k].
+        value, err, size = _leg_integrals(integrand, plan, block)
+        a, b = plan.col, plan.columns
         total = value[a] + value[b:]
         mag = np.abs(total)
         err, tol = err[a] + err[b:], _RTOL * np.maximum(
@@ -278,44 +280,46 @@ def segment_integral(integrand, z):
         ok = np.isfinite(err) & (err <= tol)
         out[todo[ok]] = total[ok]
         stuck = ~ok & (~np.isfinite(err)
-                       | (2 * legs.pieces * plan.path[todo] > _MAX_PANELS))
+                       | (2 * plan.pieces * plan.path > _MAX_PANELS))
         if np.any(stuck):
             k = np.flatnonzero(stuck)[0]
             i = todo[k]
             raise QuadratureError(
                 f"Gauss-Legendre quadrature missed its tolerance at "
-                f"z={flat[i]} on its {plan.path[i]} lattice panel(s) of "
-                f"{legs.pieces} piece(s) each (at most {_MAX_PANELS} pieces "
+                f"z={flat[i]} on its {plan.path[k]} lattice panel(s) of "
+                f"{plan.pieces} piece(s) each (at most {_MAX_PANELS} pieces "
                 f"along a path): error estimate {err[k]:.3g}, tolerance "
                 f"{tol[k]:.3g}",
                 z=flat[i], estimate=float(err[k]), tol=float(tol[k]))
         todo = todo[~ok]
         if todo.size:
-            columns, a = np.unique(plan.col[todo], return_inverse=True)
-            pick = np.concatenate([columns, plan.columns + todo])
-            legs = _leg_plan(plan.line[pick], plan.length[pick], plan.origin,
-                             2 * legs.pieces)
+            plan = _plan(flat[todo], 2 * plan.pieces)
     return out.reshape(z.shape + (3,))
 
 
-class _LegPlan(NamedTuple):
-    """What _leg_integrals needs of a set of legs, on the lattice of panels
-    `pieces` times shorter than _PANEL.  Lattice line l holds the panels
-    first[l] to first[l + 1] - 1, from the real axis (or 0) outward,
-    `panels` in all; `origin`, `signed` and `h` are its real part, signed
-    panel length and step.  Pass s takes panels s * rows to (s + 1) * rows
-    and places their nodes from their lines, so a plan keeps nothing per
-    panel.  The legs that end inside a panel are `inside`, sorted by pass
-    and cut by `inside_cut`, with the step `inside_h` and, in the narrowest
-    unsigned types, that panel's index in its pass and the row of its
-    fraction in `weights`: the leg's entry in its pass's table of every
-    panel at every fraction (_leg_integrals).  The panels j
-    are starts[:depth[j - 1]] + j, `starts` holding the lines' first panels,
-    the longest lines first; legs `whole` take the prefix sum at panel
-    `whole_at`, and legs `reach` their error and size sums at panel
-    `reach_at`."""
+class _Plan(NamedTuple):
+    """What segment_integral and _leg_integrals need of a point set, on the
+    lattice of panels `pieces` times shorter than _PANEL.  `col` maps each
+    point to its column, of which there are `columns`, and `path` counts
+    the unit panels of each point's path.  The legs are the columns' runs
+    along the real axis followed by the points' own runs up or down their
+    columns.  Lattice line l holds the panels first[l] to first[l + 1] - 1,
+    from the real axis (or 0) outward, `panels` in all; `origin`, `signed`
+    and `h` are its real part, signed panel length and step.  Pass s takes
+    panels s * rows to (s + 1) * rows and places their nodes from their
+    lines, so a plan keeps nothing per panel.  The legs that end inside a
+    panel are `inside`, sorted by pass and cut by `inside_cut`, with the
+    step `inside_h` and, in the narrowest unsigned types, that panel's
+    index in its pass and the row of its fraction in `weights`: the leg's
+    entry in its pass's table of every panel at every fraction
+    (_leg_integrals).  The panels j are starts[:depth[j - 1]] + j, `starts`
+    holding the lines' first panels, the longest lines first; each leg
+    takes its prefix sum at panel whole_at and its error and size sums at
+    panel reach_at, -1 where it has no such panel."""
 
-    legs: int
+    col: np.ndarray
+    columns: int
+    path: np.ndarray
     pieces: int
     panels: int
     rows: int
@@ -331,27 +335,8 @@ class _LegPlan(NamedTuple):
     weights: np.ndarray
     starts: np.ndarray
     depth: np.ndarray
-    whole: np.ndarray
     whole_at: np.ndarray
-    reach: np.ndarray
     reach_at: np.ndarray
-
-
-class _PointPlan(NamedTuple):
-    """A point set's lattice: `col` maps each point to its column, of which
-    there are `columns`; the legs are the columns' runs along the real axis
-    followed by the points' own runs along their columns, each `length`
-    panels along the lattice line `line`, and `origin` is each line's real
-    part; `path` counts the panels of each point's path; `legs` is the
-    first round's _LegPlan."""
-
-    col: np.ndarray
-    columns: int
-    line: np.ndarray
-    length: np.ndarray
-    origin: np.ndarray
-    path: np.ndarray
-    legs: _LegPlan
 
 
 def _point_plan(flat):
@@ -369,10 +354,11 @@ def _kept_plan(key):
     return _plan(np.frombuffer(key, complex))
 
 
-def _plan(flat):
-    """The _PointPlan of the points `flat`; raises QuadratureError at the
-    first point that is not finite or whose path crosses more than
-    _MAX_PANELS panels."""
+def _plan(flat, pieces=1):
+    """The _Plan of the points `flat` on the lattice of panels `pieces`
+    times shorter than _PANEL, every array read-only; raises
+    QuadratureError at the first point that is not finite or whose path
+    crosses more than _MAX_PANELS unit panels."""
     bad = ~np.isfinite(flat)
     if np.any(bad):
         at = flat[np.flatnonzero(bad)[0]]
@@ -387,7 +373,6 @@ def _plan(flat):
     cols = bits.view(float)
     line = np.concatenate([np.signbit(cols), 2 + 2 * col + np.signbit(y)])
     length = np.concatenate([np.abs(cols), np.abs(y)]) / _PANEL
-    origin = np.concatenate([[0.0, 0.0], np.repeat(cols, 2)])
     crossed = np.ceil(length)  # counted in floats: int64 wraps past 2**63
     path = crossed[col] + crossed[cols.size:]
     far = path > _MAX_PANELS
@@ -396,19 +381,11 @@ def _plan(flat):
         raise QuadratureError(
             f"the path from 0 to z={flat[i]} crosses {path[i]:.0f} lattice "
             f"panels, more than {_MAX_PANELS}", z=flat[i])
-    return _frozen(_PointPlan(col, cols.size, line, length, origin,
-                              path.astype(np.int64),
-                              _leg_plan(line, length, origin, 1)))
-
-
-def _leg_plan(line, length, origin, pieces):
-    """The _LegPlan of the legs that run `length` panels along the lattice
-    lines `line` (with real parts `origin` by line), on the lattice of panels
-    `pieces` times shorter."""
     length = length * pieces
     crossed = np.ceil(length).astype(np.int64)
     whole = np.floor(length).astype(np.int64)
     frac = length - whole
+    origin = np.concatenate([[0.0, 0.0], np.repeat(cols, 2)])
     counts = np.zeros(origin.size, dtype=np.int64)
     np.maximum.at(counts, line, crossed)
     first = np.concatenate([[0], np.cumsum(counts)])
@@ -419,14 +396,13 @@ def _leg_plan(line, length, origin, pieces):
     inside = np.flatnonzero(frac > 0.0)
     inside = inside[np.argsort(last[inside], kind="stable")]
     fractions, row = np.unique(frac[inside], return_inverse=True)
-    reach = np.flatnonzero(crossed > 0)
-    has = np.flatnonzero(whole > 0)
     ids = np.arange(origin.size)
     signed = (1.0 - 2.0 * (ids & 1)) * (_PANEL / pieces)
     h = np.where(ids >= 2, 1j, 1.0) * signed
     deep = np.argsort(-counts, kind="stable")
-    return _LegPlan(
-        legs=line.size, pieces=pieces, panels=panels, rows=rows,
+    plan = _Plan(
+        col=col, columns=cols.size, path=path.astype(np.int64),
+        pieces=pieces, panels=panels, rows=rows,
         first=first, origin=origin, signed=signed, h=h,
         inside=inside, inside_panel=_narrow(last[inside] % rows, rows - 1),
         inside_row=_narrow(row, fractions.size - 1),
@@ -435,8 +411,13 @@ def _leg_plan(line, length, origin, pieces):
         weights=_interpolant_weights(fractions),
         starts=first[deep], depth=np.searchsorted(
             -counts[deep], -np.arange(1, counts.max(initial=0))),
-        whole=has, whole_at=last[has] - 1,
-        reach=reach, reach_at=first[line[reach]] + crossed[reach] - 1)
+        whole_at=np.where(whole > 0, last - 1, -1),
+        reach_at=np.where(crossed > 0, first[line] + crossed - 1, -1))
+    # kept plans are shared
+    for field in plan:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    return plan
 
 
 def _narrow(index, most):
@@ -445,31 +426,25 @@ def _narrow(index, most):
     return index.astype(np.min_scalar_type(max(most, 0)))
 
 
-def _frozen(plan):
-    """The plan, with every array read-only: kept plans are shared."""
-    for field in plan + plan.legs:
-        if isinstance(field, np.ndarray):
-            field.flags.writeable = False
-    return plan
-
-
 def _leg_integrals(integrand, plan, block):
-    """(value, err, size) of the legs of a _LegPlan: each leg's integral,
-    and the sums of the error estimates and of the integrand's size (resabs)
+    """(value, err, size) of the legs of a _Plan: each leg's integral, and
+    the sums of the error estimates and of the integrand's size (resabs)
     over the panels it crosses, its partial panel in full.  Each panel
-    crossed is integrated once, in `block`.  A pass integrates the
+    crossed is integrated once, in `block`, and a zero row after the panels
+    stands for a leg's missing prefix panel.  A pass integrates the
     interpolants of its panels at all the plan's fractions as one table,
     one einsum, and takes each partial leg's (panel, fraction) entry; when
     the table would have more than _TABLE_RATIO entries per partial leg, it
     integrates the legs' panels one by one, _PARTIALS at a time."""
     panels, rows = plan.panels, plan.rows
-    total = np.empty((panels, 3), dtype=complex)
-    err, size = np.empty(panels), np.empty(panels)
-    part = np.zeros((plan.legs, 3), dtype=complex)
+    total = np.empty((panels + 1, 3), dtype=complex)
+    err, size = np.empty(panels + 1), np.empty(panels + 1)
+    total[-1], err[-1], size[-1] = 0.0, 0.0, 0.0
+    part = np.zeros((plan.whole_at.size, 3), dtype=complex)
     step = _PANEL / plan.pieces
     for s, start in enumerate(range(0, panels, rows)):
-        idx = slice(start, start + rows)
         shape = (min(rows, panels - start), NODES)
+        idx = slice(start, start + shape[0])
         m = shape[0] * NODES
         vals = block[:3 * m].reshape(shape + (3,))
         w = block[3 * m:4 * m].reshape(shape)
@@ -519,13 +494,8 @@ def _leg_integrals(integrand, plan, block):
         total[later] += total[later - 1]
         err[later] += err[later - 1]
         size[later] += size[later - 1]
-    value = np.zeros((plan.legs, 3), dtype=complex)
-    value[plan.whole] = total[plan.whole_at]
-    value += part
-    leg_err, leg_size = np.zeros(plan.legs), np.zeros(plan.legs)
-    leg_err[plan.reach], leg_size[plan.reach] = (err[plan.reach_at],
-                                                 size[plan.reach_at])
-    return value, leg_err, leg_size
+    return (total[plan.whole_at] + part, err[plan.reach_at],
+            size[plan.reach_at])
 
 
 def _interpolant_weights(t):

@@ -614,24 +614,35 @@ def test_a_refined_path_leaves_other_points_bits():
 def test_a_fast_twist_is_refined_to_the_closed_form(monkeypatch, no_plans):
     # bending-timelike at a = 250 on a 9x9 grid over [-1, 1]^2: the fast
     # twist sends points through five rounds, on lattices of 1 to 1 / 16 the
-    # panel length, and the solve stays within 1e-13 of the closed form
-    # (1.3e-14 measured), each point with the bits it gets alone
+    # panel length, each a plan of the points that the round before it
+    # missed, and the solve stays within 1e-13 of the closed form (1.3e-14
+    # measured), each point with the bits and the rounds it gets alone
     surface = catalog.bending_timelike(250.0)
     data = catalog.bjorling_data_for(surface)
     U, V = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9),
                        indexing="ij")
-    rounds, plan = [], bjorling._leg_plan
-    monkeypatch.setattr(bjorling, "_leg_plan", lambda *args: (
-        rounds.append(args[-1]), plan(*args))[1])
+    calls, plan = [], bjorling._plan
+    monkeypatch.setattr(bjorling, "_plan", lambda flat, pieces=1: (
+        calls.append((flat.copy(), pieces)), plan(flat, pieces))[1])
     X = solve_bjorling(data)(U, V)
-    assert rounds == [1, 2, 4, 8, 16]
+    grid = calls[:]
+    assert [pieces for _, pieces in grid] == [1, 2, 4, 8, 16]
+    assert [flat.size for flat, _ in grid] == [81, 80, 80, 80, 80]
     exact = catalog.patch(surface)(U, V)
     assert np.max(np.abs(X - exact)) <= 1e-13 * np.max(np.abs(exact))
     z = (U + 1j * V).reshape(-1)
+    assert z.tobytes() == grid[0][0].tobytes()
     together = segment_integral(data.integrand, z)
+    rounds = []
     for k, p in enumerate(z):
+        calls.clear()
         assert np.array_equal(together[k],
                               segment_integral(data.integrand, np.array(p)))
+        rounds.append(len(calls))
+    # round r plans the points still missing after r rounds alone, in order
+    rounds = np.array(rounds)
+    for r, (flat, _) in enumerate(grid):
+        assert flat.tobytes() == z[rounds > r].tobytes()
 
 
 def test_points_that_share_no_column_take_one_panel_per_unit():
@@ -700,17 +711,16 @@ def built(no_plans, monkeypatch):
     """The sizes of the point sets whose plans are built, in order."""
     sizes, plan = [], bjorling._plan
 
-    def counting(flat):
+    def counting(flat, pieces=1):
         sizes.append(flat.size)
-        return plan(flat)
+        return plan(flat, pieces)
 
     monkeypatch.setattr(bjorling, "_plan", counting)
     return sizes
 
 
 def _read_only(plan):
-    arrays = [f for part in (plan, plan.legs) for f in part
-              if isinstance(f, np.ndarray)]
+    arrays = [f for f in plan if isinstance(f, np.ndarray)]
     return arrays and not any(a.flags.writeable for a in arrays)
 
 
@@ -755,8 +765,7 @@ def test_cached_plans_give_the_bits_of_cold_solves(no_plans):
 
 def _plan_bytes(plan):
     """The bytes of a plan's arrays, each counted once."""
-    arrays = {id(f): f for part in (plan, plan.legs) for f in part
-              if isinstance(f, np.ndarray)}
+    arrays = {id(f): f for f in plan if isinstance(f, np.ndarray)}
     return sum(a.nbytes for a in arrays.values())
 
 
@@ -769,12 +778,12 @@ def test_kept_plans_are_sized_by_their_points(no_plans):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 1024)
     for z, panels, limit in (
-            ((U + 1j * V).reshape(-1), 66, 100_000),
+            ((U + 1j * V).reshape(-1), 66, 70_000),
             (x + 1j * rng.uniform(-1000, 1000, 1024), 500_000, 1_000_000),
             (x + 1j * rng.uniform(1020, 1021, 1024), 1_000_000, 1_000_000)):
         plan = bjorling._point_plan(z)
         assert plan is bjorling._point_plan(z)
-        assert plan.legs.panels >= panels
+        assert plan.panels >= panels
         assert _plan_bytes(plan) <= limit
     assert no_plans.cache_info().currsize == 3
 
