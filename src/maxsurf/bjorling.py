@@ -17,14 +17,15 @@ is integrated from the panel's Legendre interpolant.  A pass takes the
 interpolant integrals of all its panels at all the distinct fractions in
 one product and gives each path its (panel, fraction) entry, unless that
 product is more than twice the pass's partial panels; it then integrates
-them one by one.  The cost follows the panels crossed, not the number of
-points, and every value stays pointwise.
+them one by one, as many at a time as the pass has panels.  The cost
+follows the panels crossed, not the number of points, and every value stays
+pointwise.
 
 All of this but the integrand's values depends on the points alone, so it
 is planned once per point set: the lattice lines, the passes, the partial
 panels and the interpolant weights of their distinct fractions, nothing
 per panel.  The plans of the 4 most recently used sets of at most 1024
-points are kept (0.07 MB for a 32x32 grid, under 0.8 MB for any 1024
+points are kept (0.06 MB for a 32x32 grid, under 0.72 MB for any 1024
 points), so a later solve on the same points in the same process only
 evaluates the integrand and sums.  A process that solves each point set
 once, as a `maxsurf verify` run does with its oracle grid, builds every
@@ -84,10 +85,6 @@ _PASS_POINTS = 1 << 13
 # interpolant weights (_interpolant_weights) for the point's two partial
 # panels, 2 NODES doubles.
 _MAX_NODES = np.iinfo(np.intp).max // (2 * NODES * 8)
-# Partial panels that a pass integrates at a time when it takes them one
-# by one: their gathered node values fill 3 planes of _PASS_POINTS points,
-# as a pass's integrand values do.
-_PARTIALS = _PASS_POINTS // NODES
 # A pass integrates its partial panels as one table, every panel of the
 # pass at every distinct fraction, when that table has at most
 # _TABLE_RATIO entries per partial panel, and one by one otherwise.  Both
@@ -99,7 +96,7 @@ _PARTIALS = _PASS_POINTS // NODES
 # (21x21 and 32x32 grids on [-a, a]^2, interleaved in one process).
 _TABLE_RATIO = 2
 # Plans kept for the most recently used sets of at most _PASS_POINTS // 8
-# points (_point_plan): 0.07 MB for a 32x32 grid, 0.73-0.77 MB for 1024
+# points (_point_plan): 0.06 MB for a 32x32 grid, 0.67-0.71 MB for 1024
 # points from [-1, 1]^2 out to the 1024-panel reach.  Refinement rounds
 # plan their missed points afresh (_plan) and keep nothing.
 _PLAN_CACHE = 4
@@ -304,18 +301,17 @@ class _Plan(NamedTuple):
     the unit panels of each point's path.  The legs are the columns' runs
     along the real axis followed by the points' own runs up or down their
     columns.  Lattice line l holds the panels first[l] to first[l + 1] - 1,
-    from the real axis (or 0) outward, `panels` in all; `origin`, `signed`
-    and `h` are its real part, signed panel length and step.  Pass s takes
-    panels s * rows to (s + 1) * rows and places their nodes from their
-    lines, so a plan keeps nothing per panel.  The legs that end inside a
-    panel are `inside`, sorted by pass and cut by `inside_cut`, with the
-    step `inside_h` and, in the narrowest unsigned types, that panel's
-    index in its pass and the row of its fraction in `weights`: the leg's
-    entry in its pass's table of every panel at every fraction
-    (_leg_integrals).  The panels j are starts[:depth[j - 1]] + j, `starts`
-    holding the lines' first panels, the longest lines first; each leg
-    takes its prefix sum at panel whole_at and its error and size sums at
-    panel reach_at, -1 where it has no such panel."""
+    from the real axis (or 0) outward, `panels` in all; `origin` is its
+    real part.  Pass s takes panels s * rows to (s + 1) * rows and forms
+    their nodes and steps from their lines, so a plan keeps nothing per
+    panel.  The legs that end inside a panel are `inside`, sorted by pass
+    and cut by `inside_cut`, with that panel's index in its pass and the
+    row of its fraction in `weights`: the leg's entry in its pass's table
+    of every panel at every fraction (_leg_integrals).  The panels j are
+    starts[:depth[j - 1]] + j, `starts` holding the lines' first panels,
+    the longest lines first; each leg takes its prefix sum at panel
+    whole_at and its error and size sums at panel reach_at, -1 where it
+    has no such panel."""
 
     col: np.ndarray
     columns: int
@@ -325,12 +321,9 @@ class _Plan(NamedTuple):
     rows: int
     first: np.ndarray
     origin: np.ndarray
-    signed: np.ndarray
-    h: np.ndarray
     inside: np.ndarray
     inside_panel: np.ndarray
     inside_row: np.ndarray
-    inside_h: np.ndarray
     inside_cut: np.ndarray
     weights: np.ndarray
     starts: np.ndarray
@@ -396,19 +389,14 @@ def _plan(flat, pieces=1):
     inside = np.flatnonzero(frac > 0.0)
     inside = inside[np.argsort(last[inside], kind="stable")]
     fractions, row = np.unique(frac[inside], return_inverse=True)
-    ids = np.arange(origin.size)
-    signed = (1.0 - 2.0 * (ids & 1)) * (_PANEL / pieces)
-    h = np.where(ids >= 2, 1j, 1.0) * signed
     deep = np.argsort(-counts, kind="stable")
     plan = _Plan(
         col=col, columns=cols.size, path=path.astype(np.int64),
         pieces=pieces, panels=panels, rows=rows,
-        first=first, origin=origin, signed=signed, h=h,
-        inside=inside, inside_panel=_narrow(last[inside] % rows, rows - 1),
-        inside_row=_narrow(row, fractions.size - 1),
-        inside_h=h[line[inside], None], inside_cut=np.searchsorted(
-            last[inside], np.arange(0, panels + rows, rows)),
-        weights=_interpolant_weights(fractions),
+        first=first, origin=origin, inside=inside,
+        inside_panel=last[inside] % rows, inside_row=row, inside_cut=(
+            np.searchsorted(last[inside], np.arange(0, panels + rows, rows))),
+        weights=_interpolant_weights(fractions, rows),
         starts=first[deep], depth=np.searchsorted(
             -counts[deep], -np.arange(1, counts.max(initial=0))),
         whole_at=np.where(whole > 0, last - 1, -1),
@@ -420,12 +408,6 @@ def _plan(flat, pieces=1):
     return plan
 
 
-def _narrow(index, most):
-    """The indices `index`, none above `most`, in the narrowest unsigned
-    type that holds them."""
-    return index.astype(np.min_scalar_type(max(most, 0)))
-
-
 def _leg_integrals(integrand, plan, block):
     """(value, err, size) of the legs of a _Plan: each leg's integral, and
     the sums of the error estimates and of the integrand's size (resabs)
@@ -435,7 +417,8 @@ def _leg_integrals(integrand, plan, block):
     interpolants of its panels at all the plan's fractions as one table,
     one einsum, and takes each partial leg's (panel, fraction) entry; when
     the table would have more than _TABLE_RATIO entries per partial leg, it
-    integrates the legs' panels one by one, _PARTIALS at a time."""
+    integrates the legs' panels one by one, `rows` at a time, each at the
+    step of its own panel."""
     panels, rows = plan.panels, plan.rows
     total = np.empty((panels + 1, 3), dtype=complex)
     err, size = np.empty(panels + 1), np.empty(panels + 1)
@@ -452,7 +435,10 @@ def _leg_integrals(integrand, plan, block):
         p = np.arange(start, start + shape[0]).reshape(-1, 1)
         line = np.searchsorted(plan.first, p, side="right") - 1
         up, k = line >= 2, (p - plan.first[line]).astype(float)
-        pos = (k + _S) * plan.signed[line]
+        # odd lines run toward -1 or -i
+        signed = np.where(line & 1, -step, step)
+        h = np.where(up, 1j, 1.0) * signed
+        pos = (k + _S) * signed
         w.real = np.where(up, plan.origin[line], pos)
         w.imag = np.where(up, pos, 0.0)
         nodes = w.view()
@@ -461,7 +447,7 @@ def _leg_integrals(integrand, plan, block):
         # each panel's mean, taken on the real planes: the complex einsum
         # gives the same bits more slowly, as products with w + 0i, which
         # make an infinite value's other part NaN (0 * inf)
-        total[idx] = plan.h[line] * np.einsum(
+        total[idx] = h * np.einsum(
             "k,pkj->pj", _WT, vals.view(float)).view(complex)
         coef = np.abs(_NULL @ vals.view(float))
         err[idx] = step * np.max(coef[:, 0] + coef[:, 1], axis=-1)
@@ -480,12 +466,12 @@ def _leg_integrals(integrand, plan, block):
             # each leg's (panel, fraction) entry
             r = slice(lo, hi)
             table = np.einsum("pjk,tk->pjt", lines, plan.weights)
-            part[plan.inside[r]] += plan.inside_h[r] * table[
+            part[plan.inside[r]] += h[plan.inside_panel[r]] * table[
                 plan.inside_panel[r], :, plan.inside_row[r]].view(complex)
             continue
-        for c in range(lo, hi, _PARTIALS):
-            r = slice(c, min(c + _PARTIALS, hi))
-            part[plan.inside[r]] += plan.inside_h[r] * np.einsum(
+        for c in range(lo, hi, rows):
+            r = slice(c, min(c + rows, hi))
+            part[plan.inside[r]] += h[plan.inside_panel[r]] * np.einsum(
                 "lk,ljk->lj", plan.weights[plan.inside_row[r]],
                 lines[plan.inside_panel[r]]).view(complex)
     # Panels summed from 0 outward along each line, in place, depth by depth.
@@ -498,20 +484,20 @@ def _leg_integrals(integrand, plan, block):
             size[plan.reach_at])
 
 
-def _interpolant_weights(t):
+def _interpolant_weights(t, rows):
     """(len(t), NODES) weights that take a panel's node values to the
     integral of their Legendre interpolant over [0, t] of the panel, for
     fractions t in (0, 1).
 
     The interpolant is sum_n c_n P_n(2s - 1), and the integral of P_n from
     -1 to x is J_n(x) / (2n + 1), J_0 = x + 1 and J_n = P_{n+1} - P_{n-1};
-    the weights are formed _PARTIALS fractions at a time.
+    the weights are formed `rows` fractions at a time, a pass's panels.
     """
     out = np.empty((t.size, NODES))
-    for c in range(0, t.size, _PARTIALS):
-        p = legvander(2.0 * t[c:c + _PARTIALS] - 1.0, NODES)
+    for c in range(0, t.size, rows):
+        p = legvander(2.0 * t[c:c + rows] - 1.0, NODES)
         j = p[:, 1:] - np.concatenate([-p[:, :1], p[:, :-2]], axis=1)
-        out[c:c + _PARTIALS] = np.einsum("un,nk->uk", j, _ANTI)
+        out[c:c + rows] = np.einsum("un,nk->uk", j, _ANTI)
     return out
 
 

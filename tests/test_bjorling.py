@@ -164,16 +164,17 @@ def test_pass_size_does_not_change_the_solve(monkeypatch, no_plans, points):
 @pytest.mark.parametrize("partials", [1, 7])
 def test_partial_panel_chunks_do_not_change_the_solve(monkeypatch, no_plans,
                                                       partials):
-    # partial panels taken one by one are integrated in chunks of _PARTIALS
-    # points, each pointwise, so the chunk size changes no bit
+    # partial panels taken one by one are integrated in chunks of a pass's
+    # rows, each pointwise, so the chunk size changes no bit: 1 and 7 rows
     monkeypatch.setattr(bjorling, "_TABLE_RATIO", 0)
     U, V = np.meshgrid(np.linspace(-1.7, 1.7, 15), np.linspace(-2.5, 2.5, 9),
                        indexing="ij")
     cases = [(catalog.bjorling_data_for(s), U + 1j * V)
              for s in NEAR_SURFACES[:3]]
     default = [segment_integral(data.integrand, z) for data, z in cases]
-    monkeypatch.setattr(bjorling, "_PARTIALS", partials)
-    # the plan's weights are formed in chunks too: start from no plans
+    monkeypatch.setattr(bjorling, "_PASS_POINTS", partials * NODES)
+    # the plan's rows and weights are formed when it is built: start from
+    # no plans
     no_plans.cache_clear()
     for (data, z), got in zip(cases, default):
         assert np.array_equal(segment_integral(data.integrand, z), got)
@@ -778,7 +779,7 @@ def test_kept_plans_are_sized_by_their_points(no_plans):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 1024)
     for z, panels, limit in (
-            ((U + 1j * V).reshape(-1), 66, 70_000),
+            ((U + 1j * V).reshape(-1), 66, 65_000),
             (x + 1j * rng.uniform(-1000, 1000, 1024), 500_000, 1_000_000),
             (x + 1j * rng.uniform(1020, 1021, 1024), 1_000_000, 1_000_000)):
         plan = bjorling._point_plan(z)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from maxsurf import catalog, cli, verify
+from maxsurf import catalog, cli, verify, weierstrass
 from maxsurf.bjorling import _MAX_NODES
 from maxsurf.cli import build_job_config, main, surface_from_config
 from maxsurf.verify import Grid
@@ -68,6 +68,13 @@ def test_sample_writes_obj_and_csv(tmp_path, capsys):
         parts = row.split(",")
         for token in parts[:5]:
             assert f"{float(token):.17g}" == token
+    # an output path that ends in the format's suffix keeps one suffix
+    assert main(["sample", "--config", cfg, "--out",
+                 str(tmp_path / "single.obj"), "--set", 'formats=["obj"]']) \
+        == 0
+    assert [p.name for p in tmp_path.glob("single*")] == ["single.obj"]
+    assert (tmp_path / "single.obj").read_bytes() \
+        == (tmp_path / "mesh.obj").read_bytes()
 
 
 def test_sample_defaults_grid_from_family(tmp_path, capsys):
@@ -428,12 +435,39 @@ def test_report_to_a_pipe_is_written_whole(tmp_path, capsys):
     assert piped.stdout[len(report):].decode().rstrip().endswith("\nok")
 
 
-def test_verify_suite_filtering(tmp_path, capsys):
+def test_verify_suite_filtering(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "c.json", family="bending-spacelike", a=2.0)
     assert main(["verify", "--config", cfg, "--suite", "periods"]) == 0
     report = json.loads(capsys.readouterr().out.split("\nPASS")[0])
     names = [c["name"] for c in report["checks"]]
     assert names == ["period-phi1", "period-phi2", "period-phi3"]
+
+    # no periods at a twist that is not an integer
+    assert main(["verify", "--config", cfg, "--suite", "periods",
+                 "--a", "2.3"]) == 0
+    report = json.loads(capsys.readouterr().out.split("\nSKIP")[0])
+    assert report["checks"] == [] and report["skipped"] == [
+        {"name": "periods",
+         "reason": "forms are meromorphic only for integer twist rate"}]
+
+    # a period that does not settle fails its check with the rule's error
+    forms_for = weierstrass.forms_for
+
+    def near_pole(surface, chart):
+        triple = forms_for(surface, chart)
+        return weierstrass.FormTriple(
+            lambda z: (1.0 / (z - 0.999),) + tuple(triple.func(z))[1:],
+            chart=triple.chart, singularities=triple.singularities)
+
+    monkeypatch.setattr(weierstrass, "forms_for", near_pole)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--config", cfg, "--suite", "periods",
+                 "--report", str(report)]) == 1
+    assert "FAIL period-phi1: residual inf" in capsys.readouterr().out
+    checks = json.loads(report.read_text())["checks"]
+    assert checks[0]["note"] == ("contour integral did not settle after "
+                                 "16384 nodes")
+    assert [c["passed"] for c in checks] == [False, True, True]
 
     assert main(["verify", "--config", cfg, "--suite", "h"]) == 0
     report = json.loads(capsys.readouterr().out.split("\nPASS")[0])
@@ -683,13 +717,50 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                  ["verify", "--set", "a=1" + "0" * 5000]):
         assert main(args + ["--family", "bending-spacelike"]) == 2, args
         assert "config error" in capsys.readouterr().err
+    # each malformed field, by its own message
+    for args, message in (
+            (["grid.nu=1.5"], "grid.nu must be an integer, got 1.5"),
+            (["grid=5"], "grid must be an object, got 5"),
+            (["grid.w=1"], "unknown grid field 'w'"),
+            (["tolerances=5"], "tolerances must be an object, got 5"),
+            (["tolerances.shiny=1"], "unknown tolerance 'shiny'"),
+            (["suite=z"], f"unknown suite 'z'; choose from {cli._SUITES}"),
+            (['formats=["png"]'], "formats must be a non-empty subset of "
+                                  f"{cli._FORMATS}, got ['png']"),
+            (["fd_step=-1"], "fd_step must be positive, got -1.0"),
+            (["thetas=[]"], "thetas must be a non-empty list, got []"),
+            (["annulus=[1]"], "annulus must be a pair, got [1]"),
+            (["=5"], "override '=5' has an empty path"),
+            (["a=1", "a.b=1"], "cannot override through scalar field 'a'")):
+        sets = [arg for text in args for arg in ("--set", text)]
+        assert main(["verify", "--family", "bending-spacelike"] + sets) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n", args
+    assert main(["verify", "--suite", "h"]) == 2
+    assert capsys.readouterr().err == ("config error: config needs a 'family' "
+                                       "(see `maxsurf families`)\n")
+    (tmp_path / "list.json").write_text("[1]")
+    assert main(["verify", "--config", "list.json"]) == 2
+    assert capsys.readouterr().err == ("config error: list.json must hold a "
+                                       "JSON object\n")
+    with pytest.raises(cli.ConfigError,
+                       match="^config root must be a JSON object$"):
+        build_job_config([])
+    # an override that is not JSON is taken as a string; one format may be
+    # given as a string; a valid tolerance reaches its check
+    assert main(["verify", "--family", "bending-spacelike", "--suite", "h",
+                 "--set", "report=r.json", "--set", "formats=csv",
+                 "--set", "tolerances.conformality=2e-6"]) == 0
+    checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+    assert [c["tolerance"] for c in checks] == [1e-5, 2e-6]
     # a finite step whose square overflows fails its residuals instead of
-    # ending in an OverflowError
-    assert main(["verify", "--family", "bending-timelike",
-                 "--set", "fd_step=1e300"]) == 1
-    captured = capsys.readouterr()
-    assert "FAIL mean-curvature" in captured.out
-    assert "Traceback" not in captured.err
+    # ending in an OverflowError, on complex steps and, at a twist too small
+    # for them, on Richardson's stencil
+    for twist in ([], ["--a", "1e-300"]):
+        assert main(["verify", "--family", "bending-timelike",
+                     "--set", "fd_step=1e300"] + twist) == 1
+        captured = capsys.readouterr()
+        assert "FAIL mean-curvature: residual nan" in captured.out
+        assert "Traceback" not in captured.err
     # a family that is not a string is an unknown family, not a crash
     for value in ("[1]", "{}"):
         assert main(["verify", "--set", f"family={value}"]) == 2

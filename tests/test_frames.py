@@ -58,6 +58,10 @@ def test_curve_derivative_matches_finite_differences():
     h = 1e-6
     fd = (curve(U_SAMPLES + h) - curve(U_SAMPLES - h)) / (2 * h)
     assert np.max(np.abs(fd - curve.d(U_SAMPLES))) < 1e-9
+    # a map built without its derivative says so
+    with pytest.raises(ValueError, match="^this map carries no derivative "
+                                         "evaluator$"):
+        frames.AnalyticMap(curve.func).d(U_SAMPLES)
 
 
 # Constant twists 0, 0.8 and 1.7 and a linear one; the lightlike circle
@@ -156,6 +160,10 @@ def test_twist_parameter_validation():
         NormalFieldSpec("constant", -0.1)
     with pytest.raises(ValueError):
         NormalFieldSpec("linear", 0.0)
+    with pytest.raises(ValueError, match="^normal field kind must be "
+                                         "'constant' or 'linear', got "
+                                         "'quadratic'$"):
+        NormalFieldSpec("quadratic", 1.0)
     NormalFieldSpec("constant", 0.0)  # boundary allowed for the constant case
 
 
@@ -172,6 +180,15 @@ def test_helix_pitch_validation():
         CurveFamily(frames.HELIX_SPACELIKE_I, 1.0)  # needs lam > 1
     with pytest.raises(ValueError):
         CurveFamily(frames.HELIX_SPACELIKE_II, 0.0)  # needs lam > 0
+    with pytest.raises(ValueError, match="^unknown curve family 'spiral'; "
+                                         "expected one of "):
+        CurveFamily("spiral")
+    with pytest.raises(ValueError, match=f"^{frames.CIRCLE_TIMELIKE} takes "
+                                         "no pitch parameter$"):
+        CurveFamily(frames.CIRCLE_TIMELIKE, 0.5)
+    with pytest.raises(ValueError, match=f"^{frames.HELIX_TIMELIKE} requires "
+                                         "a pitch lam$"):
+        CurveFamily(frames.HELIX_TIMELIKE)
 
 
 def test_helix_speed_values():

@@ -11,6 +11,9 @@ The tree holds, for the `maxsurf` found on the import path:
   at the default a and at a = 2.3;
 - the same for lightlike-rotational at a = 0 on [-1, 1]x[0, 1] at
   400x50, a grid of several row blocks with nonspacelike nodes;
+- the `verify --suite all` report and stdout of bending-timelike and
+  helicoidal-spacelike-i at their defaults on [-3, 3]^2 at 21x21, whose
+  oracle solves integrate their partial panels one by one;
 - the `families` listing.
 
 Each stdout file ends with the exit code.  `OUTDIR/SHA256SUMS` lists every
@@ -31,6 +34,9 @@ import sys
 from maxsurf import catalog, cli
 
 TWISTS = ("1", "2", "2.3")
+# Families verified on WIDE_GRID besides their default grids.
+WIDE_FAMILIES = (catalog.BENDING_TIMELIKE, catalog.HELICOIDAL_SPACELIKE_I)
+WIDE_GRID = '{"u_min":-3,"u_max":3,"v_min":-3,"v_max":3,"nu":21,"nv":21}'
 # One lambda per helicoid family besides the default, inside its range.
 OTHER_LAMBDA = {
     catalog.HELICOIDAL_TIMELIKE: "0.3",
@@ -75,6 +81,10 @@ def jobs():
                  "0", "--out", name, "--set", 'formats=["obj","csv"]',
                  "--set", 'grid={"u_min":-1,"u_max":1,"v_min":0,"v_max":1,'
                           '"nu":400,"nv":50}']
+    for fam in WIDE_FAMILIES:
+        name = f"verify-{fam}-all-wide"
+        yield name, ["verify", "--family", fam, "--suite", "all", "--set",
+                     "grid=" + WIDE_GRID, "--report", name + ".json"]
 
 
 def main(argv=None) -> int:
