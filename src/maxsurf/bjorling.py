@@ -417,14 +417,18 @@ def _leg_integrals(integrand, plan, block):
     interpolants of its panels at all the plan's fractions as one table,
     one einsum, and takes each partial leg's (panel, fraction) entry; when
     the table would have more than _TABLE_RATIO entries per partial leg, it
-    integrates the legs' panels one by one, `rows` at a time, each at the
-    step of its own panel."""
+    integrates the legs' panels one by one, `rows` at a time."""
     panels, rows = plan.panels, plan.rows
     total = np.empty((panels + 1, 3), dtype=complex)
     err, size = np.empty(panels + 1), np.empty(panels + 1)
     total[-1], err[-1], size[-1] = 0.0, 0.0, 0.0
     part = np.zeros((plan.whole_at.size, 3), dtype=complex)
     step = _PANEL / plan.pieces
+    # line l's signed panel length and step: odd lines run toward -1 or -i
+    line_signed = np.full(plan.origin.size, step)
+    line_signed[1::2] = -step
+    line_h = line_signed * 1j
+    line_h[:2] = line_signed[:2]
     for s, start in enumerate(range(0, panels, rows)):
         shape = (min(rows, panels - start), NODES)
         idx = slice(start, start + shape[0])
@@ -435,10 +439,8 @@ def _leg_integrals(integrand, plan, block):
         p = np.arange(start, start + shape[0]).reshape(-1, 1)
         line = np.searchsorted(plan.first, p, side="right") - 1
         up, k = line >= 2, (p - plan.first[line]).astype(float)
-        # odd lines run toward -1 or -i
-        signed = np.where(line & 1, -step, step)
-        h = np.where(up, 1j, 1.0) * signed
-        pos = (k + _S) * signed
+        h = line_h[line]
+        pos = (k + _S) * line_signed[line]
         w.real = np.where(up, plan.origin[line], pos)
         w.imag = np.where(up, pos, 0.0)
         nodes = w.view()

@@ -816,17 +816,22 @@ def test_total_curvature_takes_at_most_32768_density_nodes():
     assert sum(points) <= 2 * 32768
 
 
-@pytest.mark.parametrize("a, cap, r", [
-    (5.0, "410624 density nodes", "148.545"),
-    (6.0, "8192 angles per ring", "404.468"),
-    (5.0, "4608 density nodes", "138.563")])
-def test_total_curvature_raises_at_its_caps(monkeypatch, a, cap, r):
+# (a, cap, r, density-node budget or None for the module's own)
+CURVATURE_CAPS = [
+    (5.0, "410624 density nodes", "148.545", None),
+    (6.0, "8192 angles per ring", "404.468", None),
+    (5.0, "4608 density nodes", "138.563", 4608)]
+
+
+@pytest.mark.parametrize("a, cap, r, budget", CURVATURE_CAPS, ids=[
+    f"{a}-{cap}-{r}" for a, cap, r, _ in CURVATURE_CAPS])
+def test_total_curvature_raises_at_its_caps(monkeypatch, a, cap, r, budget):
     # lightlike-rotational's dual density concentrates as a grows: at a = 5
     # the panels in log r, at a = 6 the angles of one ring, reach their cap;
     # with a budget of 4608 density nodes the first pass's rings run out of
     # them while doubling their angles
-    if cap.endswith("density nodes"):
-        monkeypatch.setattr(W, "_CURVATURE_NODES", int(cap.split()[0]))
+    if budget:
+        monkeypatch.setattr(W, "_CURVATURE_NODES", budget)
     w = _dual_pair(catalog.lightlike_rotational(a), W.EXP_CHART)
     points = []
 
