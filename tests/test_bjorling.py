@@ -566,10 +566,11 @@ def test_non_finite_point_is_refused_before_any_evaluation(bad):
     assert counts == []
 
 
-def test_bench_near_grid_takes_66_panels():
+def test_bench_near_grid_takes_34_panels():
     # 32 columns of 32 points on [-1, 1]^2: one panel each way along the
-    # real axis and up and down each column, 2 112 evaluations for 1 024
-    # points where one pass per point took 32 768
+    # real axis and one up each column, since the solve takes the points
+    # below the axis as their mirror images, 1 088 evaluations for 1 024
+    # points where one pass per point took 32 768 (66 panels unmirrored)
     counts = []
     data = catalog.bjorling_data_for(catalog.bending_timelike(1.3))
     field = data.normal_field
@@ -578,7 +579,7 @@ def test_bench_near_grid_takes_66_panels():
     U, V = np.meshgrid(np.linspace(-1, 1, 32), np.linspace(-1, 1, 32),
                        indexing="ij")
     solve_bjorling(swapped)(U, V)
-    assert sum(counts) == 66 * NODES == 2112
+    assert sum(counts) == 34 * NODES == 1088
 
 
 def _oscillating_column(w):
@@ -617,7 +618,8 @@ def test_a_fast_twist_is_refined_to_the_closed_form(monkeypatch, no_plans):
     # twist sends points through five rounds, on lattices of 1 to 1 / 16 the
     # panel length, each a plan of the points that the round before it
     # missed, and the solve stays within 1e-13 of the closed form (1.3e-14
-    # measured), each point with the bits and the rounds it gets alone
+    # measured), each point with the bits and the rounds it gets alone; the
+    # solve plans the grid with its points below the axis mirrored
     surface = catalog.bending_timelike(250.0)
     data = catalog.bjorling_data_for(surface)
     U, V = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9),
@@ -632,7 +634,8 @@ def test_a_fast_twist_is_refined_to_the_closed_form(monkeypatch, no_plans):
     exact = catalog.patch(surface)(U, V)
     assert np.max(np.abs(X - exact)) <= 1e-13 * np.max(np.abs(exact))
     z = (U + 1j * V).reshape(-1)
-    assert z.tobytes() == grid[0][0].tobytes()
+    mirrored = np.where(z.imag < 0, z.conj(), z)
+    assert mirrored.tobytes() == grid[0][0].tobytes()
     together = segment_integral(data.integrand, z)
     rounds = []
     for k, p in enumerate(z):
@@ -643,7 +646,107 @@ def test_a_fast_twist_is_refined_to_the_closed_form(monkeypatch, no_plans):
     # round r plans the points still missing after r rounds alone, in order
     rounds = np.array(rounds)
     for r, (flat, _) in enumerate(grid):
-        assert flat.tobytes() == z[rounds > r].tobytes()
+        assert flat.tobytes() == mirrored[rounds > r].tobytes()
+
+
+def _direct_solve(data, z):
+    """solve_bjorling's surface at the points z with every point integrated
+    as itself, none as the mirror image of a point above the real axis."""
+    integral = segment_integral(data.integrand, z)
+    return np.real(data.alpha(z) + 1j * integral)
+
+
+REFLECTION_SETS = {
+    "near 32x32": _grid(1, 1, 32, 32),
+    "verify 21x21": _grid(1, 1, 21, 21),
+    "far 2x4": _grid(1, 3, 2, 4),
+    "wide 21x21": _grid(3, 3, 21, 21),
+    "asymmetric 17x13": (np.linspace(-2.3, 1.1, 17)[:, None]
+                         + 1j * np.linspace(-1.7, 0.6, 13)),
+    "scattered 1024": (np.random.default_rng(11).uniform(-2, 2, (1024, 2))
+                       @ [1.0, 1j]),
+    # zeros of either sign, lattice lines on both sides of the axes, and
+    # duplicates
+    "special": np.array([complex(x, y) for x, y in (
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1, -1), (-1, 1),
+        (2, -2), (-2, 2), (0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-1.5, -1),
+        (-1.5, -1), (3, -1), (-0.0, -2.6), (0.7, -0.0))]),
+}
+# Each family at a = 1.3, then twists fast enough to need refinement.
+REFLECTION_CASES = [(family, 1.3) for family in BJORLING_FAMILIES] + [
+    (catalog.BENDING_TIMELIKE, 30.0), (catalog.BENDING_TIMELIKE, 250.0),
+    (catalog.HELICOIDAL_SPACELIKE_I, 25.0)]
+# Coordinates that are an exact zero of the other sign when mirrored: the
+# z coordinate of helicoidal-spacelike-i at u = 0, v = -3 to -1.8, and the
+# y coordinate of bending-timelike and lightlike-rotational at u = -0.0,
+# v = -2.6.
+SIGNED_ZEROS = {(catalog.HELICOIDAL_SPACELIKE_I, 1.3, "wide 21x21"): 5,
+                (catalog.HELICOIDAL_SPACELIKE_I, 25.0, "wide 21x21"): 5,
+                (catalog.BENDING_TIMELIKE, 1.3, "special"): 1,
+                (catalog.LIGHTLIKE_ROTATIONAL, 1.3, "special"): 1}
+
+
+def _solved_or_raised(solve, *args):
+    """solve(*args), or the QuadratureError it raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return solve(*args)
+        except QuadratureError as exc:
+            return exc
+
+
+def _assert_same_error(got, want):
+    # the same text, point, estimate and tolerance
+    assert isinstance(got, QuadratureError), got
+    assert str(got) == str(want)
+    assert np.asarray(got.z).tobytes() == np.asarray(want.z).tobytes()
+    assert repr(got.estimate) == repr(want.estimate)
+    assert repr(got.tol) == repr(want.tol)
+
+
+@pytest.mark.parametrize("family,a", REFLECTION_CASES)
+def test_mirrored_solve_matches_the_direct_solve(family, a):
+    # solve_bjorling takes each point below the real axis as the mirror
+    # image of one above it: every coordinate keeps the bits of the direct
+    # solve, but for the sign of a few exact zeros, and where the direct
+    # solve raises (bending-timelike at a = 250 out to |u| = 2.3 or 3), the
+    # mirrored one raises the same error at the same point
+    data = catalog.bjorling_data_for(_bjorling_surface(family, a))
+    for name, z in REFLECTION_SETS.items():
+        direct = _solved_or_raised(_direct_solve, data, z)
+        mirrored = _solved_or_raised(solve_bjorling(data), z.real, z.imag)
+        if isinstance(direct, QuadratureError):
+            assert (family, a) == (catalog.BENDING_TIMELIKE, 250.0), name
+            _assert_same_error(mirrored, direct)
+            continue
+        flips = np.count_nonzero(mirrored.view(np.int64)
+                                 != direct.view(np.int64))
+        assert (mirrored + 0.0).tobytes() == (direct + 0.0).tobytes(), name
+        assert flips == SIGNED_ZEROS.get((family, a, name), 0), name
+        assert flips == np.count_nonzero((mirrored == 0.0) & (
+            np.signbit(mirrored) != np.signbit(direct)))
+
+
+def _mirrored_unresolved_case():
+    """_unresolved_case with its points mirrored below the real axis."""
+    data, z, _ = _unresolved_case()
+    return data, z.conj()
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (_exp_data(), np.array([0.5j, -0.5j, 24.5 - 1000j, 1e5j])),
+    lambda: (_exp_data(), np.array([0.5 - 0.5j, complex(np.inf, -0.5),
+                                    complex(0.5, -np.inf)])),
+    _mirrored_unresolved_case], ids=["path cap", "non-finite", "panel cap"])
+def test_mirrored_points_raise_what_the_direct_solve_raises(case):
+    # a point below the real axis is named as given, with the text,
+    # estimate and tolerance of the direct solve: a path past _MAX_PANELS,
+    # a non-finite point, and a point that still misses at the cap
+    data, z = case()
+    direct = _solved_or_raised(_direct_solve, data, z)
+    assert isinstance(direct, QuadratureError) and direct.z.imag < 0.0
+    _assert_same_error(_solved_or_raised(solve_bjorling(data), z.real,
+                                         z.imag), direct)
 
 
 def test_points_that_share_no_column_take_one_panel_per_unit():

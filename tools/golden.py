@@ -14,6 +14,10 @@ The tree holds, for the `maxsurf` found on the import path:
 - the `verify --suite all` report and stdout of bending-timelike and
   helicoidal-spacelike-i at their defaults on [-3, 3]^2 at 21x21, whose
   oracle solves integrate their partial panels one by one;
+- the `verify --suite all` report and stdout of bending-timelike and
+  elliptic-catenoid at their defaults on [-1, 1]x[-1.5, -0.1] at 21x21,
+  a grid entirely below the real axis, whose oracle solves take every
+  point as its mirror image;
 - the `families` listing.
 
 Each stdout file ends with the exit code.  `OUTDIR/SHA256SUMS` lists every
@@ -37,6 +41,10 @@ TWISTS = ("1", "2", "2.3")
 # Families verified on WIDE_GRID besides their default grids.
 WIDE_FAMILIES = (catalog.BENDING_TIMELIKE, catalog.HELICOIDAL_SPACELIKE_I)
 WIDE_GRID = '{"u_min":-3,"u_max":3,"v_min":-3,"v_max":3,"nu":21,"nv":21}'
+# Families verified on LOWER_GRID, below the real axis, besides.
+LOWER_FAMILIES = (catalog.BENDING_TIMELIKE, catalog.ELLIPTIC_CATENOID)
+LOWER_GRID = ('{"u_min":-1,"u_max":1,"v_min":-1.5,"v_max":-0.1,'
+              '"nu":21,"nv":21}')
 # One lambda per helicoid family besides the default, inside its range.
 OTHER_LAMBDA = {
     catalog.HELICOIDAL_TIMELIKE: "0.3",
@@ -81,10 +89,12 @@ def jobs():
                  "0", "--out", name, "--set", 'formats=["obj","csv"]',
                  "--set", 'grid={"u_min":-1,"u_max":1,"v_min":0,"v_max":1,'
                           '"nu":400,"nv":50}']
-    for fam in WIDE_FAMILIES:
-        name = f"verify-{fam}-all-wide"
-        yield name, ["verify", "--family", fam, "--suite", "all", "--set",
-                     "grid=" + WIDE_GRID, "--report", name + ".json"]
+    for suffix, families, grid in (("wide", WIDE_FAMILIES, WIDE_GRID),
+                                   ("lower", LOWER_FAMILIES, LOWER_GRID)):
+        for fam in families:
+            name = f"verify-{fam}-all-{suffix}"
+            yield name, ["verify", "--family", fam, "--suite", "all",
+                         "--set", "grid=" + grid, "--report", name + ".json"]
 
 
 def main(argv=None) -> int:
