@@ -19,6 +19,9 @@ circle sits at v = -1/2).  Families:
 
 The spacelike-axis twisted families' removable singularity at a = 1 sits
 in a v sinc((a - 1) v) factor of their kernels, exact at a = 1.
+
+FAMILY_INFO holds one Family per family, its holomorphic facts included:
+forms, punctured, unit_period and curvature, read by weierstrass and cli.
 """
 
 from __future__ import annotations
@@ -61,12 +64,16 @@ class Param:
 
 @dataclass(frozen=True)
 class Family:
-    """The geometry facts of one family.
+    """The facts of one family.
 
     curve and twist name its Björling data, a frames curve tag and a
     normal-field kind (None for the orbit surface).  group maps a surface
     to the motion group that acts on it by a shift in u.  orbit_of is the
-    lightlike twist an orbit surface can be derived from.
+    lightlike twist an orbit surface can be derived from.  forms and
+    punctured map a surface to its form map on the exp and the punctured
+    chart; unit_period to the real part of its phi2 period around the unit
+    circle at twist rate 1, the only nonzero real period at integer rate;
+    curvature to its dual's chart and closed-form total curvature, or None.
     """
 
     params: tuple
@@ -77,15 +84,19 @@ class Family:
     group: Callable | None = None
     orbit_of: Param | None = None
     verify_domain: tuple | None = None  # None: the domain
+    forms: Callable | None = None
+    punctured: Callable | None = None
+    unit_period: Callable | None = None
+    curvature: Callable = lambda s: None
 
 
-def _bjorling(curve, twist, domain, evaluate, lam=None, group=None):
+def _bjorling(curve, twist, domain, evaluate, lam=None, **facts):
     """A family of Björling surfaces, with lam the default helix pitch."""
     params = (Param("a", *frames.TWIST_RANGES[twist], 1.0),)
     if lam is not None:
         params += (Param("lam", *frames.PITCH_RANGES[curve], lam),)
-    return Family(params, domain, evaluate, curve, twist, group,
-                  verify_domain=(-1.0, 1.0, -1.0, 1.0))
+    return Family(params, domain, evaluate, curve, twist,
+                  verify_domain=(-1.0, 1.0, -1.0, 1.0), **facts)
 
 
 _CUBIC = Param("cubic", "cubic > 0", lambda cubic: cubic > 0)
@@ -369,31 +380,175 @@ def lightlike_identification_check(a: float, u, v) -> float:
 
 
 # ---------------------------------------------------------------------------
+# holomorphic 1-form coefficients, on the exp and punctured charts
+
+EXP_CHART = "exp"
+PUNCTURED_CHART = "punctured"
+
+
+def cpow(z, a):
+    """Principal-branch power with an exact path for integer exponents
+    (z itself for 1, which numpy would send through its general loop)."""
+    z = np.asarray(z, dtype=complex)
+    n = round(a)
+    if abs(a - n) < 1e-12:
+        return z if n == 1 else z ** int(n)
+    return z ** a
+
+
+def _forms_bending_timelike(a):
+    def forms(z):
+        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
+        return -s - 1j * c * ch, c - 1j * s * ch, 1j * np.sinh(a * z)
+
+    return forms
+
+
+def _forms_bending_spacelike_exp(a):
+    def forms(z):
+        ch, sh, sha = np.cosh(z), np.sinh(z), np.sinh(a * z)
+        return (-1j * np.cosh(a * z), ch - 1j * sh * sha,
+                sh - 1j * ch * sha)
+
+    return forms
+
+
+def _forms_bending_spacelike_punctured(a):
+    # Every power of z comes from z^a and z^2: on the principal branch all
+    # of them share Log z, so z^(2a) = z^a z^a, z^(a+2) = z^a z^2 and so on.
+    def forms(z):
+        za, z2 = cpow(z, a), z * z
+        zaa, zaz2 = za * za, za * z2
+        return (-1j * (zaa + 1.0) / (2.0 * (za * z)),
+                (-1j * (zaa * z2) + 1j * zaa + 2.0 * zaz2 + 2.0 * za
+                 + 1j * z2 - 1j) / (4.0 * zaz2),
+                (-1j * (zaa * z2) - 1j * zaa + 2.0 * zaz2 - 2.0 * za
+                 + 1j * z2 + 1j) / (4.0 * zaz2))
+
+    return forms
+
+
+def _forms_lightlike(a):
+    # cosh a - sinh a taken as e^-a, which does not cancel at large a
+    ca, sa, ea = np.cosh(a), np.sinh(a), np.exp(-a)
+
+    def forms(z):
+        z2e = z * z * ea
+        return (z + 0.5j * (z2e - 2.0 * ca), 1.0 + 1j * z * ea,
+                z + 0.5j * (z2e - 2.0 * sa))
+
+    return forms
+
+
+def _forms_helicoidal_timelike(a, lam, mu):
+    def forms(z):
+        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
+        sh = np.sinh(a * z)
+        t = 1.0 + 1j * lam * sh
+        return (1j * mu * c * ch - s * t, c * t + 1j * mu * s * ch,
+                lam + 1j * sh)
+
+    return forms
+
+
+def _forms_helicoidal_spacelike_i_exp(a, lam, mu):
+    def forms(z):
+        ch, sh = np.cosh(z), np.sinh(z)
+        cha, sha = np.cosh(a * z), np.sinh(a * z)
+        return (lam + 1j * sha, sh + 1j * (lam * sh * sha - mu * ch * cha),
+                ch + 1j * (lam * ch * sha - mu * sh * cha))
+
+    return forms
+
+
+def _forms_helicoidal_spacelike_i_punctured(a, lam, mu):
+    def forms(z):
+        za, z2 = cpow(z, a), z * z
+        zaa, zaz2 = za * za, za * z2
+        return ((1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
+                (1j * (lam - mu) * (zaa * z2 + 1.0)
+                 - 1j * (lam + mu) * (zaa + z2)
+                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2),
+                (1j * (lam - mu) * (zaa * z2 - 1.0)
+                 + 1j * (lam + mu) * (zaa - z2)
+                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2))
+
+    return forms
+
+
+def _forms_helicoidal_spacelike_ii_exp(a, lam, mu):
+    def forms(z):
+        ch, sh = np.cosh(z), np.sinh(z)
+        cha, sha = np.cosh(a * z), np.sinh(a * z)
+        return (lam - 1j * cha, ch + 1j * (lam * ch * cha - mu * sh * sha),
+                sh + 1j * (lam * sh * cha - mu * ch * sha))
+
+    return forms
+
+
+def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu):
+    def forms(z):
+        za, z2 = cpow(z, a), z * z
+        zaa, zaz2 = za * za, za * z2
+        return ((-1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
+                (1j * (lam - mu) * (zaa * z2 + 1.0)
+                 + 1j * (lam + mu) * (zaa + z2)
+                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2),
+                (1j * (lam - mu) * (zaa * z2 - 1.0)
+                 - 1j * (lam + mu) * (zaa - z2)
+                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2))
+
+    return forms
+
+
+def integer_twist(surface: CatalogSurface) -> bool:
+    """Whether the twist rate is integral (punctured forms are rational)."""
+    return abs(surface.a - round(surface.a)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # the family registry
 
 FAMILY_INFO = {
     BENDING_TIMELIKE: _bjorling(
         frames.CIRCLE_TIMELIKE, "linear", (-np.pi, np.pi, -0.35, 0.35),
-        lambda s, u, v: _eval_bending_timelike(s.a, u, v)),
+        lambda s, u, v: _eval_bending_timelike(s.a, u, v),
+        forms=lambda s: _forms_bending_timelike(s.a)),
     BENDING_SPACELIKE: _bjorling(
         frames.CIRCLE_SPACELIKE, "linear", (-1.2, 1.2, -0.4, 0.4),
-        lambda s, u, v: _eval_bending_spacelike(s.a, u, v)),
+        lambda s, u, v: _eval_bending_spacelike(s.a, u, v),
+        forms=lambda s: _forms_bending_spacelike_exp(s.a),
+        punctured=lambda s: _forms_bending_spacelike_punctured(s.a),
+        unit_period=lambda s: -np.pi,
+        curvature=lambda s: (
+            (PUNCTURED_CHART, -4.0 * np.pi * (round(s.a) + 1))
+            if integer_twist(s) else None)),
     LIGHTLIKE_ROTATIONAL: _bjorling(
         frames.CIRCLE_LIGHTLIKE, "constant", (-1.0, 1.0, -0.9, 0.9),
         lambda s, u, v: _eval_lightlike_rotational(s.a, u, v),
-        group=lambda s: motions.rotation_lightlike_axis()),
+        group=lambda s: motions.rotation_lightlike_axis(),
+        forms=lambda s: _forms_lightlike(s.a),
+        curvature=lambda s: (EXP_CHART, -4.0 * np.pi)),
     HELICOIDAL_TIMELIKE: _bjorling(
         frames.HELIX_TIMELIKE, "linear", (-np.pi, np.pi, -0.35, 0.35),
         lambda s, u, v: _eval_helicoidal_timelike(s.a, s.lam, s.mu, u, v),
-        lam=0.6),
+        lam=0.6, forms=lambda s: _forms_helicoidal_timelike(s.a, s.lam, s.mu)),
     HELICOIDAL_SPACELIKE_I: _bjorling(
         frames.HELIX_SPACELIKE_I, "linear", (-1.2, 1.2, -0.4, 0.4),
         lambda s, u, v: _eval_helicoidal_spacelike_i(s.a, s.lam, s.mu, u, v),
-        lam=2.0),
+        lam=2.0,
+        forms=lambda s: _forms_helicoidal_spacelike_i_exp(s.a, s.lam, s.mu),
+        punctured=lambda s: _forms_helicoidal_spacelike_i_punctured(
+            s.a, s.lam, s.mu),
+        unit_period=lambda s: np.pi * (s.lam + s.mu)),
     HELICOIDAL_SPACELIKE_II: _bjorling(
         frames.HELIX_SPACELIKE_II, "linear", (-1.2, 1.2, -0.4, 0.4),
         lambda s, u, v: _eval_helicoidal_spacelike_ii(s.a, s.lam, s.mu, u, v),
-        lam=1.0),
+        lam=1.0,
+        forms=lambda s: _forms_helicoidal_spacelike_ii_exp(s.a, s.lam, s.mu),
+        punctured=lambda s: _forms_helicoidal_spacelike_ii_punctured(
+            s.a, s.lam, s.mu),
+        unit_period=lambda s: -np.pi * (s.lam + s.mu)),
     ELLIPTIC_CATENOID: _bjorling(
         frames.CIRCLE_TIMELIKE, "constant", (-np.pi, np.pi, -0.5, 0.5),
         lambda s, u, v: _eval_elliptic_catenoid(s.a, u, v),

@@ -567,7 +567,6 @@ class _Job:
     patch: SurfacePatch
     grid: Grid
     info: catalog.Family
-    rep: weierstrass.Representation
     stencil: tuple  # verify.grid_stencil, shared by the grid scans
     data: object  # catalog.bjorling_data_for, or None without info.curve
 
@@ -667,7 +666,7 @@ def _equivariance(job):
         group, job.cfg.thetas, tol=job.cfg.tolerances["isometry"])]
 
 
-@_verifies("forms", (), lambda job: job.rep.exp is not None)
+@_verifies("forms", (), lambda job: job.info.forms is not None)
 def _forms(job):
     tols = job.cfg.tolerances
     triple = weierstrass.forms_for(job.surface)
@@ -686,9 +685,9 @@ def _forms(job):
 
 
 def _periods_rule(job):
-    if job.rep.punctured is None:
+    if job.info.punctured is None:
         return f"{job.surface.family} has no punctured chart"
-    return (weierstrass.integer_twist(job.surface)
+    return (catalog.integer_twist(job.surface)
             or "forms are meromorphic only for integer twist rate")
 
 
@@ -698,7 +697,7 @@ def _periods(job):
     tol = job.cfg.tolerances["period"]
     triple = weierstrass.forms_for(s, weierstrass.PUNCTURED_CHART)
     loop = weierstrass.Loop(0j, 1.0)
-    second = job.rep.unit_period(s) if round(s.a) == 1 else 0.0
+    second = job.info.unit_period(s) if round(s.a) == 1 else 0.0
     checks = []
     values = weierstrass.period(triple, (1, 2, 3), loop)
     for k, expected, value in zip((1, 2, 3), (0.0, second, 0.0), values):
@@ -714,13 +713,13 @@ def _periods(job):
 
 
 @_verifies("total-curvature", ("curvature",),
-           lambda job: job.rep.curvature(job.surface) is not None
+           lambda job: job.info.curvature(job.surface) is not None
            or f"no closed-form total curvature target for "
               f"{job.surface.family} here")
 def _total_curvature(job):
     cfg = job.cfg
     tol = cfg.tolerances["total_curvature_rel"]
-    chart, target = job.rep.curvature(job.surface)
+    chart, target = job.info.curvature(job.surface)
     triple = weierstrass.forms_for(job.surface, chart)
     w = weierstrass.weierstrass_pair(weierstrass.dualize(triple))
     try:
@@ -739,8 +738,7 @@ def _verify_checks(cfg: JobConfig, surface, patch, grid):
         stencil = verify.grid_stencil(patch, grid, cfg.fd_step)
         _require_finite(patch, grid, stencil[-1])
     info = catalog.FAMILY_INFO[surface.family]
-    job = _Job(cfg, surface, patch, grid, info,
-               weierstrass.REPRESENTATIONS[surface.family], stencil,
+    job = _Job(cfg, surface, patch, grid, info, stencil,
                catalog.bjorling_data_for(surface) if info.curve else None)
     checks = []
     skipped = []

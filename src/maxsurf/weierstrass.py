@@ -1,8 +1,9 @@
 """Holomorphic representation layer for the surface families.
 
-Each Björling family carries a triple of holomorphic 1-form coefficients
-phi_k (the forms are phi_k dz) satisfying the Lorentzian null condition
-phi1^2 + phi2^2 - phi3^2 = 0, held as one function z -> (phi1, phi2, phi3).
+Six of the nine Björling families carry, in their catalog records, a triple
+of holomorphic 1-form coefficients phi_k (the forms are phi_k dz) satisfying
+the Lorentzian null condition phi1^2 + phi2^2 - phi3^2 = 0, held as one
+function z -> (phi1, phi2, phi3); this module holds what needs no family.
 From the triple the Weierstrass pair (g, omega) follows as
 g = phi3/(phi1 - i phi2), omega = (phi1 - i phi2) dz, and the triple is
 recovered from the pair.  Multiplying phi1 and phi2 by i turns a Lorentzian
@@ -25,14 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import catalog
 from .bjorling import (_NULL, _PASS_POINTS, _S, _WT, NODES, QuadratureError,
                        segment_integral)
-from .catalog import CatalogSurface
+from .catalog import EXP_CHART, FAMILY_INFO, PUNCTURED_CHART, CatalogSurface
 from .lorentz import vec3
 
-EXP_CHART = "exp"
-PUNCTURED_CHART = "punctured"
 LORENTZ = "lorentz"
 EUCLID = "euclid"
 
@@ -48,16 +46,6 @@ _PERIOD_NODES, _PERIOD_TOL, _PERIOD_CAP = 512, 1e-10, 16384
 _CURVATURE_GRID = (128, 32)
 _CURVATURE_RTOL, _DENSITY_STEP = 1e-7, 4e-6
 _RING_NODES, _CURVATURE_NODES = 8192, 4 * 401 * 256
-
-
-def cpow(z, a):
-    """Principal-branch power with an exact path for integer exponents
-    (z itself for 1, which numpy would send through its general loop)."""
-    z = np.asarray(z, dtype=complex)
-    n = round(a)
-    if abs(a - n) < 1e-12:
-        return z if n == 1 else z ** int(n)
-    return z ** a
 
 
 @dataclass(frozen=True)
@@ -102,169 +90,14 @@ class WeierstrassData:
     label: str = ""
 
 
-def _forms_bending_timelike(a):
-    def forms(z):
-        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
-        return -s - 1j * c * ch, c - 1j * s * ch, 1j * np.sinh(a * z)
-
-    return forms
-
-
-def _forms_bending_spacelike_exp(a):
-    def forms(z):
-        ch, sh, sha = np.cosh(z), np.sinh(z), np.sinh(a * z)
-        return (-1j * np.cosh(a * z), ch - 1j * sh * sha,
-                sh - 1j * ch * sha)
-
-    return forms
-
-
-def _forms_bending_spacelike_punctured(a):
-    # Every power of z comes from z^a and z^2: on the principal branch all
-    # of them share Log z, so z^(2a) = z^a z^a, z^(a+2) = z^a z^2 and so on.
-    def forms(z):
-        za, z2 = cpow(z, a), z * z
-        zaa, zaz2 = za * za, za * z2
-        return (-1j * (zaa + 1.0) / (2.0 * (za * z)),
-                (-1j * (zaa * z2) + 1j * zaa + 2.0 * zaz2 + 2.0 * za
-                 + 1j * z2 - 1j) / (4.0 * zaz2),
-                (-1j * (zaa * z2) - 1j * zaa + 2.0 * zaz2 - 2.0 * za
-                 + 1j * z2 + 1j) / (4.0 * zaz2))
-
-    return forms
-
-
-def _forms_lightlike(a):
-    # cosh a - sinh a taken as e^-a, which does not cancel at large a
-    ca, sa, ea = np.cosh(a), np.sinh(a), np.exp(-a)
-
-    def forms(z):
-        z2e = z * z * ea
-        return (z + 0.5j * (z2e - 2.0 * ca), 1.0 + 1j * z * ea,
-                z + 0.5j * (z2e - 2.0 * sa))
-
-    return forms
-
-
-def _forms_helicoidal_timelike(a, lam, mu):
-    def forms(z):
-        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
-        sh = np.sinh(a * z)
-        t = 1.0 + 1j * lam * sh
-        return (1j * mu * c * ch - s * t, c * t + 1j * mu * s * ch,
-                lam + 1j * sh)
-
-    return forms
-
-
-def _forms_helicoidal_spacelike_i_exp(a, lam, mu):
-    def forms(z):
-        ch, sh = np.cosh(z), np.sinh(z)
-        cha, sha = np.cosh(a * z), np.sinh(a * z)
-        return (lam + 1j * sha, sh + 1j * (lam * sh * sha - mu * ch * cha),
-                ch + 1j * (lam * ch * sha - mu * sh * cha))
-
-    return forms
-
-
-def _forms_helicoidal_spacelike_i_punctured(a, lam, mu):
-    def forms(z):
-        za, z2 = cpow(z, a), z * z
-        zaa, zaz2 = za * za, za * z2
-        return ((1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
-                (1j * (lam - mu) * (zaa * z2 + 1.0)
-                 - 1j * (lam + mu) * (zaa + z2)
-                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2),
-                (1j * (lam - mu) * (zaa * z2 - 1.0)
-                 + 1j * (lam + mu) * (zaa - z2)
-                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2))
-
-    return forms
-
-
-def _forms_helicoidal_spacelike_ii_exp(a, lam, mu):
-    def forms(z):
-        ch, sh = np.cosh(z), np.sinh(z)
-        cha, sha = np.cosh(a * z), np.sinh(a * z)
-        return (lam - 1j * cha, ch + 1j * (lam * ch * cha - mu * sh * sha),
-                sh + 1j * (lam * sh * cha - mu * ch * sha))
-
-    return forms
-
-
-def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu):
-    def forms(z):
-        za, z2 = cpow(z, a), z * z
-        zaa, zaz2 = za * za, za * z2
-        return ((-1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
-                (1j * (lam - mu) * (zaa * z2 + 1.0)
-                 + 1j * (lam + mu) * (zaa + z2)
-                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2),
-                (1j * (lam - mu) * (zaa * z2 - 1.0)
-                 - 1j * (lam + mu) * (zaa - z2)
-                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2))
-
-    return forms
-
-
-def integer_twist(surface: CatalogSurface) -> bool:
-    """Whether the twist rate is integral (punctured forms are rational)."""
-    return abs(surface.a - round(surface.a)) <= 1e-9
-
-
-@dataclass(frozen=True)
-class Representation:
-    """The holomorphic facts of one family, as functions of the surface:
-    the form map on each chart (the constant-twist rotational
-    surfaces have theirs through the lightlike family only); the real part
-    of the phi2 period around the unit circle at twist rate 1, the only
-    nonzero real period at integer rate; and the chart and total curvature
-    of the dual surface, or None where there is no closed-form target."""
-
-    exp: Callable | None = None
-    punctured: Callable | None = None
-    unit_period: Callable | None = None
-    curvature: Callable = lambda s: None
-
-
-REPRESENTATIONS = {
-    catalog.BENDING_TIMELIKE: Representation(
-        lambda s: _forms_bending_timelike(s.a)),
-    catalog.BENDING_SPACELIKE: Representation(
-        lambda s: _forms_bending_spacelike_exp(s.a),
-        lambda s: _forms_bending_spacelike_punctured(s.a),
-        unit_period=lambda s: -np.pi,
-        curvature=lambda s: (
-            (PUNCTURED_CHART, -4.0 * np.pi * (round(s.a) + 1))
-            if integer_twist(s) else None)),
-    catalog.LIGHTLIKE_ROTATIONAL: Representation(
-        lambda s: _forms_lightlike(s.a),
-        curvature=lambda s: (EXP_CHART, -4.0 * np.pi)),
-    catalog.HELICOIDAL_TIMELIKE: Representation(
-        lambda s: _forms_helicoidal_timelike(s.a, s.lam, s.mu)),
-    catalog.HELICOIDAL_SPACELIKE_I: Representation(
-        lambda s: _forms_helicoidal_spacelike_i_exp(s.a, s.lam, s.mu),
-        lambda s: _forms_helicoidal_spacelike_i_punctured(s.a, s.lam, s.mu),
-        unit_period=lambda s: np.pi * (s.lam + s.mu)),
-    catalog.HELICOIDAL_SPACELIKE_II: Representation(
-        lambda s: _forms_helicoidal_spacelike_ii_exp(s.a, s.lam, s.mu),
-        lambda s: _forms_helicoidal_spacelike_ii_punctured(s.a, s.lam, s.mu),
-        unit_period=lambda s: -np.pi * (s.lam + s.mu)),
-    catalog.ELLIPTIC_CATENOID: Representation(),
-    catalog.HYPERBOLIC_CATENOID: Representation(),
-    catalog.HELICOIDAL_TIMELIKE_CONSTANT: Representation(),
-    catalog.ENNEPER_SECOND_KIND: Representation(),
-}
-
-
 def forms_for(surface: CatalogSurface, chart: str = EXP_CHART) -> FormTriple:
-    """Holomorphic form triple of a catalog surface on a chart, for the
-    families and charts that REPRESENTATIONS covers."""
+    """Holomorphic form triple of a catalog surface on a chart, where the
+    family's record in FAMILY_INFO has forms on that chart."""
     fam = surface.family
     if chart not in (EXP_CHART, PUNCTURED_CHART):
         raise ValueError(f"unknown chart {chart!r}")
-    rep = REPRESENTATIONS[fam]
-    maker = rep.exp if chart == EXP_CHART else rep.punctured
+    info = FAMILY_INFO[fam]
+    maker = info.forms if chart == EXP_CHART else info.punctured
     if maker is None:
         raise ValueError(f"{fam} has no punctured-chart forms"
                          if chart == PUNCTURED_CHART else

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from maxsurf import catalog, cli
+from maxsurf import weierstrass as W
 from maxsurf.bjorling import solve_bjorling
 from maxsurf.catalog import _kernels
 from maxsurf.lorentz import lorentz_dot
@@ -122,6 +123,32 @@ def test_helix_speed_property():
 def test_family_info_covers_all_ids():
     assert set(catalog.FAMILY_INFO) == set(catalog.DEFAULT_DOMAINS)
     assert len(catalog.FAMILY_INFO) == 10
+
+
+@pytest.mark.parametrize("family", list(catalog.FAMILY_INFO))
+def test_family_record_holomorphic_facts_agree(family):
+    """Punctured forms come only with exp forms and a unit period only with
+    punctured forms; at a = 1 and 2 a curvature target names a chart whose
+    forms the record has, and forms_for refuses each chart it lacks."""
+    info = catalog.FAMILY_INFO[family]
+    assert info.punctured is None or info.forms is not None
+    assert info.unit_period is None or info.punctured is not None
+    defaults = {p.name: p.default for p in info.params}
+    if "a" not in defaults or None in defaults.values():
+        # no surface from defaults to probe, and so no forms to have
+        assert info.forms is None
+        return
+    charts = {W.EXP_CHART: info.forms, W.PUNCTURED_CHART: info.punctured}
+    for a in (1.0, 2.0):
+        s = catalog.CatalogSurface(family, **{**defaults, "a": a})
+        target = info.curvature(s)
+        if target is not None:
+            assert charts[target[0]] is not None
+            assert W.forms_for(s, target[0]).chart == target[0]
+        for chart, maker in charts.items():
+            if maker is None:
+                with pytest.raises(ValueError):
+                    W.forms_for(s, chart)
 
 
 def test_bjorling_data_rejects_orbit_family():
