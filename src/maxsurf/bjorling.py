@@ -178,7 +178,7 @@ def shifted_values(patch: SurfacePatch, u, v, offsets):
 def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
     """Richardson-extrapolated central differences of the patch at (u, v):
     (xu, xv) from 8 shifted values or, with `second`, (xu, xv, xuu, xuv,
-    xvv, x) from 17, x being the value at (u, v), in one shifted_values."""
+    xvv) from 17, the value at (u, v) among them, in one shifted_values."""
     units = ((1, 0), (-1, 0), (0, 1), (0, -1)) + (
         ((1, 1), (1, -1), (-1, 1), (-1, -1)) if second else ())
     offsets = [(a * s, b * s) for s in (h, h / 2.0) for a, b in units]
@@ -196,12 +196,11 @@ def richardson(patch: SurfacePatch, u, v, h: float, second: bool = False):
             levels[-1] += [(up - 2.0 * x + um) / sq,
                            (pp - pm - mp + mm) / (4.0 * sq),
                            (vp - 2.0 * x + vm) / sq]
-    return tuple((4.0 * b - a) / 3.0 for a, b in zip(*levels)) + tuple(
-        vals[len(offsets):])
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(*levels))
 
 
 def derivatives(patch: SurfacePatch, u, v, h: float, second: bool = False):
-    """(xu, xv), or with `second` (xu, xv, xuu, xuv, xvv, x), at (u, v):
+    """(xu, xv), or with `second` (xu, xv, xuu, xuv, xvv), at (u, v):
     richardson(patch, u, v, h, second) unless the patch is analytic.
 
     On an analytic patch the tangents are Im X(u + i eps, v) / eps and its v
@@ -210,7 +209,7 @@ def derivatives(patch: SurfacePatch, u, v, h: float, second: bool = False):
     u, in v and along the diagonal (w, w), which gives X_uu + 2 X_uv + X_vv
     (cf. Lai & Crassidis, J. Comput. Appl. Math. 219, 2008): no real parts
     are subtracted, so rounding grows as eps / h, not eps / h^2.  The steps
-    take one shifted_values call; x is the real evaluation."""
+    take one shifted_values call."""
     if not patch.analytic:
         return richardson(patch, u, v, h, second)
     eps, w = 1j * _COMPLEX_STEP, h * np.exp(0.25j * np.pi)
@@ -221,8 +220,7 @@ def derivatives(patch: SurfacePatch, u, v, h: float, second: bool = False):
     if not second:
         return out
     uu, vv, dd = ((p + m) / (h * h) for p, m in zip(rest[::2], rest[1::2]))
-    return out + (uu, 0.5 * (dd - uu - vv), vv,
-                  shifted_values(patch, u, v, [(0.0, 0.0)])[0])
+    return out + (uu, 0.5 * (dd - uu - vv), vv)
 
 
 def segment_integral(integrand, z, reflect=False):

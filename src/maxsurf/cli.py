@@ -521,8 +521,12 @@ def _output_paths(out: str, formats):
     return {fmt: base + "." + fmt for fmt in formats}
 
 
-def _require_finite(patch, grid: Grid, points):
-    """Refuse a grid with a non-finite point, naming the first such node."""
+def _grid_values(patch, grid: Grid):
+    """The patch's (nu, nv, 3) values at the grid nodes, once per command,
+    in row blocks; refuses a non-finite node, naming the first such node."""
+    points = np.empty((grid.nu, grid.nv, 3))
+    for rows, mesh in grid.row_blocks(_PASS_POINTS, patch.broadcasts):
+        points[rows] = patch(*mesh)
     if not np.isfinite(points).all():
         i, j = np.argwhere(~np.isfinite(points).all(axis=-1))[0]
         us, vs = grid.axes()
@@ -530,6 +534,7 @@ def _require_finite(patch, grid: Grid, points):
             f"{patch.label} has non-finite coordinates at grid node "
             f"[{i}, {j}], (u, v) = ({float(us[i])!r}, {float(vs[j])!r}); "
             "choose a grid on which the surface is finite")
+    return points
 
 
 def cmd_sample(cfg: JobConfig) -> int:
@@ -537,10 +542,7 @@ def cmd_sample(cfg: JobConfig) -> int:
     grid = _default_grid(cfg, surface.family, for_sample=True)
     patch = _patch_for(surface, cfg)
     with np.errstate(all="ignore"):
-        points = np.empty((grid.nu, grid.nv, 3))
-        for rows, mesh in grid.row_blocks(_PASS_POINTS, patch.broadcasts):
-            points[rows] = patch(*mesh)
-        _require_finite(patch, grid, points)
+        points = _grid_values(patch, grid)
         mask = verify.spacelike_region(patch, grid, h=cfg.fd_step)
     paths = _output_paths(cfg.out or "mesh", cfg.formats)
     _write_mesh(paths, patch.label, grid, points, mask)
@@ -567,8 +569,12 @@ class _Job:
     patch: SurfacePatch
     grid: Grid
     info: catalog.Family
-    stencil: tuple  # verify.grid_stencil, shared by the grid scans
+    values: np.ndarray  # _grid_values, as `sample` evaluates its grid
     data: object  # catalog.bjorling_data_for, or None without info.curve
+
+    @functools.cached_property
+    def stencil(self):  # verify.grid_stencil, built when a check reads it
+        return verify.grid_stencil(self.patch, self.grid, self.cfg.fd_step)
 
 
 # (name, suites, rule, run) of each check, in the order they run.
@@ -596,9 +602,7 @@ def _oracle(job):
     numeric = solve_bjorling(job.data)
     note = ""
     try:
-        # stencil[-1] holds the patch's values at the nodes, checked finite
-        res = float(np.max(np.abs(job.stencil[-1]
-                                  - numeric(*job.grid.mesh()))))
+        res = float(np.max(np.abs(job.values - numeric(*job.grid.mesh()))))
     except QuadratureError as exc:
         res, note = float("inf"), str(exc)
     return [_check("oracle-agreement", res, tol, job.grid.describe(),
@@ -735,10 +739,9 @@ def _total_curvature(job):
 def _verify_checks(cfg: JobConfig, surface, patch, grid):
     """Run the requested suites; returns (checks, skipped notes)."""
     with np.errstate(all="ignore"):
-        stencil = verify.grid_stencil(patch, grid, cfg.fd_step)
-        _require_finite(patch, grid, stencil[-1])
+        values = _grid_values(patch, grid)
     info = catalog.FAMILY_INFO[surface.family]
-    job = _Job(cfg, surface, patch, grid, info, stencil,
+    job = _Job(cfg, surface, patch, grid, info, values,
                catalog.bjorling_data_for(surface) if info.curve else None)
     checks = []
     skipped = []

@@ -105,7 +105,7 @@ def _first_form(stencil):
 
 
 def _forms(stencil, degenerate_tol):
-    xu, xv, xuu, xuv, xvv, _ = stencil
+    xu, xv, xuu, xuv, xvv = stencil
     E, F, G = _first_form(stencil)
     nn = lorentz_cross(xu, xv)
     q = np.abs(lorentz_dot(nn, nn))

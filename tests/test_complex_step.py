@@ -168,7 +168,7 @@ def test_other_patches_keep_the_richardson_stencil(monkeypatch, kind):
     assert len(calls) == 1 and mask.all()
     # the shared grid stencil, the forms and the reference normal, by the
     # `second` flag of each call
-    assert len(verify.grid_stencil(patch, grid)) == 6
+    assert len(verify.grid_stencil(patch, grid)) == 5
     verify.fundamental_forms(patch, 0.3, -0.2)
     bjorling.reference_normal(patch, np.linspace(-0.5, 0.5, 3))
     assert [args[-1] for args in calls] == [False, True, True, False]

@@ -202,7 +202,7 @@ def cubic(u, v):
 def test_complex_steps_give_exact_derivatives_of_a_cubic():
     patch = SurfacePatch(func=cubic, label="cubic", analytic=True)
     U, V = Grid(-1.0, 1.0, -1.0, 1.0, 21, 21).mesh()
-    xu, xv, xuu, xuv, xvv, x = bjorling.derivatives(patch, U, V, 1e-3, True)
+    xu, xv, xuu, xuv, xvv = bjorling.derivatives(patch, U, V, 1e-3, True)
     zero, w = np.zeros_like(U), U + 2.0 * V
     exact = (np.stack([3.0 * (U * U - V * V), 2.0 * U * V, 3.0 * w * w], -1),
              np.stack([-6.0 * U * V, U * U, 6.0 * w * w], -1),
@@ -214,7 +214,6 @@ def test_complex_steps_give_exact_derivatives_of_a_cubic():
     # rounding grows as eps / h
     for got, want in zip((xu, xv, xuu, xuv, xvv), exact):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-    assert x.dtype == np.float64 and np.array_equal(x, cubic(U, V))
 
 
 def surfaces_at(twists=(None, 2.3)):
@@ -234,7 +233,6 @@ def test_complex_steps_agree_with_richardson_within_its_error(surface):
     steps = bjorling.derivatives(patch, U, V, 1e-3, True)
     coarse = bjorling.richardson(patch, U, V, 1e-3, True)
     fine = bjorling.richardson(patch, U, V, 5e-4, True)
-    assert np.array_equal(steps[5], coarse[5])
     # Richardson's error, read as its change from h to h / 2, bounds the
     # distance between the two stencils: measured 0.1 to 0.7 of it
     for got, c, f in zip(steps[:5], coarse, fine):
@@ -315,8 +313,9 @@ def test_default_verify_evaluates_the_grid_stencil_in_one_call(monkeypatch,
     assert cli.main(["verify", "--family", "bending-timelike",
                      "--suite", "h"]) == 0
     assert "PASS mean-curvature" in capsys.readouterr().out
-    # All 17 offsets of the 21x21 sparse mesh, stacked on a leading axis.
-    assert made[0].shapes == [((17, 21, 1), (17, 1, 21))]
+    # The node values on the 21x21 sparse mesh, then all 17 offsets of the
+    # stencil, stacked on a leading axis.
+    assert made[0].shapes == [((21, 1), (1, 21)), ((17, 21, 1), (17, 1, 21))]
     # The per-offset loops made 25 calls for mean curvature and 8 for
     # conformality.
     ref = Counting(catalog.patch(catalog.bending_timelike(1.0)))
@@ -348,10 +347,11 @@ def test_sample_grid_mask_stacks_its_eight_offsets():
     assert counting.shapes == [((8, 64, 1), (8, 1, 16))]
 
 
-def test_verify_refuses_a_non_finite_grid(tmp_path, capsys):
+@pytest.mark.parametrize("suite", cli._SUITES)
+def test_verify_refuses_a_non_finite_grid(tmp_path, capsys, suite):
     report = tmp_path / "r.json"
     code = cli.main([
-        "verify", "--family", "bending-timelike", "--suite", "h",
+        "verify", "--family", "bending-timelike", "--suite", suite,
         "--report", str(report), "--set",
         'grid={"u_min":700,"u_max":720,"v_min":-1,"v_max":1,"nu":3,"nv":3}'])
     assert code == 2
@@ -359,3 +359,23 @@ def test_verify_refuses_a_non_finite_grid(tmp_path, capsys):
     assert "non-finite coordinates at grid node [1, 0]" in err
     assert "(u, v) = (710.0, -1.0)" in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("suite, family, calls", [
+    ("all", "bending-timelike", 1), ("h", "bending-timelike", 1),
+    ("periods", "bending-spacelike", 0),
+    ("curvature", "lightlike-rotational", 0),
+    ("equivariance", "elliptic-catenoid", 0)])
+def test_verify_builds_the_stencil_only_for_a_check_that_reads_it(
+        monkeypatch, capsys, suite, family, calls):
+    made = []
+    grid_stencil = verify.grid_stencil
+
+    def counting_grid_stencil(*args, **kwargs):
+        made.append(args)
+        return grid_stencil(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "grid_stencil", counting_grid_stencil)
+    assert cli.main(["verify", "--family", family, "--suite", suite]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+    assert len(made) == calls

@@ -18,6 +18,11 @@ The tree holds, for the `maxsurf` found on the import path:
   elliptic-catenoid at their defaults on [-1, 1]x[-1.5, -0.1] at 21x21,
   a grid entirely below the real axis, whose oracle solves take every
   point as its mirror image;
+- the `verify --suite all` report and stdout of bending-timelike with
+  `perturb=0.05`, a patch that is not analytic, so its derivatives take
+  the Richardson stencil beside the grid's node values;
+- the stdout of bending-timelike refused in every suite on OVERFLOW_GRID,
+  where cosh overflows: `verify` evaluates its grid before any check;
 - the `families` listing.
 
 Each stdout file ends with the exit code.  `OUTDIR/SHA256SUMS` lists every
@@ -45,6 +50,9 @@ WIDE_GRID = '{"u_min":-3,"u_max":3,"v_min":-3,"v_max":3,"nu":21,"nv":21}'
 LOWER_FAMILIES = (catalog.BENDING_TIMELIKE, catalog.ELLIPTIC_CATENOID)
 LOWER_GRID = ('{"u_min":-1,"u_max":1,"v_min":-1.5,"v_max":-0.1,'
               '"nu":21,"nv":21}')
+# A grid with non-finite nodes, which `verify` refuses before any check.
+OVERFLOW_GRID = ('{"u_min":700,"u_max":720,"v_min":-1,"v_max":1,'
+                 '"nu":3,"nv":3}')
 # One lambda per helicoid family besides the default, inside its range.
 OTHER_LAMBDA = {
     catalog.HELICOIDAL_TIMELIKE: "0.3",
@@ -95,6 +103,14 @@ def jobs():
             name = f"verify-{fam}-all-{suffix}"
             yield name, ["verify", "--family", fam, "--suite", "all",
                          "--set", "grid=" + grid, "--report", name + ".json"]
+    fam = catalog.BENDING_TIMELIKE
+    name = f"verify-{fam}-all-perturb"
+    yield name, ["verify", "--family", fam, "--suite", "all", "--set",
+                 "perturb=0.05", "--report", name + ".json"]
+    for suite in cli._SUITES:
+        name = f"verify-{fam}-{suite}-overflow"
+        yield name, ["verify", "--family", fam, "--suite", suite, "--set",
+                     "grid=" + OVERFLOW_GRID, "--report", name + ".json"]
 
 
 def main(argv=None) -> int:
