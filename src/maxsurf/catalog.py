@@ -67,12 +67,12 @@ class Family:
     """The facts of one family.
 
     curve and twist name its Björling data, a frames curve tag and a
-    normal-field kind (None for the orbit surface).  group maps a surface
-    to the motion group that acts on it by a shift in u.  orbit_of is the
-    lightlike twist an orbit surface can be derived from.  forms and
-    punctured map a surface to its form map on the exp and the punctured
-    chart; unit_period to the real part of its phi2 period around the unit
-    circle at twist rate 1, the only nonzero real period at integer rate;
+    normal-field kind (None for the orbit surface).  group maps a surface to
+    the motion group that acts on it by a shift in u.  orbit_of is the
+    lightlike twist an orbit surface can be derived from.  forms and punctured
+    map a surface to its form map on the exp and the punctured chart;
+    unit_period to the real part of its phi2 period around the unit circle at
+    twist rate 1, the only nonzero real period at integer rate n ≥ 1;
     curvature to its dual's chart and closed-form total curvature, or None.
     """
 

@@ -35,23 +35,6 @@ SCHEMA = "maxsurf-report/1"
 _SUITES = ("all", "h", "periods", "curvature", "equivariance")
 _FORMATS = ("obj", "csv")
 
-_DEFAULT_TOLERANCES = {
-    "oracle": 1e-8,
-    "mean_curvature": 1e-5,
-    "conformality": 1e-6,
-    "recovery_position": 1e-8,
-    "recovery_normal": 1e-6,
-    "equivariance": 1e-9,
-    "isometry": 1e-12,
-    "null_condition": 1e-10,
-    "forms_data": 1e-12,
-    "reconstruction": 1e-8,
-    "period": 1e-6,
-    "total_curvature_rel": 0.05,
-    "ode": 1e-12,
-    "identification": 1e-10,
-}
-
 _GRID_BOUNDS = ("u_min", "u_max", "v_min", "v_max")
 _GRID_KEYS = frozenset(_GRID_BOUNDS + ("nu", "nv"))
 
@@ -112,7 +95,7 @@ def _build_grid(raw) -> dict:
 
 
 def _build_tolerances(raw) -> dict:
-    tols = dict(_DEFAULT_TOLERANCES)
+    tols = dict(_TOLERANCES)
     if raw is None:
         return tols
     if not isinstance(raw, dict):
@@ -555,11 +538,6 @@ def cmd_sample(cfg: JobConfig) -> int:
     return 0
 
 
-def _check(name, residual, tolerance, grid="", flagged=(), note=""):
-    return CheckResult(name, float(residual), float(tolerance),
-                       bool(residual < tolerance), grid, tuple(flagged), note)
-
-
 @dataclass(frozen=True)
 class _Job:
     """What the checks of one `verify` run read."""
@@ -579,13 +557,16 @@ class _Job:
 
 # (name, suites, rule, run) of each check, in the order they run.
 # rule(job) is True when the check runs, False when it does not apply, or
-# the reason it is skipped; run(job) returns its CheckResults.
+# the reason it is skipped; run(job) returns its CheckResults.  _TOLERANCES
+# holds the default of each config tolerance, from the checks that read it.
 _CHECKS = []
+_TOLERANCES = {}
 
 
-def _verifies(name, suites, rule=lambda job: True):
+def _verifies(name, suites, rule=lambda job: True, **tolerances):
     def register(run):
         _CHECKS.append((name, ("all",) + suites, rule, run))
+        _TOLERANCES.update(tolerances)
         return run
     return register
 
@@ -596,60 +577,63 @@ def _has_data(why):
 
 
 @_verifies("oracle-agreement", (), _has_data(
-    "orbit parametrization has no Björling data in these coordinates"))
+    "orbit parametrization has no Björling data in these coordinates"),
+    oracle=1e-8)
 def _oracle(job):
-    tol = job.cfg.tolerances["oracle"]
     numeric = solve_bjorling(job.data)
     note = ""
     try:
         res = float(np.max(np.abs(job.values - numeric(*job.grid.mesh()))))
     except QuadratureError as exc:
         res, note = float("inf"), str(exc)
-    return [_check("oracle-agreement", res, tol, job.grid.describe(),
-                   note=note)]
+    return [CheckResult("oracle-agreement", res, job.cfg.tolerances["oracle"],
+                        job.grid.describe(), note=note)]
 
 
-@_verifies("mean-curvature", ("h",))
+@_verifies("mean-curvature", ("h",), mean_curvature=1e-5)
 def _mean_curvature(job):
     value, flagged = verify.mean_curvature_scan(
         job.patch, job.grid, h=job.cfg.fd_step, stencil=job.stencil)
-    return [_check("mean-curvature", value,
-                   job.cfg.tolerances["mean_curvature"], job.grid.describe(),
-                   flagged=flagged)]
+    return [CheckResult("mean-curvature", value,
+                        job.cfg.tolerances["mean_curvature"],
+                        job.grid.describe(), flagged)]
 
 
 @_verifies("conformality", ("h",),
-           _has_data("orbit parameters are not conformal"))
+           _has_data("orbit parameters are not conformal"), conformality=1e-6)
 def _conformality(job):
     res = verify.conformality_residual(job.patch, job.grid, h=job.cfg.fd_step,
                                        stencil=job.stencil)
-    return [_check("conformality", res, job.cfg.tolerances["conformality"],
-                   job.grid.describe())]
+    return [CheckResult("conformality", res,
+                        job.cfg.tolerances["conformality"],
+                        job.grid.describe())]
 
 
 @_verifies("generating-curve-ode", ("h",),
-           lambda job: job.info.orbit_of is not None)
+           lambda job: job.info.orbit_of is not None, ode=1e-12)
 def _ode(job):
     s = job.surface
     curve = catalog.GeneratingCurve(cubic=s.cubic, offset=s.offset)
     vg = np.linspace(-2.0, 2.0, 81)
     res = float(np.max(catalog.ode_residual(curve, s.cubic / 4.0,
                                             -2.0 * s.offset, vg)))
-    return [_check("generating-curve-ode", res, job.cfg.tolerances["ode"],
-                   "v in [-2,2], 81 samples")]
+    return [CheckResult("generating-curve-ode", res, job.cfg.tolerances["ode"],
+                        "v in [-2,2], 81 samples")]
 
 
 @_verifies("orbit-identification", ("h",),
-           lambda job: job.info.orbit_of is not None and job.cfg.a is not None)
+           lambda job: job.info.orbit_of is not None and job.cfg.a is not None,
+           identification=1e-10)
 def _identification(job):
     res = catalog.lightlike_identification_check(
         job.cfg.a, np.linspace(-2.0, 2.0, 21), np.linspace(-1.0, 1.0, 21))
-    return [_check("orbit-identification", res,
-                   job.cfg.tolerances["identification"])]
+    return [CheckResult("orbit-identification", res,
+                        job.cfg.tolerances["identification"])]
 
 
 @_verifies("bjorling-recovery", (),
-           _has_data("no Björling data (see oracle note)"))
+           _has_data("no Björling data (see oracle note)"),
+           recovery_position=1e-8, recovery_normal=1e-6)
 def _recovery(job):
     tols = job.cfg.tolerances
     ug = np.linspace(job.grid.u_min, job.grid.u_max, 21)
@@ -661,7 +645,7 @@ def _recovery(job):
 @_verifies("equivariance", ("equivariance",),
            lambda job: job.info.group is not None
            or f"{job.surface.family} is not invariant under a motion group "
-              "acting by parameter shift")
+              "acting by parameter shift", equivariance=1e-9, isometry=1e-12)
 def _equivariance(job):
     group = job.info.group(job.surface)
     rep = verify.equivariance(job.patch, group, job.cfg.thetas, job.grid,
@@ -670,32 +654,34 @@ def _equivariance(job):
         group, job.cfg.thetas, tol=job.cfg.tolerances["isometry"])]
 
 
-@_verifies("forms", (), lambda job: job.info.forms is not None)
+@_verifies("forms", (), lambda job: job.info.forms is not None,
+           null_condition=1e-10, forms_data=1e-12, reconstruction=1e-8)
 def _forms(job):
     tols = job.cfg.tolerances
     triple = weierstrass.forms_for(job.surface)
     zs = weierstrass.probe_ring(100)
     ring = "ring |z-0.07i|=0.8"
-    checks = [_check("null-condition", float(np.max(triple.null_residual(zs))),
-                     tols["null_condition"], ring)]
+    values = triple(zs)
     direct = job.data.alpha.d(zs) + 1j * job.data.integrand(zs)
-    res = float(np.max(np.abs(triple(zs) - direct)))
-    checks.append(_check("forms-match-data", res, tols["forms_data"], ring))
     rec = weierstrass.reconstruct_forms(weierstrass.weierstrass_pair(triple))
-    res = float(np.max(np.abs(rec(zs) - triple(zs))))
-    checks.append(_check("pair-reconstruction", res, tols["reconstruction"],
-                         ring))
-    return checks
+    return [CheckResult(name, float(np.max(res)), tols[key], ring)
+            for name, key, res in (
+                ("null-condition", "null_condition", triple.null_residual(zs)),
+                ("forms-match-data", "forms_data", np.abs(values - direct)),
+                ("pair-reconstruction", "reconstruction",
+                 np.abs(rec(zs) - values)))]
 
 
 def _periods_rule(job):
     if job.info.punctured is None:
         return f"{job.surface.family} has no punctured chart"
-    return (catalog.integer_twist(job.surface)
-            or "forms are meromorphic only for integer twist rate")
+    if not catalog.integer_twist(job.surface):
+        return "forms are meromorphic only for integer twist rate"
+    return (round(job.surface.a) >= 1
+            or "periods are checked at twist rates >= 1")
 
 
-@_verifies("periods", ("periods",), _periods_rule)
+@_verifies("periods", ("periods",), _periods_rule, period=1e-6)
 def _periods(job):
     s = job.surface
     tol = job.cfg.tolerances["period"]
@@ -706,20 +692,21 @@ def _periods(job):
     values = weierstrass.period(triple, (1, 2, 3), loop)
     for k, expected, value in zip((1, 2, 3), (0.0, second, 0.0), values):
         if isinstance(value, QuadratureError):
-            checks.append(_check(f"period-phi{k}", float("inf"), tol,
-                                 "unit loop", note=str(value)))
+            checks.append(CheckResult(f"period-phi{k}", float("inf"), tol,
+                                      "unit loop", note=str(value)))
             continue
         note = f"value {value.real:.12g}{value.imag:+.12g}i, " \
                f"expected real part {expected:.12g}"
-        checks.append(_check(f"period-phi{k}", abs(value.real - expected),
-                             tol, "unit loop", note=note))
+        checks.append(CheckResult(f"period-phi{k}",
+                                  float(abs(value.real - expected)), tol,
+                                  "unit loop", note=note))
     return checks
 
 
 @_verifies("total-curvature", ("curvature",),
            lambda job: job.info.curvature(job.surface) is not None
            or f"no closed-form total curvature target for "
-              f"{job.surface.family} here")
+              f"{job.surface.family} here", total_curvature_rel=0.05)
 def _total_curvature(job):
     cfg = job.cfg
     tol = cfg.tolerances["total_curvature_rel"]
@@ -729,11 +716,12 @@ def _total_curvature(job):
     try:
         value = weierstrass.total_curvature(w, cfg.annulus)
     except QuadratureError as exc:
-        return [_check("total-curvature", float("inf"), tol, note=str(exc))]
-    return [_check("total-curvature", abs(value - target) / abs(target), tol,
-                   f"annulus {cfg.annulus}, "
-                   f"grid {weierstrass._CURVATURE_GRID}",
-                   note=f"value {value:.9g}, target {target:.9g}")]
+        return [CheckResult("total-curvature", float("inf"), tol,
+                            note=str(exc))]
+    return [CheckResult("total-curvature", abs(value - target) / abs(target),
+                        tol, f"annulus {cfg.annulus}, "
+                        f"grid {weierstrass._CURVATURE_GRID}",
+                        note=f"value {value:.9g}, target {target:.9g}")]
 
 
 def _verify_checks(cfg: JobConfig, surface, patch, grid):

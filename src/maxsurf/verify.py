@@ -190,10 +190,14 @@ class CheckResult:
     name: str
     residual: float
     tolerance: float
-    passed: bool
     grid: str = ""
     flagged: tuple = ()
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """Whether residual < tolerance; a NaN residual fails."""
+        return bool(self.residual < self.tolerance)
 
     def to_dict(self):
         out = {"name": self.name, "residual": self.residual,
@@ -250,10 +254,9 @@ def bjorling_recovery(patch: SurfacePatch, data, u_grid,
 
     grid_desc = f"u in [{us.min():g},{us.max():g}], {us.size} samples"
     checks = (
-        CheckResult("core-curve", pos_res, position_tol,
-                    pos_res < position_tol, grid_desc),
-        CheckResult("normal-field", normal_res, normal_tol,
-                    normal_res < normal_tol, grid_desc, note=note),
+        CheckResult("core-curve", pos_res, position_tol, grid_desc),
+        CheckResult("normal-field", normal_res, normal_tol, grid_desc,
+                    note=note),
     )
     return VerificationReport(label=patch.label or "bjorling-recovery",
                               checks=checks)
@@ -268,8 +271,7 @@ def equivariance(patch: SurfacePatch, group: MotionGroup, thetas, grid: Grid,
     # np.max, unlike max, keeps a NaN residual, which then fails
     worst = float(np.max([np.max(np.abs(group.apply(theta, base) - target))
                           for theta, target in zip(thetas, targets)]))
-    check = CheckResult("equivariance", worst, tol, worst < tol,
-                        grid.describe(),
+    check = CheckResult("equivariance", worst, tol, grid.describe(),
                         note=f"thetas {[float(t) for t in thetas]}")
     return VerificationReport(label=f"{patch.label}|{group.tag}",
                               checks=(check,))
@@ -279,5 +281,5 @@ def group_isometry_check(group: MotionGroup, thetas,
                          tol: float = 1e-12) -> CheckResult:
     """Largest metric defect of the group matrices over a theta set."""
     worst = float(np.max([isometry_defect(group, float(t)) for t in thetas]))
-    return CheckResult(f"isometry:{group.tag}", worst, tol, worst < tol,
+    return CheckResult(f"isometry:{group.tag}", worst, tol,
                        note=f"thetas {[float(t) for t in thetas]}")

@@ -491,6 +491,83 @@ def test_verify_curvature_suite_skips_without_target(tmp_path, capsys):
     assert "SKIP total-curvature" in capsys.readouterr().out
 
 
+# Each config tolerance with its default, as README lists them.
+_TOLERANCE_DEFAULTS = {
+    "oracle": 1e-8,
+    "mean_curvature": 1e-5,
+    "conformality": 1e-6,
+    "recovery_position": 1e-8,
+    "recovery_normal": 1e-6,
+    "equivariance": 1e-9,
+    "isometry": 1e-12,
+    "null_condition": 1e-10,
+    "forms_data": 1e-12,
+    "reconstruction": 1e-8,
+    "period": 1e-6,
+    "total_curvature_rel": 0.05,
+    "ode": 1e-12,
+    "identification": 1e-10,
+}
+
+
+def test_each_tolerance_keeps_its_default():
+    # an unknown key is refused in test_config_error_paths
+    assert build_job_config({"family": "bending-timelike"}).tolerances == (
+        _TOLERANCE_DEFAULTS)
+
+
+# The checks that read each tolerance, on the families that run them.
+_TOLERANCE_READERS = {
+    "oracle": "oracle-agreement",
+    "mean_curvature": "mean-curvature",
+    "conformality": "conformality",
+    "recovery_position": "core-curve",
+    "recovery_normal": "normal-field",
+    "equivariance": "equivariance",
+    "isometry": "isometry:rotation-timelike-axis",
+    "null_condition": "null-condition",
+    "forms_data": "forms-match-data",
+    "reconstruction": "pair-reconstruction",
+    "period": "period-phi1 period-phi2 period-phi3",
+    "total_curvature_rel": "total-curvature",
+    "ode": "generating-curve-ode",
+    "identification": "orbit-identification",
+}
+
+
+def test_each_tolerance_reaches_the_checks_that_read_it(tmp_path, capsys):
+    # a distinct value per key, so that each check shows whose it reads
+    values = {key: (i + 1) / 64 for i, key in enumerate(_TOLERANCE_READERS)}
+    read = {}
+    for family in ("bending-spacelike", "elliptic-catenoid",
+                   "enneper-second-kind"):
+        report = tmp_path / f"{family}.json"
+        assert main(["verify", "--family", family, "--a", "1",
+                     "--report", str(report)]
+                    + [f"--set=tolerances.{key}={value!r}"
+                       for key, value in values.items()]) in (0, 1)
+        for check in json.loads(report.read_text())["checks"]:
+            read[check["name"]] = check["tolerance"]
+    for key, names in _TOLERANCE_READERS.items():
+        for name in names.split():
+            assert read[name] == values[key], (key, name)
+
+
+@pytest.mark.parametrize("family", ["bending-spacelike",
+                                    "helicoidal-spacelike-ii"])
+@pytest.mark.parametrize("a", ["1e-300", "1e-10"])
+def test_periods_skip_a_twist_that_rounds_to_zero(tmp_path, capsys, family,
+                                                  a):
+    # at rate 0, phi1 has the real period 2 pi, which no check expects
+    report = tmp_path / "r.json"
+    assert main(["verify", "--family", family, "--a", a, "--suite", "all",
+                 "--report", str(report)]) == 0
+    got = json.loads(report.read_text())
+    assert {s["name"]: s["reason"] for s in got["skipped"]}["periods"] == (
+        "periods are checked at twist rates >= 1")
+    assert not any(c["name"].startswith("period") for c in got["checks"])
+
+
 # Skip reasons of `maxsurf verify`, by code; {fam} is the family id.
 _SKIP_REASONS = {
     "motion": "{fam} is not invariant under a motion group acting by "

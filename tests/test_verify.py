@@ -215,7 +215,7 @@ def test_isometry_defect_is_zero_for_exact_matrices():
 
 
 def test_check_result_serialization():
-    c = verify.CheckResult("demo", 1e-9, 1e-6, True, grid="3x3",
+    c = verify.CheckResult("demo", 1e-9, 1e-6, grid="3x3",
                            flagged=((0.0, 1.0),), note="n")
     d = c.to_dict()
     assert d["name"] == "demo"
@@ -225,6 +225,15 @@ def test_check_result_serialization():
     rep = verify.VerificationReport("label", (c,))
     assert rep.passed
     assert rep.to_dict()["checks"][0]["name"] == "demo"
+    # the verdict is derived from the residual and the tolerance, never stored
+    assert "passed" not in {f.name for f in dataclasses.fields(c)}
+    for residual, passed in ((np.nextafter(1e-6, 0.0), True), (1e-6, False),
+                             (2e-6, False), (np.inf, False), (np.nan, False),
+                             (np.float64(np.nan), False)):
+        d = dataclasses.replace(c, residual=residual).to_dict()
+        assert d["passed"] is passed, residual
+    assert not verify.VerificationReport(
+        "label", (c, dataclasses.replace(c, residual=np.nan))).passed
 
 
 def _four_scans(patch, grid, group):

@@ -21,6 +21,9 @@ The tree holds, for the `maxsurf` found on the import path:
 - the `verify --suite all` report and stdout of bending-timelike with
   `perturb=0.05`, a patch that is not analytic, so its derivatives take
   the Richardson stencil beside the grid's node values;
+- the `verify --suite periods` report and stdout of bending-spacelike and
+  helicoidal-spacelike-ii at a = 1e-10, an integer twist that rounds to 0,
+  where the periods check is skipped;
 - the stdout of bending-timelike refused in every suite on OVERFLOW_GRID,
   where cosh overflows: `verify` evaluates its grid before any check;
 - the `families` listing.
@@ -50,6 +53,9 @@ WIDE_GRID = '{"u_min":-3,"u_max":3,"v_min":-3,"v_max":3,"nu":21,"nv":21}'
 LOWER_FAMILIES = (catalog.BENDING_TIMELIKE, catalog.ELLIPTIC_CATENOID)
 LOWER_GRID = ('{"u_min":-1,"u_max":1,"v_min":-1.5,"v_max":-0.1,'
               '"nu":21,"nv":21}')
+# Families whose periods check is skipped at a twist that rounds to 0.
+ZERO_RATE_FAMILIES = (catalog.BENDING_SPACELIKE,
+                      catalog.HELICOIDAL_SPACELIKE_II)
 # A grid with non-finite nodes, which `verify` refuses before any check.
 OVERFLOW_GRID = ('{"u_min":700,"u_max":720,"v_min":-1,"v_max":1,'
                  '"nu":3,"nv":3}')
@@ -103,6 +109,10 @@ def jobs():
             name = f"verify-{fam}-all-{suffix}"
             yield name, ["verify", "--family", fam, "--suite", "all",
                          "--set", "grid=" + grid, "--report", name + ".json"]
+    for fam in ZERO_RATE_FAMILIES:
+        name = f"verify-{fam}-periods-a1e-10"
+        yield name, ["verify", "--family", fam, "--suite", "periods", "--a",
+                     "1e-10", "--report", name + ".json"]
     fam = catalog.BENDING_TIMELIKE
     name = f"verify-{fam}-all-perturb"
     yield name, ["verify", "--family", fam, "--suite", "all", "--set",
