@@ -23,9 +23,9 @@ from .lorentz import (CausalCharacter, ETA, causal_character, lorentz_cross,
 from .motions import (MotionGroup, isometry_defect, rotation_lightlike_axis,
                       rotation_spacelike_axis, rotation_timelike_axis,
                       screw_timelike_axis)
-from .verify import (CheckResult, FundamentalForms, Grid, VerificationReport,
-                     bjorling_recovery, conformality_residual, equivariance,
-                     fundamental_forms, mean_curvature_scan, spacelike_region)
+from .verify import (CheckResult, FundamentalForms, Grid, bjorling_recovery,
+                     conformality_residual, equivariance, fundamental_forms,
+                     mean_curvature_scan, spacelike_region)
 from .weierstrass import (FormTriple, Loop, WeierstrassData, dualize,
                           forms_for, gauss_map, integrate_forms, period,
                           reconstruct_forms, total_curvature,
@@ -37,20 +37,18 @@ __all__ = [
     "BjorlingData", "CatalogSurface", "CausalCharacter", "CheckResult",
     "CurveFamily", "DEFAULT_DOMAINS", "ETA", "FAMILY_INFO", "FormTriple",
     "FundamentalForms", "GeneratingCurve", "Grid", "Loop", "MotionGroup",
-    "NormalFieldSpec", "QuadratureError", "SurfacePatch",
-    "VerificationReport", "WeierstrassData", "bending_spacelike",
-    "bending_timelike", "bjorling_data_for", "bjorling_recovery",
-    "causal_character", "conformality_residual", "dualize",
-    "elliptic_catenoid", "enneper_second_kind", "equivariance",
+    "NormalFieldSpec", "QuadratureError", "SurfacePatch", "WeierstrassData",
+    "bending_spacelike", "bending_timelike", "bjorling_data_for",
+    "bjorling_recovery", "causal_character", "conformality_residual",
+    "dualize", "elliptic_catenoid", "enneper_second_kind", "equivariance",
     "eval_surface", "forms_for", "fundamental_forms", "gauss_map",
     "generating_curve_for", "helicoidal_spacelike_i",
     "helicoidal_spacelike_ii", "helicoidal_timelike",
-    "helicoidal_timelike_constant", "hyperbolic_catenoid",
-    "integrate_forms", "isometry_defect", "lightlike_rotational",
-    "lorentz_cross", "lorentz_dot", "lorentz_norm", "make_bjorling_data",
-    "make_curve", "make_normal_field", "mean_curvature_scan", "patch",
-    "period", "reconstruct_forms", "reference_normal",
-    "rotation_lightlike_axis", "rotation_spacelike_axis",
+    "helicoidal_timelike_constant", "hyperbolic_catenoid", "integrate_forms",
+    "isometry_defect", "lightlike_rotational", "lorentz_cross", "lorentz_dot",
+    "lorentz_norm", "make_bjorling_data", "make_curve", "make_normal_field",
+    "mean_curvature_scan", "patch", "period", "reconstruct_forms",
+    "reference_normal", "rotation_lightlike_axis", "rotation_spacelike_axis",
     "rotation_timelike_axis", "screw_timelike_axis", "segment_integral",
     "solve_bjorling", "spacelike_region", "total_curvature", "vec3",
     "weierstrass_pair",

@@ -139,8 +139,9 @@ def build_job_config(raw: dict) -> JobConfig:
     thetas = raw.get("thetas", [-1.0, -0.3, 0.3, 1.0])
     if not isinstance(thetas, list) or not thetas:
         raise ConfigError(f"thetas must be a non-empty list, got {thetas!r}")
-    for key in ("out", "report"):
-        if not isinstance(raw.get(key), (str, type(None))):
+    for key in ("out", "report"):  # "" would read as no path
+        if raw.get(key) == "" or not isinstance(raw.get(key),
+                                                (str, type(None))):
             raise ConfigError(f"{key} must be a path string or null, "
                               f"got {raw[key]!r}")
     annulus = raw.get("annulus", [1e-3, 1e3])
@@ -637,9 +638,11 @@ def _identification(job):
 def _recovery(job):
     tols = job.cfg.tolerances
     ug = np.linspace(job.grid.u_min, job.grid.u_max, 21)
-    return verify.bjorling_recovery(
-        job.patch, job.data, ug, position_tol=tols["recovery_position"],
-        normal_tol=tols["recovery_normal"]).checks
+    pos, normal, note = verify.bjorling_recovery(job.patch, job.data, ug)
+    where = f"u in [{ug[0]:g},{ug[-1]:g}], {ug.size} samples"
+    return [CheckResult("core-curve", pos, tols["recovery_position"], where),
+            CheckResult("normal-field", normal, tols["recovery_normal"],
+                        where, note=note)]
 
 
 @_verifies("equivariance", ("equivariance",),
@@ -647,11 +650,15 @@ def _recovery(job):
            or f"{job.surface.family} is not invariant under a motion group "
               "acting by parameter shift", equivariance=1e-9, isometry=1e-12)
 def _equivariance(job):
+    tols, thetas = job.cfg.tolerances, job.cfg.thetas
     group = job.info.group(job.surface)
-    rep = verify.equivariance(job.patch, group, job.cfg.thetas, job.grid,
-                              tol=job.cfg.tolerances["equivariance"])
-    return [*rep.checks, verify.group_isometry_check(
-        group, job.cfg.thetas, tol=job.cfg.tolerances["isometry"])]
+    note = f"thetas {list(thetas)}"
+    residual = verify.equivariance(job.patch, group, thetas, job.grid)
+    defect = float(np.max([verify.isometry_defect(group, t) for t in thetas]))
+    return [CheckResult("equivariance", residual, tols["equivariance"],
+                        job.grid.describe(), note=note),
+            CheckResult(f"isometry:{group.tag}", defect, tols["isometry"],
+                        note=note)]
 
 
 @_verifies("forms", (), lambda job: job.info.forms is not None,

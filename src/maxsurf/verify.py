@@ -1,10 +1,12 @@
 """Numerical verification of surface patches.
 
-Everything here works on a SurfacePatch through bjorling.derivatives, so
-the same checks apply to closed-form catalog patches and to
+Everything here measures a SurfacePatch through bjorling.derivatives, so
+the same measurements apply to closed-form catalog patches and to
 quadrature-built Björling patches: fundamental forms, mean curvature
 residual, the spacelike mask, recovery of the prescribed core curve and
-normal field, and equivariance under the rigid motion groups.
+normal field, and equivariance under the rigid motion groups.  They
+return residuals; `maxsurf verify` names each check, sets its tolerance
+and judges it as a CheckResult.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import numpy as np
 from .bjorling import (_MAX_NODES, _PASS_POINTS, SurfacePatch, derivatives,
                        reference_normal, shifted_values)
 from .lorentz import lorentz_cross, lorentz_dot
-from .motions import MotionGroup, isometry_defect
+from .motions import MotionGroup, isometry_defect  # noqa: F401 (re-exported)
 
 __all__ = [
-    "Grid", "FundamentalForms", "CheckResult", "VerificationReport",
-    "fundamental_forms", "mean_curvature_scan", "conformality_residual",
-    "spacelike_region", "grid_stencil", "bjorling_recovery", "equivariance",
-    "group_isometry_check",
+    "Grid", "FundamentalForms", "CheckResult", "fundamental_forms",
+    "mean_curvature_scan", "conformality_residual", "spacelike_region",
+    "grid_stencil", "bjorling_recovery", "equivariance",
 ]
 
 
@@ -140,7 +141,8 @@ def mean_curvature_scan(patch: SurfacePatch, grid: Grid, h: float = 1e-3,
 
     Returns (max residual over kept nodes, list of excluded (u, v)).  Nodes
     where E G - F^2 <= exclude_tol are excluded, as the residual divides by
-    it; the default is kept from when it matched the Richardson error.
+    it; the bound is absolute, so what it excludes depends on the scale of
+    the surface.
     `stencil`, if given, is grid_stencil(patch, grid, h), computed once.
     """
     ff = _forms(stencil or grid_stencil(patch, grid, h), exclude_tol)
@@ -211,75 +213,35 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Bundle of check results under one label."""
+def bjorling_recovery(patch: SurfacePatch, data, u_grid):
+    """Residuals of a patch against its prescribed curve and normal field.
 
-    label: str
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {"label": self.label, "passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks]}
-
-
-def bjorling_recovery(patch: SurfacePatch, data, u_grid,
-                      position_tol: float = 1e-8, normal_tol: float = 1e-6,
-                      h: float = 1e-4) -> VerificationReport:
-    """Check that a patch reproduces its prescribed curve and normal field.
-
+    Returns (position residual, normal residual, note) over the sampled u.
     The normal sign is resolved once per patch (the construction fixes it
     only up to orientation) and the same sign is then required at every
-    sampled u.
+    sampled u; the note gives it, or, with an infinite normal residual,
+    why reference_normal found no normal.
     """
     us = np.asarray(u_grid, dtype=float)
-    core = patch(us, 0.0)
     alpha = np.real(np.asarray(data.alpha(us)))
-    pos_res = float(np.max(np.abs(core - alpha)))
-
+    pos_res = float(np.max(np.abs(patch(us, 0.0) - alpha)))
     try:
-        normals = reference_normal(patch, us, h=h)
+        normals = reference_normal(patch, us)
     except ValueError as exc:
-        normal_res, note = float("inf"), str(exc)
-    else:
-        field = np.real(np.asarray(data.normal_field(us)))
-        d_plus = float(np.max(np.abs(normals - field)))
-        d_minus = float(np.max(np.abs(normals + field)))
-        normal_res = min(d_plus, d_minus)
-        note = f"sign {1 if d_plus <= d_minus else -1:+d}"
-
-    grid_desc = f"u in [{us.min():g},{us.max():g}], {us.size} samples"
-    checks = (
-        CheckResult("core-curve", pos_res, position_tol, grid_desc),
-        CheckResult("normal-field", normal_res, normal_tol, grid_desc,
-                    note=note),
-    )
-    return VerificationReport(label=patch.label or "bjorling-recovery",
-                              checks=checks)
+        return pos_res, float("inf"), str(exc)
+    field = np.real(np.asarray(data.normal_field(us)))
+    d_plus = float(np.max(np.abs(normals - field)))
+    d_minus = float(np.max(np.abs(normals + field)))
+    return (pos_res, min(d_plus, d_minus),
+            f"sign {1 if d_plus <= d_minus else -1:+d}")
 
 
-def equivariance(patch: SurfacePatch, group: MotionGroup, thetas, grid: Grid,
-                 tol: float = 1e-9) -> VerificationReport:
-    """Check Psi(theta) X(u, v) = X(u + theta, v) over a theta set and grid."""
+def equivariance(patch: SurfacePatch, group: MotionGroup, thetas,
+                 grid: Grid) -> float:
+    """Largest |Psi(theta) X(u, v) - X(u + theta, v)| over a theta set and
+    grid; np.max, unlike max, keeps a NaN residual, which then fails."""
     base, *targets = shifted_values(
         patch, *grid.mesh(sparse=patch.broadcasts),
         [(0.0, 0.0)] + [(theta, 0.0) for theta in thetas])
-    # np.max, unlike max, keeps a NaN residual, which then fails
-    worst = float(np.max([np.max(np.abs(group.apply(theta, base) - target))
-                          for theta, target in zip(thetas, targets)]))
-    check = CheckResult("equivariance", worst, tol, grid.describe(),
-                        note=f"thetas {[float(t) for t in thetas]}")
-    return VerificationReport(label=f"{patch.label}|{group.tag}",
-                              checks=(check,))
-
-
-def group_isometry_check(group: MotionGroup, thetas,
-                         tol: float = 1e-12) -> CheckResult:
-    """Largest metric defect of the group matrices over a theta set."""
-    worst = float(np.max([isometry_defect(group, float(t)) for t in thetas]))
-    return CheckResult(f"isometry:{group.tag}", worst, tol,
-                       note=f"thetas {[float(t) for t in thetas]}")
+    return float(np.max([np.max(np.abs(group.apply(theta, base) - target))
+                         for theta, target in zip(thetas, targets)]))

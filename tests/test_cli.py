@@ -806,6 +806,8 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
                                   f"{cli._FORMATS}, got ['png']"),
             (["fd_step=-1"], "fd_step must be positive, got -1.0"),
             (["thetas=[]"], "thetas must be a non-empty list, got []"),
+            (['report=""'], "report must be a path string or null, got ''"),
+            (['out=""'], "out must be a path string or null, got ''"),
             (["annulus=[1]"], "annulus must be a pair, got [1]"),
             (["=5"], "override '=5' has an empty path"),
             (["a=1", "a.b=1"], "cannot override through scalar field 'a'")):
@@ -945,6 +947,9 @@ def test_no_config_ends_in_a_traceback(tmp_path, command, raw):
     (["verify", "--family", "lightlike-rotational", "--set",
       "thetas=[0.3,1e200]", "--suite", "equivariance"], 1,
      "FAIL equivariance: residual nan"),
+    (["verify", "--family", "lightlike-rotational", "--set",
+      "thetas=[0.3,1e200]", "--suite", "equivariance"], 1,
+     "FAIL isometry:rotation-lightlike-axis: residual nan"),
     (["verify", "--family", "hyperbolic-catenoid", "--set",
       "thetas=[0.3,800]", "--suite", "equivariance"], 1,
      "FAIL equivariance: residual nan"),

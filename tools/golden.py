@@ -26,6 +26,8 @@ The tree holds, for the `maxsurf` found on the import path:
   where the periods check is skipped;
 - the stdout of bending-timelike refused in every suite on OVERFLOW_GRID,
   where cosh overflows: `verify` evaluates its grid before any check;
+- the stdout of bending-timelike `verify --report ""` and
+  `sample --out ""`, refused: an empty path is not read as no path;
 - the `families` listing.
 
 Each stdout file ends with the exit code.  `OUTDIR/SHA256SUMS` lists every
@@ -121,6 +123,9 @@ def jobs():
         name = f"verify-{fam}-{suite}-overflow"
         yield name, ["verify", "--family", fam, "--suite", suite, "--set",
                      "grid=" + OVERFLOW_GRID, "--report", name + ".json"]
+    yield f"verify-{fam}-periods-empty-report", [
+        "verify", "--family", fam, "--suite", "periods", "--report", ""]
+    yield f"sample-{fam}-empty-out", ["sample", "--family", fam, "--out", ""]
 
 
 def main(argv=None) -> int:
