@@ -58,8 +58,7 @@ class Param:
     default: float | None = None
 
     def check(self, family: str, value):
-        if not self.test(value):
-            raise ValueError(f"{family} needs {self.text}, got {value}")
+        frames.check_range(family, self.text, self.test, value)
 
 
 @dataclass(frozen=True)
@@ -386,14 +385,21 @@ EXP_CHART = "exp"
 PUNCTURED_CHART = "punctured"
 
 
+def integer_rate(a: float) -> int | None:
+    """The integer n with |a - n| <= 1e-9, else None (NaN and ±inf too)."""
+    if np.isfinite(a) and abs(a - round(float(a))) <= 1e-9:
+        return round(float(a))
+    return None
+
+
 def cpow(z, a):
-    """Principal-branch power with an exact path for integer exponents
-    (z itself for 1, which numpy would send through its general loop)."""
+    """Principal-branch power, exact at an integer_rate exponent (z itself
+    for 1, which numpy would send through its general loop)."""
     z = np.asarray(z, dtype=complex)
-    n = round(a)
-    if abs(a - n) < 1e-12:
-        return z if n == 1 else z ** int(n)
-    return z ** a
+    n = integer_rate(a)
+    if n is None:
+        return z ** a
+    return z if n == 1 else z ** n
 
 
 def _forms_bending_timelike(a):
@@ -501,11 +507,6 @@ def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu):
     return forms
 
 
-def integer_twist(surface: CatalogSurface) -> bool:
-    """Whether the twist rate is integral (punctured forms are rational)."""
-    return abs(surface.a - round(surface.a)) <= 1e-9
-
-
 # ---------------------------------------------------------------------------
 # the family registry
 
@@ -521,8 +522,8 @@ FAMILY_INFO = {
         punctured=lambda s: _forms_bending_spacelike_punctured(s.a),
         unit_period=lambda s: -np.pi,
         curvature=lambda s: (
-            (PUNCTURED_CHART, -4.0 * np.pi * (round(s.a) + 1))
-            if integer_twist(s) else None)),
+            None if (n := integer_rate(s.a)) is None
+            else (PUNCTURED_CHART, -4.0 * np.pi * (n + 1)))),
     LIGHTLIKE_ROTATIONAL: _bjorling(
         frames.CIRCLE_LIGHTLIKE, "constant", (-1.0, 1.0, -0.9, 0.9),
         lambda s, u, v: _eval_lightlike_rotational(s.a, u, v),

@@ -666,8 +666,8 @@ def _equivariance(job):
 def _forms(job):
     tols = job.cfg.tolerances
     triple = weierstrass.forms_for(job.surface)
-    zs = weierstrass.probe_ring(100)
-    ring = "ring |z-0.07i|=0.8"
+    zs, center = weierstrass.probe_ring(100), weierstrass._PROBE_CENTER
+    ring = f"ring |z-{center.imag:g}i|={weierstrass._PROBE_RADIUS:g}"
     values = triple(zs)
     direct = job.data.alpha.d(zs) + 1j * job.data.integrand(zs)
     rec = weierstrass.reconstruct_forms(weierstrass.weierstrass_pair(triple))
@@ -682,10 +682,10 @@ def _forms(job):
 def _periods_rule(job):
     if job.info.punctured is None:
         return f"{job.surface.family} has no punctured chart"
-    if not catalog.integer_twist(job.surface):
+    n = catalog.integer_rate(job.surface.a)
+    if n is None:
         return "forms are meromorphic only for integer twist rate"
-    return (round(job.surface.a) >= 1
-            or "periods are checked at twist rates >= 1")
+    return n >= 1 or "periods are checked at twist rates >= 1"
 
 
 @_verifies("periods", ("periods",), _periods_rule, period=1e-6)
@@ -694,7 +694,7 @@ def _periods(job):
     tol = job.cfg.tolerances["period"]
     triple = weierstrass.forms_for(s, weierstrass.PUNCTURED_CHART)
     loop = weierstrass.Loop(0j, 1.0)
-    second = job.info.unit_period(s) if round(s.a) == 1 else 0.0
+    second = job.info.unit_period(s) if catalog.integer_rate(s.a) == 1 else 0.0
     checks = []
     values = weierstrass.period(triple, (1, 2, 3), loop)
     for k, expected, value in zip((1, 2, 3), (0.0, second, 0.0), values):

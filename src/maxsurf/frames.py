@@ -62,6 +62,13 @@ TWIST_RANGES = {
 }
 
 
+def check_range(owner: str, text: str, test: Callable[[float], bool], value):
+    """Refuse a family parameter that is not finite or fails its range test,
+    with ValueError "<owner> needs <text>, got <value>"."""
+    if not (np.isfinite(value) and test(value)):
+        raise ValueError(f"{owner} needs {text}, got {value}")
+
+
 @dataclass(frozen=True)
 class AnalyticMap:
     """Evaluator of a closed-form analytic map C -> C^3 (or C -> C).
@@ -102,11 +109,7 @@ class CurveFamily:
             return
         if self.lam is None:
             raise ValueError(f"{self.tag} requires a pitch lam")
-        lam = float(self.lam)
-        text, test = PITCH_RANGES[self.tag]
-        if not test(lam):
-            raise ValueError(f"{self.tag} needs {text} for a spacelike "
-                             f"curve, got {lam}")
+        check_range(self.tag, *PITCH_RANGES[self.tag], self.lam)
 
     @property
     def mu(self) -> float | None:
@@ -135,9 +138,7 @@ class NormalFieldSpec:
     def __post_init__(self):
         if self.kind not in TWIST_RANGES:
             raise ValueError(f"normal field kind must be 'constant' or 'linear', got {self.kind!r}")
-        text, test = TWIST_RANGES[self.kind]
-        if not test(self.a):
-            raise ValueError(f"{self.kind} twist needs {text}, got {self.a}")
+        check_range(f"{self.kind} twist", *TWIST_RANGES[self.kind], self.a)
 
     def phi(self, t):
         if self.kind == "constant":

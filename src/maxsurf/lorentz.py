@@ -77,9 +77,12 @@ def causal_character(v, tol: float | None = None) -> CausalCharacter:
 
     A vector is lightlike when |<v, v>| <= tol; the default tolerance scales
     with the squared Euclidean magnitude so that e.g. 1e6*(1,0,1) still
-    classifies as lightlike.
+    classifies as lightlike.  A vector that is not finite has no character
+    and raises ValueError.
     """
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"causal character needs a finite vector, got {v}")
     if tol is None:
         tol = default_lightlike_tol(v)
     q = float(lorentz_dot(v, v))

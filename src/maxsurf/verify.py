@@ -12,6 +12,7 @@ and judges it as a CheckResult.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,6 +41,9 @@ class Grid:
     nv: int = 21
 
     def __post_init__(self):
+        if not all(isinstance(n, Integral) for n in (self.nu, self.nv)):
+            raise ValueError(f"grid node counts must be integers, got "
+                             f"{self.nu!r}x{self.nv!r}")
         if self.nu < 2 or self.nv < 2:
             raise ValueError(f"grid needs at least 2x2 nodes, got {self.nu}x{self.nv}")
         if int(self.nu) * int(self.nv) > _MAX_NODES:

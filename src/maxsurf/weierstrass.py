@@ -107,6 +107,9 @@ def forms_for(surface: CatalogSurface, chart: str = EXP_CHART) -> FormTriple:
                       label=f"forms:{fam}:{chart}")
 
 
+_PROBE_CENTER, _PROBE_RADIUS = 0.07j, 0.8  # probe_ring's circle
+
+
 def probe_ring(n: int):
     """n equally spaced points on the circle |z - 0.07i| = 0.8.
 
@@ -114,7 +117,7 @@ def probe_ring(n: int):
     punctured-chart origin; form identities are sampled on it.
     """
     k = np.arange(n)
-    return 0.8 * np.exp(2j * np.pi * k / n) + 0.07j
+    return _PROBE_RADIUS * np.exp(2j * np.pi * k / n) + _PROBE_CENTER
 
 
 def weierstrass_pair(triple: FormTriple) -> WeierstrassData:

@@ -88,6 +88,13 @@ def test_parameter_validation():
         catalog.enneper_second_kind(0.0, 0.5)
     with pytest.raises(ValueError):
         catalog.CatalogSurface("no-such-family")
+    # a parameter that is not finite is in no range, "real" included
+    with pytest.raises(ValueError, match="^bending-spacelike needs a > 0, "
+                                         "got inf$"):
+        catalog.bending_spacelike(np.inf)
+    with pytest.raises(ValueError, match="^enneper-second-kind needs real, "
+                                         "got nan$"):
+        catalog.enneper_second_kind(1.0, np.nan)
 
     # (just inside, just outside) each side of each range in the registry
     def up(x):
@@ -108,6 +115,14 @@ def test_parameter_validation():
                 catalog.CatalogSurface(fam, **{**valid, p.name: inside})
                 with pytest.raises(ValueError):
                     catalog.CatalogSurface(fam, **{**valid, p.name: outside})
+
+
+@pytest.mark.parametrize("a, rate", [
+    (2.0, 2), (2.0000000005, 2), (1.9999999995, 2), (2.000000002, None),
+    (1e-10, 0), (-3.0, -3), (2.5, None),
+    (np.inf, None), (-np.inf, None), (np.nan, None)])
+def test_integer_rate(a, rate):
+    assert catalog.integer_rate(a) == rate
 
 
 def test_helix_speed_property():

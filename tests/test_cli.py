@@ -568,6 +568,21 @@ def test_periods_skip_a_twist_that_rounds_to_zero(tmp_path, capsys, family,
     assert not any(c["name"].startswith("period") for c in got["checks"])
 
 
+@pytest.mark.parametrize("suite", ["periods", "curvature"])
+def test_a_twist_within_the_integer_rule_is_checked_at_the_integer(
+        tmp_path, suite):
+    # catalog.integer_rate decides both that these checks run and that the
+    # punctured forms take z^2 exactly, so no check integrates across the
+    # principal branch's cut
+    checks = []
+    for a in ("2", "2.0000000005"):
+        report = tmp_path / f"r{a}.json"
+        assert main(["verify", "--family", "bending-spacelike", "--a", a,
+                     "--suite", suite, "--report", str(report)]) == 0
+        checks.append(json.loads(report.read_text())["checks"])
+    assert checks[0] and checks[1] == checks[0]
+
+
 # Skip reasons of `maxsurf verify`, by code; {fam} is the family id.
 _SKIP_REASONS = {
     "motion": "{fam} is not invariant under a motion group acting by "

@@ -160,6 +160,9 @@ def test_twist_parameter_validation():
         NormalFieldSpec("constant", -0.1)
     with pytest.raises(ValueError):
         NormalFieldSpec("linear", 0.0)
+    with pytest.raises(ValueError, match="^constant twist needs a >= 0, "
+                                         "got inf$"):
+        NormalFieldSpec("constant", np.inf)
     with pytest.raises(ValueError, match="^normal field kind must be "
                                          "'constant' or 'linear', got "
                                          "'quadratic'$"):
@@ -180,6 +183,9 @@ def test_helix_pitch_validation():
         CurveFamily(frames.HELIX_SPACELIKE_I, 1.0)  # needs lam > 1
     with pytest.raises(ValueError):
         CurveFamily(frames.HELIX_SPACELIKE_II, 0.0)  # needs lam > 0
+    with pytest.raises(ValueError, match=f"^{frames.HELIX_SPACELIKE_II} "
+                                         "needs lam > 0, got inf$"):
+        CurveFamily(frames.HELIX_SPACELIKE_II, np.inf)
     with pytest.raises(ValueError, match="^unknown curve family 'spiral'; "
                                          "expected one of "):
         CurveFamily("spiral")

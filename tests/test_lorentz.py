@@ -53,6 +53,14 @@ def test_causal_characters():
     assert causal_character(vec3(3, 4, 5)) is CausalCharacter.LIGHTLIKE
 
 
+@pytest.mark.parametrize("v", [vec3(np.nan, 0, 0), vec3(np.inf, 0, 0),
+                               vec3(0, 0, -np.inf)])
+def test_causal_character_refuses_a_vector_that_is_not_finite(v):
+    with pytest.raises(ValueError, match="^causal character needs a finite "
+                                         "vector"):
+        causal_character(v)
+
+
 def test_causal_character_tolerance_scales_with_magnitude():
     big = vec3(1e8, 0.0, 1e8 + 1e-4)
     assert causal_character(big) is CausalCharacter.LIGHTLIKE

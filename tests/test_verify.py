@@ -115,6 +115,12 @@ def test_grid_validation_and_axes():
         Grid(1, 0, 0, 1, nu=5, nv=5)
     with pytest.raises(ValueError):
         Grid(0, np.inf, 0, 1, nu=5, nv=5)
+    for nu, nv in ((2.5, 3), (3, 3.0)):
+        with pytest.raises(ValueError, match="^grid node counts must be "
+                                             "integers"):
+            Grid(0, 1, 0, 1, nu=nu, nv=nv)
+    us, vs = Grid(0, 1, 0, 1, nu=np.int64(5), nv=np.int32(3)).axes()
+    assert (us.size, vs.size) == (5, 3)
     g = Grid(-1, 1, -2, 2, nu=5, nv=9)
     us, vs = g.axes()
     assert us[0] == -1 and us[-1] == 1 and len(us) == 5

@@ -914,5 +914,8 @@ def test_integrate_forms_controls_its_error_on_a_long_segment(surface):
 def test_cpow_integer_exponents_cross_the_branch_cut():
     z = np.array([-1.0 + 1e-12j, -1.0 - 1e-12j])
     assert np.max(np.abs(catalog.cpow(z, 3) - (-1.0))) < 1e-11
+    # an exponent within catalog.integer_rate's 1e-9 of 2 is the integer 2,
+    # as for the checks that read the punctured forms
+    assert catalog.cpow(z, 2 + 5e-10).tobytes() == catalog.cpow(z, 2).tobytes()
     # non-integer exponents keep the principal branch
     assert catalog.cpow(np.array([-1.0 + 0j]), 0.5)[0] == pytest.approx(1j)

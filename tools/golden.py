@@ -24,6 +24,9 @@ The tree holds, for the `maxsurf` found on the import path:
 - the `verify --suite periods` report and stdout of bending-spacelike and
   helicoidal-spacelike-ii at a = 1e-10, an integer twist that rounds to 0,
   where the periods check is skipped;
+- the `verify --suite periods` and `--suite curvature` reports and stdout
+  of bending-spacelike at a = 2.0000000005, within catalog.integer_rate's
+  1e-9 of 2, whose checks read the a = 2 forms;
 - the stdout of bending-timelike refused in every suite on OVERFLOW_GRID,
   where cosh overflows: `verify` evaluates its grid before any check;
 - the stdout of bending-timelike `verify --report ""` and
@@ -58,6 +61,10 @@ LOWER_GRID = ('{"u_min":-1,"u_max":1,"v_min":-1.5,"v_max":-0.1,'
 # Families whose periods check is skipped at a twist that rounds to 0.
 ZERO_RATE_FAMILIES = (catalog.BENDING_SPACELIKE,
                       catalog.HELICOIDAL_SPACELIKE_II)
+# A twist that catalog.integer_rate takes as the integer 2, and the suites
+# whose checks it decides.
+NEAR_INTEGER_TWIST = "2.0000000005"
+NEAR_INTEGER_SUITES = ("periods", "curvature")
 # A grid with non-finite nodes, which `verify` refuses before any check.
 OVERFLOW_GRID = ('{"u_min":700,"u_max":720,"v_min":-1,"v_max":1,'
                  '"nu":3,"nv":3}')
@@ -115,6 +122,11 @@ def jobs():
         name = f"verify-{fam}-periods-a1e-10"
         yield name, ["verify", "--family", fam, "--suite", "periods", "--a",
                      "1e-10", "--report", name + ".json"]
+    fam = catalog.BENDING_SPACELIKE
+    for suite in NEAR_INTEGER_SUITES:
+        name = f"verify-{fam}-{suite}-a{NEAR_INTEGER_TWIST}"
+        yield name, ["verify", "--family", fam, "--suite", suite, "--a",
+                     NEAR_INTEGER_TWIST, "--report", name + ".json"]
     fam = catalog.BENDING_TIMELIKE
     name = f"verify-{fam}-all-perturb"
     yield name, ["verify", "--family", fam, "--suite", "all", "--set",
