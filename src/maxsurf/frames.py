@@ -31,7 +31,9 @@ so no e^{2|v|}-sized terms cancel far from the real axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -63,9 +65,10 @@ TWIST_RANGES = {
 
 
 def check_range(owner: str, text: str, test: Callable[[float], bool], value):
-    """Refuse a family parameter that is not finite or fails its range test,
-    with ValueError "<owner> needs <text>, got <value>"."""
-    if not (np.isfinite(value) and test(value)):
+    """Refuse a family parameter that is not a finite real, or fails its range
+    test, with ValueError "<owner> needs <text>, got <value>"."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (math.isfinite(value) and test(value))):
         raise ValueError(f"{owner} needs {text}, got {value}")
 
 

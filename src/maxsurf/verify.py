@@ -12,7 +12,7 @@ and judges it as a CheckResult.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class Grid:
     nv: int = 21
 
     def __post_init__(self):
-        if not all(isinstance(n, Integral) for n in (self.nu, self.nv)):
+        if not all(isinstance(n, Integral) and not isinstance(n, bool)
+                   for n in (self.nu, self.nv)):
             raise ValueError(f"grid node counts must be integers, got "
                              f"{self.nu!r}x{self.nv!r}")
         if self.nu < 2 or self.nv < 2:
@@ -50,7 +51,7 @@ class Grid:
             raise ValueError(f"grid needs at most {_MAX_NODES} nodes, got "
                              f"{self.nu}x{self.nv}")
         bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
-        if not all(np.isfinite(b) for b in bounds):
+        if not all(isinstance(b, Real) and np.isfinite(b) for b in bounds):
             raise ValueError(f"grid bounds must be finite, got {bounds}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"grid bounds must be increasing, got {bounds}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Complex, Real
 from typing import Callable
 
 import numpy as np
@@ -209,7 +210,8 @@ class Loop:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.center) and 0 < self.radius < math.inf):
+        if not (isinstance(self.center, Complex) and isinstance(self.radius, Real)
+                and np.isfinite(self.center) and 0 < self.radius < math.inf):
             raise ValueError(f"loop needs a finite center and a finite positive"
                              f" radius, got {self.center}, {self.radius}")
 
@@ -300,8 +302,9 @@ def _spherical_density(w: WeierstrassData, z, h):
 
 
 def check_curvature_domain(annulus):
-    """Raise ValueError unless 0 < r_in < r_out < inf."""
-    if not 0 < annulus[0] < annulus[1] < math.inf:
+    """Raise ValueError unless the radii are reals, 0 < r_in < r_out < inf."""
+    if (not all(isinstance(r, Real) for r in annulus)
+            or not 0 < annulus[0] < annulus[1] < math.inf):
         raise ValueError(f"annulus needs 0 < r_in < r_out < inf, "
                          f"got {annulus}")
 

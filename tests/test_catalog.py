@@ -95,6 +95,17 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="^enneper-second-kind needs real, "
                                          "got nan$"):
         catalog.enneper_second_kind(1.0, np.nan)
+    # nor is a value that is not a real number, a bool included
+    for make, message in (
+            (lambda: catalog.bending_timelike("1"), "a > 0, got 1"),
+            (lambda: catalog.bending_timelike(None), "a > 0, got None"),
+            (lambda: catalog.bending_timelike(True), "a > 0, got True"),
+            (lambda: catalog.enneper_second_kind(1.0, "0"), "real, got 0"),
+            (lambda: catalog.CatalogSurface(catalog.HELICOIDAL_TIMELIKE,
+                                            a=1.0, lam=None),
+             "0 < lam < 1, got None")):
+        with pytest.raises(ValueError, match=f" needs {message}$"):
+            make()
 
     # (just inside, just outside) each side of each range in the registry
     def up(x):

@@ -163,6 +163,10 @@ def test_twist_parameter_validation():
     with pytest.raises(ValueError, match="^constant twist needs a >= 0, "
                                          "got inf$"):
         NormalFieldSpec("constant", np.inf)
+    for a in (None, "1", True):
+        with pytest.raises(ValueError, match="^constant twist needs a >= 0, "
+                                             f"got {a}$"):
+            NormalFieldSpec("constant", a)
     with pytest.raises(ValueError, match="^normal field kind must be "
                                          "'constant' or 'linear', got "
                                          "'quadratic'$"):
@@ -186,6 +190,9 @@ def test_helix_pitch_validation():
     with pytest.raises(ValueError, match=f"^{frames.HELIX_SPACELIKE_II} "
                                          "needs lam > 0, got inf$"):
         CurveFamily(frames.HELIX_SPACELIKE_II, np.inf)
+    with pytest.raises(ValueError, match=f"^{frames.HELIX_TIMELIKE} needs "
+                                         "0 < lam < 1, got 0.5$"):
+        CurveFamily(frames.HELIX_TIMELIKE, "0.5")
     with pytest.raises(ValueError, match="^unknown curve family 'spiral'; "
                                          "expected one of "):
         CurveFamily("spiral")

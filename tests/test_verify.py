@@ -115,7 +115,9 @@ def test_grid_validation_and_axes():
         Grid(1, 0, 0, 1, nu=5, nv=5)
     with pytest.raises(ValueError):
         Grid(0, np.inf, 0, 1, nu=5, nv=5)
-    for nu, nv in ((2.5, 3), (3, 3.0)):
+    with pytest.raises(ValueError, match="^grid bounds must be finite"):
+        Grid("0", 1, 0, 1)
+    for nu, nv in ((2.5, 3), (3, 3.0), (True, 3)):
         with pytest.raises(ValueError, match="^grid node counts must be "
                                              "integers"):
             Grid(0, 1, 0, 1, nu=nu, nv=nv)

@@ -602,7 +602,8 @@ def test_period_guards_singularity_on_the_contour():
 
 def test_loop_validation():
     for center, radius in ((0j, 0.0), (0j, -1.0), (0j, np.inf), (0j, np.nan),
-                           (np.nan + 0j, 1.0), (complex(0, np.inf), 1.0)):
+                           (np.nan + 0j, 1.0), (complex(0, np.inf), 1.0),
+                           (0j, "1"), ("0", 1.0)):
         with pytest.raises(ValueError, match="finite center and a finite "
                                              "positive radius"):
             W.Loop(center, radius)
@@ -637,7 +638,8 @@ def test_total_curvature_validates_its_annulus():
         W.total_curvature(wd, (1.0, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for annulus in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0)):
+        for annulus in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0),
+                        ("a", 2)):
             with pytest.raises(ValueError, match="r_out < inf"):
                 W.total_curvature(wd, annulus)
 
