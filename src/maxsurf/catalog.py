@@ -27,7 +27,7 @@ forms, punctured, unit_period and curvature, read by weierstrass and cli.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ HELICOIDAL_TIMELIKE_CONSTANT = "helicoidal-timelike-constant"
 ENNEPER_SECOND_KIND = "enneper-second-kind"
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A CatalogSurface field that a family reads: its range as text and as
     a test, and the value `maxsurf` uses when none is given."""
 
@@ -61,8 +60,7 @@ class Param:
         frames.check_range(family, self.text, self.test, value)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """The facts of one family.
 
     curve and twist name its Björling data, a frames curve tag and a

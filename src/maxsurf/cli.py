@@ -21,11 +21,12 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import catalog, verify, weierstrass
+from . import catalog, frames, verify, weierstrass
 from .bjorling import (_PASS_POINTS, NODES, QuadratureError, SurfacePatch,
                        solve_bjorling)
 from .verify import CheckResult, Grid
@@ -43,8 +44,7 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
-@dataclass
-class JobConfig:
+class JobConfig(NamedTuple):
     family: str
     a: float | None
     lam: float | None
@@ -63,9 +63,7 @@ class JobConfig:
 
 
 def _number(value, where):
-    # abs(nan) <= max is False; an int above max has no float to become.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
+    if not frames.finite_real(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
@@ -114,7 +112,7 @@ def build_job_config(raw: dict) -> JobConfig:
     """Validate a raw config dict into a JobConfig; raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - {_key(f.name) for f in fields(JobConfig)}
+    unknown = set(raw) - set(map(_key, JobConfig._fields))
     if unknown:
         raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
     family = raw.get("family")
@@ -539,17 +537,16 @@ def cmd_sample(cfg: JobConfig) -> int:
     return 0
 
 
-@dataclass(frozen=True)
 class _Job:
-    """What the checks of one `verify` run read."""
+    """What the checks of one `verify` run read.  values are _grid_values,
+    as `sample` evaluates its grid; data is catalog.bjorling_data_for, or
+    None without info.curve."""
 
-    cfg: JobConfig
-    surface: catalog.CatalogSurface
-    patch: SurfacePatch
-    grid: Grid
-    info: catalog.Family
-    values: np.ndarray  # _grid_values, as `sample` evaluates its grid
-    data: object  # catalog.bjorling_data_for, or None without info.curve
+    def __init__(self, cfg: JobConfig, surface: catalog.CatalogSurface,
+                 patch: SurfacePatch, grid: Grid, info: catalog.Family,
+                 values: np.ndarray, data):
+        self.cfg, self.surface, self.patch = cfg, surface, patch
+        self.grid, self.info, self.values, self.data = grid, info, values, data
 
     @functools.cached_property
     def stencil(self):  # verify.grid_stencil, built when a check reads it

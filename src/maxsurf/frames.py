@@ -32,9 +32,9 @@ so no e^{2|v|}-sized terms cancel far from the real axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from numbers import Real
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,16 +64,23 @@ TWIST_RANGES = {
 }
 
 
+def finite_real(value) -> bool:
+    """Whether value is an int, a float or a numpy real scalar, not a bool,
+    whose float is finite: an int above the largest float has none."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating))
+            and (abs(value) <= sys.float_info.max if isinstance(value, int)
+                 else math.isfinite(value)))
+
+
 def check_range(owner: str, text: str, test: Callable[[float], bool], value):
-    """Refuse a family parameter that is not a finite real, or fails its range
-    test, with ValueError "<owner> needs <text>, got <value>"."""
-    if (isinstance(value, bool) or not isinstance(value, Real)
-            or not (math.isfinite(value) and test(value))):
+    """Refuse a family parameter that is not a finite_real, or fails its
+    range test, with ValueError "<owner> needs <text>, got <value>"."""
+    if not (finite_real(value) and test(value)):
         raise ValueError(f"{owner} needs {text}, got {value}")
 
 
-@dataclass(frozen=True)
-class AnalyticMap:
+class AnalyticMap(NamedTuple):
     """Evaluator of a closed-form analytic map C -> C^3 (or C -> C).
 
     `func` accepts arrays of any shape; `deriv`, when present, evaluates the
@@ -234,8 +241,7 @@ def _z_square(z):
     return z, np.square(z)
 
 
-@dataclass(frozen=True)
-class _Formulas:
+class _Formulas(NamedTuple):
     """The formulas of one family.  `kernel` maps z to the pair (f, g) the
     others take; `alpha` and `deriv` map (z, f, g) to the components of the
     curve and of its derivative; `legs` holds, per component, the functions

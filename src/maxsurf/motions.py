@@ -14,16 +14,14 @@ proportional to the pitch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lorentz import ETA
 
 
-@dataclass(frozen=True)
-class MotionGroup:
+class MotionGroup(NamedTuple):
     """One-parameter family theta -> x |-> Psi(theta) x + tau(theta)."""
 
     tag: str

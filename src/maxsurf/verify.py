@@ -12,12 +12,14 @@ and judges it as a CheckResult.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
 from .bjorling import (_MAX_NODES, _PASS_POINTS, SurfacePatch, derivatives,
                        reference_normal, shifted_values)
+from .frames import finite_real
 from .lorentz import lorentz_cross, lorentz_dot
 from .motions import MotionGroup, isometry_defect  # noqa: F401 (re-exported)
 
@@ -51,12 +53,12 @@ class Grid:
             raise ValueError(f"grid needs at most {_MAX_NODES} nodes, got "
                              f"{self.nu}x{self.nv}")
         bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
-        if not all(isinstance(b, Real) and np.isfinite(b) for b in bounds):
+        if not all(map(finite_real, bounds)):
             raise ValueError(f"grid bounds must be finite, got {bounds}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"grid bounds must be increasing, got {bounds}")
         spans = (self.u_max - self.u_min, self.v_max - self.v_min)
-        if not all(np.isfinite(s) for s in spans):
+        if not all(map(finite_real, spans)):
             raise ValueError(f"grid spans must be finite, got {spans}")
 
     @classmethod
@@ -88,8 +90,7 @@ class Grid:
                 f"{self.nu}x{self.nv}")
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     """First and second fundamental form coefficients on a node set.
 
     degenerate marks nodes where E G - F^2 fell below the tolerance; second

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Complex, Real
+from numbers import Complex
 from typing import Callable
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from .bjorling import (_NULL, _PASS_POINTS, _S, _WT, NODES, QuadratureError,
                        segment_integral)
 from .catalog import EXP_CHART, FAMILY_INFO, PUNCTURED_CHART, CatalogSurface
+from .frames import finite_real
 from .lorentz import vec3
 
 LORENTZ = "lorentz"
@@ -210,8 +211,8 @@ class Loop:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.center, Complex) and isinstance(self.radius, Real)
-                and np.isfinite(self.center) and 0 < self.radius < math.inf):
+        if not (isinstance(self.center, Complex) and np.isfinite(self.center)
+                and finite_real(self.radius) and self.radius > 0):
             raise ValueError(f"loop needs a finite center and a finite positive"
                              f" radius, got {self.center}, {self.radius}")
 
@@ -302,9 +303,8 @@ def _spherical_density(w: WeierstrassData, z, h):
 
 
 def check_curvature_domain(annulus):
-    """Raise ValueError unless the radii are reals, 0 < r_in < r_out < inf."""
-    if (not all(isinstance(r, Real) for r in annulus)
-            or not 0 < annulus[0] < annulus[1] < math.inf):
+    """Raise ValueError unless the radii are finite_reals, 0 < r_in < r_out."""
+    if not (all(map(finite_real, annulus)) and 0 < annulus[0] < annulus[1]):
         raise ValueError(f"annulus needs 0 < r_in < r_out < inf, "
                          f"got {annulus}")
 

@@ -5,6 +5,8 @@ confirmed against the quadrature-based construction, which shares no code
 with the trigonometric evaluators.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -95,9 +97,16 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="^enneper-second-kind needs real, "
                                          "got nan$"):
         catalog.enneper_second_kind(1.0, np.nan)
-    # nor is a value that is not a real number, a bool included
+    # nor is a value that is not an int, a float or a numpy real scalar, a
+    # bool and a Fraction included, or an int with no finite float
     for make, message in (
             (lambda: catalog.bending_timelike("1"), "a > 0, got 1"),
+            (lambda: catalog.bending_timelike(10**400),
+             f"a > 0, got {10**400}"),
+            (lambda: catalog.bending_timelike(Fraction(1, 2)),
+             "a > 0, got 1/2"),
+            (lambda: catalog.bending_timelike(np.float32(np.inf)),
+             "a > 0, got inf"),
             (lambda: catalog.bending_timelike(None), "a > 0, got None"),
             (lambda: catalog.bending_timelike(True), "a > 0, got True"),
             (lambda: catalog.enneper_second_kind(1.0, "0"), "real, got 0"),
@@ -106,6 +115,8 @@ def test_parameter_validation():
              "0 < lam < 1, got None")):
         with pytest.raises(ValueError, match=f" needs {message}$"):
             make()
+    for a in (2, np.int64(2), np.float32(1.5)):
+        assert catalog.bending_timelike(a).a == a
 
     # (just inside, just outside) each side of each range in the registry
     def up(x):

@@ -193,6 +193,9 @@ def test_helix_pitch_validation():
     with pytest.raises(ValueError, match=f"^{frames.HELIX_TIMELIKE} needs "
                                          "0 < lam < 1, got 0.5$"):
         CurveFamily(frames.HELIX_TIMELIKE, "0.5")
+    with pytest.raises(ValueError, match=f"^{frames.HELIX_SPACELIKE_II} "
+                                         f"needs lam > 0, got {10**400}$"):
+        CurveFamily(frames.HELIX_SPACELIKE_II, 10**400)
     with pytest.raises(ValueError, match="^unknown curve family 'spiral'; "
                                          "expected one of "):
         CurveFamily("spiral")

@@ -117,6 +117,11 @@ def test_grid_validation_and_axes():
         Grid(0, np.inf, 0, 1, nu=5, nv=5)
     with pytest.raises(ValueError, match="^grid bounds must be finite"):
         Grid("0", 1, 0, 1)
+    for bounds in ((0, 10**400, 0, 1), (True, 1.5, 0, 1)):
+        with pytest.raises(ValueError, match="^grid bounds must be finite"):
+            Grid(*bounds)
+    with pytest.raises(ValueError, match="^grid spans must be finite"):
+        Grid(-10**308, 10**308, 0, 1)
     for nu, nv in ((2.5, 3), (3, 3.0), (True, 3)):
         with pytest.raises(ValueError, match="^grid node counts must be "
                                              "integers"):

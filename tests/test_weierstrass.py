@@ -603,7 +603,7 @@ def test_period_guards_singularity_on_the_contour():
 def test_loop_validation():
     for center, radius in ((0j, 0.0), (0j, -1.0), (0j, np.inf), (0j, np.nan),
                            (np.nan + 0j, 1.0), (complex(0, np.inf), 1.0),
-                           (0j, "1"), ("0", 1.0)):
+                           (0j, "1"), ("0", 1.0), (0j, 10**400)):
         with pytest.raises(ValueError, match="finite center and a finite "
                                              "positive radius"):
             W.Loop(center, radius)
@@ -639,7 +639,7 @@ def test_total_curvature_validates_its_annulus():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for annulus in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0),
-                        ("a", 2)):
+                        ("a", 2), (1e-3, 10**400)):
             with pytest.raises(ValueError, match="r_out < inf"):
                 W.total_curvature(wd, annulus)
 
