@@ -19,6 +19,8 @@ circle sits at v = -1/2).  Families:
 
 The spacelike-axis twisted families' removable singularity at a = 1 sits
 in a v sinc((a - 1) v) factor of their kernels, exact at a = 1.
+bending-spacelike is helicoidal-spacelike-ii at lam = 0, mu = 1: the
+spacelike circle (0, sinh t, cosh t) is the type-II helix of zero pitch.
 
 FAMILY_INFO holds one Family per family, its holomorphic facts included:
 forms, punctured, unit_period and curvature, read by weierstrass and cli.
@@ -56,8 +58,8 @@ class Param(NamedTuple):
     test: Callable[[float], bool] = lambda value: True
     default: float | None = None
 
-    def check(self, family: str, value):
-        frames.check_range(family, self.text, self.test, value)
+    def check(self, family: str, value) -> float:
+        return frames.check_range(family, self.text, self.test, value)
 
 
 class Family(NamedTuple):
@@ -67,10 +69,12 @@ class Family(NamedTuple):
     normal-field kind (None for the orbit surface).  group maps a surface to
     the motion group that acts on it by a shift in u.  orbit_of is the
     lightlike twist an orbit surface can be derived from.  forms and punctured
-    map a surface to its form map on the exp and the punctured chart;
-    unit_period to the real part of its phi2 period around the unit circle at
-    twist rate 1, the only nonzero real period at integer rate n ≥ 1;
-    curvature to its dual's chart and closed-form total curvature, or None.
+    map (surface, z) to the form tuple (phi1, phi2, phi3) at z on the exp
+    and the punctured chart, as evaluate maps (surface, u, v) to X(u, v).
+    unit_period maps a surface to the real part of its phi2 period around
+    the unit circle at twist rate 1, the only nonzero real period at integer
+    rate n ≥ 1; curvature to its dual's chart and closed-form total
+    curvature, or None.
     """
 
     params: tuple
@@ -97,11 +101,12 @@ def _bjorling(curve, twist, domain, evaluate, lam=None, **facts):
 
 
 _CUBIC = Param("cubic", "cubic > 0", lambda cubic: cubic > 0)
+_OFFSET = Param("offset", default=0.0)
 
 
 @dataclass(frozen=True)
 class CatalogSurface:
-    """A catalog entry: family id plus its parameters (unused ones stay 0)."""
+    """A catalog entry: family id and its float parameters, unused ones 0."""
 
     family: str
     a: float = 0.0
@@ -113,7 +118,8 @@ class CatalogSurface:
         if self.family not in FAMILY_INFO:
             raise ValueError(f"unknown catalog family {self.family!r}")
         for p in FAMILY_INFO[self.family].params:
-            p.check(self.family, getattr(self, p.name))
+            value = p.check(self.family, getattr(self, p.name))
+            object.__setattr__(self, p.name, value)
 
     @property
     def mu(self) -> float:
@@ -217,15 +223,6 @@ def _hyp_products(a, u):
     return cau * cu, sau * su, cau * su, sau * cu
 
 
-def _eval_bending_spacelike(a, u, v):
-    r, s = _kernels(a, 0.0, 1.0, v)
-    cc, ss, cs, sc = _hyp_products(a, u)
-    x = np.cosh(a * u) * np.sin(a * v) / a
-    y = np.sinh(u) * np.cos(v) + ss * r + cc * s
-    z = np.cosh(u) * np.cos(v) + sc * r + cs * s
-    return vec3(x, y, z)
-
-
 def _eval_helicoidal_spacelike_i(a, lam, mu, u, v):
     r, s = _kernels(a, lam, mu, v)
     cc, ss, cs, sc = _hyp_products(a, u)
@@ -305,7 +302,9 @@ class GeneratingCurve:
     offset: float
 
     def __post_init__(self):
-        _CUBIC.check("generating curve", self.cubic)
+        for p in (_CUBIC, _OFFSET):
+            value = p.check("generating curve", getattr(self, p.name))
+            object.__setattr__(self, p.name, value)
 
     def height(self, v):
         return self.cubic * np.asarray(v) ** 3 + self.offset
@@ -400,109 +399,80 @@ def cpow(z, a):
     return z if n == 1 else z ** n
 
 
-def _forms_bending_timelike(a):
-    def forms(z):
-        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
-        return -s - 1j * c * ch, c - 1j * s * ch, 1j * np.sinh(a * z)
-
-    return forms
+def _forms_bending_timelike(a, z):
+    s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
+    return -s - 1j * c * ch, c - 1j * s * ch, 1j * np.sinh(a * z)
 
 
-def _forms_bending_spacelike_exp(a):
-    def forms(z):
-        ch, sh, sha = np.cosh(z), np.sinh(z), np.sinh(a * z)
-        return (-1j * np.cosh(a * z), ch - 1j * sh * sha,
-                sh - 1j * ch * sha)
-
-    return forms
+def _forms_bending_spacelike_exp(a, z):
+    ch, sh, sha = np.cosh(z), np.sinh(z), np.sinh(a * z)
+    return -1j * np.cosh(a * z), ch - 1j * sh * sha, sh - 1j * ch * sha
 
 
-def _forms_bending_spacelike_punctured(a):
+def _forms_bending_spacelike_punctured(a, z):
     # Every power of z comes from z^a and z^2: on the principal branch all
     # of them share Log z, so z^(2a) = z^a z^a, z^(a+2) = z^a z^2 and so on.
-    def forms(z):
-        za, z2 = cpow(z, a), z * z
-        zaa, zaz2 = za * za, za * z2
-        return (-1j * (zaa + 1.0) / (2.0 * (za * z)),
-                (-1j * (zaa * z2) + 1j * zaa + 2.0 * zaz2 + 2.0 * za
-                 + 1j * z2 - 1j) / (4.0 * zaz2),
-                (-1j * (zaa * z2) - 1j * zaa + 2.0 * zaz2 - 2.0 * za
-                 + 1j * z2 + 1j) / (4.0 * zaz2))
-
-    return forms
+    za, z2 = cpow(z, a), z * z
+    zaa, zaz2 = za * za, za * z2
+    return (-1j * (zaa + 1.0) / (2.0 * (za * z)),
+            (-1j * (zaa * z2) + 1j * zaa + 2.0 * zaz2 + 2.0 * za
+             + 1j * z2 - 1j) / (4.0 * zaz2),
+            (-1j * (zaa * z2) - 1j * zaa + 2.0 * zaz2 - 2.0 * za
+             + 1j * z2 + 1j) / (4.0 * zaz2))
 
 
-def _forms_lightlike(a):
+def _forms_lightlike(a, z):
     # cosh a - sinh a taken as e^-a, which does not cancel at large a
-    ca, sa, ea = np.cosh(a), np.sinh(a), np.exp(-a)
-
-    def forms(z):
-        z2e = z * z * ea
-        return (z + 0.5j * (z2e - 2.0 * ca), 1.0 + 1j * z * ea,
-                z + 0.5j * (z2e - 2.0 * sa))
-
-    return forms
+    ea = np.exp(-a)
+    z2e = z * z * ea
+    return (z + 0.5j * (z2e - 2.0 * np.cosh(a)), 1.0 + 1j * z * ea,
+            z + 0.5j * (z2e - 2.0 * np.sinh(a)))
 
 
-def _forms_helicoidal_timelike(a, lam, mu):
-    def forms(z):
-        s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
-        sh = np.sinh(a * z)
-        t = 1.0 + 1j * lam * sh
-        return (1j * mu * c * ch - s * t, c * t + 1j * mu * s * ch,
-                lam + 1j * sh)
-
-    return forms
+def _forms_helicoidal_timelike(a, lam, mu, z):
+    s, c, ch = np.sin(z), np.cos(z), np.cosh(a * z)
+    sh = np.sinh(a * z)
+    t = 1.0 + 1j * lam * sh
+    return (1j * mu * c * ch - s * t, c * t + 1j * mu * s * ch,
+            lam + 1j * sh)
 
 
-def _forms_helicoidal_spacelike_i_exp(a, lam, mu):
-    def forms(z):
-        ch, sh = np.cosh(z), np.sinh(z)
-        cha, sha = np.cosh(a * z), np.sinh(a * z)
-        return (lam + 1j * sha, sh + 1j * (lam * sh * sha - mu * ch * cha),
-                ch + 1j * (lam * ch * sha - mu * sh * cha))
-
-    return forms
+def _forms_helicoidal_spacelike_i_exp(a, lam, mu, z):
+    ch, sh = np.cosh(z), np.sinh(z)
+    cha, sha = np.cosh(a * z), np.sinh(a * z)
+    return (lam + 1j * sha, sh + 1j * (lam * sh * sha - mu * ch * cha),
+            ch + 1j * (lam * ch * sha - mu * sh * cha))
 
 
-def _forms_helicoidal_spacelike_i_punctured(a, lam, mu):
-    def forms(z):
-        za, z2 = cpow(z, a), z * z
-        zaa, zaz2 = za * za, za * z2
-        return ((1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
-                (1j * (lam - mu) * (zaa * z2 + 1.0)
-                 - 1j * (lam + mu) * (zaa + z2)
-                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2),
-                (1j * (lam - mu) * (zaa * z2 - 1.0)
-                 + 1j * (lam + mu) * (zaa - z2)
-                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2))
-
-    return forms
+def _forms_helicoidal_spacelike_i_punctured(a, lam, mu, z):
+    za, z2 = cpow(z, a), z * z
+    zaa, zaz2 = za * za, za * z2
+    return ((1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
+            (1j * (lam - mu) * (zaa * z2 + 1.0)
+             - 1j * (lam + mu) * (zaa + z2)
+             + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2),
+            (1j * (lam - mu) * (zaa * z2 - 1.0)
+             + 1j * (lam + mu) * (zaa - z2)
+             + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2))
 
 
-def _forms_helicoidal_spacelike_ii_exp(a, lam, mu):
-    def forms(z):
-        ch, sh = np.cosh(z), np.sinh(z)
-        cha, sha = np.cosh(a * z), np.sinh(a * z)
-        return (lam - 1j * cha, ch + 1j * (lam * ch * cha - mu * sh * sha),
-                sh + 1j * (lam * sh * cha - mu * ch * sha))
-
-    return forms
+def _forms_helicoidal_spacelike_ii_exp(a, lam, mu, z):
+    ch, sh = np.cosh(z), np.sinh(z)
+    cha, sha = np.cosh(a * z), np.sinh(a * z)
+    return (lam - 1j * cha, ch + 1j * (lam * ch * cha - mu * sh * sha),
+            sh + 1j * (lam * sh * cha - mu * ch * sha))
 
 
-def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu):
-    def forms(z):
-        za, z2 = cpow(z, a), z * z
-        zaa, zaz2 = za * za, za * z2
-        return ((-1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
-                (1j * (lam - mu) * (zaa * z2 + 1.0)
-                 + 1j * (lam + mu) * (zaa + z2)
-                 + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2),
-                (1j * (lam - mu) * (zaa * z2 - 1.0)
-                 - 1j * (lam + mu) * (zaa - z2)
-                 + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2))
-
-    return forms
+def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu, z):
+    za, z2 = cpow(z, a), z * z
+    zaa, zaz2 = za * za, za * z2
+    return ((-1j * zaa + 2.0 * lam * za - 1j) / (2.0 * (za * z)),
+            (1j * (lam - mu) * (zaa * z2 + 1.0)
+             + 1j * (lam + mu) * (zaa + z2)
+             + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2),
+            (1j * (lam - mu) * (zaa * z2 - 1.0)
+             - 1j * (lam + mu) * (zaa - z2)
+             + 2.0 * zaz2 - 2.0 * za) / (4.0 * zaz2))
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +482,12 @@ FAMILY_INFO = {
     BENDING_TIMELIKE: _bjorling(
         frames.CIRCLE_TIMELIKE, "linear", (-np.pi, np.pi, -0.35, 0.35),
         lambda s, u, v: _eval_bending_timelike(s.a, u, v),
-        forms=lambda s: _forms_bending_timelike(s.a)),
+        forms=lambda s, z: _forms_bending_timelike(s.a, z)),
     BENDING_SPACELIKE: _bjorling(
         frames.CIRCLE_SPACELIKE, "linear", (-1.2, 1.2, -0.4, 0.4),
-        lambda s, u, v: _eval_bending_spacelike(s.a, u, v),
-        forms=lambda s: _forms_bending_spacelike_exp(s.a),
-        punctured=lambda s: _forms_bending_spacelike_punctured(s.a),
+        lambda s, u, v: _eval_helicoidal_spacelike_ii(s.a, 0.0, 1.0, u, v),
+        forms=lambda s, z: _forms_bending_spacelike_exp(s.a, z),
+        punctured=lambda s, z: _forms_bending_spacelike_punctured(s.a, z),
         unit_period=lambda s: -np.pi,
         curvature=lambda s: (
             None if (n := integer_rate(s.a)) is None
@@ -526,27 +496,30 @@ FAMILY_INFO = {
         frames.CIRCLE_LIGHTLIKE, "constant", (-1.0, 1.0, -0.9, 0.9),
         lambda s, u, v: _eval_lightlike_rotational(s.a, u, v),
         group=lambda s: motions.rotation_lightlike_axis(),
-        forms=lambda s: _forms_lightlike(s.a),
+        forms=lambda s, z: _forms_lightlike(s.a, z),
         curvature=lambda s: (EXP_CHART, -4.0 * np.pi)),
     HELICOIDAL_TIMELIKE: _bjorling(
         frames.HELIX_TIMELIKE, "linear", (-np.pi, np.pi, -0.35, 0.35),
         lambda s, u, v: _eval_helicoidal_timelike(s.a, s.lam, s.mu, u, v),
-        lam=0.6, forms=lambda s: _forms_helicoidal_timelike(s.a, s.lam, s.mu)),
+        lam=0.6,
+        forms=lambda s, z: _forms_helicoidal_timelike(s.a, s.lam, s.mu, z)),
     HELICOIDAL_SPACELIKE_I: _bjorling(
         frames.HELIX_SPACELIKE_I, "linear", (-1.2, 1.2, -0.4, 0.4),
         lambda s, u, v: _eval_helicoidal_spacelike_i(s.a, s.lam, s.mu, u, v),
         lam=2.0,
-        forms=lambda s: _forms_helicoidal_spacelike_i_exp(s.a, s.lam, s.mu),
-        punctured=lambda s: _forms_helicoidal_spacelike_i_punctured(
-            s.a, s.lam, s.mu),
+        forms=lambda s, z: _forms_helicoidal_spacelike_i_exp(
+            s.a, s.lam, s.mu, z),
+        punctured=lambda s, z: _forms_helicoidal_spacelike_i_punctured(
+            s.a, s.lam, s.mu, z),
         unit_period=lambda s: np.pi * (s.lam + s.mu)),
     HELICOIDAL_SPACELIKE_II: _bjorling(
         frames.HELIX_SPACELIKE_II, "linear", (-1.2, 1.2, -0.4, 0.4),
         lambda s, u, v: _eval_helicoidal_spacelike_ii(s.a, s.lam, s.mu, u, v),
         lam=1.0,
-        forms=lambda s: _forms_helicoidal_spacelike_ii_exp(s.a, s.lam, s.mu),
-        punctured=lambda s: _forms_helicoidal_spacelike_ii_punctured(
-            s.a, s.lam, s.mu),
+        forms=lambda s, z: _forms_helicoidal_spacelike_ii_exp(
+            s.a, s.lam, s.mu, z),
+        punctured=lambda s, z: _forms_helicoidal_spacelike_ii_punctured(
+            s.a, s.lam, s.mu, z),
         unit_period=lambda s: -np.pi * (s.lam + s.mu)),
     ELLIPTIC_CATENOID: _bjorling(
         frames.CIRCLE_TIMELIKE, "constant", (-np.pi, np.pi, -0.5, 0.5),
@@ -562,7 +535,7 @@ FAMILY_INFO = {
                                                            u, v),
         lam=0.6, group=lambda s: motions.screw_timelike_axis(s.lam)),
     ENNEPER_SECOND_KIND: Family(
-        (_CUBIC, Param("offset", default=0.0)), (-1.0, 1.0, -1.0, -0.1),
+        (_CUBIC, _OFFSET), (-1.0, 1.0, -1.0, -0.1),
         lambda s, u, v: _eval_enneper_second_kind(s.cubic, s.offset, u, v),
         group=lambda s: motions.rotation_lightlike_axis(),
         orbit_of=Param("a", *frames.TWIST_RANGES["constant"], 0.0)),

@@ -74,10 +74,12 @@ def finite_real(value) -> bool:
 
 
 def check_range(owner: str, text: str, test: Callable[[float], bool], value):
-    """Refuse a family parameter that is not a finite_real, or fails its
-    range test, with ValueError "<owner> needs <text>, got <value>"."""
+    """float(value) of a family parameter; refuse one that is not a
+    finite_real, or fails its range test, with ValueError "<owner> needs
+    <text>, got <value>"."""
     if not (finite_real(value) and test(value)):
         raise ValueError(f"{owner} needs {text}, got {value}")
+    return float(value)
 
 
 class AnalyticMap(NamedTuple):
@@ -119,7 +121,8 @@ class CurveFamily:
             return
         if self.lam is None:
             raise ValueError(f"{self.tag} requires a pitch lam")
-        check_range(self.tag, *PITCH_RANGES[self.tag], self.lam)
+        object.__setattr__(self, "lam", check_range(
+            self.tag, *PITCH_RANGES[self.tag], self.lam))
 
     @property
     def mu(self) -> float | None:
@@ -148,12 +151,11 @@ class NormalFieldSpec:
     def __post_init__(self):
         if self.kind not in TWIST_RANGES:
             raise ValueError(f"normal field kind must be 'constant' or 'linear', got {self.kind!r}")
-        check_range(f"{self.kind} twist", *TWIST_RANGES[self.kind], self.a)
+        object.__setattr__(self, "a", check_range(
+            f"{self.kind} twist", *TWIST_RANGES[self.kind], self.a))
 
     def phi(self, t):
-        if self.kind == "constant":
-            return self.a * np.ones_like(np.asarray(t))
-        return np.multiply(self.a, t)
+        return self.a if self.kind == "constant" else np.multiply(self.a, t)
 
 
 @dataclass(frozen=True)
@@ -338,8 +340,7 @@ class _NormalField:
 
     def twist(self, z):
         """(sinh phi, cosh phi) at z: scalars for a constant twist."""
-        return _sinh_cosh(self.spec.a if self.spec.kind == "constant"
-                          else self.spec.phi(z))
+        return _sinh_cosh(self.spec.phi(z))
 
     def __call__(self, z):
         return self._combine(z, *self.twist(z))

@@ -33,7 +33,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Grid:
     """Rectangular sample grid, nodes at the linspace of each axis; at most
-    bjorling._MAX_NODES nodes, which numpy can index in every array made."""
+    bjorling._MAX_NODES nodes, which numpy can index in every array made.
+    The bounds are stored as floats."""
 
     u_min: float
     u_max: float
@@ -55,6 +56,8 @@ class Grid:
         bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
         if not all(map(finite_real, bounds)):
             raise ValueError(f"grid bounds must be finite, got {bounds}")
+        for name, value in zip(("u_min", "u_max", "v_min", "v_max"), bounds):
+            object.__setattr__(self, name, float(value))
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"grid bounds must be increasing, got {bounds}")
         spans = (self.u_max - self.u_min, self.v_max - self.v_min)
@@ -63,7 +66,7 @@ class Grid:
 
     @classmethod
     def from_domain(cls, domain, nu: int = 21, nv: int = 21) -> "Grid":
-        return cls(*(float(x) for x in domain), nu=nu, nv=nv)
+        return cls(*domain, nu=nu, nv=nv)
 
     def axes(self):
         return (np.linspace(self.u_min, self.u_max, self.nu),

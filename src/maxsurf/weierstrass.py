@@ -20,6 +20,7 @@ where residues and period integrals live.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Complex
@@ -99,12 +100,12 @@ def forms_for(surface: CatalogSurface, chart: str = EXP_CHART) -> FormTriple:
     if chart not in (EXP_CHART, PUNCTURED_CHART):
         raise ValueError(f"unknown chart {chart!r}")
     info = FAMILY_INFO[fam]
-    maker = info.forms if chart == EXP_CHART else info.punctured
-    if maker is None:
+    forms = info.forms if chart == EXP_CHART else info.punctured
+    if forms is None:
         raise ValueError(f"{fam} has no punctured-chart forms"
                          if chart == PUNCTURED_CHART else
                          f"{fam} has no holomorphic form triple here")
-    return FormTriple(maker(surface), chart=chart,
+    return FormTriple(functools.partial(forms, surface), chart=chart,
                       singularities=(0j,) if chart == PUNCTURED_CHART else (),
                       label=f"forms:{fam}:{chart}")
 
@@ -205,16 +206,21 @@ def dualize(t: FormTriple) -> FormTriple:
 
 @dataclass(frozen=True)
 class Loop:
-    """Counterclockwise circle for contour integrals."""
+    """Counterclockwise circle for contour integrals: a complex center, not
+    a bool, whose parts are finite_reals, and a positive finite_real radius."""
 
     center: complex = 0j
     radius: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.center, Complex) and np.isfinite(self.center)
+        c = self.center
+        if not (isinstance(c, Complex) and not isinstance(c, bool)
+                and finite_real(c.real) and finite_real(c.imag)
                 and finite_real(self.radius) and self.radius > 0):
             raise ValueError(f"loop needs a finite center and a finite positive"
                              f" radius, got {self.center}, {self.radius}")
+        object.__setattr__(self, "center", complex(c))
+        object.__setattr__(self, "radius", float(self.radius))
 
 
 def _trapezoid(sums, count, n, tol, cap, budget):

@@ -117,6 +117,33 @@ def test_parameter_validation():
             make()
     for a in (2, np.int64(2), np.float32(1.5)):
         assert catalog.bending_timelike(a).a == a
+    # a number is stored as its Python float, and evaluates as that float
+    U, V = Grid(-1.0, 1.0, -0.4, 0.4, 5, 3).mesh()
+    numbers = (2, np.int64(2), np.float32(0.7), np.float16(0.7))
+    for make, values in (
+            (catalog.bending_timelike, numbers),
+            (lambda x: catalog.helicoidal_timelike(0.7, x),
+             (np.float32(0.6), np.float16(0.6))),
+            (lambda x: catalog.enneper_second_kind(x, x), numbers)):
+        for value in values:
+            surface, want = make(value), make(float(value))
+            assert all(type(getattr(surface, name)) is float
+                       for name in ("a", "lam", "cubic", "offset"))
+            assert (catalog.eval_surface(surface, U, V).tobytes()
+                    == catalog.eval_surface(want, U, V).tobytes())
+    surface = catalog.bending_timelike(np.float32(0.7))
+    cfg = cli.build_job_config({"family": surface.family})
+    checks, _ = cli._verify_checks(
+        cfg, surface, cli._patch_for(surface, cfg),
+        cli._default_grid(cfg, surface.family, for_sample=False))
+    assert checks and all(c.passed for c in checks), checks
+    # the generating curve checks its offset as the family does
+    for offset in (np.nan, np.inf, 10**400, "0"):
+        with pytest.raises(ValueError, match=f"^generating curve needs real, "
+                                             f"got {offset}$"):
+            catalog.GeneratingCurve(1.0, offset)
+    curve = catalog.GeneratingCurve(np.int64(2), np.float32(0.5))
+    assert type(curve.cubic) is float and type(curve.offset) is float
 
     # (just inside, just outside) each side of each range in the registry
     def up(x):

@@ -5,8 +5,9 @@ complex input and bjorling.derivatives may read the first derivatives off
 the imaginary part of one complex step, X_u = Im X(u + i eps, v) / eps.
 These tests hold the evaluators to that, hold the tangents to the
 Richardson stencil they stand in for, hold the spacelike mask of every
-golden sample grid to the one the Richardson stencil gives, and count
-which patches still reach the Richardson stencil.
+golden sample grid and of the benchmark's 160x160 sample grid to the one
+the Richardson stencil gives, and count which patches still reach the
+Richardson stencil.
 """
 
 import dataclasses
@@ -51,7 +52,9 @@ SURFACES = list(dict.fromkeys(_surfaces()))
 
 
 def _sample_grids():
-    """(surface, grid) of every `sample` run that tools/golden.py makes."""
+    """(surface, grid) of every `sample` run that tools/golden.py makes,
+    then of each family's default box at 160x160, the large grid of the
+    benchmark's sample-mesh workload."""
     for fam in catalog.FAMILY_INFO:
         for a in (None, 2.3):
             cfg = cli.build_job_config(
@@ -59,6 +62,9 @@ def _sample_grids():
             yield (cli.surface_from_config(cfg),
                    cli._default_grid(cfg, fam, for_sample=True))
     yield catalog.lightlike_rotational(0.0), Grid(-1, 1, 0, 1, 400, 50)
+    for fam, domain in catalog.DEFAULT_DOMAINS.items():
+        yield (cli.surface_from_config(cli.build_job_config({"family": fam})),
+               Grid.from_domain(domain, 160, 160))
 
 
 def _richardson_twin(patch):

@@ -172,6 +172,9 @@ def test_twist_parameter_validation():
                                          "'quadratic'$"):
         NormalFieldSpec("quadratic", 1.0)
     NormalFieldSpec("constant", 0.0)  # boundary allowed for the constant case
+    for a in (2, np.int64(2), np.float32(0.7)):
+        spec = NormalFieldSpec("linear", a)
+        assert type(spec.a) is float and spec.a == a
 
 
 def test_twist_phase():
@@ -205,6 +208,11 @@ def test_helix_pitch_validation():
     with pytest.raises(ValueError, match=f"^{frames.HELIX_TIMELIKE} requires "
                                          "a pitch lam$"):
         CurveFamily(frames.HELIX_TIMELIKE)
+    # the pitch is stored as a float, whose square overflows to inf
+    for lam in (2, np.int64(2), np.float32(0.7), 10**200):
+        family = CurveFamily(frames.HELIX_SPACELIKE_II, lam)
+        assert type(family.lam) is float and family.lam == float(lam)
+    assert family.mu == np.inf
 
 
 def test_helix_speed_values():

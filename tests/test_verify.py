@@ -135,6 +135,15 @@ def test_grid_validation_and_axes():
     U, V = g.mesh()
     assert U.shape == (5, 9)
     assert "5x9" in g.describe()
+    # bounds are stored as floats, so the nodes are float64
+    g = Grid(np.float32(-1.2), 1, np.int64(-2), 2, nu=5, nv=3)
+    assert all(type(x) is float for x in (g.u_min, g.u_max, g.v_min, g.v_max))
+    us, vs = g.axes()
+    assert us.dtype == vs.dtype == np.float64
+    assert us[0] == float(np.float32(-1.2)) and us[-1] == 1.0
+    # ints that round to one float give no increasing float bounds
+    with pytest.raises(ValueError, match="^grid bounds must be increasing"):
+        Grid(2**53, 2**53 + 1, 0, 1)
 
 
 def test_grid_from_domain():

@@ -9,6 +9,7 @@ variant rather than the standalone display.
 import dataclasses
 import re
 import warnings
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -603,10 +604,15 @@ def test_period_guards_singularity_on_the_contour():
 def test_loop_validation():
     for center, radius in ((0j, 0.0), (0j, -1.0), (0j, np.inf), (0j, np.nan),
                            (np.nan + 0j, 1.0), (complex(0, np.inf), 1.0),
-                           (0j, "1"), ("0", 1.0), (0j, 10**400)):
+                           (0j, "1"), ("0", 1.0), (0j, 10**400),
+                           (10**400, 1.0), (True, 1.0), (Fraction(1, 2), 1.0)):
         with pytest.raises(ValueError, match="finite center and a finite "
                                              "positive radius"):
             W.Loop(center, radius)
+    for center in (np.complex64(1j), np.float32(0.5), 2, np.int64(2)):
+        loop = W.Loop(center, np.float32(0.5))
+        assert type(loop.center) is complex and loop.center == center
+        assert type(loop.radius) is float and loop.radius == 0.5
 
 
 def test_period_is_loop_position_independent():
