@@ -5,6 +5,10 @@ surface patches with vanishing mean curvature, evaluated in closed form
 through a catalog of families, and cross-checked numerically: curvature
 residuals, conformality, motion-group equivariance, period integrals,
 and total curvature of the associated Euclidean minimal surfaces.
+
+The Weierstrass layer (maxsurf.weierstrass) and its names here are imported
+on first use, so that a process that only evaluates the catalog, as
+`maxsurf sample` does, never loads it.
 """
 
 from .bjorling import (QuadratureError, SurfacePatch, reference_normal,
@@ -26,10 +30,6 @@ from .motions import (MotionGroup, isometry_defect, rotation_lightlike_axis,
 from .verify import (CheckResult, FundamentalForms, Grid, bjorling_recovery,
                      conformality_residual, equivariance, fundamental_forms,
                      mean_curvature_scan, spacelike_region)
-from .weierstrass import (FormTriple, Loop, WeierstrassData, dualize,
-                          forms_for, gauss_map, integrate_forms, period,
-                          reconstruct_forms, total_curvature,
-                          weierstrass_pair)
 
 __version__ = "0.1.0"
 
@@ -53,3 +53,19 @@ __all__ = [
     "solve_bjorling", "spacelike_region", "total_curvature", "vec3",
     "weierstrass_pair",
 ]
+
+
+def __getattr__(name):
+    # the names of __all__ that the imports above leave unbound are the
+    # Weierstrass layer's
+    if name != "weierstrass" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    layer = import_module(".weierstrass", __name__)
+    value = layer if name == "weierstrass" else getattr(layer, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | {*__all__, "weierstrass"})

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from .frames import BjorlingData
 from .lorentz import lorentz_cross, lorentz_dot
@@ -58,20 +57,6 @@ NODES = 32
 _RTOL = 1e-11
 _PANEL = 1.0
 _MAX_PANELS = 1024
-# The rule's nodes and weights on [0, 1], and the (2, NODES) null rule
-# giving the discrete Legendre coefficients of degree NODES - 2 and
-# NODES - 1 (Berntsen & Espelid, ACM TOMS 17, 1991); read-only.
-_X, _W = leggauss(NODES)
-_S, _WT = 0.5 * (_X + 1.0), 0.5 * _W
-_NULL = ((np.arange(NODES - 2, NODES)[:, None] + 0.5) * _W
-         * legvander(_X, NODES - 1)[:, -2:].T)
-# Row n of _ANTI weighs the node values by _WT * P_n / 2, which gives the
-# Legendre coefficient c_n over 2 (2n + 1), so that sum_n J_n(2t - 1)
-# _ANTI[n] weighs them to the interpolant's integral over [0, t]
-# (_interpolant_weights).
-_ANTI = 0.5 * (legvander(_X, NODES - 1) * _WT[:, None]).T
-_S.flags.writeable = _WT.flags.writeable = False
-_NULL.flags.writeable = _ANTI.flags.writeable = False
 # Integrand points per pass.  segment_integral holds one block of 7
 # complex planes of this many points (the values, the nodes and the rows of
 # the partial panels), 0.9 MB at 1<<13, within a core's L2 (2 MB on the
@@ -112,6 +97,27 @@ _PLAN_CACHE = 4
 # (2.2e-288); catalog.patch keeps smaller twists on Richardson.
 _COMPLEX_STEP = 1e-20
 COMPLEX_STEP_MIN_TWIST = np.finfo(float).tiny / _COMPLEX_STEP
+
+
+@functools.cache
+def _legendre():
+    """(nodes, weights, null rule, antiderivative rows) of the NODES-point
+    Gauss-Legendre rule on [0, 1], read-only, built on the first call so
+    that numpy.polynomial is imported only by a process that integrates.
+    The (2, NODES) null rule gives the discrete Legendre coefficients of
+    degree NODES - 2 and NODES - 1 (Berntsen & Espelid, ACM TOMS 17, 1991).
+    Row n of the antiderivative rows weighs the node values by
+    weights * P_n / 2, which gives the Legendre coefficient c_n over
+    2 (2n + 1), so that sum_n J_n(2t - 1) row_n weighs them to the
+    interpolant's integral over [0, t] (_interpolant_weights)."""
+    from numpy.polynomial.legendre import leggauss, legvander
+    x, w = leggauss(NODES)
+    wt, vander = 0.5 * w, legvander(x, NODES - 1)
+    null = (np.arange(NODES - 2, NODES)[:, None] + 0.5) * w * vander[:, -2:].T
+    rule = (0.5 * (x + 1.0), wt, null, 0.5 * (vander * wt[:, None]).T)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 class QuadratureError(RuntimeError):
@@ -438,6 +444,7 @@ def _leg_integrals(integrand, plan, block):
     the table would have more than _TABLE_RATIO entries per partial leg, it
     integrates the legs' panels one by one, `rows` at a time."""
     panels, rows = plan.panels, plan.rows
+    unit_nodes, wt, null, _ = _legendre()
     total = np.empty((panels + 1, 3), dtype=complex)
     err, size = np.empty(panels + 1), np.empty(panels + 1)
     total[-1], err[-1], size[-1] = 0.0, 0.0, 0.0
@@ -459,7 +466,7 @@ def _leg_integrals(integrand, plan, block):
         line = np.searchsorted(plan.first, p, side="right") - 1
         up, k = line >= 2, (p - plan.first[line]).astype(float)
         h = line_h[line]
-        pos = (k + _S) * line_signed[line]
+        pos = (k + unit_nodes) * line_signed[line]
         w.real = np.where(up, plan.origin[line], pos)
         w.imag = np.where(up, pos, 0.0)
         nodes = w.view()
@@ -469,8 +476,8 @@ def _leg_integrals(integrand, plan, block):
         # gives the same bits more slowly, as products with w + 0i, which
         # make an infinite value's other part NaN (0 * inf)
         total[idx] = h * np.einsum(
-            "k,pkj->pj", _WT, vals.view(float)).view(complex)
-        coef = np.abs(_NULL @ vals.view(float))
+            "k,pkj->pj", wt, vals.view(float)).view(complex)
+        coef = np.abs(null @ vals.view(float))
         err[idx] = step * np.max(coef[:, 0] + coef[:, 1], axis=-1)
         # each panel's values as 6 real rows of NODES; their absolute
         # values then take the place of the integrand's values
@@ -479,7 +486,7 @@ def _leg_integrals(integrand, plan, block):
                   .transpose(0, 2, 1))
         mags = np.abs(lines, out=vals.view(float).reshape(lines.shape))
         # a dot product per panel: a matrix-vector product rounds differently
-        size[idx] = step * (np.max(mags, axis=1)[:, None] @ _WT)[:, 0]
+        size[idx] = step * (np.max(mags, axis=1)[:, None] @ wt)[:, 0]
         lo, hi = plan.inside_cut[s:s + 2]
         if lo < hi and (shape[0] * plan.weights.shape[0]
                         <= _TABLE_RATIO * (hi - lo)):
@@ -514,11 +521,13 @@ def _interpolant_weights(t, rows):
     -1 to x is J_n(x) / (2n + 1), J_0 = x + 1 and J_n = P_{n+1} - P_{n-1};
     the weights are formed `rows` fractions at a time, a pass's panels.
     """
+    from numpy.polynomial.legendre import legvander
+    anti = _legendre()[3]
     out = np.empty((t.size, NODES))
     for c in range(0, t.size, rows):
         p = legvander(2.0 * t[c:c + rows] - 1.0, NODES)
         j = p[:, 1:] - np.concatenate([-p[:, :1], p[:, :-2]], axis=1)
-        out[c:c + rows] = np.einsum("un,nk->uk", j, _ANTI)
+        out[c:c + rows] = np.einsum("un,nk->uk", j, anti)
     return out
 
 

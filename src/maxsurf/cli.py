@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import catalog, frames, verify, weierstrass
+from . import catalog, frames, verify
 from .bjorling import (_PASS_POINTS, NODES, QuadratureError, SurfacePatch,
                        solve_bjorling)
 from .verify import CheckResult, Grid
@@ -147,7 +147,7 @@ def build_job_config(raw: dict) -> JobConfig:
         raise ConfigError(f"annulus must be a pair, got {annulus!r}")
     annulus = (_number(annulus[0], "annulus"), _number(annulus[1], "annulus"))
     try:
-        weierstrass.check_curvature_domain(annulus)
+        frames.check_curvature_domain(annulus)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     opt = {k: (None if raw.get(k) is None else _number(raw[k], k))
@@ -661,6 +661,7 @@ def _equivariance(job):
 @_verifies("forms", (), lambda job: job.info.forms is not None,
            null_condition=1e-10, forms_data=1e-12, reconstruction=1e-8)
 def _forms(job):
+    from . import weierstrass
     tols = job.cfg.tolerances
     triple = weierstrass.forms_for(job.surface)
     zs, center = weierstrass.probe_ring(100), weierstrass._PROBE_CENTER
@@ -687,6 +688,7 @@ def _periods_rule(job):
 
 @_verifies("periods", ("periods",), _periods_rule, period=1e-6)
 def _periods(job):
+    from . import weierstrass
     s = job.surface
     tol = job.cfg.tolerances["period"]
     triple = weierstrass.forms_for(s, weierstrass.PUNCTURED_CHART)
@@ -712,6 +714,7 @@ def _periods(job):
            or f"no closed-form total curvature target for "
               f"{job.surface.family} here", total_curvature_rel=0.05)
 def _total_curvature(job):
+    from . import weierstrass
     cfg = job.cfg
     tol = cfg.tolerances["total_curvature_rel"]
     chart, target = job.info.curvature(job.surface)

@@ -82,6 +82,13 @@ def check_range(owner: str, text: str, test: Callable[[float], bool], value):
     return float(value)
 
 
+def check_curvature_domain(annulus):
+    """Raise ValueError unless the radii are finite_reals, 0 < r_in < r_out."""
+    if not (all(map(finite_real, annulus)) and 0 < annulus[0] < annulus[1]):
+        raise ValueError(f"annulus needs 0 < r_in < r_out < inf, "
+                         f"got {annulus}")
+
+
 class AnalyticMap(NamedTuple):
     """Evaluator of a closed-form analytic map C -> C^3 (or C -> C).
 

@@ -28,10 +28,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bjorling import (_NULL, _PASS_POINTS, _S, _WT, NODES, QuadratureError,
+from .bjorling import (_PASS_POINTS, NODES, QuadratureError, _legendre,
                        segment_integral)
 from .catalog import EXP_CHART, FAMILY_INFO, PUNCTURED_CHART, CatalogSurface
-from .frames import finite_real
+from .frames import check_curvature_domain, finite_real
 from .lorentz import vec3
 
 LORENTZ = "lorentz"
@@ -308,13 +308,6 @@ def _spherical_density(w: WeierstrassData, z, h):
             / (1.0 + np.abs(0.5 * (gp + gm)) ** 2) ** 2)
 
 
-def check_curvature_domain(annulus):
-    """Raise ValueError unless the radii are finite_reals, 0 < r_in < r_out."""
-    if not (all(map(finite_real, annulus)) and 0 < annulus[0] < annulus[1]):
-        raise ValueError(f"annulus needs 0 < r_in < r_out < inf, "
-                         f"got {annulus}")
-
-
 def _ring_sums(w, r, n, offset):
     """_trapezoid's sums of the r^2-weighted density on each ring r.
 
@@ -405,15 +398,16 @@ def total_curvature(w: WeierstrassData, annulus) -> float:
     left = lo + (hi - lo) * np.arange(count) / count
     width = np.full(count, (hi - lo) / count)
     used, top, parts = 0, 0.0, []
+    unit_nodes, wt, null, _ = _legendre()
     with np.errstate(all="ignore"):
         while True:
-            s = left[:, None] + width[:, None] * _S
+            s = left[:, None] + width[:, None] * unit_nodes
             value, n, used, top = _rings(w, s.ravel(), nth, used, top)
             value, n = value.reshape(s.shape), n.reshape(s.shape)
-            est = width * np.sum(np.abs(value @ _NULL.T), axis=1)
+            est = width * np.sum(np.abs(value @ null.T), axis=1)
             tol = _CURVATURE_RTOL * top * width
             miss = est > tol
-            parts.extend(width[~miss] * (value[~miss] @ _WT))
+            parts.extend(width[~miss] * (value[~miss] @ wt))
             if not miss.any():
                 return -4.0 * math.fsum(parts)
             # Each half of a missed panel has as many rings as the whole,

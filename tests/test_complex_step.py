@@ -54,7 +54,8 @@ SURFACES = list(dict.fromkeys(_surfaces()))
 def _sample_grids():
     """(surface, grid) of every `sample` run that tools/golden.py makes,
     then of each family's default box at 160x160, the large grid of the
-    benchmark's sample-mesh workload."""
+    benchmark's sample-mesh workload, and at 512x512, the large grid of
+    ROADMAP aim 1."""
     for fam in catalog.FAMILY_INFO:
         for a in (None, 2.3):
             cfg = cli.build_job_config(
@@ -62,9 +63,11 @@ def _sample_grids():
             yield (cli.surface_from_config(cfg),
                    cli._default_grid(cfg, fam, for_sample=True))
     yield catalog.lightlike_rotational(0.0), Grid(-1, 1, 0, 1, 400, 50)
-    for fam, domain in catalog.DEFAULT_DOMAINS.items():
-        yield (cli.surface_from_config(cli.build_job_config({"family": fam})),
-               Grid.from_domain(domain, 160, 160))
+    for n in (160, 512):
+        for fam, domain in catalog.DEFAULT_DOMAINS.items():
+            yield (cli.surface_from_config(
+                       cli.build_job_config({"family": fam})),
+                   Grid.from_domain(domain, n, n))
 
 
 def _richardson_twin(patch):

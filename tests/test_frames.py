@@ -364,7 +364,7 @@ def test_built_in_pairs_never_reach_the_cross_product(monkeypatch, family,
 # at Re w = 2.5, and at Im w = 300.
 PASS_NODES = (np.array([0.3, -1.6, -0.4 + 7j, 2.5 - 40j])[:, None, None]
               + np.array([1.0, 1j, 1j, -0.5j])[:, None, None]
-              * (np.arange(2)[:, None] + bjorling._S) / 2)
+              * (np.arange(2)[:, None] + bjorling._legendre()[0]) / 2)
 PASS_NODES = np.concatenate([PASS_NODES, PASS_NODES[:1] + 300j])
 
 # The first 16 hex digits of the sha256 of BjorlingData.integrand's bytes

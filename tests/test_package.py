@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -92,3 +94,48 @@ def test_a_verify_job_builds_its_stencil_once(monkeypatch):
                    catalog.FAMILY_INFO[surface.family], None, None)
     assert job.stencil is job.stencil
     assert built == [(patch, grid, cfg.fd_step)]
+
+
+# Run in a fresh interpreter: the command's exit status, then whether the
+# Weierstrass layer and numpy's Legendre module were imported.
+_COMMAND = """
+import sys
+from maxsurf import cli
+status = cli.main(sys.argv[1:])
+print(status, "maxsurf.weierstrass" in sys.modules,
+      "numpy.polynomial" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["sample", "--family", "bending-timelike", "--out", "{tmp}/mesh",
+      "--set", "formats=[\"obj\", \"csv\"]"], False),
+    (["families"], False),
+    (["verify", "--family", "bending-timelike", "--suite", "all",
+      "--report", "{tmp}/report.json"], True),
+], ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_a_command_imports_the_weierstrass_layer_only_to_use_it(
+        tmp_path, argv, loads):
+    run = subprocess.run(
+        [sys.executable, "-c", _COMMAND]
+        + [arg.format(tmp=tmp_path) for arg in argv],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"0 {loads} {loads}"
+
+
+_BARE_IMPORT = """
+import sys
+import maxsurf
+assert "maxsurf.weierstrass" not in sys.modules
+assert set(maxsurf.__all__) <= set(dir(maxsurf))
+assert "maxsurf.weierstrass" not in sys.modules
+assert maxsurf.total_curvature is maxsurf.weierstrass.total_curvature
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+def test_weierstrass_names_resolve_on_first_use():
+    run = subprocess.run([sys.executable, "-c", _BARE_IMPORT],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -688,7 +688,7 @@ def _pole_model(z0, label):
 # its default start: 4 panels of NODES rings in log r, 32 angles per ring
 _LO, _HI = np.log(1e-3), np.log(1e3)
 _FIRST_S = ((_LO + (_HI - _LO) * np.arange(4) / 4)[:, None]
-            + (_HI - _LO) / 4 * W._S).ravel()
+            + (_HI - _LO) / 4 * W._legendre()[0]).ravel()
 _FIRST_TH = 2.0 * np.pi * np.arange(32) / 32
 _FIRST_Z = np.exp(_FIRST_S)[:, None] * np.exp(1j * _FIRST_TH)[None, :]
 
