@@ -431,18 +431,22 @@ def _write_mesh(paths, label, grid: Grid, points, mask):
     spacelike mask, in blocks of rows of at most _TEXT_NODES nodes (one row
     when a row holds more), so that the text never holds the whole mesh.
 
-    One _float_tokens call per block formats its x, y, z and u (and the v
-    axis for a new block shape) into a buffer of lines, allocated with its
-    separators and v tokens once per block shape; each line is _LINE:
+    One _float_tokens call per block formats its x, y, z and u (and, in
+    the first block, the v axis) into a buffer of lines, allocated once for
+    the largest block with its separators and then its v tokens; each line
+    is _LINE:
         u , v , \2 \3 x \1 y \1 z \4 flag \n
-    with NUL-padded tokens.  The CSV block is the buffer with NUL, \2 and
+    with NUL-padded tokens.  A block of r rows is written through the
+    buffer's first r rows.  The CSV block is those lines with NUL, \2 and
     \3 dropped and \1 and \4 read as commas (_CSV_TABLE); the OBJ vertex
-    block is its columns from \2 to \4 with NUL dropped, \2 read as "v",
+    block is their columns from \2 to \4 with NUL dropped, \2 read as "v",
     \3 and \1 as spaces and \4 as a newline (_OBJ_TABLE).  Each file is
     rewritten in place and cut to its new length (see _rewrite), no fsync."""
     nu, nv = grid.nu, grid.nv
     vs = grid.axes()[1]
-    buf = None
+    step = max(1, _TEXT_NODES // nv)
+    buf = np.empty((min(nu, step), nv, _LINE.size), np.uint8)
+    buf[...] = _LINE
     with contextlib.ExitStack() as stack:
         files = {fmt: stack.enter_context(_rewrite(path))
                  for fmt, path in paths.items()}
@@ -455,25 +459,22 @@ def _write_mesh(paths, label, grid: Grid, points, mask):
         for rows, (us, _) in grid.row_blocks(_TEXT_NODES, sparse=True):
             block = points[rows]
             r, n = len(block), len(block) * nv
-            fresh = buf is None or len(buf) != r
-            if fresh:
-                buf = np.empty((r, nv, _LINE.size), np.uint8)
-                buf[...] = _LINE
+            lines = buf[:r]
             tokens = _float_tokens(np.concatenate((
-                np.moveaxis(block, -1, 0).ravel(), us.ravel(),
-                vs if fresh else vs[:0])))
+                np.moveaxis(block, -1, 0).ravel(), us.ravel(), vs)))
             for k, at in enumerate(_XYZ):
-                buf[..., at:at + _WIDTH] = tokens[k * n:(k + 1) * n].reshape(
+                lines[..., at:at + _WIDTH] = tokens[k * n:(k + 1) * n].reshape(
                     r, nv, _WIDTH)
-            buf[..., :_WIDTH] = tokens[3 * n:3 * n + r, None]
-            if fresh:
+            lines[..., :_WIDTH] = tokens[3 * n:3 * n + r, None]
+            if vs.size:
                 buf[..., _V:_V + _WIDTH] = tokens[3 * n + r:]
-            buf[..., _FLAG] = mask[rows] + np.uint8(_ZERO)
+                vs = vs[:0]
+            lines[..., _FLAG] = mask[rows] + np.uint8(_ZERO)
             if obj:
-                obj.write(buf[..., _XYZ[0] - 2:_FLAG].tobytes().translate(
+                obj.write(lines[..., _XYZ[0] - 2:_FLAG].tobytes().translate(
                     _OBJ_TABLE, b"\0"))
             if csv:
-                csv.write(buf.tobytes().translate(_CSV_TABLE, b"\0\2\3"))
+                csv.write(lines.tobytes().translate(_CSV_TABLE, b"\0\2\3"))
         if obj:
             bad = np.flatnonzero(~mask) + 1
             if bad.size:
@@ -484,9 +485,8 @@ def _write_mesh(paths, label, grid: Grid, points, mask):
                                  _int_tokens(bad[i:i + _TEXT_NODES]), b"\n"))
             # the faces of rows i..j - 1 join vertex rows i..j; t holds the
             # 1-based index of each of those vertices
-            rows = max(1, _TEXT_NODES // nv)
-            for i in range(0, nu - 1, rows):
-                j = min(i + rows, nu - 1)
+            for i in range(0, nu - 1, step):
+                j = min(i + step, nu - 1)
                 t = _int_tokens(np.arange(i * nv + 1, (j + 1) * nv + 1))
                 t = t.reshape(j + 1 - i, nv, -1)
                 obj.write(_lines(b"f ", t[:-1, :-1], b" ", t[1:, :-1], b" ",
@@ -733,15 +733,13 @@ def _total_curvature(job):
 
 def _verify_checks(cfg: JobConfig, surface, patch, grid):
     """Run the requested suites; returns (checks, skipped notes)."""
-    with np.errstate(all="ignore"):
-        values = _grid_values(patch, grid)
     info = catalog.FAMILY_INFO[surface.family]
-    job = _Job(cfg, surface, patch, grid, info, values,
-               catalog.bjorling_data_for(surface) if info.curve else None)
     checks = []
     skipped = []
     # Non-finite values end as FAIL residuals, not as warnings.
     with np.errstate(all="ignore"):
+        job = _Job(cfg, surface, patch, grid, info, _grid_values(patch, grid),
+                   catalog.bjorling_data_for(surface) if info.curve else None)
         for name, suites, rule, run in _CHECKS:
             verdict = cfg.suite in suites and rule(job)
             if isinstance(verdict, str):

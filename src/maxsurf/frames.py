@@ -184,9 +184,9 @@ class BjorlingData:
         If the normal field and the curve derivative are the evaluators that
         make_normal_field and make_curve build for one family, it comes from
         the frame identity V x alpha' = eps mu (cosh(phi) L1 + sinh(phi) L2),
-        with no cross product: one kernel call, one twist call and the legs,
-        one component at a time.  Other data, a swapped map included, takes
-        lorentz_cross(normal_field(w), alpha.d(w)).
+        with no cross product: one kernel call, one twist call and one call
+        for both legs, combined component by component.  Other data, a
+        swapped map included, takes lorentz_cross(normal_field(w), alpha.d(w)).
         """
         field, deriv = self.normal_field.func, self.alpha.deriv
         if (isinstance(field, _NormalField) and isinstance(deriv, _Curve)
@@ -199,49 +199,38 @@ class BjorlingData:
         return out
 
 
-def _sin_cos(z):
-    """(sin z, cos z), for complex z from four real ufunc passes:
+def _four_pass(z, f, g, twin_f, twin_g, negate):
+    """(f z, g z) for (f, g) the real ufuncs (sin, cos) or (sinh, cosh), and
+    (twin_f, twin_g) the other pair; complex z takes four real ufunc passes:
 
         sin(x + iy) = sin x cosh y + i cos x sinh y
         cos(x + iy) = cos x cosh y - i sin x sinh y
-
-    numpy's complex sin and cos each cost several times a real pass and
-    share no work.  Real input goes straight to the real ufuncs, so it keeps
-    its exact values and dtype.
-    """
-    z = np.asarray(z)
-    if not np.iscomplexobj(z):
-        return np.sin(z), np.cos(z)
-    sx, cx = np.sin(z.real), np.cos(z.real)
-    shy, chy = np.sinh(z.imag), np.cosh(z.imag)
-    sin, cos = np.empty_like(z), np.empty_like(z)
-    np.multiply(sx, chy, out=sin.real)
-    np.multiply(cx, shy, out=sin.imag)
-    np.multiply(cx, chy, out=cos.real)
-    np.multiply(np.negative(sx), shy, out=cos.imag)
-    return sin, cos
-
-
-def _sinh_cosh(z):
-    """(sinh z, cosh z), for complex z from four real ufunc passes:
-
         sinh(x + iy) = sinh x cos y + i cosh x sin y
         cosh(x + iy) = cosh x cos y + i sinh x sin y
 
-    Real input goes straight to the real ufuncs, so it keeps its exact
-    values and dtype.
+    `negate` gives the cos minus sign.  numpy's complex sin and cos each
+    cost several times a real pass and share no work.  Real input goes
+    straight to the real ufuncs, so it keeps its exact values and dtype.
     """
     z = np.asarray(z)
     if not np.iscomplexobj(z):
-        return np.sinh(z), np.cosh(z)
-    shx, chx = np.sinh(z.real), np.cosh(z.real)
-    sy, cy = np.sin(z.imag), np.cos(z.imag)
-    sinh, cosh = np.empty_like(z), np.empty_like(z)
-    np.multiply(shx, cy, out=sinh.real)
-    np.multiply(chx, sy, out=sinh.imag)
-    np.multiply(chx, cy, out=cosh.real)
-    np.multiply(shx, sy, out=cosh.imag)
-    return sinh, cosh
+        return f(z), g(z)
+    fx, gx = f(z.real), g(z.real)
+    fy, gy = twin_f(z.imag), twin_g(z.imag)
+    fz, gz = np.empty_like(z), np.empty_like(z)
+    np.multiply(fx, gy, out=fz.real)
+    np.multiply(gx, fy, out=fz.imag)
+    np.multiply(gx, gy, out=gz.real)
+    np.multiply(np.negative(fx) if negate else fx, fy, out=gz.imag)
+    return fz, gz
+
+
+def _sin_cos(z):
+    return _four_pass(z, np.sin, np.cos, np.sinh, np.cosh, True)
+
+
+def _sinh_cosh(z):
+    return _four_pass(z, np.sinh, np.cosh, np.sin, np.cos, False)
 
 
 def _z_square(z):
@@ -253,14 +242,15 @@ def _z_square(z):
 class _Formulas(NamedTuple):
     """The formulas of one family.  `kernel` maps z to the pair (f, g) the
     others take; `alpha` and `deriv` map (z, f, g) to the components of the
-    curve and of its derivative; `legs` holds, per component, the functions
-    of (f, g) giving it on the spacelike leg L1 and on the timelike leg L2;
-    with T = alpha' / mu, L1 x T = eps L2 and L2 x T = eps L1."""
+    curve and of its derivative; `legs` maps (f, g) to both frame legs from
+    one call, the spacelike leg L1 and the timelike leg L2, each as its
+    three components; with T = alpha' / mu, L1 x T = eps L2 and
+    L2 x T = eps L1."""
 
     kernel: Callable
     alpha: Callable
     deriv: Callable
-    legs: tuple
+    legs: Callable
     eps: float
 
 
@@ -275,45 +265,37 @@ def _formulas(family: CurveFamily) -> _Formulas:
     if tag == CIRCLE_TIMELIKE:
         return _Formulas(_sin_cos, lambda z, f, g: (g, f, 0.0),
                          lambda z, f, g: (-f, g, 0.0),
-                         ((lambda f, g: -g, lambda f, g: 0.0),
-                          (lambda f, g: -f, lambda f, g: 0.0),
-                          (lambda f, g: 0.0, lambda f, g: 1.0)), 1.0)
+                         lambda f, g: ((-g, -f, 0.0), (0.0, 0.0, 1.0)), 1.0)
     if tag == CIRCLE_SPACELIKE:
         return _Formulas(_sinh_cosh, lambda z, f, g: (0.0, f, g),
                          lambda z, f, g: (0.0, g, f),
-                         ((lambda f, g: 1.0, lambda f, g: 0.0),
-                          (lambda f, g: 0.0, lambda f, g: f),
-                          (lambda f, g: 0.0, lambda f, g: g)), -1.0)
+                         lambda f, g: ((1.0, 0.0, 0.0), (0.0, f, g)), -1.0)
     if tag == CIRCLE_LIGHTLIKE:
         # n - b and n + b of the null legs n = (1, 0, 1) / 2, b = ((g - 1) / 2,
         # f, (g + 1) / 2), unsimplified: 0.0 - f is +0 where -f is -0
         return _Formulas(_z_square, lambda z, f, g: (g / 2 - 1.0, f, g / 2),
                          lambda z, f, g: (f, 1.0, f),
-                         ((lambda f, g: 0.5 - (g - 1.0) / 2,
-                           lambda f, g: 0.5 + (g - 1.0) / 2),
-                          (lambda f, g: 0.0 - f, lambda f, g: 0.0 + f),
-                          (lambda f, g: 0.5 - (g + 1.0) / 2,
-                           lambda f, g: 0.5 + (g + 1.0) / 2)), -1.0)
+                         lambda f, g: ((0.5 - (g - 1.0) / 2, 0.0 - f,
+                                        0.5 - (g + 1.0) / 2),
+                                       (0.5 + (g - 1.0) / 2, 0.0 + f,
+                                        0.5 + (g + 1.0) / 2)), -1.0)
     lam, mu = family.lam, family.mu
     k = lam / mu
     if tag == HELIX_TIMELIKE:
         return _Formulas(_sin_cos, lambda z, f, g: (g, f, lam * z),
                          lambda z, f, g: (-f, g, lam),
-                         ((lambda f, g: -g, lambda f, g: k * f),
-                          (lambda f, g: -f, lambda f, g: -k * g),
-                          (lambda f, g: 0.0, lambda f, g: -1.0 / mu)), -1.0)
+                         lambda f, g: ((-g, -f, 0.0),
+                                       (k * f, -k * g, -1.0 / mu)), -1.0)
     if tag == HELIX_SPACELIKE_I:
         return _Formulas(_sinh_cosh, lambda z, f, g: (lam * z, g, f),
                          lambda z, f, g: (lam, f, g),
-                         ((lambda f, g: 0.0, lambda f, g: -1.0 / mu),
-                          (lambda f, g: g, lambda f, g: -k * f),
-                          (lambda f, g: f, lambda f, g: -k * g)), -1.0)
+                         lambda f, g: ((0.0, g, f),
+                                       (-1.0 / mu, -k * f, -k * g)), -1.0)
     # helix-spacelike-ii
     return _Formulas(_sinh_cosh, lambda z, f, g: (lam * z, f, g),
                      lambda z, f, g: (lam, g, f),
-                     ((lambda f, g: 1.0 / mu, lambda f, g: 0.0),
-                      (lambda f, g: -k * g, lambda f, g: f),
-                      (lambda f, g: -k * f, lambda f, g: g)), -1.0)
+                     lambda f, g: ((1.0 / mu, -k * g, -k * f),
+                                   (0.0, f, g)), -1.0)
 
 
 class _Curve:
@@ -359,21 +341,15 @@ class _NormalField:
         return self._combine(w, self.scale * ch, self.scale * sh, out)
 
     def _combine(self, z, p, q, out=None):
-        """p L1 + q L2 at z, a component at a time (its temporaries freed
-        before the next's), summed straight into out[..., k] when given.
-        On the numpy scalars of a 0-d z, `*` takes numpy's scalar complex
+        """p L1 + q L2 at z, both legs from one call, combined component by
+        component, each summed straight into out[..., k] when given.  On
+        the numpy scalars of a 0-d z, `*` takes numpy's scalar complex
         product, which can round otherwise than the ufunc's array loop."""
-        z = np.asarray(z)
-        f, g = self.form.kernel(z)
-
-        def comp(l1, l2, out=None):
-            return np.add(np.multiply(p, l1(f, g)), np.multiply(q, l2(f, g)),
-                          out=out)
-        if out is None:
-            return vec3(*(comp(*legs) for legs in self.form.legs))
-        for k, legs in enumerate(self.form.legs):
-            comp(*legs, out=out[..., k])
-        return out
+        l1, l2 = self.form.legs(*self.form.kernel(np.asarray(z)))
+        comps = [np.add(np.multiply(p, a), np.multiply(q, b),
+                        out=None if out is None else out[..., k])
+                 for k, (a, b) in enumerate(zip(l1, l2))]
+        return vec3(*comps) if out is None else out
 
 
 def make_normal_field(family: CurveFamily, spec: NormalFieldSpec) -> AnalyticMap:

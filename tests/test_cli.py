@@ -199,6 +199,9 @@ def _token_mesh_text(patch, grid, mask):
     # nodes in each
     *(("lightlike-rotational", 0.0, Grid(-1.0, 1.0, 0.0, 1.0, 400, 50),
        formats) for formats in (["obj", "csv"], ["obj"], ["csv"])),
+    # full blocks of 81 rows, then a last block of one row
+    ("lightlike-rotational", 0.0, Grid(-1.0, 1.0, 0.0, 1.0, 82, 50),
+     ["obj", "csv"]),
     # rows of more than _TEXT_NODES nodes: one row per block
     *(("lightlike-rotational", 0.0, Grid(-1.0, 1.0, 0.0, 1.0, 3, 4100),
        formats) for formats in (["obj", "csv"], ["obj"], ["csv"])),

@@ -243,7 +243,7 @@ def test_frame_legs_carry_their_recorded_orientation(family):
     rng = np.random.default_rng(7)
     t = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
     f, g = form.kernel(t)
-    n, b = (vec3(*[pair[i](f, g) for pair in form.legs]) for i in (0, 1))
+    n, b = (vec3(*leg) for leg in form.legs(f, g))
     for leg in (n, b):
         assert leg.shape in (t.shape + (3,), (3,))
     d = frames.make_curve(family).d(t)

@@ -58,7 +58,7 @@ _JOB_FIELDS = dict(
      dict(curve=None, twist=None, group=None, orbit_of=None,
           verify_domain=None, forms=None, punctured=None, unit_period=None)),
     (frames.AnalyticMap, dict(func=abs), dict(deriv=None)),
-    (frames._Formulas, dict(kernel=abs, alpha=abs, deriv=abs, legs=(),
+    (frames._Formulas, dict(kernel=abs, alpha=abs, deriv=abs, legs=abs,
                             eps=1.0), {}),
     (motions.MotionGroup, dict(tag="rotation", matrix=abs),
      dict(translation=None)),
