@@ -21,6 +21,9 @@ The spacelike-axis twisted families' removable singularity at a = 1 sits
 in a v sinc((a - 1) v) factor of their kernels, exact at a = 1.
 bending-spacelike is helicoidal-spacelike-ii at lam = 0, mu = 1: the
 spacelike circle (0, sinh t, cosh t) is the type-II helix of zero pitch.
+bending-timelike is helicoidal-timelike at lam = -0, mu = -1: the timelike
+circle is the helix of zero pitch, mu = -1 carries the circle's frame
+orientation, and lam = -0 keeps the signed zeros of z that +0 would flip.
 
 FAMILY_INFO holds one Family per family, its holomorphic facts included:
 forms, punctured, unit_period and curvature, read by weierstrass and cli.
@@ -173,8 +176,7 @@ def enneper_second_kind(cubic: float, offset: float) -> CatalogSurface:
 # ---------------------------------------------------------------------------
 # timelike-axis twisted families
 
-def _trig_hyp_products(a, u, v):
-    """The four mixed products appearing in the timelike-axis surfaces."""
+def _eval_helicoidal_timelike(a, lam, mu, u, v):
     cau, sau = np.cosh(a * u), np.sinh(a * u)
     cav, sav = np.cos(a * v), np.sin(a * v)
     cu, su = np.cos(u), np.sin(u)
@@ -183,24 +185,10 @@ def _trig_hyp_products(a, u, v):
     pb = sau * sav * su * cv + cau * cav * cu * sv
     pc = cau * sav * su * cv + sau * cav * cu * sv
     pd = sau * sav * cu * cv - cau * cav * su * sv
-    return pa, pb, pc, pd
-
-
-def _eval_bending_timelike(a, u, v):
-    pa, pb, pc, pd = _trig_hyp_products(a, u, v)
     den = a * a + 1.0
-    x = np.cos(u) * np.cosh(v) + (a * pa + pb) / den
-    y = np.sin(u) * np.cosh(v) + (a * pc - pd) / den
-    z = -np.sinh(a * u) * np.sin(a * v) / a
-    return vec3(x, y, z)
-
-
-def _eval_helicoidal_timelike(a, lam, mu, u, v):
-    pa, pb, pc, pd = _trig_hyp_products(a, u, v)
-    den = a * a + 1.0
-    x = np.cos(u) * np.cosh(v) - ((a * mu + lam) * pa + (mu - a * lam) * pb) / den
-    y = np.sin(u) * np.cosh(v) - ((a * mu + lam) * pc + (a * lam - mu) * pd) / den
-    z = lam * u - np.sinh(a * u) * np.sin(a * v) / a
+    x = cu * cv - ((a * mu + lam) * pa + (mu - a * lam) * pb) / den
+    y = su * cv - ((a * mu + lam) * pc + (a * lam - mu) * pd) / den
+    z = lam * u - sau * sav / a
     return vec3(x, y, z)
 
 
@@ -481,7 +469,7 @@ def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu, z):
 FAMILY_INFO = {
     BENDING_TIMELIKE: _bjorling(
         frames.CIRCLE_TIMELIKE, "linear", (-np.pi, np.pi, -0.35, 0.35),
-        lambda s, u, v: _eval_bending_timelike(s.a, u, v),
+        lambda s, u, v: _eval_helicoidal_timelike(s.a, -0.0, -1.0, u, v),
         forms=lambda s, z: _forms_bending_timelike(s.a, z)),
     BENDING_SPACELIKE: _bjorling(
         frames.CIRCLE_SPACELIKE, "linear", (-1.2, 1.2, -0.4, 0.4),

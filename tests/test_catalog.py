@@ -14,7 +14,7 @@ from maxsurf import catalog, cli
 from maxsurf import weierstrass as W
 from maxsurf.bjorling import solve_bjorling
 from maxsurf.catalog import _kernels
-from maxsurf.lorentz import lorentz_dot
+from maxsurf.lorentz import lorentz_dot, vec3
 from maxsurf.verify import Grid
 
 _POINT_ORACLES = [
@@ -277,6 +277,37 @@ def test_eval_broadcasts():
                 assert _same_bits(got, want), (patch.label, du, dv)
     s = catalog.bending_timelike(1.0)
     assert catalog.eval_surface(s, 0.1, 0.2).shape == (3,)
+
+
+def _bending_timelike_own_form(a, u, v):
+    """bending-timelike's own closed form: the reference for the bits of
+    its evaluation as the timelike helicoid of zero pitch."""
+    cau, sau = np.cosh(a * u), np.sinh(a * u)
+    cav, sav = np.cos(a * v), np.sin(a * v)
+    cu, su = np.cos(u), np.sin(u)
+    cv, sv = np.cosh(v), np.sinh(v)
+    pa = cau * sav * cu * cv - sau * cav * su * sv
+    pb = sau * sav * su * cv + cau * cav * cu * sv
+    pc = cau * sav * su * cv + sau * cav * cu * sv
+    pd = sau * sav * cu * cv - cau * cav * su * sv
+    den = a * a + 1.0
+    x = np.cos(u) * np.cosh(v) + (a * pa + pb) / den
+    y = np.sin(u) * np.cosh(v) + (a * pc - pd) / den
+    z = -np.sinh(a * u) * np.sin(a * v) / a
+    return vec3(x, y, z)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 2.3])
+def test_bending_timelike_keeps_the_bits_of_its_own_form(a):
+    # The default box at 25x15 has nodes at u = 0 and v = 0, where z is a
+    # signed zero that the helicoid's lam * u term keeps only at lam = -0.
+    grid = Grid.from_domain(catalog.DEFAULT_DOMAINS[catalog.BENDING_TIMELIKE],
+                            25, 15)
+    s = catalog.bending_timelike(a)
+    for sparse in (False, True):
+        U, V = grid.mesh(sparse=sparse)
+        assert _same_bits(catalog.eval_surface(s, U, V),
+                          _bending_timelike_own_form(a, U, V)), sparse
 
 
 def test_patch_labels_identify_parameters():

@@ -28,7 +28,8 @@ The tree holds, for the `maxsurf` found on the import path:
   of bending-spacelike at a = 2.0000000005, within catalog.integer_rate's
   1e-9 of 2, whose checks read the a = 2 forms;
 - the `sample` OBJ, CSV and stdout and the `verify --suite all` report and
-  stdout of bending-spacelike at a = 1, 2 and 2.3 on ZERO_GRID, whose
+  stdout of bending-spacelike and bending-timelike at a = 1, 2 and 2.3 on
+  their ZERO_GRIDS, each family's default box at 25x17 and 25x15, whose
   nodes include u = 0 and v = 0, where a closed form that adds 0.0 * u
   could print -0 for 0;
 - the stdout of bending-timelike refused in every suite on OVERFLOW_GRID,
@@ -69,9 +70,16 @@ ZERO_RATE_FAMILIES = (catalog.BENDING_SPACELIKE,
 # whose checks it decides.
 NEAR_INTEGER_TWIST = "2.0000000005"
 NEAR_INTEGER_SUITES = ("periods", "curvature")
-# bending-spacelike's default box at 25x17, with nodes at u = 0 and v = 0.
-ZERO_GRID = ('{"u_min":-1.2,"u_max":1.2,"v_min":-0.4,"v_max":0.4,'
-             '"nu":25,"nv":17}')
+# Each circle family's default box, with nodes at u = 0 and v = 0: its
+# size in file names and its grid.
+ZERO_GRIDS = {
+    catalog.BENDING_SPACELIKE: (
+        "25x17", '{"u_min":-1.2,"u_max":1.2,"v_min":-0.4,"v_max":0.4,'
+                 '"nu":25,"nv":17}'),
+    catalog.BENDING_TIMELIKE: (
+        "25x15", '{"u_min":-3.141592653589793,"u_max":3.141592653589793,'
+                 '"v_min":-0.35,"v_max":0.35,"nu":25,"nv":15}'),
+}
 # A grid with non-finite nodes, which `verify` refuses before any check.
 OVERFLOW_GRID = ('{"u_min":700,"u_max":720,"v_min":-1,"v_max":1,'
                  '"nu":3,"nv":3}')
@@ -134,14 +142,16 @@ def jobs():
         name = f"verify-{fam}-{suite}-a{NEAR_INTEGER_TWIST}"
         yield name, ["verify", "--family", fam, "--suite", suite, "--a",
                      NEAR_INTEGER_TWIST, "--report", name + ".json"]
-    for a in TWISTS:
-        name = f"sample-{fam}-a{a}-25x17"
-        yield name, ["sample", "--family", fam, "--a", a, "--out", name,
-                     "--set", 'formats=["obj","csv"]', "--set",
-                     "grid=" + ZERO_GRID]
-        name = f"verify-{fam}-all-a{a}-25x17"
-        yield name, ["verify", "--family", fam, "--suite", "all", "--a", a,
-                     "--set", "grid=" + ZERO_GRID, "--report", name + ".json"]
+    for fam, (size, grid) in ZERO_GRIDS.items():
+        for a in TWISTS:
+            name = f"sample-{fam}-a{a}-{size}"
+            yield name, ["sample", "--family", fam, "--a", a, "--out", name,
+                         "--set", 'formats=["obj","csv"]', "--set",
+                         "grid=" + grid]
+            name = f"verify-{fam}-all-a{a}-{size}"
+            yield name, ["verify", "--family", fam, "--suite", "all", "--a",
+                         a, "--set", "grid=" + grid, "--report",
+                         name + ".json"]
     fam = catalog.BENDING_TIMELIKE
     name = f"verify-{fam}-all-perturb"
     yield name, ["verify", "--family", fam, "--suite", "all", "--set",
