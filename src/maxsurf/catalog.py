@@ -21,6 +21,9 @@ The spacelike-axis twisted families' removable singularity at a = 1 sits
 in a v sinc((a - 1) v) factor of their kernels, exact at a = 1.
 bending-spacelike is helicoidal-spacelike-ii at lam = 0, mu = 1: the
 spacelike circle (0, sinh t, cosh t) is the type-II helix of zero pitch.
+helicoidal-spacelike-i is helicoidal-spacelike-ii with cosh au and sinh au
+exchanged, the twist term of x negated and y and z exchanged; in its exp-chart
+forms the sign of phi1's imaginary part flips and phi2 and phi3 exchange.
 bending-timelike is helicoidal-timelike at lam = -0, mu = -1: the timelike
 circle is the helix of zero pitch, mu = -1 carries the circle's frame
 orientation, and lam = -0 keeps the signed zeros of z that +0 would flip.
@@ -205,28 +208,17 @@ def _kernels(a, lam, mu, v):
     return 0.5 * (fast + slow), 0.5 * (fast - slow)
 
 
-def _hyp_products(a, u):
-    cau, sau = np.cosh(a * u), np.sinh(a * u)
-    cu, su = np.cosh(u), np.sinh(u)
-    return cau * cu, sau * su, cau * su, sau * cu
-
-
-def _eval_helicoidal_spacelike_i(a, lam, mu, u, v):
+def _eval_helicoidal_spacelike(a, lam, mu, u, v, type_i=False):
     r, s = _kernels(a, lam, mu, v)
-    cc, ss, cs, sc = _hyp_products(a, u)
-    x = lam * u - np.sinh(a * u) * np.sin(a * v) / a
-    y = np.cosh(u) * np.cos(v) + cc * r + ss * s
-    z = np.sinh(u) * np.cos(v) + cs * r + sc * s
-    return vec3(x, y, z)
-
-
-def _eval_helicoidal_spacelike_ii(a, lam, mu, u, v):
-    r, s = _kernels(a, lam, mu, v)
-    cc, ss, cs, sc = _hyp_products(a, u)
-    x = lam * u + np.cosh(a * u) * np.sin(a * v) / a
-    y = np.sinh(u) * np.cos(v) + ss * r + cc * s
-    z = np.cosh(u) * np.cos(v) + sc * r + cs * s
-    return vec3(x, y, z)
+    p, q = np.cosh(a * u), np.sinh(a * u)
+    p, q = (q, p) if type_i else (p, q)
+    # sin av named: numpy takes p * (big temporary) as temporary * p
+    cu, su, cv, sav = np.cosh(u), np.sinh(u), np.cos(v), np.sin(a * v)
+    t = p * sav / a
+    x = lam * u - t if type_i else lam * u + t
+    y = su * cv + q * su * r + p * cu * s
+    z = cu * cv + q * cu * r + p * su * s
+    return vec3(x, z, y) if type_i else vec3(x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +238,10 @@ def _eval_hyperbolic_catenoid(a, u, v):
 
 def _eval_helicoidal_timelike_constant(a, lam, mu, u, v):
     ca, sa = np.cosh(a), np.sinh(a)
-    x = -mu * ca * np.cos(u) * np.sinh(v) + lam * sa * np.sin(u) * np.sinh(v) \
-        + np.cos(u) * np.cosh(v)
-    y = np.cosh(v) * np.sin(u) - mu * ca * np.sin(u) * np.sinh(v) \
-        - lam * sa * np.cos(u) * np.sinh(v)
-    z = lam * u - np.sinh(a) * v
+    cu, su, cv, sv = np.cos(u), np.sin(u), np.cosh(v), np.sinh(v)
+    x = -mu * ca * cu * sv + lam * sa * su * sv + cu * cv
+    y = cv * su - mu * ca * su * sv - lam * sa * cu * sv
+    z = lam * u - sa * v
     return vec3(x, y, z)
 
 
@@ -425,11 +416,14 @@ def _forms_helicoidal_timelike(a, lam, mu, z):
             lam + 1j * sh)
 
 
-def _forms_helicoidal_spacelike_i_exp(a, lam, mu, z):
+def _forms_helicoidal_spacelike_exp(a, lam, mu, z, type_i=False):
     ch, sh = np.cosh(z), np.sinh(z)
-    cha, sha = np.cosh(a * z), np.sinh(a * z)
-    return (lam + 1j * sha, sh + 1j * (lam * sh * sha - mu * ch * cha),
-            ch + 1j * (lam * ch * sha - mu * sh * cha))
+    p, q = np.cosh(a * z), np.sinh(a * z)
+    p, q = (q, p) if type_i else (p, q)
+    phi1 = lam + 1j * p if type_i else lam - 1j * p
+    phi2 = ch + 1j * (lam * ch * p - mu * sh * q)
+    phi3 = sh + 1j * (lam * sh * p - mu * ch * q)
+    return (phi1, phi3, phi2) if type_i else (phi1, phi2, phi3)
 
 
 def _forms_helicoidal_spacelike_i_punctured(a, lam, mu, z):
@@ -442,13 +436,6 @@ def _forms_helicoidal_spacelike_i_punctured(a, lam, mu, z):
             (1j * (lam - mu) * (zaa * z2 - 1.0)
              + 1j * (lam + mu) * (zaa - z2)
              + 2.0 * zaz2 + 2.0 * za) / (4.0 * zaz2))
-
-
-def _forms_helicoidal_spacelike_ii_exp(a, lam, mu, z):
-    ch, sh = np.cosh(z), np.sinh(z)
-    cha, sha = np.cosh(a * z), np.sinh(a * z)
-    return (lam - 1j * cha, ch + 1j * (lam * ch * cha - mu * sh * sha),
-            sh + 1j * (lam * sh * cha - mu * ch * sha))
 
 
 def _forms_helicoidal_spacelike_ii_punctured(a, lam, mu, z):
@@ -473,7 +460,7 @@ FAMILY_INFO = {
         forms=lambda s, z: _forms_bending_timelike(s.a, z)),
     BENDING_SPACELIKE: _bjorling(
         frames.CIRCLE_SPACELIKE, "linear", (-1.2, 1.2, -0.4, 0.4),
-        lambda s, u, v: _eval_helicoidal_spacelike_ii(s.a, 0.0, 1.0, u, v),
+        lambda s, u, v: _eval_helicoidal_spacelike(s.a, 0.0, 1.0, u, v),
         forms=lambda s, z: _forms_bending_spacelike_exp(s.a, z),
         punctured=lambda s, z: _forms_bending_spacelike_punctured(s.a, z),
         unit_period=lambda s: -np.pi,
@@ -493,18 +480,19 @@ FAMILY_INFO = {
         forms=lambda s, z: _forms_helicoidal_timelike(s.a, s.lam, s.mu, z)),
     HELICOIDAL_SPACELIKE_I: _bjorling(
         frames.HELIX_SPACELIKE_I, "linear", (-1.2, 1.2, -0.4, 0.4),
-        lambda s, u, v: _eval_helicoidal_spacelike_i(s.a, s.lam, s.mu, u, v),
+        lambda s, u, v: _eval_helicoidal_spacelike(s.a, s.lam, s.mu, u, v,
+                                                   type_i=True),
         lam=2.0,
-        forms=lambda s, z: _forms_helicoidal_spacelike_i_exp(
-            s.a, s.lam, s.mu, z),
+        forms=lambda s, z: _forms_helicoidal_spacelike_exp(
+            s.a, s.lam, s.mu, z, type_i=True),
         punctured=lambda s, z: _forms_helicoidal_spacelike_i_punctured(
             s.a, s.lam, s.mu, z),
         unit_period=lambda s: np.pi * (s.lam + s.mu)),
     HELICOIDAL_SPACELIKE_II: _bjorling(
         frames.HELIX_SPACELIKE_II, "linear", (-1.2, 1.2, -0.4, 0.4),
-        lambda s, u, v: _eval_helicoidal_spacelike_ii(s.a, s.lam, s.mu, u, v),
+        lambda s, u, v: _eval_helicoidal_spacelike(s.a, s.lam, s.mu, u, v),
         lam=1.0,
-        forms=lambda s, z: _forms_helicoidal_spacelike_ii_exp(
+        forms=lambda s, z: _forms_helicoidal_spacelike_exp(
             s.a, s.lam, s.mu, z),
         punctured=lambda s, z: _forms_helicoidal_spacelike_ii_punctured(
             s.a, s.lam, s.mu, z),

@@ -310,6 +310,99 @@ def test_bending_timelike_keeps_the_bits_of_its_own_form(a):
                           _bending_timelike_own_form(a, U, V)), sparse
 
 
+# The spacelike helicoids' own closed forms and exp-chart forms, and the
+# constant-twist timelike helicoid's, as written before type I was evaluated
+# as type II with cosh au and sinh au exchanged: the references for the bits.
+
+def _hyp_products(a, u):
+    cau, sau = np.cosh(a * u), np.sinh(a * u)
+    cu, su = np.cosh(u), np.sinh(u)
+    return cau * cu, sau * su, cau * su, sau * cu
+
+
+def _spacelike_i_own_form(a, lam, mu, u, v):
+    r, s = _kernels(a, lam, mu, v)
+    cc, ss, cs, sc = _hyp_products(a, u)
+    x = lam * u - np.sinh(a * u) * np.sin(a * v) / a
+    y = np.cosh(u) * np.cos(v) + cc * r + ss * s
+    z = np.sinh(u) * np.cos(v) + cs * r + sc * s
+    return vec3(x, y, z)
+
+
+def _spacelike_ii_own_form(a, lam, mu, u, v):
+    r, s = _kernels(a, lam, mu, v)
+    cc, ss, cs, sc = _hyp_products(a, u)
+    x = lam * u + np.cosh(a * u) * np.sin(a * v) / a
+    y = np.sinh(u) * np.cos(v) + ss * r + cc * s
+    z = np.cosh(u) * np.cos(v) + sc * r + cs * s
+    return vec3(x, y, z)
+
+
+def _timelike_constant_own_form(a, lam, mu, u, v):
+    ca, sa = np.cosh(a), np.sinh(a)
+    x = -mu * ca * np.cos(u) * np.sinh(v) + lam * sa * np.sin(u) * np.sinh(v) \
+        + np.cos(u) * np.cosh(v)
+    y = np.cosh(v) * np.sin(u) - mu * ca * np.sin(u) * np.sinh(v) \
+        - lam * sa * np.cos(u) * np.sinh(v)
+    z = lam * u - np.sinh(a) * v
+    return vec3(x, y, z)
+
+
+def _spacelike_i_own_forms(a, lam, mu, z):
+    ch, sh = np.cosh(z), np.sinh(z)
+    cha, sha = np.cosh(a * z), np.sinh(a * z)
+    return (lam + 1j * sha, sh + 1j * (lam * sh * sha - mu * ch * cha),
+            ch + 1j * (lam * ch * sha - mu * sh * cha))
+
+
+def _spacelike_ii_own_forms(a, lam, mu, z):
+    ch, sh = np.cosh(z), np.sinh(z)
+    cha, sha = np.cosh(a * z), np.sinh(a * z)
+    return (lam - 1j * cha, ch + 1j * (lam * ch * cha - mu * sh * sha),
+            sh + 1j * (lam * sh * cha - mu * ch * sha))
+
+
+_OWN_FORMS = {
+    catalog.HELICOIDAL_SPACELIKE_I: (
+        (1.0 + 1e-4, 2.0, 7.0), _spacelike_i_own_form, _spacelike_i_own_forms),
+    catalog.HELICOIDAL_SPACELIKE_II: (
+        (1e-3, 1.0, 50.0), _spacelike_ii_own_form, _spacelike_ii_own_forms),
+    catalog.BENDING_SPACELIKE: ((0.0,), _spacelike_ii_own_form, None),
+    catalog.HELICOIDAL_TIMELIKE_CONSTANT: (
+        (1e-3, 0.6, 0.999), _timelike_constant_own_form, None),
+}
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.0 + 1e-7, 2.3])
+@pytest.mark.parametrize("family", list(_OWN_FORMS))
+def test_helicoids_keep_the_bits_of_their_own_forms(family, a):
+    # On a 129x129 grid of the default box (nodes at u = 0 and v = 0): a
+    # dense complex grid of 16641 nodes fills 260 KiB, past the 256 KiB from
+    # which numpy computes `named * temporary` in place as
+    # `temporary * named`, which complex multiplication does not commute
+    # bit for bit.  bending-spacelike is type II at lam = 0, mu = 1.
+    lams, own_form, own_forms = _OWN_FORMS[family]
+    grid = Grid.from_domain(catalog.DEFAULT_DOMAINS[family], 129, 129)
+    info = catalog.FAMILY_INFO[family]
+    for lam in lams:
+        s = catalog.CatalogSurface(family, a=a, lam=lam)
+        mu = 1.0 if family == catalog.BENDING_SPACELIKE else s.mu
+        for sparse in (False, True):
+            U, V = grid.mesh(sparse=sparse)
+            for u, v in [(U, V), (U + 1e-20j, V), (U, V + 1e-20j),
+                         (U + 0.3j * V, V - 0.2j * U + 0.1j)]:
+                assert _same_bits(catalog.eval_surface(s, u, v),
+                                  own_form(a, lam, mu, u, v)), (lam, sparse)
+        if own_forms is None:
+            continue
+        U, V = grid.mesh()
+        z = np.concatenate([[0.0, complex(-0.0, -0.0), 0.5, 0.5j],
+                            (U + 1j * V).ravel()])
+        for point in (z, z[:10], complex(z[7])):
+            assert _same_bits(np.stack(info.forms(s, point)),
+                              np.stack(own_forms(a, lam, mu, point))), lam
+
+
 def test_patch_labels_identify_parameters():
     assert "bending-timelike" in catalog.patch(catalog.bending_timelike(2.0)).label
     assert "a=2" in catalog.patch(catalog.bending_timelike(2.0)).label

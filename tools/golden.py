@@ -28,10 +28,11 @@ The tree holds, for the `maxsurf` found on the import path:
   of bending-spacelike at a = 2.0000000005, within catalog.integer_rate's
   1e-9 of 2, whose checks read the a = 2 forms;
 - the `sample` OBJ, CSV and stdout and the `verify --suite all` report and
-  stdout of bending-spacelike and bending-timelike at a = 1, 2 and 2.3 on
-  their ZERO_GRIDS, each family's default box at 25x17 and 25x15, whose
-  nodes include u = 0 and v = 0, where a closed form that adds 0.0 * u
-  could print -0 for 0;
+  stdout of bending-spacelike, bending-timelike, helicoidal-spacelike-i and
+  helicoidal-spacelike-ii at a = 1, 2 and 2.3 on their ZERO_GRIDS, each
+  family's default box at 25x17 (25x15 for bending-timelike), whose nodes
+  include u = 0 and v = 0, where a closed form that adds 0.0 * u could
+  print -0 for 0;
 - the stdout of bending-timelike refused in every suite on OVERFLOW_GRID,
   where cosh overflows: `verify` evaluates its grid before any check;
 - the stdout of bending-timelike `verify --report ""` and
@@ -70,15 +71,18 @@ ZERO_RATE_FAMILIES = (catalog.BENDING_SPACELIKE,
 # whose checks it decides.
 NEAR_INTEGER_TWIST = "2.0000000005"
 NEAR_INTEGER_SUITES = ("periods", "curvature")
-# Each circle family's default box, with nodes at u = 0 and v = 0: its
-# size in file names and its grid.
+# The default box, with nodes at u = 0 and v = 0, of each circle family and
+# of the two spacelike helicoids, which share bending-spacelike's closed
+# form: its size in file names and its grid.
+SPACELIKE_ZERO_GRID = ("25x17", '{"u_min":-1.2,"u_max":1.2,"v_min":-0.4,'
+                       '"v_max":0.4,"nu":25,"nv":17}')
 ZERO_GRIDS = {
-    catalog.BENDING_SPACELIKE: (
-        "25x17", '{"u_min":-1.2,"u_max":1.2,"v_min":-0.4,"v_max":0.4,'
-                 '"nu":25,"nv":17}'),
+    catalog.BENDING_SPACELIKE: SPACELIKE_ZERO_GRID,
     catalog.BENDING_TIMELIKE: (
         "25x15", '{"u_min":-3.141592653589793,"u_max":3.141592653589793,'
                  '"v_min":-0.35,"v_max":0.35,"nu":25,"nv":15}'),
+    catalog.HELICOIDAL_SPACELIKE_I: SPACELIKE_ZERO_GRID,
+    catalog.HELICOIDAL_SPACELIKE_II: SPACELIKE_ZERO_GRID,
 }
 # A grid with non-finite nodes, which `verify` refuses before any check.
 OVERFLOW_GRID = ('{"u_min":700,"u_max":720,"v_min":-1,"v_max":1,'
